@@ -4,108 +4,16 @@ Scores candidate image pairs by verified overlap and triangulation
 parallax, then selects a sparse, well-conditioned match graph: a
 maximum-weight spanning tree augmented with budgeted loop closures,
 high-parallax anchors, and support edges for weak views.
+
+The top level exports the pipeline entry points; every other name lives
+in its module (``sara.features``, ``sara.retrieval``, ``sara.scorer``,
+``sara.epipolar``, ``sara.viewgraph``, ``sara.synth``).
 """
 
-from .config import SaraConfig, load_config, save_config
-from .epipolar import (
-    CoordinateFrame,
-    Correspondence,
-    ModelKind,
-    TwoViewModel,
-    estimate_essential,
-    estimate_fundamental_8pt,
-    recover_pose,
-    sampson_error,
-    short_ransac,
-    triangulate_angles,
-)
+from .config import SaraConfig
 from .errors import SaraError
-from .features import (
-    DatasetManifest,
-    ImageFeatures,
-    ManifestEntry,
-    load_features,
-    load_manifest,
-    read_features,
-    write_features,
-    write_graph_report,
-    write_manifest,
-    write_pair_list,
-)
-from .pipeline import RunReport, run_ablation, run_select
-from .retrieval import CandidateSet, cosine_knn
-from .scorer import PairScore, RejectReason, lower_median, mutual_nn_matches, score_all, score_pair
-from .synth import (
-    CameraPose,
-    OraclePairTruth,
-    SyntheticScene,
-    compute_visibility,
-    dump_scene,
-    generate_orbit_scene,
-    oracle_mst,
-    oracle_pair_truth,
-    render_features,
-)
-from .viewgraph import (
-    EdgeRole,
-    NodeConfidence,
-    ViewGraph,
-    build_view_graph,
-    max_spanning_tree,
-    node_confidences,
-)
+from .pipeline import run_ablation, run_select
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CameraPose",
-    "CandidateSet",
-    "CoordinateFrame",
-    "Correspondence",
-    "DatasetManifest",
-    "EdgeRole",
-    "ImageFeatures",
-    "ManifestEntry",
-    "ModelKind",
-    "NodeConfidence",
-    "OraclePairTruth",
-    "PairScore",
-    "RejectReason",
-    "RunReport",
-    "SaraConfig",
-    "SaraError",
-    "SyntheticScene",
-    "TwoViewModel",
-    "ViewGraph",
-    "build_view_graph",
-    "compute_visibility",
-    "cosine_knn",
-    "dump_scene",
-    "estimate_essential",
-    "estimate_fundamental_8pt",
-    "generate_orbit_scene",
-    "load_config",
-    "load_features",
-    "load_manifest",
-    "lower_median",
-    "max_spanning_tree",
-    "mutual_nn_matches",
-    "node_confidences",
-    "oracle_mst",
-    "oracle_pair_truth",
-    "read_features",
-    "recover_pose",
-    "render_features",
-    "run_ablation",
-    "run_select",
-    "sampson_error",
-    "save_config",
-    "score_all",
-    "score_pair",
-    "short_ransac",
-    "triangulate_angles",
-    "write_features",
-    "write_graph_report",
-    "write_manifest",
-    "write_pair_list",
-]
+__all__ = ["SaraConfig", "SaraError", "run_ablation", "run_select"]

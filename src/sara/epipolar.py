@@ -24,11 +24,6 @@ from .errors import (
 )
 
 
-class CoordinateFrame(Enum):
-    PIXEL = "pixel"
-    NORMALIZED = "normalized"
-
-
 class ModelKind(Enum):
     FUNDAMENTAL = "fundamental"
     ESSENTIAL = "essential"
@@ -129,11 +124,6 @@ def _project_essential(F: np.ndarray) -> np.ndarray:
     return _fix_sign(E)
 
 
-def _essential_core(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """Eight-point on normalized coordinates, projected onto the essential manifold."""
-    return _project_essential(_fundamental_core(na, nb))
-
-
 def estimate_fundamental_8pt(corrs) -> np.ndarray:
     """Fundamental matrix from >= 8 pixel correspondences.
 
@@ -156,7 +146,8 @@ def estimate_essential(corrs, K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
     if len(corrs) < 8:
         raise InsufficientCorrespondences(f"{len(corrs)} < 8")
     pa, pb = _arrays(corrs)
-    return _essential_core(_normalized_coords(pa, K_a), _normalized_coords(pb, K_b))
+    return _project_essential(
+        _fundamental_core(_normalized_coords(pa, K_a), _normalized_coords(pb, K_b)))
 
 
 def _sampson_batch(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -172,18 +163,16 @@ def _sampson_batch(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return out
 
 
-def sampson_error(model, corr: Correspondence,
-                  frame: CoordinateFrame = CoordinateFrame.PIXEL) -> float:
+def sampson_error(model, corr: Correspondence) -> float:
     """First-order squared epipolar error for one correspondence.
 
     (x_b^T M x_a)^2 / ((M x_a)_1^2 + (M x_a)_2^2 + (M^T x_b)_1^2 + (M^T x_b)_2^2)
 
-    The formula is frame-agnostic; ``frame`` documents the units of the
-    correspondence and therefore of the result (squared pixels or squared
-    normalized coordinates). Returns +inf when the denominator vanishes
-    (the point sits at both epipoles).
+    The formula is frame-agnostic: the result is in squared pixels for a
+    pixel correspondence and in squared normalized coordinates for a
+    normalized one. Returns +inf when the denominator vanishes (the point
+    sits at both epipoles).
     """
-    del frame  # units only; no numerical effect
     M = getattr(model, "matrix", model)
     pa = np.asarray(corr.x_a, dtype=np.float64).reshape(1, 2)
     pb = np.asarray(corr.x_b, dtype=np.float64).reshape(1, 2)
@@ -202,6 +191,14 @@ def _sample_indices(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     return v / np.where(norms > 0.0, norms, 1.0)
+
+
+def _ray_bundles(corrs, K_a: np.ndarray, K_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit viewing rays of each correspondence, in camera a's and camera b's frame."""
+    pa, pb = _arrays(corrs)
+    da = _unit_rows(np.column_stack([_normalized_coords(pa, K_a), np.ones(len(pa))]))
+    db_cam = _unit_rows(np.column_stack([_normalized_coords(pb, K_b), np.ones(len(pb))]))
+    return da, db_cam
 
 
 def _midpoint(R: np.ndarray, t: np.ndarray, da: np.ndarray,
@@ -235,9 +232,7 @@ def recover_pose(E: np.ndarray, corrs, K_a: np.ndarray,
     most points at positive depth in both cameras wins. Raises
     CheiralityAmbiguity unless the winner covers a strict majority.
     """
-    pa, pb = _arrays(corrs)
-    da = _unit_rows(np.column_stack([_normalized_coords(pa, K_a), np.ones(len(pa))]))
-    db_cam = _unit_rows(np.column_stack([_normalized_coords(pb, K_b), np.ones(len(pb))]))
+    da, db_cam = _ray_bundles(corrs, K_a, K_b)
     U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = -U
@@ -268,9 +263,7 @@ def triangulate_angles(R: np.ndarray, t: np.ndarray, corrs, K_a: np.ndarray,
     Midpoint triangulation; the angle is taken at the point between the
     two camera centers. Failed (near-parallel) triangulations yield 0.
     """
-    pa, pb = _arrays(corrs)
-    da = _unit_rows(np.column_stack([_normalized_coords(pa, K_a), np.ones(len(pa))]))
-    db_cam = _unit_rows(np.column_stack([_normalized_coords(pb, K_b), np.ones(len(pb))]))
+    da, db_cam = _ray_bundles(corrs, K_a, K_b)
     X, ok = _midpoint(R, t, da, db_cam)
     Cb = -(R.T @ t)
     va = X

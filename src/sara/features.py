@@ -159,17 +159,23 @@ def write_features(features: ImageFeatures, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
+def _parse_header(raw: bytes, path: Path) -> tuple[int, int, int, int, int]:
+    """(n, d, d_g, width, height) from a file's leading bytes."""
+    if len(raw) < 30 or raw[:4] != MAGIC:
+        raise CorruptFile(f"{path}: bad magic or truncated header")
+    version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
+    if version != VERSION:
+        raise CorruptFile(f"{path}: unsupported version {version}")
+    return n, d, d_g, w, h
+
+
 def read_features(path: str | Path, image_id: str | None = None) -> ImageFeatures:
     """Parse a feature file; validates bounds and descriptor norms."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     raw = path.read_bytes()
-    if len(raw) < 30 or raw[:4] != MAGIC:
-        raise CorruptFile(f"{path}: bad magic or truncated header")
-    version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
-    if version != VERSION:
-        raise CorruptFile(f"{path}: unsupported version {version}")
+    n, d, d_g, w, h = _parse_header(raw, path)
     has_k, has_s = struct.unpack_from("<BB", raw, 28)
     off = 30
     expected = off + 72 * int(bool(has_k)) + 4 * (n * 2 + n * int(bool(has_s)) + n * d + d_g)
@@ -202,21 +208,12 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     return feats
 
 
-def _read_header(path: Path) -> tuple[int, int, int]:
-    raw = path.open("rb").read(30)
-    if len(raw) < 30 or raw[:4] != MAGIC:
-        raise CorruptFile(f"{path}: bad magic or truncated header")
-    version, n, d, d_g, _, _ = struct.unpack_from("<IIIIII", raw, 4)
-    if version != VERSION:
-        raise CorruptFile(f"{path}: unsupported version {version}")
-    return n, d, d_g
-
-
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and cross-check a dataset manifest.
 
-    Checks that every referenced file exists, header dimensions agree with
-    the manifest, and image ids are unique.
+    Checks that entries are well-formed, every referenced file exists,
+    header dimensions agree with the manifest, and image ids are unique
+    and free of whitespace (the pair list separates ids by a space).
     """
     path = Path(path)
     if not path.exists():
@@ -225,14 +222,26 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CorruptFile(f"{path}: top level must be an object")
     for key in ("descriptor_dim", "global_dim", "entries"):
         if key not in data:
             raise CorruptFile(f"{path}: missing key {key!r}")
-    d, d_g = int(data["descriptor_dim"]), int(data["global_dim"])
+    try:
+        d, d_g = int(data["descriptor_dim"]), int(data["global_dim"])
+    except (TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path}: descriptor dimensions: {exc}") from exc
+    if not isinstance(data["entries"], list):
+        raise CorruptFile(f"{path}: 'entries' must be a list")
     entries = []
     seen: set[str] = set()
-    for item in data["entries"]:
-        image_id = str(item["image_id"])
+    for pos, item in enumerate(data["entries"]):
+        if not (isinstance(item, dict) and isinstance(item.get("image_id"), str)
+                and isinstance(item.get("path"), str)):
+            raise CorruptFile(f"{path}: entry {pos} needs string 'image_id' and 'path'")
+        image_id = item["image_id"]
+        if not image_id or any(c.isspace() for c in image_id):
+            raise CorruptFile(f"{path}: image id {image_id!r} is empty or has whitespace")
         if image_id in seen:
             raise DuplicateImageId(image_id)
         seen.add(image_id)
@@ -241,7 +250,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             fpath = path.parent / fpath
         if not fpath.exists():
             raise MissingFile(str(fpath))
-        fn, fd, fdg = _read_header(fpath)
+        with fpath.open("rb") as fh:
+            fn, fd, fdg, _, _ = _parse_header(fh.read(30), fpath)
         if fd != d and fn > 0:
             raise DimensionMismatch(
                 f"{image_id}: descriptor dim {fd} != manifest {d}")
@@ -249,7 +259,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise DimensionMismatch(
                 f"{image_id}: global dim {fdg} != manifest {d_g}")
         K = item.get("intrinsics")
-        K = np.asarray(K, dtype=np.float64) if K is not None else None
+        if K is not None:
+            try:
+                K = np.asarray(K, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise CorruptFile(f"{path}: {image_id}: intrinsics: {exc}") from exc
         entries.append(ManifestEntry(image_id=image_id, path=fpath, intrinsics=K))
     return DatasetManifest(entries=tuple(entries), descriptor_dim=d, global_dim=d_g)
 
@@ -289,7 +303,10 @@ def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
         raise DimensionMismatch(image_id)
     if entry.intrinsics is not None:
         feats = replace(feats, intrinsics=entry.intrinsics)
-        feats.validate()
+        try:
+            feats.validate()
+        except ValueError as exc:
+            raise CorruptFile(f"{image_id}: manifest intrinsics: {exc}") from exc
     return feats
 
 
@@ -332,21 +349,5 @@ def write_graph_report(graph, scores, image_ids, path: str | Path) -> None:
             "weight": score.weight,
             "inliers": score.inlier_count,
         })
-    n = graph.n_nodes
-    total = n * (n - 1) // 2
-    n_sel = len(edges)
-    by_role: dict[str, int] = {}
-    for _, role in graph.selected_edges:
-        by_role[role.value] = by_role.get(role.value, 0) + 1
-    doc = {
-        "summary": {
-            "n_nodes": n,
-            "n_candidate_edges": len(graph.candidate_edges),
-            "n_selected_edges": n_sel,
-            "edges_by_role": by_role,
-            "n_components": len(graph.components),
-            "reduction_ratio": (1.0 - n_sel / total) if total else 0.0,
-        },
-        "edges": edges,
-    }
+    doc = {"summary": graph.summary(), "edges": edges}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

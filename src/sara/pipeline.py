@@ -73,7 +73,7 @@ def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
     t0 = time.perf_counter()
     scores = score_all(features, candidates, config, threads=threads)
     timings["score"] = time.perf_counter() - t0
-    return manifest, features, candidates, scores
+    return manifest, candidates, scores
 
 
 def _finish(manifest, candidates, scores, config: SaraConfig, out_pairs, out_report,
@@ -93,21 +93,16 @@ def _finish(manifest, candidates, scores, config: SaraConfig, out_pairs, out_rep
         if score.rejected is not None:
             key = score.rejected.value
             rejected[key] = rejected.get(key, 0) + 1
-    by_role: dict[str, int] = {}
-    for _, role in graph.selected_edges:
-        by_role[role.value] = by_role.get(role.value, 0) + 1
-    n = len(manifest)
-    total = n * (n - 1) // 2
-    n_selected = len(graph.selected_edges)
+    summary = graph.summary()
     return RunReport(
-        n_images=n,
+        n_images=summary["n_nodes"],
         n_candidates=len(candidates),
         n_scored=len(scores),
         n_rejected=rejected,
-        n_selected=n_selected,
-        selected_by_role=by_role,
-        n_components=len(graph.components),
-        reduction_ratio=(1.0 - n_selected / total) if total else 0.0,
+        n_selected=summary["n_selected_edges"],
+        selected_by_role=summary["edges_by_role"],
+        n_components=summary["n_components"],
+        reduction_ratio=summary["reduction_ratio"],
         stage_seconds=dict(timings),
         seed=config.seed,
         config=config.to_dict(),
@@ -119,7 +114,7 @@ def run_select(manifest_path, config: SaraConfig, out_pairs, out_report,
                threads: int = 1) -> RunReport:
     """Full selection pass: load, retrieve, score, build graph, write outputs."""
     timings: dict[str, float] = {}
-    manifest, _, candidates, scores = _prepare(manifest_path, config, threads, timings)
+    manifest, candidates, scores = _prepare(manifest_path, config, threads, timings)
     return _finish(manifest, candidates, scores, config, out_pairs, out_report, timings)
 
 
@@ -133,7 +128,7 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    manifest, _, candidates, scores = _prepare(manifest_path, config, threads, timings)
+    manifest, candidates, scores = _prepare(manifest_path, config, threads, timings)
     reports = {}
     for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
         variant = dataclasses.replace(

@@ -7,24 +7,13 @@ either endpoint ranks the other among its top k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidK, TooFewImages
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    pairs: frozenset[tuple[int, int]]                      # (i, j), i < j
-    per_image_neighbors: dict[int, list[tuple[int, float]]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def cosine_knn(global_descs, k: int) -> CandidateSet:
-    """Exact top-k neighbors per image over unit global descriptors.
+def cosine_knn(global_descs, k: int) -> frozenset[tuple[int, int]]:
+    """Candidate pairs from exact top-k neighbors per image over unit global descriptors.
 
     Ties in similarity break toward the lower node index. Pairs are
     deduplicated into canonical (i, j) with i < j.
@@ -45,12 +34,6 @@ def cosine_knn(global_descs, k: int) -> CandidateSet:
     np.fill_diagonal(sims, -np.inf)
     # stable argsort on negated sims keeps ascending index among ties
     order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-
-    neighbors: dict[int, list[tuple[int, float]]] = {}
-    pairs: set[tuple[int, int]] = set()
-    for i in range(n):
-        row = [(int(j), float(sims[i, j])) for j in order[i]]
-        neighbors[i] = row
-        for j, _ in row:
-            pairs.add((i, j) if i < j else (j, i))
-    return CandidateSet(pairs=frozenset(pairs), per_image_neighbors=neighbors)
+    rows = np.repeat(np.arange(n), k)
+    cols = order.ravel()
+    return frozenset(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))

@@ -159,13 +159,13 @@ def score_all(features, candidates, config: SaraConfig,
               threads: int = 1) -> dict[tuple[int, int], PairScore]:
     """Score every candidate pair; deterministic for a given config seed.
 
-    ``features`` is the loaded feature list in manifest order; candidate
-    pairs index into it. Each pair draws from its own counter-based RNG
-    stream keyed by the pair's index, so results do not depend on thread
-    count or scheduling.
+    ``features`` is the loaded feature list in manifest order;
+    ``candidates`` is any iterable of canonical (i, j) pairs indexing into
+    it. Each pair draws from its own counter-based RNG stream keyed by the
+    pair's index, so results do not depend on thread count or scheduling.
     """
     n = len(features)
-    pairs = sorted(candidates.pairs if hasattr(candidates, "pairs") else candidates)
+    pairs = sorted(candidates)
 
     def work(pair: tuple[int, int]) -> PairScore:
         i, j = pair

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import GenerationFailure, TooLarge
 from .features import DatasetManifest, ImageFeatures, ManifestEntry, write_features, write_manifest
+from .viewgraph import UnionFind
 
 DEFAULT_MAX_VIEW_ANGLE = math.radians(75.0)
 
@@ -227,7 +228,7 @@ def oracle_mst(weights: dict, n_nodes: int) -> float:
     edges = list(weights.items())
     best = None
     for subset in itertools.combinations(edges, n_nodes - 1):
-        uf = UnionFindSmall(n_nodes)
+        uf = UnionFind(n_nodes)
         acyclic = True
         for (a, b), _ in subset:
             if not uf.union(a, b):
@@ -240,26 +241,6 @@ def oracle_mst(weights: dict, n_nodes: int) -> float:
     if best is None:
         raise ValueError("graph has no spanning tree")
     return float(best)
-
-
-class UnionFindSmall:
-    """Tiny union-find for the exhaustive oracle's acyclicity checks."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def union(self, a: int, b: int) -> bool:
-        pa = self.parent
-        while pa[a] != a:
-            a = pa[a]
-        while pa[b] != b:
-            b = pa[b]
-        if a == b:
-            return False
-        pa[a] = b
-        return True
 
 
 def dump_scene(scene: SyntheticScene, out_dir: str | Path) -> Path:

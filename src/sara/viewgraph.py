@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import SaraConfig
 from .errors import EmptyScoreSet
+from .scorer import lower_median
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +50,23 @@ class ViewGraph:
 
     def selected_pairs(self) -> set:
         return {e for e, _ in self.selected_edges}
+
+    def summary(self) -> dict:
+        """Size, role counts, components and reduction against all N(N-1)/2 pairs."""
+        by_role: dict[str, int] = {}
+        for _, role in self.selected_edges:
+            by_role[role.value] = by_role.get(role.value, 0) + 1
+        n = self.n_nodes
+        total = n * (n - 1) // 2
+        n_selected = len(self.selected_edges)
+        return {
+            "n_nodes": n,
+            "n_candidate_edges": len(self.candidate_edges),
+            "n_selected_edges": n_selected,
+            "edges_by_role": by_role,
+            "n_components": len(self.components),
+            "reduction_ratio": (1.0 - n_selected / total) if total else 0.0,
+        }
 
     def degree(self, node: int) -> int:
         return sum(1 for (i, j), _ in self.selected_edges if node in (i, j))
@@ -152,16 +170,9 @@ def node_confidences(tree_edges, candidates: dict, n_nodes: int) -> list[NodeCon
         w = candidates[(i, j)]
         incident[i].append(w)
         incident[j].append(w)
-    out = []
-    for node in range(n_nodes):
-        ws = incident[node]
-        if ws:
-            arr = np.sort(np.asarray(ws))
-            kappa = float(arr[(arr.size - 1) // 2])
-        else:
-            kappa = 0.0
-        out.append(NodeConfidence(node=node, degree_in_tree=len(ws), kappa=kappa))
-    return out
+    return [NodeConfidence(node=node, degree_in_tree=len(ws),
+                           kappa=lower_median(ws) if ws else 0.0)
+            for node, ws in enumerate(incident)]
 
 
 def weak_priority(degree_in_tree: int, kappa: float) -> float:

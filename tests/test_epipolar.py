@@ -6,7 +6,7 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (Correspondence, CoordinateFrame, ModelKind,
+from sara.epipolar import (Correspondence, ModelKind,
                            estimate_essential, estimate_fundamental_8pt,
                            recover_pose, sampson_error, short_ransac,
                            triangulate_angles)
@@ -166,7 +166,7 @@ class TestSampson:
         # forward motion puts both epipoles at the principal point
         E = essential_from_pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
         corr = Correspondence(0, 0, np.zeros(2), np.zeros(2), 1.0)
-        assert sampson_error(E, corr, CoordinateFrame.NORMALIZED) == math.inf
+        assert sampson_error(E, corr) == math.inf
 
     def test_accepts_model_or_matrix(self):
         case = gen_frustum_pair(np.random.default_rng(22), n=20)
@@ -245,8 +245,7 @@ class TestShortRansac:
             c = corrs[idx]
             na = (kinv @ np.append(c.x_a, 1.0))[:2]
             nb = (kinv @ np.append(c.x_b, 1.0))[:2]
-            err = sampson_error(model, Correspondence(0, 0, na, nb, 1.0),
-                                CoordinateFrame.NORMALIZED)
+            err = sampson_error(model, Correspondence(0, 0, na, nb, 1.0))
             assert err < (threshold / fbar) ** 2
 
     def test_deterministic_given_seed(self):

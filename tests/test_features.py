@@ -217,6 +217,38 @@ class TestManifest:
         feats = load_features(load_manifest(mpath), "img_0")
         np.testing.assert_array_equal(feats.intrinsics, np.asarray(K))
 
+    @pytest.mark.parametrize("mutate", [
+        lambda es: [es[0], {"image_id": "img_1"}, es[2]],
+        lambda es: [es[0], {"path": "img_1.sarf"}, es[2]],
+        lambda es: [es[0], {"image_id": 1, "path": "img_1.sarf"}, es[2]],
+        lambda es: [es[0], "img_1.sarf", es[2]],
+        lambda es: {e["image_id"]: e for e in es},
+        lambda es: [es[0], dict(es[1], image_id="img 1"), es[2]],
+        lambda es: [es[0], dict(es[1], image_id=""), es[2]],
+        lambda es: [es[0], dict(es[1], intrinsics="eye"), es[2]],
+    ], ids=["no_path", "no_image_id", "numeric_image_id", "entry_not_object",
+            "entries_not_list", "whitespace_id", "empty_id", "intrinsics_not_numeric"])
+    def test_malformed_entries(self, tmp_path, mutate):
+        mpath = write_dataset(tmp_path)
+        data = json.loads(mpath.read_text())
+        data["entries"] = mutate(data["entries"])
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(CorruptFile):
+            load_manifest(mpath)
+
+    @pytest.mark.parametrize("K", [
+        [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0]],
+        [[-800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]],
+    ], ids=["not_3x3", "negative_focal"])
+    def test_invalid_manifest_intrinsics(self, tmp_path, K):
+        mpath = write_dataset(tmp_path)
+        data = json.loads(mpath.read_text())
+        data["entries"][0]["intrinsics"] = K
+        mpath.write_text(json.dumps(data))
+        manifest = load_manifest(mpath)
+        with pytest.raises(CorruptFile, match="img_0"):
+            load_features(manifest, "img_0")
+
     def test_unknown_image_id(self, tmp_path):
         manifest = load_manifest(write_dataset(tmp_path))
         with pytest.raises(MissingFile):
@@ -231,6 +263,17 @@ class TestManifest:
     def test_missing_key(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"entries": []}))
+        with pytest.raises(CorruptFile):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        {"descriptor_dim": "wide", "global_dim": 64, "entries": []},
+        {"descriptor_dim": 128, "global_dim": None, "entries": []},
+    ], ids=["top_level_number", "dim_not_numeric", "dim_null"])
+    def test_malformed_top_level(self, tmp_path, doc):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(CorruptFile):
             load_manifest(path)
 

@@ -170,6 +170,35 @@ class TestCliSelect:
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["entries"][0].pop("path"),
+        lambda d: d.update(entries={e["image_id"]: e for e in d["entries"]}),
+        lambda d: d["entries"][0].update(image_id="view 0000"),
+        lambda d: d["entries"][0].update(
+            intrinsics=[[900.0, 0.0, 512.0], [0.0, 900.0, 384.0]]),
+        lambda d: d["entries"][0].update(
+            intrinsics=[[-900.0, 0.0, 512.0], [0.0, 900.0, 384.0], [0.0, 0.0, 1.0]]),
+    ], ids=["no_path", "entries_object", "whitespace_id", "intrinsics_not_3x3",
+            "negative_focal"])
+    def test_malformed_manifest_exits_two_before_scoring(self, dataset, tmp_path, capsys,
+                                                         monkeypatch, mutate):
+        import sara.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise RuntimeError("scoring ran on a malformed manifest")
+
+        monkeypatch.setattr(pipeline_mod, "score_all", never)
+        data = json.loads(dataset.read_text())
+        for entry in data["entries"]:
+            entry["path"] = str(dataset.parent / entry["path"])
+        mutate(data)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(data))
+        code = main(["select", "--manifest", str(bad),
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")])
+        assert code == 2, capsys.readouterr().err
+
     def test_invalid_config_value(self, dataset, tmp_path, capsys):
         code = main(["select", "--manifest", str(dataset), "--k", "0",
                      "--out-pairs", str(tmp_path / "p.txt"),

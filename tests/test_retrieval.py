@@ -15,20 +15,19 @@ def brute_force_pairs(vectors, k):
     n = len(vectors)
     sims = vectors @ vectors.T
     pairs = set()
-    neighbors = {}
     for i in range(n):
         ranked = sorted((j for j in range(n) if j != i),
                         key=lambda j: (-sims[i, j], j))[:k]
-        neighbors[i] = ranked
         for j in ranked:
             pairs.add((min(i, j), max(i, j)))
-    return pairs, neighbors
+    return pairs
 
 
 def test_two_images_k1():
     rng = np.random.default_rng(0)
     result = cosine_knn(unit_rows(rng, 2), k=1)
-    assert result.pairs == {(0, 1)}
+    assert result == {(0, 1)}
+    assert len(result) == 1
 
 
 def test_orthogonal_triple():
@@ -39,34 +38,16 @@ def test_orthogonal_triple():
         [0.1, 0.0, np.sqrt(1 - 0.01)],
     ])
     result = cosine_knn(v, k=1)
-    assert [j for j, _ in result.per_image_neighbors[0]] == [1]
-    assert [j for j, _ in result.per_image_neighbors[1]] == [0]
-    assert [j for j, _ in result.per_image_neighbors[2]] == [0]
     # union is symmetric: 2 chose 0, so (0, 2) appears even though 0 did not choose 2
-    assert result.pairs == {(0, 1), (0, 2)}
+    assert result == {(0, 1), (0, 2)}
+    assert result == brute_force_pairs(v, 1)
 
 
 def test_orbit_against_brute_force(orbit20_features):
     vectors = np.stack([f.global_desc for f in orbit20_features]).astype(np.float64)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     result = cosine_knn(vectors, k=5)
-    expected_pairs, expected_neighbors = brute_force_pairs(vectors, 5)
-    assert result.pairs == expected_pairs
-    got = {i: [j for j, _ in nbrs] for i, nbrs in result.per_image_neighbors.items()}
-    assert got == expected_neighbors
-
-
-def test_neighbor_lists_sorted_by_similarity():
-    rng = np.random.default_rng(7)
-    v = unit_rows(rng, 30)
-    result = cosine_knn(v, k=6)
-    sims = v @ v.T
-    for i, nbrs in result.per_image_neighbors.items():
-        s = [sim for _, sim in nbrs]
-        assert all(a >= b - 1e-12 for a, b in zip(s, s[1:]))
-        assert all(abs(sim - sims[i, j]) < 1e-12 for j, sim in nbrs)
-        assert i not in [j for j, _ in nbrs]
-        assert len(nbrs) == 6
+    assert result == brute_force_pairs(vectors, 5)
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (17, 4), (40, 1), (9, 8)])
@@ -74,19 +55,17 @@ def test_random_sets_match_oracle(n, k):
     rng = np.random.default_rng(n * 100 + k)
     v = unit_rows(rng, n, d=16)
     result = cosine_knn(v, k=k)
-    expected_pairs, expected_neighbors = brute_force_pairs(v, k)
-    assert result.pairs == expected_pairs
-    got = {i: [j for j, _ in nbrs] for i, nbrs in result.per_image_neighbors.items()}
-    assert got == expected_neighbors
-    assert len(result.pairs) >= int(np.ceil(n * k / 2))
-    assert len(result.pairs) <= n * k
+    assert result == brute_force_pairs(v, k)
+    assert all(0 <= i < j < n for i, j in result)
+    assert len(result) >= int(np.ceil(n * k / 2))
+    assert len(result) <= n * k
 
 
 def test_full_k_gives_complete_graph():
     rng = np.random.default_rng(5)
     n = 12
     result = cosine_knn(unit_rows(rng, n), k=n - 1)
-    assert len(result.pairs) == n * (n - 1) // 2
+    assert len(result) == n * (n - 1) // 2
 
 
 def test_too_few_images():
@@ -114,7 +93,6 @@ def test_deterministic_under_ties():
     v = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     r1 = cosine_knn(v, k=2)
     r2 = cosine_knn(v.copy(), k=2)
-    assert r1.pairs == r2.pairs
-    assert r1.per_image_neighbors == r2.per_image_neighbors
-    assert [j for j, _ in r1.per_image_neighbors[0]] == [1, 2]
-    assert [j for j, _ in r1.per_image_neighbors[3]] == [0, 1]
+    assert r1 == r2
+    # 3 is equally similar to 0, 1 and 2; the lower indices win, so (2, 3) is absent
+    assert r1 == brute_force_pairs(v, 2) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}

@@ -260,7 +260,7 @@ class TestScoreAll:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         candidates = cosine_knn(vectors, k=3)
         scores = score_all(orbit20_features, candidates, SaraConfig())
-        assert set(scores) == set(candidates.pairs)
+        assert set(scores) == set(candidates)
         for (i, j), s in scores.items():
             assert (s.i, s.j) == (i, j)
 
