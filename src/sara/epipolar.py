@@ -79,42 +79,67 @@ def _normalized_coords(points: np.ndarray, K: np.ndarray) -> np.ndarray:
     return (h @ np.linalg.inv(K).T)[:, :2]
 
 
-def _hartley(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Translate centroid to the origin, scale mean radius to sqrt(2)."""
-    c = points.mean(axis=0)
-    mean_dist = float(np.linalg.norm(points - c, axis=1).mean())
-    if mean_dist < 1e-9:
-        raise DegenerateConfiguration("coincident points")
-    s = math.sqrt(2.0) / mean_dist
-    T = np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
-    return T, (points - c) * s
+def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized eight-point estimates for a stack of point sets.
+
+    ``pa`` and ``pb`` are (h, m, 2) with m >= 8. Returns (h, 3, 3) rank-2,
+    unit-Frobenius models and an (h,) mask that is False where a set is
+    degenerate (coincident points, or a design matrix of rank below 8);
+    the model of a masked-out set is finite but meaningless. Every
+    operation runs on the whole stack, with the same floating-point
+    operations per set as a one-set solve, so a set's model does not
+    depend on the stack it was solved in.
+    """
+    ok = np.ones(pa.shape[0], dtype=bool)
+    transforms, normalized = [], []
+    for pts in (pa, pb):
+        # Hartley: centroid to the origin, mean radius to sqrt(2)
+        c = pts.mean(axis=1)
+        centered = pts - c[:, None, :]
+        mean_dist = np.linalg.norm(centered, axis=2).mean(axis=1)
+        coincident = mean_dist < 1e-9
+        ok &= ~coincident
+        s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+        T = np.zeros((pts.shape[0], 3, 3))
+        T[:, 0, 0] = T[:, 1, 1] = s
+        T[:, 0, 2] = -s * c[:, 0]
+        T[:, 1, 2] = -s * c[:, 1]
+        T[:, 2, 2] = 1.0
+        transforms.append(T)
+        normalized.append(centered * s[:, None, None])
+    (Ta, Tb), (na, nb) = transforms, normalized
+    x1, y1 = na[..., 0], na[..., 1]
+    x2, y2 = nb[..., 0], nb[..., 1]
+    A = np.stack([
+        x2 * x1, x2 * y1, x2,
+        y2 * x1, y2 * y1, y2,
+        x1, y1, np.ones_like(x1),
+    ], axis=-1)
+    _, s, Vt = np.linalg.svd(A)
+    ok &= (s[:, 0] > 0.0) & (s[:, 7] > s[:, 0] * 1e-10)
+    U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    sf[:, 2] = 0.0
+    F = (U * sf[:, None, :]) @ Vft
+    F = np.swapaxes(Tb, 1, 2) @ F @ Ta
+    flat = F.reshape(-1, 1, 9)
+    # a per-set dot product, rounded as np.linalg.norm rounds a single matrix
+    F /= np.sqrt(flat @ np.swapaxes(flat, 1, 2))
+    return _fix_sign(F), ok
 
 
 def _fix_sign(M: np.ndarray) -> np.ndarray:
-    # deterministic sign: largest-magnitude entry positive
-    return -M if M.flat[int(np.argmax(np.abs(M)))] < 0 else M
+    # deterministic sign: the largest-magnitude entry of each 3x3 model positive
+    flat = M.reshape(-1, 9)
+    lead = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=1)[:, None], axis=1)
+    return np.where(lead.reshape(M.shape[:-2] + (1, 1)) < 0.0, -M, M)
 
 
 def _fundamental_core(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Normalized eight-point estimate on point arrays; rank-2, unit Frobenius."""
-    Ta, na = _hartley(pa)
-    Tb, nb = _hartley(pb)
-    x1, y1 = na[:, 0], na[:, 1]
-    x2, y2 = nb[:, 0], nb[:, 1]
-    A = np.column_stack([
-        x2 * x1, x2 * y1, x2,
-        y2 * x1, y2 * y1, y2,
-        x1, y1, np.ones(len(pa)),
-    ])
-    _, s, Vt = np.linalg.svd(A)
-    if s[0] <= 0.0 or s[7] <= s[0] * 1e-10:
-        raise DegenerateConfiguration("design matrix rank below 8")
-    F = Vt[-1].reshape(3, 3)
-    U, sf, Vft = np.linalg.svd(F)
-    F = (U * np.array([sf[0], sf[1], 0.0])) @ Vft
-    F = Tb.T @ F @ Ta
-    F /= np.linalg.norm(F)
-    return _fix_sign(F)
+    F, ok = _fundamental_stack(pa[None], pb[None])
+    if not ok[0]:
+        raise DegenerateConfiguration("coincident points or design matrix rank below 8")
+    return F[0]
 
 
 def _project_essential(F: np.ndarray) -> np.ndarray:
@@ -150,17 +175,19 @@ def estimate_essential(corrs, K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
         _fundamental_core(_normalized_coords(pa, K_a), _normalized_coords(pb, K_b)))
 
 
-def _sampson_batch(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def _sampson_stack(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """(h, m) squared Sampson errors of m correspondences under h models."""
     ha = np.column_stack([pa, np.ones(len(pa))])
     hb = np.column_stack([pb, np.ones(len(pb))])
-    Ma = ha @ M.T    # rows are (M x_a)^T
-    Mtb = hb @ M     # rows are (M^T x_b)^T
-    num = np.einsum("ij,ij->i", hb, Ma) ** 2
-    den = Ma[:, 0] ** 2 + Ma[:, 1] ** 2 + Mtb[:, 0] ** 2 + Mtb[:, 1] ** 2
-    out = np.full(len(pa), np.inf)
-    nz = den > 0.0
-    out[nz] = num[nz] / den[nz]
-    return out
+    Ma = ha @ np.swapaxes(M, 1, 2)   # rows are (M x_a)^T
+    Mtb = hb @ M                     # rows are (M^T x_b)^T
+    num = np.einsum("ij,hij->hi", hb, Ma) ** 2
+    den = Ma[..., 0] ** 2 + Ma[..., 1] ** 2 + Mtb[..., 0] ** 2 + Mtb[..., 1] ** 2
+    return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
+
+
+def _sampson_batch(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    return _sampson_stack(M[None], pa, pb)[0]
 
 
 def sampson_error(model, corr: Correspondence) -> float:
@@ -179,13 +206,39 @@ def sampson_error(model, corr: Correspondence) -> float:
     return float(_sampson_batch(M, pa, pb)[0])
 
 
-def _sample_indices(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    # partial Fisher-Yates: k draws without replacement
-    idx = np.arange(n)
-    for i in range(k):
-        j = i + int(rng.integers(n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k].copy()
+def _draw_samples(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
+    """(rows, 8) indices, each row 8 draws without replacement from range(n).
+
+    Partial Fisher-Yates on every row at once. All draws come from one
+    call, in the order row-after-row shuffles would take them, so the rows
+    and the generator's next state equal those of ``rows`` sequential
+    shuffles.
+    """
+    offsets = rng.integers(np.tile(n - np.arange(8), rows)).reshape(rows, 8)
+    idx = np.tile(np.arange(n), (rows, 1))
+    r = np.arange(rows)
+    for i in range(8):
+        j = i + offsets[:, i]
+        picked = idx[r, j]
+        idx[r, j] = idx[:, i]
+        idx[:, i] = picked
+    return idx[:, :8]
+
+
+def _best_hypothesis(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> int | None:
+    """Row of the winning hypothesis, or None if none keeps 8 inliers.
+
+    Most inliers wins; a tie goes to the strictly lower inlier-error total,
+    then to the earlier row. A total sums the row's inlier errors alone, in
+    order, as a one-hypothesis search sums them.
+    """
+    counts = np.where(ok, masks.sum(axis=1), 0)
+    top = int(counts.max(initial=0))
+    if top < 8:
+        return None
+    tied = np.flatnonzero(counts == top)
+    totals = [errs[h][masks[h]].sum() for h in tied]
+    return int(tied[int(np.argmin(totals))])
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -284,9 +337,15 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
 
     Hypotheses are eight-point fits on uniform 8-subsets, scored by inlier
     count under the squared Sampson threshold (count ties broken by lower
-    total inlier error). The best hypothesis is refit once on its inliers
-    and the inlier set is recomputed against the refit model, so stored
-    inliers satisfy the threshold by construction.
+    total inlier error, then by the earlier draw). The best hypothesis is
+    refit once on its inliers and the inlier set is recomputed against the
+    refit model, so stored inliers satisfy the threshold by construction.
+
+    All hypotheses are drawn, solved and scored together: one stacked
+    eight-point solve and one (iterations, len(corrs)) Sampson matrix, so
+    memory grows as iterations x correspondences floats (32 x 50 with the
+    default config). The result is bit-identical to solving and scoring
+    the hypotheses one at a time in draw order.
 
     ``inlier_threshold`` is a pixel distance; with ``calib`` given the
     search runs in normalized coordinates (essential model) and the
@@ -311,25 +370,15 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     # hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     # the essential-manifold projection is brutal on noisy minimal samples,
     # so it is applied only to the final overdetermined refit
-    best: tuple[int, float, np.ndarray, np.ndarray] | None = None
-    for _ in range(iterations):
-        idx = _sample_indices(rng, n, 8)
-        try:
-            M = _fundamental_core(sa[idx], sb[idx])
-        except DegenerateConfiguration:
-            continue
-        errs = _sampson_batch(M, sa, sb)
-        mask = errs < threshold_sq
-        count = int(mask.sum())
-        if count < 8:
-            continue
-        total = float(errs[mask].sum())
-        if best is None or count > best[0] or (count == best[0] and total < best[1]):
-            best = (count, total, M, mask)
+    samples = _draw_samples(rng, n, iterations)
+    models, ok = _fundamental_stack(sa[samples], sb[samples])
+    errs = _sampson_stack(models, sa, sb)
+    masks = errs < threshold_sq
+    best = _best_hypothesis(errs, masks, ok)
     if best is None:
         raise NoModelFound("no hypothesis reached 8 inliers")
 
-    M, mask = best[2], best[3]
+    M, mask = models[best], masks[best]
     try:
         M = _fundamental_core(sa[mask], sb[mask])
     except DegenerateConfiguration:

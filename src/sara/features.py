@@ -29,6 +29,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,11 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _by_id(self) -> dict[str, ManifestEntry]:
+        # built once per manifest; the first entry wins a repeated id
+        return {e.image_id: e for e in reversed(self.entries)}
 
 
 def _renormalize(vectors: np.ndarray, what: str, image_id: str) -> np.ndarray:
@@ -291,10 +297,8 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
     """Load one image's features; manifest intrinsics override the file's."""
-    for entry in manifest.entries:
-        if entry.image_id == image_id:
-            break
-    else:
+    entry = manifest._by_id.get(image_id)
+    if entry is None:
         raise MissingFile(f"image id {image_id!r} not in manifest")
     feats = read_features(entry.path, image_id=image_id)
     if feats.descriptors.shape[0] and feats.descriptors.shape[1] != manifest.descriptor_dim:

@@ -73,18 +73,17 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> list[Corr
     sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
     best_ba = np.argmax(sims, axis=0)
-    p = np.arange(fa.n_keypoints)
-    mutual = best_ba[best_ab] == p
-    matches = [
+    p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
+    q = best_ab[p]
+    s = sims[p, q]
+    return [
         Correspondence(
-            idx_a=int(pi), idx_b=int(best_ab[pi]),
-            x_a=fa.keypoints[pi].astype(np.float64),
-            x_b=fb.keypoints[best_ab[pi]].astype(np.float64),
-            similarity=float(sims[pi, best_ab[pi]]))
-        for pi in p[mutual]
+            idx_a=int(p[k]), idx_b=int(q[k]),
+            x_a=fa.keypoints[p[k]].astype(np.float64),
+            x_b=fb.keypoints[q[k]].astype(np.float64),
+            similarity=float(s[k]))
+        for k in np.lexsort((q, p, -s))[:b]
     ]
-    matches.sort(key=lambda c: (-c.similarity, c.idx_a, c.idx_b))
-    return matches[:b]
 
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:

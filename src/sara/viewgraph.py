@@ -316,10 +316,12 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     candidates = {edge: s.weight for edge, s in sorted(scores.items()) if s.rejected is None}
     components = _components(candidates, n_nodes)
     if len(components) > 1:
+        more = len(components) - 8
         logger.warning(
-            "candidate graph is disconnected: %d components %s",
+            "candidate graph is disconnected: %d components %s%s",
             len(components),
-            [c[:8] + ["..."] if len(c) > 8 else c for c in components])
+            [c[:8] + ["..."] if len(c) > 8 else c for c in components[:8]],
+            f" ... (+{more} more)" if more > 0 else "")
 
     tree = max_spanning_tree(candidates, n_nodes)
     selected = [(edge, EdgeRole.TREE) for edge in tree]

@@ -6,7 +6,8 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (Correspondence, ModelKind,
+from sara.epipolar import (Correspondence, ModelKind, _best_hypothesis,
+                           _draw_samples, _fundamental_stack,
                            estimate_essential, estimate_fundamental_8pt,
                            recover_pose, sampson_error, short_ransac,
                            triangulate_angles)
@@ -344,3 +345,211 @@ class TestTriangulateAngles:
                                    to_corrs(case.kp_a, case.kp_b),
                                    case.intrinsics, case.intrinsics)
         assert (theta >= 0.0).all() and (theta <= math.pi).all()
+
+
+# --- per-hypothesis reference for the batched robust search ---------------
+# The robust search draws, solves and scores all hypotheses of a pair as
+# stacked arrays. The reference below does it one hypothesis at a time with
+# single-matrix numpy calls, and the batched search must match it bit for bit.
+
+def ref_fisher_yates(rng, n):
+    idx = np.arange(n)
+    for i in range(8):
+        j = i + int(rng.integers(n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:8].copy()
+
+
+def ref_fix_sign(M):
+    return -M if M.flat[int(np.argmax(np.abs(M)))] < 0 else M
+
+
+def ref_fundamental(pa, pb):
+    """Normalized eight-point solve of one point set; None when degenerate."""
+    Ts, ns = [], []
+    for pts in (pa, pb):
+        c = pts.mean(axis=0)
+        mean_dist = float(np.linalg.norm(pts - c, axis=1).mean())
+        if mean_dist < 1e-9:
+            return None
+        s = math.sqrt(2.0) / mean_dist
+        Ts.append(np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]]))
+        ns.append((pts - c) * s)
+    (x1, y1), (x2, y2) = ns[0].T, ns[1].T
+    A = np.column_stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2,
+                         x1, y1, np.ones(len(pa))])
+    _, s, Vt = np.linalg.svd(A)
+    if s[0] <= 0.0 or s[7] <= s[0] * 1e-10:
+        return None
+    U, sf, Vft = np.linalg.svd(Vt[-1].reshape(3, 3))
+    F = Ts[1].T @ ((U * np.array([sf[0], sf[1], 0.0])) @ Vft) @ Ts[0]
+    F /= np.linalg.norm(F)
+    return ref_fix_sign(F)
+
+
+def ref_sampson(M, pa, pb):
+    ha = np.column_stack([pa, np.ones(len(pa))])
+    hb = np.column_stack([pb, np.ones(len(pb))])
+    Ma, Mtb = ha @ M.T, hb @ M
+    num = np.einsum("ij,ij->i", hb, Ma) ** 2
+    den = Ma[:, 0] ** 2 + Ma[:, 1] ** 2 + Mtb[:, 0] ** 2 + Mtb[:, 1] ** 2
+    out = np.full(len(pa), np.inf)
+    nz = den > 0.0
+    out[nz] = num[nz] / den[nz]
+    return out
+
+
+def ref_short_ransac(corrs, calib, iterations, threshold, rng):
+    """(matrix, inliers, stats) of a one-hypothesis-at-a-time search, or
+    (None, None, stats) where the search finds no model."""
+    pa = np.array([c.x_a for c in corrs], dtype=np.float64)
+    pb = np.array([c.x_b for c in corrs], dtype=np.float64)
+    if calib is not None:
+        def normalize(pts, K):
+            return (np.column_stack([pts, np.ones(len(pts))]) @ np.linalg.inv(K).T)[:, :2]
+        pa, pb = normalize(pa, calib[0]), normalize(pb, calib[1])
+        fbar = float(np.mean([calib[0][0, 0], calib[0][1, 1], calib[1][0, 0], calib[1][1, 1]]))
+        threshold_sq = (threshold / fbar) ** 2
+    else:
+        threshold_sq = threshold ** 2
+    stats = {"degenerate": 0, "counts": []}
+    best = None
+    for _ in range(iterations):
+        idx = ref_fisher_yates(rng, len(corrs))
+        M = ref_fundamental(pa[idx], pb[idx])
+        if M is None:
+            stats["degenerate"] += 1
+            continue
+        errs = ref_sampson(M, pa, pb)
+        mask = errs < threshold_sq
+        count = int(mask.sum())
+        stats["counts"].append(count)
+        if count < 8:
+            continue
+        total = float(errs[mask].sum())
+        if best is None or count > best[0] or (count == best[0] and total < best[1]):
+            best = (count, total, M, mask)
+    if best is None:
+        return None, None, stats
+    M = ref_fundamental(pa[best[3]], pb[best[3]])
+    if M is None:
+        M = best[2]
+    if calib is not None:
+        U, _, Vt = np.linalg.svd(M)
+        M = ref_fix_sign((U * np.array([1.0, 1.0, 0.0])) @ Vt)
+    inliers = np.flatnonzero(ref_sampson(M, pa, pb) < threshold_sq)
+    if inliers.size < 8:
+        return None, None, stats
+    return M, inliers, stats
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, 3], dtype=np.uint64)))
+
+
+def with_outliers(seed, n_in, n_out, **kw):
+    case = gen_frustum_pair(np.random.default_rng(seed), n=n_in, **kw)
+    r = np.random.default_rng(seed + 1)
+    junk_a = np.column_stack([r.uniform(0, WIDTH, n_out), r.uniform(0, HEIGHT, n_out)])
+    junk_b = np.column_stack([r.uniform(0, WIDTH, n_out), r.uniform(0, HEIGHT, n_out)])
+    perm = r.permutation(n_in + n_out)
+    corrs = to_corrs(np.vstack([case.kp_a, junk_a])[perm], np.vstack([case.kp_b, junk_b])[perm])
+    return corrs, case.intrinsics
+
+
+def duplicated_points(seed):
+    # 12 copies of one correspondence beside 39 other true ones: about half the
+    # 8-subsets repeat a point, and their design matrices drop below rank 8
+    case = gen_frustum_pair(np.random.default_rng(seed), n=40, noise_px=0.3)
+    perm = np.random.default_rng(seed + 1).permutation(51)
+    kp_a = np.vstack([np.repeat(case.kp_a[:1], 12, axis=0), case.kp_a[1:]])[perm]
+    kp_b = np.vstack([np.repeat(case.kp_b[:1], 12, axis=0), case.kp_b[1:]])[perm]
+    return to_corrs(kp_a, kp_b), case.intrinsics
+
+
+def clean(seed):
+    # every hypothesis keeps all 30 points: the inlier counts all tie
+    case = gen_frustum_pair(np.random.default_rng(seed), n=30, noise_px=0.2)
+    return to_corrs(case.kp_a, case.kp_b), case.intrinsics
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("n", [8, 9, 13, 50, 200])
+    def test_draw_equals_sequential_fisher_yates(self, n):
+        for seed in range(40):
+            batched_rng, sequential_rng = philox(seed), philox(seed)
+            rows = int(np.random.default_rng(seed).integers(1, 40))
+            got = _draw_samples(batched_rng, n, rows)
+            want = np.array([ref_fisher_yates(sequential_rng, n) for _ in range(rows)])
+            np.testing.assert_array_equal(got, want)
+            # the stream is left at the same position
+            assert batched_rng.integers(1 << 62) == sequential_rng.integers(1 << 62)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    @pytest.mark.parametrize("scene, want", [
+        (lambda s: with_outliers(s, 30, 20, separation_deg=35.0), "model"),
+        (duplicated_points, "degenerate"),
+        (clean, "tied"),
+        (lambda s: with_outliers(s, 0, 20), "no_model"),
+    ], ids=["forty_percent_outliers", "duplicated_points", "tied_counts", "all_junk"])
+    def test_equals_per_hypothesis_reference(self, scene, want, calibrated):
+        seen = 0
+        for seed in range(100, 110):
+            corrs, K = scene(seed)
+            calib = (K, K) if calibrated else None
+            ref_rng, rng = philox(seed), philox(seed)
+            M, inliers, stats = ref_short_ransac(corrs, calib, 32, 2.0, ref_rng)
+            if M is None:
+                with pytest.raises(NoModelFound):
+                    short_ransac(corrs, calib=calib, rng=rng)
+            else:
+                model = short_ransac(corrs, calib=calib, rng=rng)
+                assert model.matrix.tobytes() == M.tobytes()
+                np.testing.assert_array_equal(model.inliers, inliers)
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+            seen += {"model": M is not None,
+                     "degenerate": M is not None and stats["degenerate"] > 0,
+                     "tied": stats["counts"].count(max(stats["counts"], default=0)) > 1,
+                     "no_model": M is None}[want]
+        # the scene exercises the branch it is named after
+        assert seen >= 3
+
+    def test_stack_masks_degenerate_sets(self):
+        case = gen_frustum_pair(np.random.default_rng(60), n=24, noise_px=0.5)
+        good_a, good_b = case.kp_a[:8], case.kp_b[:8]
+        coincident = np.repeat(case.kp_a[:1], 8, axis=0)
+        repeated_a, repeated_b = good_a.copy(), good_b.copy()
+        repeated_a[1], repeated_b[1] = repeated_a[0], repeated_b[0]
+        pa = np.stack([coincident, good_a, repeated_a, case.kp_a[8:16]])
+        pb = np.stack([good_b, good_b, repeated_b, case.kp_b[8:16]])
+        models, ok = _fundamental_stack(pa, pb)
+        np.testing.assert_array_equal(ok, [False, True, False, True])
+        assert ref_fundamental(pa[0], pb[0]) is None
+        assert ref_fundamental(pa[2], pb[2]) is None
+        for h in (1, 3):
+            assert models[h].tobytes() == ref_fundamental(pa[h], pb[h]).tobytes()
+
+    def test_winner_rule_on_near_tied_totals(self):
+        # every row holds the same 40 inlier errors in its own order and at
+        # its own positions: counts tie, and totals differ only by rounding
+        # or not at all, so both later tie-breaks decide
+        for seed in range(200):
+            r = np.random.default_rng(seed)
+            values = r.uniform(0.0, 4.0, 40) * 10.0 ** r.uniform(-3.0, 3.0, 40)
+            errs = np.full((32, 50), 1e9)
+            for row in errs:
+                row[np.sort(r.choice(50, 40, replace=False))] = r.permutation(values)
+            masks = errs < 1e8
+            ok = r.random(32) > 0.1
+            best = None
+            for h in np.flatnonzero(ok):
+                total = float(errs[h][masks[h]].sum())
+                if best is None or total < best[1]:
+                    best = (h, total)
+            assert _best_hypothesis(errs, masks, ok) == best[0]
+
+    def test_winner_rule_needs_eight_inliers(self):
+        errs = np.array([[0.0] * 7 + [9.0], [0.0] * 8])
+        masks = errs < 1.0
+        assert _best_hypothesis(errs, masks, np.array([True, False])) is None
+        assert _best_hypothesis(errs, masks, np.array([True, True])) == 1

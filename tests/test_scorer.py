@@ -92,6 +92,35 @@ class TestMutualNN:
         matches = mutual_nn_matches(fa, fb, b=10)
         assert [(c.idx_a, c.idx_b) for c in matches] == [(0, 0)]
 
+    def test_top_b_equals_build_all_then_sort(self):
+        # duplicated descriptors tie both the argmax and the final order;
+        # the reference builds every mutual match, sorts, then truncates
+        rng = np.random.default_rng(7)
+        eye = np.eye(16)
+        tilt = np.cos(np.array([0.0, 0.3, 0.6]))
+        k, t = rng.integers(0, 12, size=40), rng.integers(0, 3, size=40)
+        # rows of a: one of 12 axes tilted toward axis 15 by one of three
+        # angles, so mutual matches on different axes share a similarity
+        da = (tilt[t, None] * eye[k] + np.sqrt(1.0 - tilt[t, None] ** 2) * eye[15])
+        da = da.astype(np.float32)
+        db = eye[rng.integers(0, 12, size=35)].astype(np.float32)
+        kp_a = rng.uniform(0, 1000, size=(40, 2))
+        kp_b = rng.uniform(0, 1000, size=(35, 2))
+        fa, fb = image_from(kp_a, da, "a"), image_from(kp_b, db, "b")
+        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        best_ab, best_ba = np.argmax(sims, axis=1), np.argmax(sims, axis=0)
+        everything = sorted(
+            ((-sims[p, q], p, q) for p, q in enumerate(best_ab) if best_ba[q] == p))
+        assert len({s for s, _, _ in everything}) < len(everything)  # ties present
+        for b in (1, 3, 5, len(everything), 100):
+            got = mutual_nn_matches(fa, fb, b=b)
+            want = everything[:b]
+            assert [(c.idx_a, c.idx_b, -c.similarity) for c in got] == \
+                [(int(p), int(q), float(s)) for s, p, q in want]
+            for c in got:
+                assert c.x_a.tobytes() == kp_a[c.idx_a].astype(np.float32).astype(np.float64).tobytes()
+                assert c.x_b.tobytes() == kp_b[c.idx_b].astype(np.float32).astype(np.float64).tobytes()
+
     def test_empty(self):
         rng = np.random.default_rng(2)
         fa = image_from(np.zeros((0, 2)), unit_rows(rng, 0), "a")

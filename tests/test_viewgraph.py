@@ -366,6 +366,19 @@ class TestBuildViewGraph:
         tree_edges = [e for e, r in graph.selected_edges if r is EdgeRole.TREE]
         assert len(tree_edges) == 4
 
+    def test_disconnected_warning_is_bounded(self, caplog):
+        # a 20-node chain, then 3980 isolated nodes: 3981 components
+        weights = {(i, i + 1): 1.0 for i in range(19)}
+        with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+            graph = build_view_graph(fake_scores(weights), 4000, SaraConfig())
+        assert len(graph.components) == 3981
+        (record,) = [r for r in caplog.records if "disconnected" in r.getMessage()]
+        line = record.getMessage()
+        assert len(line) < 400
+        assert "3981 components" in line
+        assert "[0, 1, 2, 3, 4, 5, 6, 7, '...']" in line
+        assert line.endswith("... (+3973 more)")
+
     def test_selection_order_by_stage(self):
         rng = np.random.default_rng(6)
         weights = random_weights(rng, 20, density=0.8)
