@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from sara.epipolar import Correspondence, sampson_error, short_ransac
+from sara.epipolar import correspondences, sampson_error, short_ransac
 from sara.synth import generate_orbit_scene, oracle_pair_truth, project
 
 scene = generate_orbit_scene(12, 800, seed=4)
@@ -21,8 +21,8 @@ uv_b, _ = project(cam_b, pts)
 rng = np.random.default_rng(0)
 uv_a = uv_a + rng.normal(0.0, 0.5, uv_a.shape)
 uv_b = uv_b + rng.normal(0.0, 0.5, uv_b.shape)
-corrs = [Correspondence(idx_a=i, idx_b=i, x_a=a, x_b=b, similarity=1.0)
-         for i, (a, b) in enumerate(zip(uv_a, uv_b))]
+ids = np.arange(len(both))
+corrs = correspondences(ids, ids, uv_a, uv_b, np.ones(len(both)))
 
 model = short_ransac(corrs, calib=(cam_a.intrinsics, cam_b.intrinsics),
                      rng=np.random.default_rng(1))

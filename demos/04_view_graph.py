@@ -22,7 +22,7 @@ vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 candidates = cosine_knn(vectors, k=10)
 
 config = SaraConfig()
-scores = score_all(features, candidates, config, threads=4)
+scores = score_all(features, candidates, config)
 accepted = sum(s.rejected is None for s in scores.values())
 print(f"{len(scores)} candidate pairs scored, {accepted} accepted")
 

@@ -5,7 +5,7 @@ Equivalent command lines:
 
     sara synth --out-dir demo_out/scene --n-cameras 24 --n-points 500 --seed 7
     sara select --manifest demo_out/scene/manifest.json \
-        --out-pairs demo_out/pairs.txt --out-report demo_out/report.json --threads 4
+        --out-pairs demo_out/pairs.txt --out-report demo_out/report.json
     sara ablate --manifest demo_out/scene/manifest.json --out-dir demo_out/ablation
 """
 
@@ -19,8 +19,7 @@ scene = generate_orbit_scene(n_cameras=24, n_points=500, radius=5.0, seed=7)
 manifest = dump_scene(scene, "demo_out/scene")
 
 config = SaraConfig()
-report = run_select(manifest, config, "demo_out/pairs.txt",
-                    "demo_out/report.json", threads=4)
+report = run_select(manifest, config, "demo_out/pairs.txt", "demo_out/report.json")
 full_graph = 24 * 23 // 2
 print(f"{report.n_images} images, {report.n_candidates} candidates, "
       f"{report.n_selected} selected (complete graph: {full_graph})")
@@ -34,7 +33,7 @@ with open("demo_out/pairs.txt") as fh:
 print(f"\npair list: {len(lines)} lines, first three: {lines[:3]}")
 
 # one shared scoring pass, eight graph-stage on/off combinations
-reports = run_ablation(manifest, config, "demo_out/ablation", threads=4)
+reports = run_ablation(manifest, config, "demo_out/ablation")
 print("\nvariant        edges")
 for name, rep in sorted(reports.items(), key=lambda kv: kv[1].n_selected):
     print(f"{name:12s}  {rep.n_selected:5d}")

@@ -11,10 +11,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 DEG = math.pi / 180.0
+
+# accepted value types by field annotation; bool, an int subclass, is
+# accepted only where the annotation says bool. Integral admits numpy
+# integers, which are stored as int.
+_TYPES = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
+          "float": (int, float), "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,17 @@ class SaraConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type not in _TYPES:
+                raise TypeError(f"no type check for {f.name}: {f.type}")
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _TYPES[f.type])):
+                raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
+            if isinstance(value, numbers.Integral) and not isinstance(value, int):
+                object.__setattr__(self, f.name, int(value))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.b < 8:
@@ -55,18 +73,13 @@ class SaraConfig:
             raise ValueError("thresholds must be >= 0")
         if self.parallax_cap <= 0:
             raise ValueError("parallax_cap must be > 0")
-        for name in ("budget_loop", "budget_anchor", "budget_weak_total"):
+        for name in ("budget_loop", "budget_anchor", "budget_weak_total", "budget_weak",
+                     "weak_degree_threshold", "seed"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.budget_weak < 0:
-            raise ValueError("budget_weak must be >= 0")
-        if self.weak_degree_threshold < 0:
-            raise ValueError("weak_degree_threshold must be >= 0")
         if not 2 <= self.loop_short_max < self.loop_medium_max:
             raise ValueError("loop bins must satisfy 2 <= short_max < medium_max")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     # budget resolution against dataset size
 
@@ -90,6 +103,8 @@ class SaraConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SaraConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must map field names to values, not {data!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

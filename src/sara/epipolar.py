@@ -29,15 +29,19 @@ class ModelKind(Enum):
     ESSENTIAL = "essential"
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One putative match between keypoint idx_a of image a and idx_b of b."""
+_MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
+                         ("x_b", np.float64, (2,)), ("similarity", np.float64)])
 
-    idx_a: int
-    idx_b: int
-    x_a: np.ndarray  # (2,) pixels
-    x_b: np.ndarray  # (2,) pixels
-    similarity: float
+
+def correspondences(idx_a, idx_b, x_a, x_b, similarity) -> np.recarray:
+    """One image pair's putative matches as a record array, one row per match.
+
+    Row k matches keypoint ``idx_a[k]`` of image a at pixel ``x_a[k]`` with
+    keypoint ``idx_b[k]`` of image b at ``x_b[k]``; pixels are widened to
+    float64. Fields read as whole arrays (``corrs.x_a`` is (m, 2)) and rows
+    by attribute (``corrs[k].idx_a``).
+    """
+    return np.rec.fromarrays([idx_a, idx_b, x_a, x_b, similarity], dtype=_MATCH_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class TwoViewModel:
 
     ``matrix`` is a fundamental matrix in the pixel frame or an essential
     matrix in the normalized frame, depending on ``kind``. ``inliers``
-    holds ascending indices into the correspondence list the model was
+    holds ascending indices into the correspondence array the model was
     estimated from. Pose and triangulation angles are present only for
     essential models.
     """
@@ -66,12 +70,6 @@ class TwoViewModel:
             kind=self.kind, matrix=self.matrix.T.copy(), inliers=self.inliers,
             rotation=rot, translation=tr,
             triangulation_angles=self.triangulation_angles)
-
-
-def _arrays(corrs) -> tuple[np.ndarray, np.ndarray]:
-    pa = np.asarray([c.x_a for c in corrs], dtype=np.float64).reshape(len(corrs), 2)
-    pb = np.asarray([c.x_b for c in corrs], dtype=np.float64).reshape(len(corrs), 2)
-    return pa, pb
 
 
 def _normalized_coords(points: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -157,8 +155,7 @@ def estimate_fundamental_8pt(corrs) -> np.ndarray:
     """
     if len(corrs) < 8:
         raise InsufficientCorrespondences(f"{len(corrs)} < 8")
-    pa, pb = _arrays(corrs)
-    return _fundamental_core(pa, pb)
+    return _fundamental_core(corrs.x_a, corrs.x_b)
 
 
 def estimate_essential(corrs, K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
@@ -170,9 +167,8 @@ def estimate_essential(corrs, K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
     """
     if len(corrs) < 8:
         raise InsufficientCorrespondences(f"{len(corrs)} < 8")
-    pa, pb = _arrays(corrs)
-    return _project_essential(
-        _fundamental_core(_normalized_coords(pa, K_a), _normalized_coords(pb, K_b)))
+    return _project_essential(_fundamental_core(
+        _normalized_coords(corrs.x_a, K_a), _normalized_coords(corrs.x_b, K_b)))
 
 
 def _sampson_stack(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -186,12 +182,9 @@ def _sampson_stack(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
 
 
-def _sampson_batch(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    return _sampson_stack(M[None], pa, pb)[0]
-
-
-def sampson_error(model, corr: Correspondence) -> float:
-    """First-order squared epipolar error for one correspondence.
+def sampson_error(model, corr: np.record) -> float:
+    """First-order squared epipolar error for one correspondence (a row of
+    a ``correspondences`` array).
 
     (x_b^T M x_a)^2 / ((M x_a)_1^2 + (M x_a)_2^2 + (M^T x_b)_1^2 + (M^T x_b)_2^2)
 
@@ -201,9 +194,7 @@ def sampson_error(model, corr: Correspondence) -> float:
     sits at both epipoles).
     """
     M = getattr(model, "matrix", model)
-    pa = np.asarray(corr.x_a, dtype=np.float64).reshape(1, 2)
-    pb = np.asarray(corr.x_b, dtype=np.float64).reshape(1, 2)
-    return float(_sampson_batch(M, pa, pb)[0])
+    return float(_sampson_stack(M[None], corr.x_a[None], corr.x_b[None])[0, 0])
 
 
 def _draw_samples(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
@@ -248,9 +239,9 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 def _ray_bundles(corrs, K_a: np.ndarray, K_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit viewing rays of each correspondence, in camera a's and camera b's frame."""
-    pa, pb = _arrays(corrs)
-    da = _unit_rows(np.column_stack([_normalized_coords(pa, K_a), np.ones(len(pa))]))
-    db_cam = _unit_rows(np.column_stack([_normalized_coords(pb, K_b), np.ones(len(pb))]))
+    ones = np.ones(len(corrs))
+    da = _unit_rows(np.column_stack([_normalized_coords(corrs.x_a, K_a), ones]))
+    db_cam = _unit_rows(np.column_stack([_normalized_coords(corrs.x_b, K_b), ones]))
     return da, db_cam
 
 
@@ -318,15 +309,10 @@ def triangulate_angles(R: np.ndarray, t: np.ndarray, corrs, K_a: np.ndarray,
     """
     da, db_cam = _ray_bundles(corrs, K_a, K_b)
     X, ok = _midpoint(R, t, da, db_cam)
-    Cb = -(R.T @ t)
-    va = X
-    vb = X - Cb[None, :]
-    cross = np.linalg.norm(np.cross(va, vb), axis=1)
-    dot = np.einsum("ij,ij->i", va, vb)
-    theta = np.arctan2(cross, dot)
-    theta[~ok] = 0.0
-    degenerate = (np.linalg.norm(va, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
-    theta[degenerate] = 0.0
+    vb = X + R.T @ t  # from camera b's center -(R^T t)
+    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=1), np.einsum("ij,ij->i", X, vb))
+    degenerate = (np.linalg.norm(X, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
+    theta[~ok | degenerate] = 0.0
     return theta
 
 
@@ -356,15 +342,13 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
         raise InsufficientCorrespondences(f"{n} < 8")
     if rng is None:
         rng = np.random.default_rng(0)
-    pa, pb = _arrays(corrs)
+    sa, sb = corrs.x_a, corrs.x_b
     if calib is not None:
         K_a, K_b = calib
-        sa = _normalized_coords(pa, K_a)
-        sb = _normalized_coords(pb, K_b)
+        sa, sb = _normalized_coords(sa, K_a), _normalized_coords(sb, K_b)
         fbar = float(np.mean([K_a[0, 0], K_a[1, 1], K_b[0, 0], K_b[1, 1]]))
         threshold_sq = (inlier_threshold / fbar) ** 2
     else:
-        sa, sb = pa, pb
         threshold_sq = inlier_threshold ** 2
 
     # hypotheses stay rank-2 fundamental fits even in the calibrated branch:
@@ -385,15 +369,15 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
         pass  # keep the winning hypothesis as the final model
     if calib is not None:
         M = _project_essential(M)
-    errs = _sampson_batch(M, sa, sb)
+    errs = _sampson_stack(M[None], sa, sb)[0]
     inliers = np.flatnonzero(errs < threshold_sq)
     if inliers.size < 8:
         raise NoModelFound("refit model keeps fewer than 8 inliers")
 
     if calib is None:
         return TwoViewModel(kind=ModelKind.FUNDAMENTAL, matrix=M, inliers=inliers)
-    inlier_corrs = [corrs[int(i)] for i in inliers]
-    R, t = recover_pose(M, inlier_corrs, K_a, K_b)
-    angles = triangulate_angles(R, t, inlier_corrs, K_a, K_b)
+    kept = corrs[inliers]
+    R, t = recover_pose(M, kept, K_a, K_b)
+    angles = triangulate_angles(R, t, kept, K_a, K_b)
     return TwoViewModel(kind=ModelKind.ESSENTIAL, matrix=M, inliers=inliers,
                         rotation=R, translation=t, triangulation_angles=angles)

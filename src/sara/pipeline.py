@@ -56,6 +56,8 @@ class RunReport:
 
 
 def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     t0 = time.perf_counter()
     manifest = load_manifest(manifest_path)
     features = [load_features(manifest, image_id) for image_id in manifest.image_ids]

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .config import SaraConfig
-from .epipolar import Correspondence, TwoViewModel, short_ransac
+from .epipolar import TwoViewModel, correspondences, short_ransac
 from .errors import EstimationError
 from .features import ImageFeatures
 
@@ -61,29 +61,25 @@ def lower_median(values) -> float:
     return float(arr[(arr.size - 1) // 2])
 
 
-def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> list[Correspondence]:
+def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarray:
     """Mutual nearest-neighbor correspondences, best-first, at most b.
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
     neighbor under cosine similarity. Ties in the argmax and in the final
-    ordering break toward lower indices.
+    ordering break toward lower indices. Returns a ``correspondences``
+    record array, of length 0 when either image has no keypoints.
     """
     if fa.n_keypoints == 0 or fb.n_keypoints == 0:
-        return []
+        return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
     sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
     best_ba = np.argmax(sims, axis=0)
     p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
     q = best_ab[p]
     s = sims[p, q]
-    return [
-        Correspondence(
-            idx_a=int(p[k]), idx_b=int(q[k]),
-            x_a=fa.keypoints[p[k]].astype(np.float64),
-            x_b=fb.keypoints[q[k]].astype(np.float64),
-            similarity=float(s[k]))
-        for k in np.lexsort((q, p, -s))[:b]
-    ]
+    keep = np.lexsort((q, p, -s))[:b]
+    p, q = p[keep], q[keep]
+    return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
@@ -163,6 +159,8 @@ def score_all(features, candidates, config: SaraConfig,
     it. Each pair draws from its own counter-based RNG stream keyed by the
     pair's index, so results do not depend on thread count or scheduling.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     n = len(features)
     pairs = sorted(candidates)
 
@@ -171,7 +169,7 @@ def score_all(features, candidates, config: SaraConfig,
         rng = _pair_rng(config.seed, i * n + j)
         return score_pair(features[i], features[j], config, rng=rng, pair=pair)
 
-    if threads <= 1:
+    if threads == 1:
         return {pair: work(pair) for pair in pairs}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {pair: pool.submit(work, pair) for pair in pairs}

@@ -85,10 +85,10 @@ def project_pixels(points: np.ndarray, rotation: np.ndarray, center: np.ndarray,
 
 
 def to_corrs(kp_a: np.ndarray, kp_b: np.ndarray, similarity: float = 1.0):
-    from sara.epipolar import Correspondence
-    return [Correspondence(idx_a=i, idx_b=i, x_a=np.asarray(a, dtype=np.float64),
-                           x_b=np.asarray(b, dtype=np.float64), similarity=similarity)
-            for i, (a, b) in enumerate(zip(kp_a, kp_b))]
+    """Row i of kp_a matched with row i of kp_b, as a correspondence array."""
+    from sara.epipolar import correspondences
+    idx = np.arange(len(kp_a))
+    return correspondences(idx, idx, kp_a, kp_b, np.full(len(kp_a), similarity))
 
 
 @dataclasses.dataclass

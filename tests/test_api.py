@@ -1,14 +1,19 @@
-"""The public surface: the top-level exports and every name the demos import."""
+"""The public surface: the top-level exports, every name the demos import,
+and each demo running to completion."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import sara
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def sara_imports(path: Path):
@@ -32,3 +37,11 @@ def test_demo_imports_resolve(demo):
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

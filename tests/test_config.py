@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sara.config import DEG, SaraConfig, load_config, save_config
+from sara.config import _TYPES, DEG, SaraConfig, load_config, save_config
 
 
 def test_defaults_are_valid():
@@ -34,12 +36,54 @@ def test_defaults_are_valid():
     ("budget_loop", -1),
     ("budget_weak", -2),
     ("weak_degree_threshold", -1),
+    ("seed", -1),
     ("loop_short_max", 1),
     ("loop_medium_max", 4),   # must exceed loop_short_max
+    # wrong types, as a JSON config file can carry them; bool is no number
+    ("k", "5"),
+    ("k", 2.5),
+    ("k", True),
+    ("seed", 1.5),
+    ("b", None),
+    ("alpha", "1"),
+    ("tau_o", False),
+    ("budget_loop", 1.0),
+    ("budget_anchor", True),
+    ("use_loops", "no"),
+    ("use_weak", 1),
+    ("use_anchors", np.bool_(True)),
+    # NaN and Infinity, which json.loads reads from a config file
+    ("tau_o", float("nan")),
+    ("parallax_cap", float("inf")),
+    ("alpha", -float("inf")),
 ])
 def test_bad_values_rejected(field, value):
     with pytest.raises(ValueError):
         SaraConfig(**{field: value})
+
+
+def test_ints_accepted_for_float_fields():
+    cfg = SaraConfig(alpha=2, tau_o=0, inlier_threshold_px=3)
+    assert (cfg.alpha, cfg.tau_o, cfg.inlier_threshold_px) == (2, 0, 3)
+
+
+def test_numpy_integers_stored_as_int():
+    cfg = SaraConfig(k=np.int64(5), budget_loop=np.int32(3))
+    assert (cfg.k, cfg.budget_loop) == (5, 3)
+    assert type(cfg.k) is int and type(cfg.budget_loop) is int
+    json.dumps(cfg.to_dict())
+
+
+def test_every_annotation_has_a_type_check():
+    assert {f.type for f in dataclasses.fields(SaraConfig)} <= set(_TYPES)
+
+
+@pytest.mark.parametrize("document", ["5", '"abc"', "[1, 2]", "null"])
+def test_non_object_document_rejected(tmp_path, document):
+    path = tmp_path / "cfg.json"
+    path.write_text(document)
+    with pytest.raises(ValueError, match="config must map"):
+        load_config(path)
 
 
 def test_budget_resolution_ceil():

@@ -6,7 +6,7 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (Correspondence, ModelKind, _best_hypothesis,
+from sara.epipolar import (ModelKind, _best_hypothesis,
                            _draw_samples, _fundamental_stack,
                            estimate_essential, estimate_fundamental_8pt,
                            recover_pose, sampson_error, short_ransac,
@@ -85,7 +85,7 @@ class TestFundamental:
         case = gen_frustum_pair(np.random.default_rng(5), n=16)
         corrs = to_corrs(case.kp_a, case.kp_b)
         f1 = estimate_fundamental_8pt(corrs)
-        f2 = estimate_fundamental_8pt(list(corrs))
+        f2 = estimate_fundamental_8pt(corrs.copy())
         np.testing.assert_array_equal(f1, f2)
 
 
@@ -156,7 +156,7 @@ class TestSampson:
             line_b = F @ np.append(case.kp_a[i], 1.0)
             nvec = line_b[:2] / np.linalg.norm(line_b[:2])
             xb = case.kp_b[i] + 2.0 * nvec
-            err = sampson_error(F, Correspondence(0, 0, case.kp_a[i], xb, 1.0))
+            err = sampson_error(F, to_corrs(case.kp_a[i:i + 1], xb[None])[0])
             d_b = abs(np.append(xb, 1.0) @ line_b) / np.linalg.norm(line_b[:2])
             line_a = F.T @ np.append(xb, 1.0)
             d_a = abs(np.append(case.kp_a[i], 1.0) @ line_a) / np.linalg.norm(line_a[:2])
@@ -166,7 +166,7 @@ class TestSampson:
     def test_epipole_is_inf(self):
         # forward motion puts both epipoles at the principal point
         E = essential_from_pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        corr = Correspondence(0, 0, np.zeros(2), np.zeros(2), 1.0)
+        corr = to_corrs(np.zeros((1, 2)), np.zeros((1, 2)))[0]
         assert sampson_error(E, corr) == math.inf
 
     def test_accepts_model_or_matrix(self):
@@ -246,7 +246,7 @@ class TestShortRansac:
             c = corrs[idx]
             na = (kinv @ np.append(c.x_a, 1.0))[:2]
             nb = (kinv @ np.append(c.x_b, 1.0))[:2]
-            err = sampson_error(model, Correspondence(0, 0, na, nb, 1.0))
+            err = sampson_error(model, to_corrs(na[None], nb[None])[0])
             assert err < (threshold / fbar) ** 2
 
     def test_deterministic_given_seed(self):

@@ -68,6 +68,13 @@ class TestRunSelect:
             outs.append((pairs.read_bytes(), rep.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_threads_below_one_rejected(self, dataset, tmp_path):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                run_select(dataset, SaraConfig(), tmp_path / "p.txt", tmp_path / "r.json",
+                           threads=threads)
+        assert not (tmp_path / "p.txt").exists()
+
     def test_zero_budgets_tree_only(self, dataset, tmp_path):
         cfg = SaraConfig(budget_loop=0, budget_anchor=0, budget_weak_total=0)
         report = run_select(dataset, cfg, tmp_path / "p.txt", tmp_path / "r.json")
@@ -198,6 +205,33 @@ class TestCliSelect:
                      "--out-pairs", str(tmp_path / "p.txt"),
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 2, capsys.readouterr().err
+
+    @pytest.mark.parametrize("document,extra", [
+        ("5", []),
+        ('"abc"', []),
+        ('{"k": "5"}', []),
+        ('{"k": 2.5}', []),
+        ('{"seed": 1.5}', []),
+        ('{"use_loops": "no"}', []),
+        ('{"tau_o": NaN}', []),
+        ('{"parallax_cap": Infinity}', []),
+        ("{}", ["--threads", "0"]),
+    ], ids=["number", "string", "k_string", "k_float", "seed_float", "use_loops_string",
+            "tau_o_nan", "parallax_cap_inf", "threads_zero"])
+    def test_bad_config_or_threads_exits_one_before_loading(self, dataset, tmp_path, capsys,
+                                                            monkeypatch, document, extra):
+        import sara.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise RuntimeError("features loaded despite a bad config")
+
+        monkeypatch.setattr(pipeline_mod, "load_features", never)
+        config = tmp_path / "c.json"
+        config.write_text(document)
+        code = main(["select", "--manifest", str(dataset), "--config", str(config), *extra,
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")])
+        assert code == 1, capsys.readouterr().err
 
     def test_invalid_config_value(self, dataset, tmp_path, capsys):
         code = main(["select", "--manifest", str(dataset), "--k", "0",

@@ -125,7 +125,10 @@ class TestMutualNN:
         rng = np.random.default_rng(2)
         fa = image_from(np.zeros((0, 2)), unit_rows(rng, 0), "a")
         fb = image_from(np.zeros((5, 2)), unit_rows(rng, 5), "b")
-        assert mutual_nn_matches(fa, fb, b=10) == []
+        for got in (mutual_nn_matches(fa, fb, b=10), mutual_nn_matches(fb, fa, b=10)):
+            assert len(got) == 0
+            assert got.x_a.shape == got.x_b.shape == (0, 2)
+            assert got.dtype.names == ("idx_a", "idx_b", "x_a", "x_b", "similarity")
 
 
 class TestScorePair:
@@ -307,6 +310,11 @@ class TestScoreAll:
             if a.model is not None:
                 np.testing.assert_array_equal(a.model.matrix, b.model.matrix)
                 np.testing.assert_array_equal(a.model.inliers, b.model.inliers)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, orbit20_features, threads):
+        with pytest.raises(ValueError, match="threads"):
+            score_all(orbit20_features, {(0, 1)}, SaraConfig(), threads=threads)
 
     def test_rejection_reasons_recheckable(self, orbit20_features):
         cfg = SaraConfig()
