@@ -34,7 +34,8 @@ t_est = model.translation / np.linalg.norm(model.translation)
 cos_t = np.clip(t_est @ truth.translation, -1.0, 1.0)
 trans_err = np.degrees(np.arccos(cos_t))
 
-print(f"model kind: {model.kind.value}, inliers {model.inliers.size}/{len(corrs)}")
+model_type = "fundamental" if model.rotation is None else "essential"
+print(f"model type: {model_type}, inliers {model.inliers.size}/{len(corrs)}")
 print(f"rotation error:    {rot_err:.4f} deg")
 print(f"translation error: {trans_err:.4f} deg (direction only, scale is unobservable)")
 print(f"median triangulation angle: "

@@ -1,5 +1,5 @@
-"""Two-view geometry: eight-point estimation, Sampson scoring, a short
-robust model search, pose recovery, and triangulation parallax angles.
+"""Two-view geometry: a short robust model search over eight-point fits,
+Sampson scoring, pose recovery, and triangulation parallax angles.
 
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
 satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
@@ -12,21 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    CheiralityAmbiguity,
-    DegenerateConfiguration,
-    InsufficientCorrespondences,
-    NoModelFound,
-)
-
-
-class ModelKind(Enum):
-    FUNDAMENTAL = "fundamental"
-    ESSENTIAL = "essential"
+from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
@@ -48,14 +37,13 @@ def correspondences(idx_a, idx_b, x_a, x_b, similarity) -> np.recarray:
 class TwoViewModel:
     """Robust two-view estimate.
 
-    ``matrix`` is a fundamental matrix in the pixel frame or an essential
-    matrix in the normalized frame, depending on ``kind``. ``inliers``
-    holds ascending indices into the correspondence array the model was
-    estimated from. Pose and triangulation angles are present only for
-    essential models.
+    ``matrix`` is an essential matrix in the normalized frame when
+    ``rotation`` is set, else a fundamental matrix in the pixel frame.
+    ``inliers`` holds ascending indices into the correspondence array the
+    model was estimated from. Translation and triangulation angles are set
+    together with ``rotation``.
     """
 
-    kind: ModelKind
     matrix: np.ndarray
     inliers: np.ndarray
     rotation: np.ndarray | None = None
@@ -67,7 +55,7 @@ class TwoViewModel:
         rot = None if self.rotation is None else self.rotation.T
         tr = None if self.translation is None else -(self.rotation.T @ self.translation)
         return TwoViewModel(
-            kind=self.kind, matrix=self.matrix.T.copy(), inliers=self.inliers,
+            matrix=self.matrix.T.copy(), inliers=self.inliers,
             rotation=rot, translation=tr,
             triangulation_angles=self.triangulation_angles)
 
@@ -132,43 +120,11 @@ def _fix_sign(M: np.ndarray) -> np.ndarray:
     return np.where(lead.reshape(M.shape[:-2] + (1, 1)) < 0.0, -M, M)
 
 
-def _fundamental_core(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Normalized eight-point estimate on point arrays; rank-2, unit Frobenius."""
-    F, ok = _fundamental_stack(pa[None], pb[None])
-    if not ok[0]:
-        raise DegenerateConfiguration("coincident points or design matrix rank below 8")
-    return F[0]
-
-
 def _project_essential(F: np.ndarray) -> np.ndarray:
     U, _, Vt = np.linalg.svd(F)
     # singular values forced to (1, 1, 0): Frobenius norm sqrt(2) by construction
     E = (U * np.array([1.0, 1.0, 0.0])) @ Vt
     return _fix_sign(E)
-
-
-def estimate_fundamental_8pt(corrs) -> np.ndarray:
-    """Fundamental matrix from >= 8 pixel correspondences.
-
-    Hartley-normalized direct linear solution with rank-2 enforcement;
-    the result has unit Frobenius norm.
-    """
-    if len(corrs) < 8:
-        raise InsufficientCorrespondences(f"{len(corrs)} < 8")
-    return _fundamental_core(corrs.x_a, corrs.x_b)
-
-
-def estimate_essential(corrs, K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
-    """Essential matrix from >= 8 correspondences and both intrinsics.
-
-    Runs the eight-point solver in normalized coordinates and projects the
-    result onto the essential manifold (equal leading singular values,
-    Frobenius norm sqrt(2)).
-    """
-    if len(corrs) < 8:
-        raise InsufficientCorrespondences(f"{len(corrs)} < 8")
-    return _project_essential(_fundamental_core(
-        _normalized_coords(corrs.x_a, K_a), _normalized_coords(corrs.x_b, K_b)))
 
 
 def _sampson_stack(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -362,11 +318,10 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     if best is None:
         raise NoModelFound("no hypothesis reached 8 inliers")
 
-    M, mask = models[best], masks[best]
-    try:
-        M = _fundamental_core(sa[mask], sb[mask])
-    except DegenerateConfiguration:
-        pass  # keep the winning hypothesis as the final model
+    mask = masks[best]
+    refit, refit_ok = _fundamental_stack(sa[mask][None], sb[mask][None])
+    # a degenerate refit keeps the winning hypothesis as the final model
+    M = refit[0] if refit_ok[0] else models[best]
     if calib is not None:
         M = _project_essential(M)
     errs = _sampson_stack(M[None], sa, sb)[0]
@@ -375,9 +330,9 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
         raise NoModelFound("refit model keeps fewer than 8 inliers")
 
     if calib is None:
-        return TwoViewModel(kind=ModelKind.FUNDAMENTAL, matrix=M, inliers=inliers)
+        return TwoViewModel(matrix=M, inliers=inliers)
     kept = corrs[inliers]
     R, t = recover_pose(M, kept, K_a, K_b)
     angles = triangulate_angles(R, t, kept, K_a, K_b)
-    return TwoViewModel(kind=ModelKind.ESSENTIAL, matrix=M, inliers=inliers,
-                        rotation=R, translation=t, triangulation_angles=angles)
+    return TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
+                        triangulation_angles=angles)

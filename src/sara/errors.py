@@ -47,10 +47,6 @@ class EstimationError(SaraError):
     """Base for two-view geometry failures."""
 
 
-class DegenerateConfiguration(EstimationError):
-    """Point configuration cannot support the eight-point solver."""
-
-
 class InsufficientCorrespondences(EstimationError):
     """Fewer than eight correspondences supplied."""
 

@@ -233,10 +233,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     for key in ("descriptor_dim", "global_dim", "entries"):
         if key not in data:
             raise CorruptFile(f"{path}: missing key {key!r}")
-    try:
-        d, d_g = int(data["descriptor_dim"]), int(data["global_dim"])
-    except (TypeError, ValueError) as exc:
-        raise CorruptFile(f"{path}: descriptor dimensions: {exc}") from exc
+    d, d_g = data["descriptor_dim"], data["global_dim"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (d, d_g)):
+        raise CorruptFile(f"{path}: descriptor dimensions must be integers, not {d!r}, {d_g!r}")
     if not isinstance(data["entries"], list):
         raise CorruptFile(f"{path}: 'entries' must be a list")
     entries = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import SaraConfig
+from .errors import TooFewImages
 from .features import load_features, load_manifest, write_graph_report, write_pair_list
 from .retrieval import cosine_knn
 from .scorer import score_all
@@ -65,6 +66,8 @@ def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
 
     t0 = time.perf_counter()
     n = len(features)
+    if n < 2:
+        raise TooFewImages(f"need at least 2 images, got {n}")
     k = min(config.k, n - 1)
     if k != config.k:
         logger.info("clamping k from %d to %d for %d images", config.k, k, n)

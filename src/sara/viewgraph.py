@@ -117,7 +117,9 @@ def max_spanning_tree(candidates: dict, n_nodes: int) -> list:
 class TreePaths:
     """Per-component rooted traversal with parent/depth tables.
 
-    ``length(i, j)`` walks the two nodes up to their lowest common
+    ``components`` lists each component's nodes, ascending, ordered by
+    smallest node: every component is rooted at its smallest node, in node
+    order. ``length(i, j)`` walks the two nodes up to their lowest common
     ancestor and returns the tree-path edge count, or None across
     components. Paths at this scale are short, so the walk-up is cheap.
     """
@@ -145,7 +147,9 @@ class TreePaths:
                         self.depth[v] = self.depth[u] + 1
                         queue.append(v)
             comp += 1
-        self.n_components = comp
+        self.components: list[list[int]] = [[] for _ in range(comp)]
+        for node, c in enumerate(self.component):
+            self.components[c].append(node)
 
     def length(self, i: int, j: int) -> int | None:
         if self.component[i] != self.component[j]:
@@ -294,16 +298,6 @@ def add_weak_view_support(selected, candidates: dict, confidences,
     return added
 
 
-def _components(candidates: dict, n_nodes: int) -> list:
-    uf = UnionFind(n_nodes)
-    for i, j in candidates:
-        uf.union(i, j)
-    groups: dict[int, list] = {}
-    for node in range(n_nodes):
-        groups.setdefault(uf.find(node), []).append(node)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     """Assemble the selected edge set: tree, then loops, anchors, weak support.
 
@@ -314,7 +308,10 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     if not scores:
         raise EmptyScoreSet("no scored pairs")
     candidates = {edge: s.weight for edge, s in sorted(scores.items()) if s.rejected is None}
-    components = _components(candidates, n_nodes)
+    tree = max_spanning_tree(candidates, n_nodes)
+    selected = [(edge, EdgeRole.TREE) for edge in tree]
+    paths = TreePaths(tree, n_nodes)
+    components = paths.components
     if len(components) > 1:
         more = len(components) - 8
         logger.warning(
@@ -322,10 +319,6 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
             len(components),
             [c[:8] + ["..."] if len(c) > 8 else c for c in components[:8]],
             f" ... (+{more} more)" if more > 0 else "")
-
-    tree = max_spanning_tree(candidates, n_nodes)
-    selected = [(edge, EdgeRole.TREE) for edge in tree]
-    paths = TreePaths(tree, n_nodes)
 
     if config.use_loops:
         selected += add_loops(selected, candidates, paths, config,

@@ -1,8 +1,9 @@
 """The public surface: the top-level exports, every name the demos import,
-and each demo running to completion."""
+each demo running to completion, and every function the benchmark traces."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +46,16 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_targets_resolve():
+    # the benchmark times each layer by wrapping these module attributes; a
+    # missing one would turn its per-layer metric absent instead of failing
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attribute, _ in spans.TARGETS:
+        target = getattr(importlib.import_module(module), attribute, None)
+        assert callable(target), f"{module}.{attribute}"

@@ -6,15 +6,28 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (ModelKind, _best_hypothesis,
-                           _draw_samples, _fundamental_stack,
-                           estimate_essential, estimate_fundamental_8pt,
+from sara.epipolar import (_best_hypothesis, _draw_samples, _fundamental_stack,
                            recover_pose, sampson_error, short_ransac,
                            triangulate_angles)
-from sara.errors import (CheiralityAmbiguity, DegenerateConfiguration,
-                         InsufficientCorrespondences, NoModelFound)
+from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
 I3 = np.eye(3)
+# a pixel threshold under which every finite Sampson error is an inlier, so
+# the robust search's refit is the direct fit on all correspondences
+EVERY_MATCH_PX = 1e9
+
+
+def fit_fundamental(corrs):
+    """Eight-point fit on all of ``corrs``, which must not be degenerate."""
+    F, ok = _fundamental_stack(corrs.x_a[None], corrs.x_b[None])
+    assert ok[0]
+    return F[0]
+
+
+def fit_essential(corrs, K_a, K_b):
+    """Direct calibrated fit on all of ``corrs``, as a robust search whose
+    threshold admits every match."""
+    return short_ransac(corrs, calib=(K_a, K_b), inlier_threshold=EVERY_MATCH_PX)
 
 
 def random_pose_case(seed, n=20):
@@ -43,30 +56,25 @@ class TestFundamental:
     def test_exact_minimal_sample(self):
         case = gen_frustum_pair(np.random.default_rng(0), n=8)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        F = estimate_fundamental_8pt(corrs)
+        F = fit_fundamental(corrs)
         assert max(sampson_error(F, c) for c in corrs) < 1e-8
 
     def test_generalizes_to_held_out(self):
         case = gen_frustum_pair(np.random.default_rng(1), n=60)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        F = estimate_fundamental_8pt(corrs[:30])
+        F = fit_fundamental(corrs[:30])
         assert max(sampson_error(F, c) for c in corrs[30:]) < 1e-8
 
     def test_unit_frobenius_and_rank2(self):
         case = gen_frustum_pair(np.random.default_rng(2), n=24)
-        F = estimate_fundamental_8pt(to_corrs(case.kp_a, case.kp_b))
+        F = fit_fundamental(to_corrs(case.kp_a, case.kp_b))
         assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.svd(F, compute_uv=False)[2] < 1e-12
 
-    def test_too_few(self):
-        case = gen_frustum_pair(np.random.default_rng(3), n=8)
-        with pytest.raises(InsufficientCorrespondences):
-            estimate_fundamental_8pt(to_corrs(case.kp_a, case.kp_b)[:7])
-
     def test_coincident_points_degenerate(self):
         kp = np.tile(np.array([[100.0, 200.0]]), (8, 1))
-        with pytest.raises(DegenerateConfiguration):
-            estimate_fundamental_8pt(to_corrs(kp, kp + 5.0))
+        _, ok = _fundamental_stack(kp[None], (kp + 5.0)[None])
+        assert not ok[0]
 
     def test_pure_rotation_degenerate(self):
         # zero baseline: all correspondences satisfy a homography, the
@@ -78,21 +86,21 @@ class TestFundamental:
         pts = rng.normal(size=(30, 3))
         kp_a = project_pixels(pts, ra, ca, K_DEFAULT)
         kp_b = project_pixels(pts, rb, ca, K_DEFAULT)
-        with pytest.raises(DegenerateConfiguration):
-            estimate_fundamental_8pt(to_corrs(kp_a, kp_b))
+        _, ok = _fundamental_stack(kp_a[None], kp_b[None])
+        assert not ok[0]
 
     def test_deterministic(self):
         case = gen_frustum_pair(np.random.default_rng(5), n=16)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        f1 = estimate_fundamental_8pt(corrs)
-        f2 = estimate_fundamental_8pt(corrs.copy())
+        f1 = fit_fundamental(corrs)
+        f2 = fit_fundamental(corrs.copy())
         np.testing.assert_array_equal(f1, f2)
 
 
 class TestEssential:
     def test_matches_pose_construction(self):
         na, nb, R, t = random_pose_case(10)
-        E = estimate_essential(to_corrs(na, nb), I3, I3)
+        E = fit_essential(to_corrs(na, nb), I3, I3).matrix
         assert essential_distance(E, essential_from_pose(R, t)) < 1e-9
 
     def test_sideways_translation_gives_skew(self):
@@ -103,7 +111,7 @@ class TestEssential:
         cam_b = pts + t
         na = pts[:, :2] / pts[:, 2:3]
         nb = cam_b[:, :2] / cam_b[:, 2:3]
-        E = estimate_essential(to_corrs(na, nb), I3, I3)
+        E = fit_essential(to_corrs(na, nb), I3, I3).matrix
         expected = essential_from_pose(np.eye(3), t)
         assert essential_distance(E, expected) < 1e-9
         assert abs(E[1, 2]) == pytest.approx(1.0, abs=1e-9)
@@ -111,8 +119,8 @@ class TestEssential:
 
     def test_essential_singular_values(self):
         case = gen_frustum_pair(np.random.default_rng(12), n=40)
-        E = estimate_essential(to_corrs(case.kp_a, case.kp_b),
-                               case.intrinsics, case.intrinsics)
+        E = fit_essential(to_corrs(case.kp_a, case.kp_b),
+                          case.intrinsics, case.intrinsics).matrix
         s = np.linalg.svd(E, compute_uv=False)
         assert s[0] == pytest.approx(1.0, abs=1e-12)
         assert s[1] == pytest.approx(1.0, abs=1e-12)
@@ -120,8 +128,8 @@ class TestEssential:
 
     def test_pixel_intrinsics_equivalent(self):
         case = gen_frustum_pair(np.random.default_rng(13), n=40)
-        E = estimate_essential(to_corrs(case.kp_a, case.kp_b),
-                               case.intrinsics, case.intrinsics)
+        E = fit_essential(to_corrs(case.kp_a, case.kp_b),
+                          case.intrinsics, case.intrinsics).matrix
         expected = essential_from_pose(case.rel_rotation, case.rel_translation)
         assert essential_distance(E, expected) < 1e-9
 
@@ -132,9 +140,8 @@ class TestEssential:
             case = gen_frustum_pair(np.random.default_rng(300 + seed), n=120,
                                     separation_deg=60.0, noise_px=1.0)
             corrs = to_corrs(case.kp_a, case.kp_b)
-            E = estimate_essential(corrs, case.intrinsics, case.intrinsics)
-            R, _ = recover_pose(E, corrs, case.intrinsics, case.intrinsics)
-            errors.append(math.degrees(rot_geodesic(R, case.rel_rotation)))
+            model = fit_essential(corrs, case.intrinsics, case.intrinsics)
+            errors.append(math.degrees(rot_geodesic(model.rotation, case.rel_rotation)))
         assert np.median(errors) < 0.5
 
 
@@ -142,7 +149,7 @@ class TestSampson:
     def test_exact_is_zero(self):
         case = gen_frustum_pair(np.random.default_rng(20), n=20)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        F = estimate_fundamental_8pt(corrs)
+        F = fit_fundamental(corrs)
         assert all(sampson_error(F, c) < 1e-12 for c in corrs)
 
     def test_tracks_epipolar_distance(self):
@@ -151,7 +158,7 @@ class TestSampson:
         case = gen_frustum_pair(np.random.default_rng(21), n=20,
                                 separation_deg=40.0)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        F = estimate_fundamental_8pt(corrs)
+        F = fit_fundamental(corrs)
         for i in range(20):
             line_b = F @ np.append(case.kp_a[i], 1.0)
             nvec = line_b[:2] / np.linalg.norm(line_b[:2])
@@ -183,7 +190,6 @@ class TestShortRansac:
         case = gen_frustum_pair(np.random.default_rng(30), n=50)
         corrs = to_corrs(case.kp_a, case.kp_b)
         model = short_ransac(corrs, rng=np.random.default_rng(0))
-        assert model.kind is ModelKind.FUNDAMENTAL
         assert model.rotation is None and model.translation is None
         np.testing.assert_array_equal(model.inliers, np.arange(50))
 
@@ -192,7 +198,7 @@ class TestShortRansac:
         corrs = to_corrs(case.kp_a, case.kp_b)
         model = short_ransac(corrs, calib=(case.intrinsics, case.intrinsics),
                              rng=np.random.default_rng(0))
-        assert model.kind is ModelKind.ESSENTIAL
+        assert model.rotation is not None
         np.testing.assert_array_equal(model.inliers, np.arange(50))
         assert rot_geodesic(model.rotation, case.rel_rotation) < 1e-6
         assert np.linalg.norm(model.translation - case.rel_translation) < 1e-6

@@ -270,7 +270,11 @@ class TestManifest:
         5,
         {"descriptor_dim": "wide", "global_dim": 64, "entries": []},
         {"descriptor_dim": 128, "global_dim": None, "entries": []},
-    ], ids=["top_level_number", "dim_not_numeric", "dim_null"])
+        {"descriptor_dim": 32.7, "global_dim": 64, "entries": []},
+        {"descriptor_dim": "128", "global_dim": 64, "entries": []},
+        {"descriptor_dim": 128, "global_dim": True, "entries": []},
+    ], ids=["top_level_number", "dim_not_numeric", "dim_null", "dim_fractional",
+            "dim_numeric_string", "dim_bool"])
     def test_malformed_top_level(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))

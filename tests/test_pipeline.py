@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ class TestCliSelect:
                      "--out-pairs", str(tmp_path / "p.txt"),
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 2, capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_entries", [0, 1])
+    def test_fewer_than_two_images_exits_two(self, dataset, tmp_path, capsys, caplog,
+                                             n_entries):
+        caplog.set_level(logging.INFO)
+        data = json.loads(dataset.read_text())
+        for entry in data["entries"]:
+            entry["path"] = str(dataset.parent / entry["path"])
+        data["entries"] = data["entries"][:n_entries]
+        small = tmp_path / "manifest.json"
+        small.write_text(json.dumps(data))
+        code = main(["select", "--manifest", str(small),
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "need at least 2 images" in capsys.readouterr().err
+        assert "clamping" not in caplog.text
 
     @pytest.mark.parametrize("document,extra", [
         ("5", []),

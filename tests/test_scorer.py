@@ -6,7 +6,6 @@ import pytest
 
 from helpers import features_from_case, gen_frustum_pair, spearman, to_corrs
 from sara.config import DEG, SaraConfig
-from sara.epipolar import ModelKind
 from sara.features import ImageFeatures
 from sara.retrieval import cosine_knn
 from sara.scorer import (PairScore, RejectReason, lower_median,
@@ -141,7 +140,7 @@ class TestScorePair:
     def test_accepted_pair_fields(self):
         s = score_pair(self.fa, self.fb, self.cfg)
         assert s.rejected is None
-        assert s.model is not None and s.model.kind is ModelKind.ESSENTIAL
+        assert s.model is not None and s.model.rotation is not None
         assert 0.0 < s.overlap <= 1.0
         assert s.parallax > self.cfg.tau_p
         assert not s.parallax_floored
@@ -239,7 +238,7 @@ class TestScorePair:
         assert s.rejected is None
         assert s.parallax_floored
         assert s.parallax == self.cfg.tau_p
-        assert s.model.kind is ModelKind.FUNDAMENTAL
+        assert s.model.rotation is None
         assert s.weight == pytest.approx(
             s.overlap * self.cfg.tau_p ** self.cfg.beta, rel=1e-12)
 

@@ -95,7 +95,7 @@ class TestTreePaths:
     def test_cross_component_none(self):
         paths = TreePaths([(0, 1), (2, 3)], 4)
         assert paths.length(0, 2) is None
-        assert paths.n_components == 2
+        assert len(paths.components) == 2
 
     def test_random_tree_against_bfs(self):
         rng = np.random.default_rng(3)
@@ -419,4 +419,4 @@ class TestBuildViewGraph:
         tree = [e for e, r in graph.selected_edges if r is EdgeRole.TREE]
         assert len(tree) == 20 - len(graph.components)
         paths = TreePaths(tree, 20)
-        assert paths.n_components == len(graph.components)
+        assert paths.components == graph.components
