@@ -176,7 +176,7 @@ def _parse_header(raw: bytes, path: Path) -> tuple[int, int, int, int, int]:
 
 
 def read_features(path: str | Path, image_id: str | None = None) -> ImageFeatures:
-    """Parse a feature file; validates bounds and descriptor norms."""
+    """Parse a feature file; validates finiteness, bounds and descriptor norms."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
@@ -200,6 +200,11 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     scores = take(n, "<f4") if has_s else None
     desc = take(n * d, "<f4").reshape(n, d)
     gdesc = take(d_g, "<f4")
+    # NaN passes every range and norm comparison below, so reject it here
+    for what, values in (("keypoint", kps), ("score", scores),
+                         ("local descriptor", desc), ("global descriptor", gdesc)):
+        if values is not None and not np.isfinite(values).all():
+            raise CorruptFile(f"{path}: non-finite {what}")
 
     ident = image_id if image_id is not None else path.stem
     desc = _renormalize(desc, "local descriptor", ident) if n else desc

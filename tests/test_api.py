@@ -1,9 +1,11 @@
 """The public surface: the top-level exports, every name the demos import,
-each demo running to completion, and every function the benchmark traces."""
+each demo running to completion, every function the benchmark traces and
+the metric names of the committed benchmark results."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +61,23 @@ def test_benchmark_targets_resolve():
     for module, attribute, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute}"
+
+
+def test_bench_files_name_declared_metrics():
+    # a BENCH_<n>.json records before/after numbers of the benchmark that
+    # BENCHMARK.json declares; a name it does not declare was not measured by it
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    units = {kind: {m["name"]: m["unit"] for m in declared[kind]}
+             for kind in ("end_to_end", "per_layer")}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert doc["workloads"] and set(doc["workloads"]) <= workloads, path.name
+        for name, workload in doc["workloads"].items():
+            assert workload["end_to_end"], f"{path.name} {name}"
+            for kind, declared_units in units.items():
+                for metric, entry in workload.get(kind, {}).items():
+                    assert declared_units.get(metric) == entry["unit"], \
+                        f"{path.name} {name} {kind} {metric}"

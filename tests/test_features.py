@@ -167,6 +167,30 @@ class TestCorruption:
             read_features(path)
 
 
+def overwrite_float32(path, offset, value):
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestNonFinite:
+    # make_features(n=12, d=128, d_g=64, with_scores=True): a 30-byte header,
+    # then keypoints, scores, local descriptors and the global descriptor
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field,offset", [
+        ("keypoint", 30 + 3 * 8 + 4),
+        ("score", 30 + 12 * 8 + 5 * 4),
+        ("local descriptor", 30 + 12 * 12 + (7 * 128 + 9) * 4),
+        ("global descriptor", 30 + 12 * 12 + 12 * 128 * 4 + 11 * 4),
+    ], ids=["keypoint", "score", "local_descriptor", "global_descriptor"])
+    def test_rejected_at_load(self, tmp_path, field, offset, value):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(with_scores=True), path)
+        overwrite_float32(path, offset, value)
+        with pytest.raises(CorruptFile, match=f"non-finite {field}"):
+            read_features(path)
+
+
 class TestManifest:
     def test_load_ok(self, tmp_path):
         manifest = load_manifest(write_dataset(tmp_path))

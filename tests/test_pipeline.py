@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,31 @@ class TestCliSelect:
                      "--out-pairs", str(tmp_path / "p.txt"),
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 2, capsys.readouterr().err
+
+    def test_non_finite_keypoint_exits_two_before_scoring(self, dataset, tmp_path, capsys,
+                                                          monkeypatch):
+        import sara.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise RuntimeError("scoring ran on a non-finite keypoint")
+
+        monkeypatch.setattr(pipeline_mod, "score_all", never)
+        data = json.loads(dataset.read_text())
+        for entry in data["entries"]:
+            entry["path"] = str(dataset.parent / entry["path"])
+        raw = bytearray(Path(data["entries"][3]["path"]).read_bytes())
+        first_keypoint = 30 + 72 * raw[28]   # after the header and, if flagged, K
+        raw[first_keypoint:first_keypoint + 4] = np.float32(np.nan).tobytes()
+        bad_file = tmp_path / "view.sarf"
+        bad_file.write_bytes(bytes(raw))
+        data["entries"][3]["path"] = str(bad_file)
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(data))
+        code = main(["select", "--manifest", str(bad),
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-finite keypoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_entries", [0, 1])
     def test_fewer_than_two_images_exits_two(self, dataset, tmp_path, capsys, caplog,

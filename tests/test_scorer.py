@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import features_from_case, gen_frustum_pair, spearman, to_corrs
 from sara.config import DEG, SaraConfig
+from sara.epipolar import correspondences
 from sara.features import ImageFeatures
 from sara.retrieval import cosine_knn
 from sara.scorer import (PairScore, RejectReason, lower_median,
@@ -24,6 +26,27 @@ def image_from(kp, desc, image_id="x", size=(1024, 768), intrinsics=None):
     return ImageFeatures(image_id=image_id, keypoints=np.asarray(kp, dtype=np.float32),
                          descriptors=desc, global_desc=(g / np.linalg.norm(g)).astype(np.float32),
                          image_size=size, intrinsics=intrinsics)
+
+
+def argmax_mutual_nn(fa, fb, b):
+    """Reference: mutual nearest neighbours from two plain argmax calls."""
+    if fa.n_keypoints == 0 or fb.n_keypoints == 0:
+        return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
+    sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+    best_ab, best_ba = np.argmax(sims, axis=1), np.argmax(sims, axis=0)
+    p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
+    q = best_ab[p]
+    s = sims[p, q]
+    keep = np.lexsort((q, p, -s))[:b]
+    p, q = p[keep], q[keep]
+    return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
+
+
+def assert_matches_reference(fa, fb, b=1000):
+    for x, y in ((fa, fb), (fb, fa)):
+        got, want = mutual_nn_matches(x, y, b), argmax_mutual_nn(x, y, b)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLowerMedian:
@@ -128,6 +151,60 @@ class TestMutualNN:
             assert len(got) == 0
             assert got.x_a.shape == got.x_b.shape == (0, 2)
             assert got.dtype.names == ("idx_a", "idx_b", "x_a", "x_b", "similarity")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_argmax_with_planted_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n_a, n_b = (int(n) for n in rng.integers(20, 60, size=2))
+        # descriptors on a coarse grid tie often; copied rows and columns tie exactly
+        da, db = np.round(unit_rows(rng, n_a, 8) * 2), np.round(unit_rows(rng, n_b, 8) * 2)
+        da[rng.integers(0, n_a, 10)] = da[rng.integers(0, n_a, 10)]
+        db[rng.integers(0, n_b, 10)] = db[rng.integers(0, n_b, 10)]
+        db[rng.integers(0, n_b, 8)] = da[rng.integers(0, n_a, 8)]
+        for v in (da, db):
+            v[~v.any(axis=1), 0] = 1.0   # rounding can zero a row
+        da /= np.linalg.norm(da, axis=1, keepdims=True)
+        db /= np.linalg.norm(db, axis=1, keepdims=True)
+        fa = image_from(rng.uniform(0, 700, (n_a, 2)), da.astype(np.float32), "a")
+        fb = image_from(rng.uniform(0, 700, (n_b, 2)), db.astype(np.float32), "b")
+        sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+        assert ((sims == sims.max(axis=0)).sum(axis=0) > 1).any()   # column ties present
+        assert len(argmax_mutual_nn(fa, fb, 1000)) > 0
+        assert_matches_reference(fa, fb)
+
+    def test_earlier_non_candidate_row_ties_column_maximum(self):
+        # both rows attain column 0's maximum 0.6, but row 0's best column
+        # is 1; column 0's best row is still row 0, so (1, 0) is not mutual
+        da = np.array([[0.6, 0.8, 0.0], [0.6, 0.0, 0.8]], dtype=np.float32)
+        db = np.eye(3, dtype=np.float32)[:2]
+        fa = image_from(np.zeros((2, 2)), da, "a")
+        fb = image_from(np.zeros((2, 2)), db, "b")
+        got = mutual_nn_matches(fa, fb, b=10)
+        assert [(int(c.idx_a), int(c.idx_b)) for c in got] == [(0, 1)]
+        assert_matches_reference(fa, fb)
+
+    @pytest.mark.parametrize("n_a,n_b", [(1, 9), (9, 1), (1, 1), (0, 9), (9, 0), (0, 0)])
+    def test_equals_argmax_on_degenerate_shapes(self, n_a, n_b):
+        rng = np.random.default_rng(n_a * 10 + n_b)
+        fa = image_from(rng.uniform(0, 700, (n_a, 2)), unit_rows(rng, n_a, 16), "a")
+        fb = image_from(rng.uniform(0, 700, (n_b, 2)), unit_rows(rng, n_b, 16), "b")
+        assert_matches_reference(fa, fb)
+
+    def test_peak_memory_one_similarity_matrix(self):
+        # the matrix itself plus bool work arrays; a transposed float64 copy
+        # of the matrix would double the peak
+        n_a, n_b = 1500, 1400
+        rng = np.random.default_rng(3)
+        fa = image_from(np.zeros((n_a, 2)), unit_rows(rng, n_a, 32), "a")
+        fb = image_from(np.zeros((n_b, 2)), unit_rows(rng, n_b, 32), "b")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mutual_nn_matches(fa, fb, b=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n_a * n_b * 8
 
 
 class TestScorePair:
