@@ -69,6 +69,9 @@ class ImageFeatures:
 
     def validate(self) -> None:
         """Check the structural invariants; raise on violation."""
+        bad = _non_finite(self.keypoints, self.scores, self.descriptors, self.global_desc)
+        if bad:
+            raise ValueError(f"{self.image_id}: non-finite {bad}")
         n = self.keypoints.shape[0]
         if self.keypoints.ndim != 2 or self.keypoints.shape[1] != 2:
             raise ValueError("keypoints must be (n, 2)")
@@ -129,6 +132,16 @@ class DatasetManifest:
         return {e.image_id: e for e in reversed(self.entries)}
 
 
+def _non_finite(keypoints, scores, descriptors, global_desc) -> str | None:
+    """Name of the first field with a NaN or infinite value, else None;
+    NaN passes every range and norm comparison, so it is caught here."""
+    for what, values in (("keypoint", keypoints), ("score", scores),
+                         ("local descriptor", descriptors), ("global descriptor", global_desc)):
+        if values is not None and not np.isfinite(values).all():
+            return what
+    return None
+
+
 def _renormalize(vectors: np.ndarray, what: str, image_id: str) -> np.ndarray:
     """Repair near-unit rows; reject rows beyond the tolerance."""
     arr = np.atleast_2d(vectors)
@@ -165,23 +178,17 @@ def write_features(features: ImageFeatures, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def _parse_header(raw: bytes, path: Path) -> tuple[int, int, int, int, int]:
-    """(n, d, d_g, width, height) from a file's leading bytes."""
-    if len(raw) < 30 or raw[:4] != MAGIC:
-        raise CorruptFile(f"{path}: bad magic or truncated header")
-    version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
-    if version != VERSION:
-        raise CorruptFile(f"{path}: unsupported version {version}")
-    return n, d, d_g, w, h
-
-
 def read_features(path: str | Path, image_id: str | None = None) -> ImageFeatures:
     """Parse a feature file; validates finiteness, bounds and descriptor norms."""
     path = Path(path)
     if not path.exists():
         raise MissingFile(str(path))
     raw = path.read_bytes()
-    n, d, d_g, w, h = _parse_header(raw, path)
+    if len(raw) < 30 or raw[:4] != MAGIC:
+        raise CorruptFile(f"{path}: bad magic or truncated header")
+    version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
+    if version != VERSION:
+        raise CorruptFile(f"{path}: unsupported version {version}")
     has_k, has_s = struct.unpack_from("<BB", raw, 28)
     off = 30
     expected = off + 72 * int(bool(has_k)) + 4 * (n * 2 + n * int(bool(has_s)) + n * d + d_g)
@@ -200,11 +207,10 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     scores = take(n, "<f4") if has_s else None
     desc = take(n * d, "<f4").reshape(n, d)
     gdesc = take(d_g, "<f4")
-    # NaN passes every range and norm comparison below, so reject it here
-    for what, values in (("keypoint", kps), ("score", scores),
-                         ("local descriptor", desc), ("global descriptor", gdesc)):
-        if values is not None and not np.isfinite(values).all():
-            raise CorruptFile(f"{path}: non-finite {what}")
+    # before renormalizing, which would report an infinite descriptor as off-norm
+    bad = _non_finite(kps, scores, desc, gdesc)
+    if bad:
+        raise CorruptFile(f"{path}: non-finite {bad}")
 
     ident = image_id if image_id is not None else path.stem
     desc = _renormalize(desc, "local descriptor", ident) if n else desc
@@ -220,11 +226,14 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Parse and cross-check a dataset manifest.
+    """Parse and check a dataset manifest; opens no feature file.
 
-    Checks that entries are well-formed, every referenced file exists,
-    header dimensions agree with the manifest, and image ids are unique
-    and free of whitespace (the pair list separates ids by a space).
+    Checks the JSON structure, that the dimensions are integers, that
+    entries are well-formed with numeric intrinsics, and that image ids
+    are unique and free of whitespace (the pair list separates ids by a
+    space); relative paths are resolved. Whether a referenced file
+    exists, parses and has the manifest's dimensions is checked by
+    ``load_features`` when it reads the file.
     """
     path = Path(path)
     if not path.exists():
@@ -258,16 +267,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         fpath = Path(item["path"])
         if not fpath.is_absolute():
             fpath = path.parent / fpath
-        if not fpath.exists():
-            raise MissingFile(str(fpath))
-        with fpath.open("rb") as fh:
-            fn, fd, fdg, _, _ = _parse_header(fh.read(30), fpath)
-        if fd != d and fn > 0:
-            raise DimensionMismatch(
-                f"{image_id}: descriptor dim {fd} != manifest {d}")
-        if fdg != d_g:
-            raise DimensionMismatch(
-                f"{image_id}: global dim {fdg} != manifest {d_g}")
         K = item.get("intrinsics")
         if K is not None:
             try:
@@ -305,10 +304,12 @@ def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
     if entry is None:
         raise MissingFile(f"image id {image_id!r} not in manifest")
     feats = read_features(entry.path, image_id=image_id)
-    if feats.descriptors.shape[0] and feats.descriptors.shape[1] != manifest.descriptor_dim:
-        raise DimensionMismatch(image_id)
-    if feats.global_desc.shape[0] != manifest.global_dim:
-        raise DimensionMismatch(image_id)
+    (n, d), d_g = feats.descriptors.shape, feats.global_desc.shape[0]
+    if n and d != manifest.descriptor_dim:
+        raise DimensionMismatch(
+            f"{image_id}: descriptor dim {d} != manifest {manifest.descriptor_dim}")
+    if d_g != manifest.global_dim:
+        raise DimensionMismatch(f"{image_id}: global dim {d_g} != manifest {manifest.global_dim}")
     if entry.intrinsics is not None:
         feats = replace(feats, intrinsics=entry.intrinsics)
         try:

@@ -27,7 +27,8 @@ def cosine_knn(global_descs, k: int) -> frozenset[tuple[int, int]]:
     if not 1 <= k <= n - 1:
         raise InvalidK(f"k={k} outside [1, {n - 1}]")
     norms = np.linalg.norm(g, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-3:
+    # written so that a NaN norm, which fails every comparison, is rejected
+    if not (np.abs(norms - 1.0) <= 1e-3).all():
         raise ValueError("global descriptors must be unit norm")
 
     sims = g @ g.T

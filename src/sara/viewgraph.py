@@ -189,38 +189,24 @@ def add_loops(selected, candidates: dict, paths: TreePaths, config: SaraConfig,
     """Budgeted loop closures, round-robin across path-length bins.
 
     Non-tree candidates whose endpoints share a component are binned by
-    tree-path length (short, medium, long per the config bounds); each
-    pass drains one edge per non-empty bin in long, medium, short order.
-    Within a bin, rank is by weight (the per-bin gain factor is constant).
+    tree-path length (short, medium, long per the config bounds) and
+    ranked within their bin by weight (the per-bin gain factor is
+    constant). Every bin's r-th edge, in long, medium, short order,
+    comes before any bin's (r+1)-th; the first ``budget`` edges are taken.
     """
     if budget <= 0:
         return []
     taken = {e for e, _ in selected}
-    bins: dict[str, list] = {"short": [], "medium": [], "long": []}
+    bins: tuple[list, ...] = ([], [], [])   # long, medium, short
     for edge, w in candidates.items():
-        if edge in taken:
-            continue
-        length = paths.length(*edge)
-        if length is None:
-            continue
-        if length <= config.loop_short_max:
-            bins["short"].append((edge, w))
-        elif length <= config.loop_medium_max:
-            bins["medium"].append((edge, w))
-        else:
-            bins["long"].append((edge, w))
-    for key in bins:
-        bins[key].sort(key=lambda ew: (-ew[1], ew[0]))
-    queues = {key: deque(edges) for key, edges in bins.items()}
-    added = []
-    while len(added) < budget and any(queues.values()):
-        for key in ("long", "medium", "short"):
-            if len(added) >= budget:
-                break
-            if queues[key]:
-                edge, _ = queues[key].popleft()
-                added.append((edge, EdgeRole.LOOP))
-    return added
+        length = None if edge in taken else paths.length(*edge)
+        if length is not None:
+            b = (2 if length <= config.loop_short_max
+                 else 1 if length <= config.loop_medium_max else 0)
+            bins[b].append((-w, edge))
+    keyed = sorted((rank, b, neg_w, edge) for b, members in enumerate(bins)
+                   for rank, (neg_w, edge) in enumerate(sorted(members)))
+    return [(edge, EdgeRole.LOOP) for *_, edge in keyed[:budget]]
 
 
 def add_anchors(selected, candidates: dict, scores, budget: int) -> list:

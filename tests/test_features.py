@@ -85,6 +85,21 @@ class TestValidation:
         feats = make_features(n=0)
         feats.validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field,array,index", [
+        ("keypoint", "keypoints", (3, 1)),
+        ("score", "scores", 5),
+        ("local descriptor", "descriptors", (7, 9)),
+        ("global descriptor", "global_desc", 11),
+    ], ids=["keypoint", "score", "local_descriptor", "global_descriptor"])
+    def test_non_finite_not_written(self, tmp_path, field, array, index, value):
+        feats = make_features(with_scores=True)
+        getattr(feats, array)[index] = value
+        path = tmp_path / "f.sarf"
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            write_features(feats, path)
+        assert not path.exists()
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("with_scores", [False, True])
@@ -214,23 +229,32 @@ class TestManifest:
         with pytest.raises(DuplicateImageId):
             load_manifest(mpath)
 
+    def test_opens_no_feature_file(self, tmp_path):
+        mpath = write_dataset(tmp_path)
+        for i in range(3):
+            (tmp_path / f"img_{i}.sarf").unlink()
+        manifest = load_manifest(mpath)
+        assert manifest.image_ids == ["img_0", "img_1", "img_2"]
+        assert [e.path for e in manifest.entries] == [
+            tmp_path / f"img_{i}.sarf" for i in range(3)]
+
     def test_missing_referenced_file(self, tmp_path):
         mpath = write_dataset(tmp_path)
         (tmp_path / "img_1.sarf").unlink()
         with pytest.raises(MissingFile, match="img_1"):
-            load_manifest(mpath)
+            load_features(load_manifest(mpath), "img_1")
 
     def test_dimension_mismatch(self, tmp_path):
         mpath = write_dataset(tmp_path)
         write_features(make_features("img_1", d=64, seed=1), tmp_path / "img_1.sarf")
-        with pytest.raises(DimensionMismatch):
-            load_manifest(mpath)
+        with pytest.raises(DimensionMismatch, match="img_1: descriptor dim 64 != manifest 128"):
+            load_features(load_manifest(mpath), "img_1")
 
     def test_global_dim_mismatch(self, tmp_path):
         mpath = write_dataset(tmp_path)
         write_features(make_features("img_1", d_g=32, seed=1), tmp_path / "img_1.sarf")
-        with pytest.raises(DimensionMismatch):
-            load_manifest(mpath)
+        with pytest.raises(DimensionMismatch, match="img_1: global dim 32 != manifest 64"):
+            load_features(load_manifest(mpath), "img_1")
 
     def test_manifest_intrinsics_override(self, tmp_path):
         mpath = write_dataset(tmp_path)

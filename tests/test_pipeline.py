@@ -187,8 +187,10 @@ class TestCliSelect:
             intrinsics=[[900.0, 0.0, 512.0], [0.0, 900.0, 384.0]]),
         lambda d: d["entries"][0].update(
             intrinsics=[[-900.0, 0.0, 512.0], [0.0, 900.0, 384.0], [0.0, 0.0, 1.0]]),
+        lambda d: d["entries"][3].update(path=d["entries"][3]["path"] + ".gone"),
+        lambda d: d.update(descriptor_dim=d["descriptor_dim"] + 1),
     ], ids=["no_path", "entries_object", "whitespace_id", "intrinsics_not_3x3",
-            "negative_focal"])
+            "negative_focal", "missing_file", "dim_mismatch"])
     def test_malformed_manifest_exits_two_before_scoring(self, dataset, tmp_path, capsys,
                                                          monkeypatch, mutate):
         import sara.pipeline as pipeline_mod

@@ -88,6 +88,15 @@ def test_rejects_unnormalized_input():
         cosine_knn(v, k=2)
 
 
+def test_rejects_nan_row():
+    # a NaN norm is never "off by more than the tolerance"; let through,
+    # this input yields the self-pair (2, 2)
+    g = np.eye(4)
+    g[2] = np.nan
+    with pytest.raises(ValueError, match="unit norm"):
+        cosine_knn(g, 1)
+
+
 def test_deterministic_under_ties():
     # duplicate descriptors force similarity ties; index order must break them
     v = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

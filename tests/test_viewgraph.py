@@ -1,5 +1,6 @@
 import itertools
 import logging
+from collections import deque
 
 import numpy as np
 import pytest
@@ -147,6 +148,30 @@ class TestNodeConfidence:
         assert weak_priority(0, 1.0) > weak_priority(5, 1.0)
 
 
+def round_robin_loops(selected, candidates, paths, config, budget):
+    """Reference loop stage: per-bin queues drained one edge per bin per pass."""
+    taken = {e for e, _ in selected}
+    bins = {"short": [], "medium": [], "long": []}
+    for edge, w in candidates.items():
+        length = None if edge in taken else paths.length(*edge)
+        if length is None:
+            continue
+        if length <= config.loop_short_max:
+            bins["short"].append((edge, w))
+        elif length <= config.loop_medium_max:
+            bins["medium"].append((edge, w))
+        else:
+            bins["long"].append((edge, w))
+    queues = {key: deque(sorted(edges, key=lambda ew: (-ew[1], ew[0])))
+              for key, edges in bins.items()}
+    added = []
+    while len(added) < budget and any(queues.values()):
+        for key in ("long", "medium", "short"):
+            if len(added) < budget and queues[key]:
+                added.append((queues[key].popleft()[0], EdgeRole.LOOP))
+    return added
+
+
 class TestAddLoops:
     def make_path_tree(self, n=12):
         # heavy path edges become the tree; light chords stay candidates
@@ -206,6 +231,23 @@ class TestAddLoops:
         selected = [(e, EdgeRole.TREE) for e in tree]
         added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 1)
         assert [e for e, _ in added] == [(1, 4)]
+
+    def test_matches_round_robin_reference(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            # few distinct weights, so rankings tie and fall back to (i, j)
+            weights = {e: float(rng.choice([0.25, 0.5, 1.0]))
+                       for e in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+            short_max = int(rng.integers(2, 5))
+            config = SaraConfig(loop_short_max=short_max,
+                                loop_medium_max=short_max + int(rng.integers(1, 5)))
+            tree = max_spanning_tree(weights, n)
+            selected = [(e, EdgeRole.TREE) for e in tree]
+            paths = TreePaths(tree, n)
+            for budget in (0, 1, 2, 5, 17, len(weights)):
+                assert (add_loops(selected, weights, paths, config, budget)
+                        == round_robin_loops(selected, weights, paths, config, budget))
 
     def test_equal_weight_cycle_single_chord(self):
         weights = {tuple(sorted((i, (i + 1) % 12))): 1.0 for i in range(12)}
