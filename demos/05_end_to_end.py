@@ -20,11 +20,13 @@ manifest = dump_scene(scene, "demo_out/scene")
 
 config = SaraConfig()
 report = run_select(manifest, config, "demo_out/pairs.txt", "demo_out/report.json")
+# the run report's summary is the graph report's "summary", word for word
+summary = report.summary
 full_graph = 24 * 23 // 2
-print(f"{report.n_images} images, {report.n_candidates} candidates, "
-      f"{report.n_selected} selected (complete graph: {full_graph})")
-print(f"selected by role: {report.selected_by_role}")
-print(f"reduction ratio:  {report.reduction_ratio:.3f}")
+print(f"{summary['n_nodes']} images, {report.n_candidates} candidates, "
+      f"{summary['n_selected_edges']} selected (complete graph: {full_graph})")
+print(f"selected by role: {summary['edges_by_role']}")
+print(f"reduction ratio:  {summary['reduction_ratio']:.3f}")
 print(f"stage seconds:    { {k: round(v, 3) for k, v in report.stage_seconds.items()} }")
 
 # the pair list is what a matcher would consume downstream
@@ -35,8 +37,9 @@ print(f"\npair list: {len(lines)} lines, first three: {lines[:3]}")
 # one shared scoring pass, eight graph-stage on/off combinations
 reports = run_ablation(manifest, config, "demo_out/ablation")
 print("\nvariant        edges")
-for name, rep in sorted(reports.items(), key=lambda kv: kv[1].n_selected):
-    print(f"{name:12s}  {rep.n_selected:5d}")
+selected = {name: rep.summary["n_selected_edges"] for name, rep in reports.items()}
+for name, n_selected in sorted(selected.items(), key=lambda kv: kv[1]):
+    print(f"{name:12s}  {n_selected:5d}")
 
 with open("demo_out/ablation/base_only.report.json") as fh:
     doc = json.load(fh)

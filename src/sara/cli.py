@@ -33,53 +33,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# config fields exposed as flags; booleans are handled separately
-_CONFIG_FLAGS = [
-    ("k", int, "retrieval neighbors per image"),
-    ("b", int, "mutual-NN correspondences kept per pair"),
-    ("ransac_iterations", int, "robust search iterations"),
-    ("inlier_threshold_px", float, "Sampson inlier threshold, pixels"),
-    ("alpha", float, "overlap exponent"),
-    ("beta", float, "parallax exponent"),
-    ("tau_o", float, "overlap rejection threshold"),
-    ("tau_p", float, "parallax rejection threshold, radians"),
-    ("parallax_cap", float, "parallax saturation, radians"),
-    ("budget_loop", int, "loop budget (default: ceil(0.2 N))"),
-    ("budget_anchor", int, "anchor budget (default: ceil(0.05 N))"),
-    ("budget_weak", int, "support edges per weak view"),
-    ("budget_weak_total", int, "weak-edge global cap (default: ceil(0.1 N))"),
-    ("weak_degree_threshold", int, "tree degree at or below which a view is weak"),
-    ("loop_short_max", int, "upper path length of the short loop bin"),
-    ("loop_medium_max", int, "upper path length of the medium loop bin"),
-    ("seed", int, "RNG seed"),
-]
+# the bool fields, each a switch that turns its stage off
+_DISABLE_FLAGS = {"use_loops": "--disable-msl", "use_anchors": "--disable-lba",
+                  "use_weak": "--disable-wvr"}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for name, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ,
-                            default=None, help=help_text)
-    parser.add_argument("--disable-msl", action="store_true",
-                        help="skip the loop-closure stage")
-    parser.add_argument("--disable-lba", action="store_true",
-                        help="skip the anchor stage")
-    parser.add_argument("--disable-wvr", action="store_true",
-                        help="skip the weak-view support stage")
+    # one flag per config field, named, typed and described by the field
+    fields = dataclasses.fields(SaraConfig)
+    for f in fields:
+        if f.name not in _DISABLE_FLAGS:
+            parser.add_argument(f"--{f.name.replace('_', '-')}", default=None,
+                                type=float if f.type == "float" else int,
+                                help=f.metadata["help"])
+    for f in fields:
+        if f.name in _DISABLE_FLAGS:
+            parser.add_argument(_DISABLE_FLAGS[f.name], dest=f.name, action="store_const",
+                                const=False, default=None,
+                                help=f"skip the {f.metadata['help']}")
 
 
 def _assemble_config(args: argparse.Namespace) -> SaraConfig:
     config = load_config(args.config) if args.config else SaraConfig()
-    overrides = {}
-    for name, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.disable_msl:
-        overrides["use_loops"] = False
-    if args.disable_lba:
-        overrides["use_anchors"] = False
-    if args.disable_wvr:
-        overrides["use_weak"] = False
+    overrides = {f.name: value for f in dataclasses.fields(SaraConfig)
+                 if (value := getattr(args, f.name)) is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -131,11 +108,8 @@ def _cmd_select(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _assemble_config(args)
     reports = run_ablation(args.manifest, config, args.out_dir, threads=args.threads)
-    summary = {
-        name: {"n_selected": r.n_selected, "selected_by_role": r.selected_by_role}
-        for name, r in reports.items()
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    summaries = {name: r.summary for name, r in reports.items()}
+    print(json.dumps(summaries, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Pipeline configuration.
 
-All angles are stored in radians. Budgets left at ``None`` are resolved
-against the dataset size N when the view graph is built: loop budget
-``ceil(0.2 N)``, anchor budget ``ceil(0.05 N)``, weak-edge global cap
-``ceil(0.1 N)``.
+All angles are stored in radians. Each field's help text, which the
+command line shows for its flag, is in the field's metadata. Budgets left
+at ``None`` are resolved against the dataset size N when the view graph
+is built, as ``ceil(share * N)`` with the shares of ``_BUDGET_SHARES``.
 """
 
 from __future__ import annotations
@@ -24,28 +24,41 @@ _TYPES = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
           "float": (int, float), "bool": bool}
 
 
+# default budget as a share of the dataset size N, for a budget field left at None
+_BUDGET_SHARES = {"budget_loop": 0.2, "budget_anchor": 0.05, "budget_weak_total": 0.1}
+
+
+def _knob(default, help: str):
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
+def _budget(what: str, name: str):
+    return _knob(None, f"{what} (default: ceil({_BUDGET_SHARES[name]} N))")
+
+
 @dataclass(frozen=True)
 class SaraConfig:
-    k: int = 10                        # retrieval neighbors per image
-    b: int = 50                        # mutual-NN correspondences kept per pair
-    ransac_iterations: int = 32
-    inlier_threshold_px: float = 2.0   # Sampson distance threshold, pixels
-    alpha: float = 1.0                 # overlap exponent
-    beta: float = 1.0                  # parallax exponent
-    tau_o: float = 0.01                # overlap rejection threshold
-    tau_p: float = 1.0 * DEG           # parallax rejection threshold, radians
-    parallax_cap: float = 30.0 * DEG   # parallax saturation inside the weight
-    budget_loop: int | None = None     # None: ceil(0.2 N)
-    budget_anchor: int | None = None   # None: ceil(0.05 N)
-    budget_weak: int = 2               # per weak view
-    budget_weak_total: int | None = None  # None: ceil(0.1 N)
-    weak_degree_threshold: int = 1
-    loop_short_max: int = 4            # short loops: tree-path length 2..this
-    loop_medium_max: int = 10          # medium: ..this; long: above
-    use_loops: bool = True
-    use_anchors: bool = True
-    use_weak: bool = True
-    seed: int = 0
+    k: int = _knob(10, "retrieval neighbors per image")
+    b: int = _knob(50, "mutual-NN correspondences kept per pair")
+    ransac_iterations: int = _knob(32, "robust search iterations")
+    inlier_threshold_px: float = _knob(2.0, "Sampson inlier threshold, pixels")
+    alpha: float = _knob(1.0, "overlap exponent")
+    beta: float = _knob(1.0, "parallax exponent")
+    tau_o: float = _knob(0.01, "overlap rejection threshold")
+    tau_p: float = _knob(1.0 * DEG, "parallax rejection threshold, radians")
+    parallax_cap: float = _knob(30.0 * DEG, "parallax saturation, radians")
+    budget_loop: int | None = _budget("loop budget", "budget_loop")
+    budget_anchor: int | None = _budget("anchor budget", "budget_anchor")
+    budget_weak: int = _knob(2, "support edges per weak view")
+    budget_weak_total: int | None = _budget("weak-edge global cap", "budget_weak_total")
+    weak_degree_threshold: int = _knob(1, "tree degree at or below which a view is weak")
+    loop_short_max: int = _knob(4, "upper path length of the short loop bin")
+    loop_medium_max: int = _knob(10, "upper path length of the medium loop bin")
+    # the stages the command line's --disable-* switches skip
+    use_loops: bool = _knob(True, "loop-closure stage")
+    use_anchors: bool = _knob(True, "anchor stage")
+    use_weak: bool = _knob(True, "weak-view support stage")
+    seed: int = _knob(0, "RNG seed")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -81,22 +94,11 @@ class SaraConfig:
         if not 2 <= self.loop_short_max < self.loop_medium_max:
             raise ValueError("loop bins must satisfy 2 <= short_max < medium_max")
 
-    # budget resolution against dataset size
-
-    def resolved_budget_loop(self, n_images: int) -> int:
-        if self.budget_loop is not None:
-            return self.budget_loop
-        return math.ceil(0.2 * n_images)
-
-    def resolved_budget_anchor(self, n_images: int) -> int:
-        if self.budget_anchor is not None:
-            return self.budget_anchor
-        return math.ceil(0.05 * n_images)
-
-    def resolved_budget_weak_total(self, n_images: int) -> int:
-        if self.budget_weak_total is not None:
-            return self.budget_weak_total
-        return math.ceil(0.1 * n_images)
+    def budget(self, name: str, n_images: int) -> int:
+        """The named budget field, or its share of ``n_images`` rounded up if None."""
+        share = _BUDGET_SHARES[name]
+        value = getattr(self, name)
+        return value if value is not None else math.ceil(share * n_images)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -10,7 +10,7 @@ Feature files use a small binary container (conventional extension
     d_g      u32       global descriptor dimension
     width    u32       image width, pixels
     height   u32       image height, pixels
-    flags    u8, u8    has_intrinsics, has_scores
+    flags    u8, u8    has_intrinsics, has_scores; each 0 or 1
     K        9   f64   row-major, only if has_intrinsics
     xy       n x 2 f32 keypoint positions, (x, y) pixels
     score    n     f32 only if has_scores
@@ -79,14 +79,8 @@ class ImageFeatures:
             raise ValueError("descriptor count must match keypoint count")
         if self.scores is not None and self.scores.shape != (n,):
             raise ValueError("score count must match keypoint count")
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValueError("image size must be positive")
+        self._check_values()
         if n:
-            x, y = self.keypoints[:, 0], self.keypoints[:, 1]
-            if (x < 0).any() or (x >= w).any() or (y < 0).any() or (y >= h).any():
-                raise OutOfBoundsKeypoint(
-                    f"{self.image_id}: keypoint outside [0,{w}) x [0,{h})")
             norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)
             if np.abs(norms - 1.0).max() > 1e-4:
                 raise NormalizationFailure(
@@ -95,6 +89,18 @@ class ImageFeatures:
         if abs(gnorm - 1.0) > 1e-4:
             raise NormalizationFailure(
                 f"{self.image_id}: global descriptor not unit norm")
+
+    def _check_values(self) -> None:
+        """Image size, keypoint bounds, score range and intrinsics: the checks
+        a read repeats after ``_renormalize`` has bounded every norm."""
+        w, h = self.image_size
+        if w <= 0 or h <= 0:
+            raise ValueError("image size must be positive")
+        if self.n_keypoints:
+            x, y = self.keypoints[:, 0], self.keypoints[:, 1]
+            if (x < 0).any() or (x >= w).any() or (y < 0).any() or (y >= h).any():
+                raise OutOfBoundsKeypoint(
+                    f"{self.image_id}: keypoint outside [0,{w}) x [0,{h})")
         if self.scores is not None and self.scores.size:
             if (self.scores < 0).any() or (self.scores > 1).any():
                 raise ValueError("scores must lie in [0, 1]")
@@ -189,9 +195,11 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
     if version != VERSION:
         raise CorruptFile(f"{path}: unsupported version {version}")
-    has_k, has_s = struct.unpack_from("<BB", raw, 28)
+    has_k, has_s = raw[28], raw[29]
+    if has_k > 1 or has_s > 1:
+        raise CorruptFile(f"{path}: flag bytes {has_k}, {has_s}; each must be 0 or 1")
     off = 30
-    expected = off + 72 * int(bool(has_k)) + 4 * (n * 2 + n * int(bool(has_s)) + n * d + d_g)
+    expected = off + 72 * has_k + 4 * (n * 2 + n * has_s + n * d + d_g)
     if len(raw) != expected:
         raise CorruptFile(f"{path}: size {len(raw)}, expected {expected}")
 
@@ -219,7 +227,7 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
         image_id=ident, keypoints=kps, descriptors=desc, global_desc=gdesc,
         image_size=(int(w), int(h)), scores=scores, intrinsics=K)
     try:
-        feats.validate()
+        feats._check_values()
     except ValueError as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
     return feats
@@ -313,7 +321,7 @@ def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
     if entry.intrinsics is not None:
         feats = replace(feats, intrinsics=entry.intrinsics)
         try:
-            feats.validate()
+            feats._check_values()
         except ValueError as exc:
             raise CorruptFile(f"{image_id}: manifest intrinsics: {exc}") from exc
     return feats

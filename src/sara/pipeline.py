@@ -38,16 +38,11 @@ ABLATION_VARIANTS = {
 
 @dataclass
 class RunReport:
-    n_images: int
+    summary: dict      # ViewGraph.summary(), as the graph report's "summary"
     n_candidates: int
     n_scored: int
     n_rejected: dict
-    n_selected: int
-    selected_by_role: dict
-    n_components: int
-    reduction_ratio: float
     stage_seconds: dict
-    seed: int
     config: dict
     out_pairs: str
     out_report: str
@@ -98,18 +93,12 @@ def _finish(manifest, candidates, scores, config: SaraConfig, out_pairs, out_rep
         if score.rejected is not None:
             key = score.rejected.value
             rejected[key] = rejected.get(key, 0) + 1
-    summary = graph.summary()
     return RunReport(
-        n_images=summary["n_nodes"],
+        summary=graph.summary(),
         n_candidates=len(candidates),
         n_scored=len(scores),
         n_rejected=rejected,
-        n_selected=summary["n_selected_edges"],
-        selected_by_role=summary["edges_by_role"],
-        n_components=summary["n_components"],
-        reduction_ratio=summary["reduction_ratio"],
         stage_seconds=dict(timings),
-        seed=config.seed,
         config=config.to_dict(),
         out_pairs=str(out_pairs),
         out_report=str(out_report))

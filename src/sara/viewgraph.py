@@ -308,13 +308,13 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
 
     if config.use_loops:
         selected += add_loops(selected, candidates, paths, config,
-                              config.resolved_budget_loop(n_nodes))
+                              config.budget("budget_loop", n_nodes))
     if config.use_anchors:
         selected += add_anchors(selected, candidates, scores,
-                                config.resolved_budget_anchor(n_nodes))
+                                config.budget("budget_anchor", n_nodes))
     if config.use_weak:
         confidences = node_confidences(tree, candidates, n_nodes)
         selected += add_weak_view_support(selected, candidates, confidences, config,
-                                          config.resolved_budget_weak_total(n_nodes))
+                                          config.budget("budget_weak_total", n_nodes))
     return ViewGraph(n_nodes=n_nodes, candidate_edges=candidates,
                      selected_edges=selected, components=components)

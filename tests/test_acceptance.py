@@ -47,9 +47,9 @@ def test_1_pair_reduction_quasi_linear(tmp_path, capsys):
         report = run_select(manifest, cfg,
                             tmp_path / f"pairs{n}.txt",
                             tmp_path / f"report{n}.json", threads=4)
-        cap = (n - 1) + cfg.resolved_budget_loop(n) \
-            + cfg.resolved_budget_anchor(n) + cfg.resolved_budget_weak_total(n)
-        sel = report.n_selected
+        cap = (n - 1) + cfg.budget("budget_loop", n) \
+            + cfg.budget("budget_anchor", n) + cfg.budget("budget_weak_total", n)
+        sel = report.summary["n_selected_edges"]
         if sel > cap:
             failures.append(f"N={n}: selected {sel} exceeds budget cap {cap}")
         ratio = 1.0 - sel / (n * (n - 1) / 2)
@@ -260,9 +260,9 @@ def test_6_connectivity_and_budgets(capsys):
                 failures.append(f"scene {s}: candidates connected, selection is not")
         roles = Counter(role for _, role in graph.selected_edges)
         caps = {EdgeRole.TREE: n - 1,
-                EdgeRole.LOOP: cfg.resolved_budget_loop(n),
-                EdgeRole.ANCHOR: cfg.resolved_budget_anchor(n),
-                EdgeRole.WEAK: cfg.resolved_budget_weak_total(n)}
+                EdgeRole.LOOP: cfg.budget("budget_loop", n),
+                EdgeRole.ANCHOR: cfg.budget("budget_anchor", n),
+                EdgeRole.WEAK: cfg.budget("budget_weak_total", n)}
         for role, cap in caps.items():
             if roles.get(role, 0) > cap:
                 failures.append(f"scene {s}: {roles[role]} {role.value} edges, cap {cap}")

@@ -3,6 +3,7 @@ each demo running to completion, every function the benchmark traces and
 the metric names of the committed benchmark results."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sara
+from sara.pipeline import RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,6 +63,26 @@ def test_benchmark_targets_resolve():
     for module, attribute, _ in spans.TARGETS:
         target = getattr(importlib.import_module(module), attribute, None)
         assert callable(target), f"{module}.{attribute}"
+
+
+def test_benchmark_reads_run_report_fields():
+    # the benchmark reads attributes of the RunReport that run_select returns,
+    # as ``report.<name>`` or ``...["report"].<name>``; a field it reads that
+    # the report lost would fail only when the benchmark runs
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Subscript) and isinstance(owner.slice, ast.Constant):
+            name = owner.slice.value
+        else:
+            name = getattr(owner, "id", None)
+        if name == "report":
+            read.add(node.attr)
+    assert read
+    assert read <= {f.name for f in dataclasses.fields(RunReport)}
 
 
 def test_bench_files_name_declared_metrics():

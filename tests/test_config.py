@@ -89,19 +89,19 @@ def test_non_object_document_rejected(tmp_path, document):
 def test_budget_resolution_ceil():
     cfg = SaraConfig()
     # defaults scale with scene size: 20% loops, 5% anchors, 10% weak total
-    assert cfg.resolved_budget_loop(50) == 10
-    assert cfg.resolved_budget_loop(51) == 11
-    assert cfg.resolved_budget_anchor(50) == 3   # ceil(2.5)
-    assert cfg.resolved_budget_anchor(100) == 5
-    assert cfg.resolved_budget_weak_total(50) == 5
-    assert cfg.resolved_budget_weak_total(11) == 2  # ceil(1.1)
+    assert cfg.budget("budget_loop", 50) == 10
+    assert cfg.budget("budget_loop", 51) == 11
+    assert cfg.budget("budget_anchor", 50) == 3   # ceil(2.5)
+    assert cfg.budget("budget_anchor", 100) == 5
+    assert cfg.budget("budget_weak_total", 50) == 5
+    assert cfg.budget("budget_weak_total", 11) == 2  # ceil(1.1)
 
 
 def test_explicit_budgets_win():
     cfg = SaraConfig(budget_loop=7, budget_anchor=2, budget_weak_total=3)
-    assert cfg.resolved_budget_loop(1000) == 7
-    assert cfg.resolved_budget_anchor(1000) == 2
-    assert cfg.resolved_budget_weak_total(1000) == 3
+    assert cfg.budget("budget_loop", 1000) == 7
+    assert cfg.budget("budget_anchor", 1000) == 2
+    assert cfg.budget("budget_weak_total", 1000) == 3
 
 
 def test_dict_round_trip():

@@ -206,6 +206,58 @@ class TestNonFinite:
             read_features(path)
 
 
+def scale_descriptor_row(path, row, factor):
+    # make_features(n=12, d=128, d_g=64): a 30-byte header, then 12 keypoints
+    # and, from byte 126, the local descriptors
+    raw = bytearray(path.read_bytes())
+    start = 126 + row * 128 * 4
+    values = np.frombuffer(bytes(raw[start:start + 128 * 4]), dtype="<f4")
+    raw[start:start + 128 * 4] = (values * np.float32(factor)).astype("<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestReadChecks:
+    @pytest.mark.parametrize("offset", [28, 29], ids=["has_intrinsics", "has_scores"])
+    def test_flag_byte_beyond_one_rejected(self, tmp_path, offset):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(with_scores=True, with_k=True), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="flag bytes"):
+            read_features(path)
+
+    def test_near_unit_descriptor_repaired(self, tmp_path):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(), path)
+        scale_descriptor_row(path, 5, 1 + 5e-4)
+        norms = np.linalg.norm(read_features(path).descriptors.astype(np.float64), axis=1)
+        assert np.abs(norms - 1.0).max() <= 1e-6
+
+    def test_off_norm_descriptor_rejected(self, tmp_path):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(), path)
+        scale_descriptor_row(path, 5, 1 + 2e-3)
+        with pytest.raises(NormalizationFailure):
+            read_features(path)
+
+    def test_keypoint_at_width_rejected(self, tmp_path):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(size=(640, 480)), path)
+        overwrite_float32(path, 30 + 4 * 8, 640.0)
+        with pytest.raises(OutOfBoundsKeypoint):
+            read_features(path)
+
+    def test_zero_focal_length_rejected(self, tmp_path):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(with_k=True), path)
+        raw = bytearray(path.read_bytes())
+        raw[30:38] = np.float64(0.0).tobytes()   # K[0, 0]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="focal lengths must be positive"):
+            read_features(path)
+
+
 class TestManifest:
     def test_load_ok(self, tmp_path):
         manifest = load_manifest(write_dataset(tmp_path))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sara.cli import main
+from sara.cli import _assemble_config, build_parser, main
 from sara.config import SaraConfig
 from sara.pipeline import ABLATION_VARIANTS, run_ablation, run_select
 from sara.synth import dump_scene, generate_orbit_scene
@@ -24,42 +25,43 @@ class TestRunSelect:
         report_path = tmp_path / "report.json"
         report = run_select(dataset, SaraConfig(), pairs, report_path)
 
+        summary = report.summary
         lines = pairs.read_text().splitlines()
-        assert len(lines) == report.n_selected
+        assert len(lines) == summary["n_selected_edges"]
         assert all(len(line.split()) == 2 for line in lines)
         assert lines == sorted(lines)
 
         doc = json.loads(report_path.read_text())
-        assert doc["summary"]["n_selected_edges"] == report.n_selected
-        assert doc["summary"]["n_nodes"] == 12
-        assert doc["summary"]["edges_by_role"] == report.selected_by_role
-        assert len(doc["edges"]) == report.n_selected
+        assert report.summary == doc["summary"]
+        assert summary["n_nodes"] == 12
+        assert len(doc["edges"]) == summary["n_selected_edges"]
         roles = {}
         for edge in doc["edges"]:
             roles[edge["role"]] = roles.get(edge["role"], 0) + 1
             assert edge["a"] < edge["b"]
             assert edge["weight"] > 0.0
-        assert roles == report.selected_by_role
+        assert roles == summary["edges_by_role"]
 
     def test_report_counts_consistent(self, dataset, tmp_path):
         report = run_select(dataset, SaraConfig(), tmp_path / "p.txt",
                             tmp_path / "r.json")
-        assert report.n_images == 12
+        summary = report.summary
+        assert summary["n_nodes"] == 12
         assert report.n_scored == report.n_candidates
         surviving = report.n_scored - sum(report.n_rejected.values())
-        assert report.n_selected <= surviving
-        assert sum(report.selected_by_role.values()) == report.n_selected
-        assert report.n_components == 1
+        assert summary["n_selected_edges"] <= surviving
+        assert sum(summary["edges_by_role"].values()) == summary["n_selected_edges"]
+        assert summary["n_components"] == 1
         total = 12 * 11 // 2
-        assert report.reduction_ratio == pytest.approx(
-            1.0 - report.n_selected / total)
+        assert summary["reduction_ratio"] == pytest.approx(
+            1.0 - summary["n_selected_edges"] / total)
         assert set(report.stage_seconds) == {
             "load", "retrieve", "score", "graph", "write"}
 
     def test_spanning_tree_included(self, dataset, tmp_path):
         report = run_select(dataset, SaraConfig(), tmp_path / "p.txt",
                             tmp_path / "r.json")
-        assert report.selected_by_role["tree"] == 11
+        assert report.summary["edges_by_role"]["tree"] == 11
 
     def test_byte_determinism_across_threads(self, dataset, tmp_path):
         outs = []
@@ -80,7 +82,7 @@ class TestRunSelect:
     def test_zero_budgets_tree_only(self, dataset, tmp_path):
         cfg = SaraConfig(budget_loop=0, budget_anchor=0, budget_weak_total=0)
         report = run_select(dataset, cfg, tmp_path / "p.txt", tmp_path / "r.json")
-        assert report.selected_by_role == {"tree": 11}
+        assert report.summary["edges_by_role"] == {"tree": 11}
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +103,7 @@ class TestRunAblation:
     def test_variant_roles_respect_toggles(self, ablation):
         _, reps = ablation
         for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
-            roles = set(reps[name].selected_by_role)
+            roles = set(reps[name].summary["edges_by_role"])
             assert ("loop" in roles) <= loops
             assert ("anchor" in roles) <= anchors
             assert ("weak" in roles) <= weak
@@ -117,16 +119,17 @@ class TestRunAblation:
 
     def test_removing_a_stage_never_adds_edges(self, ablation):
         _, reps = ablation
-        assert reps["wo_msl"].n_selected <= reps["full"].n_selected
-        assert reps["wo_lba"].n_selected <= reps["full"].n_selected
-        assert reps["wo_wvr"].n_selected <= reps["full"].n_selected
+        selected = {name: rep.summary["n_selected_edges"] for name, rep in reps.items()}
+        assert selected["wo_msl"] <= selected["full"]
+        assert selected["wo_lba"] <= selected["full"]
+        assert selected["wo_wvr"] <= selected["full"]
 
     def test_loops_are_the_only_msl_addition(self, ablation):
         out, reps = ablation
         base = set((out / "base_only.pairs.txt").read_text().splitlines())
         only = set((out / "only_msl.pairs.txt").read_text().splitlines())
         added = only - base
-        assert len(added) == reps["only_msl"].selected_by_role.get("loop", 0)
+        assert len(added) == reps["only_msl"].summary["edges_by_role"].get("loop", 0)
         doc = json.loads((out / "only_msl.report.json").read_text())
         loop_pairs = {f'{e["a"]} {e["b"]}' for e in doc["edges"]
                       if e["role"] == "loop"}
@@ -143,6 +146,21 @@ class TestRunAblation:
 
 
 class TestCliSelect:
+    @pytest.mark.parametrize("field", dataclasses.fields(SaraConfig), ids=lambda f: f.name)
+    def test_every_config_field_is_a_flag(self, field):
+        disable = {"use_loops": "--disable-msl", "use_anchors": "--disable-lba",
+                   "use_weak": "--disable-wvr"}
+        default = getattr(SaraConfig(), field.name)
+        if field.type == "bool":
+            flag, want = [disable[field.name]], False
+        else:
+            want = default * 2 if field.type == "float" else (default or 0) + 3
+            flag = [f"--{field.name.replace('_', '-')}", str(want)]
+        args = build_parser().parse_args(["select", "--manifest", "m", "--out-pairs", "p",
+                                          "--out-report", "r", *flag])
+        assert _assemble_config(args) == dataclasses.replace(SaraConfig(),
+                                                             **{field.name: want})
+
     def test_happy_path(self, dataset, tmp_path, capsys):
         pairs = tmp_path / "pairs.txt"
         report = tmp_path / "report.json"
@@ -151,8 +169,8 @@ class TestCliSelect:
         assert code == 0
         assert pairs.exists() and report.exists()
         doc = json.loads(capsys.readouterr().out)
-        assert doc["n_images"] == 12
-        assert doc["n_selected"] >= 11
+        assert doc["summary"]["n_nodes"] == 12
+        assert doc["summary"]["n_selected_edges"] >= 11
 
     def test_run_report_file_matches_stdout(self, dataset, tmp_path, capsys):
         run_report = tmp_path / "run.json"
@@ -326,7 +344,7 @@ class TestCliSelect:
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["selected_by_role"] == {"tree": 11}
+        assert doc["summary"]["edges_by_role"] == {"tree": 11}
 
     def test_zero_budget_flags(self, dataset, tmp_path, capsys):
         code = main(["select", "--manifest", str(dataset),
@@ -336,7 +354,7 @@ class TestCliSelect:
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["selected_by_role"] == {"tree": 11}
+        assert doc["summary"]["edges_by_role"] == {"tree": 11}
 
 
 class TestCliSynth:
@@ -378,7 +396,7 @@ class TestCliSynth:
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["n_components"] == 1
+        assert doc["summary"]["n_components"] == 1
 
 
 class TestCliAblate:
@@ -389,6 +407,8 @@ class TestCliAblate:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == set(ABLATION_VARIANTS)
-        assert doc["base_only"]["n_selected"] <= doc["full"]["n_selected"]
+        assert doc["base_only"]["n_selected_edges"] <= doc["full"]["n_selected_edges"]
         files = {p.name for p in out.iterdir()}
         assert len(files) == 16
+        for name, summary in doc.items():
+            assert summary == json.loads((out / f"{name}.report.json").read_text())["summary"]

@@ -451,9 +451,9 @@ class TestBuildViewGraph:
         for edge, role in graph.selected_edges:
             by_role.setdefault(role, []).append(edge)
         assert len(graph.selected_pairs()) == len(graph.selected_edges)
-        assert len(by_role.get(EdgeRole.LOOP, [])) <= cfg.resolved_budget_loop(20)
-        assert len(by_role.get(EdgeRole.ANCHOR, [])) <= cfg.resolved_budget_anchor(20)
-        assert len(by_role.get(EdgeRole.WEAK, [])) <= cfg.resolved_budget_weak_total(20)
+        assert len(by_role.get(EdgeRole.LOOP, [])) <= cfg.budget("budget_loop", 20)
+        assert len(by_role.get(EdgeRole.ANCHOR, [])) <= cfg.budget("budget_anchor", 20)
+        assert len(by_role.get(EdgeRole.WEAK, [])) <= cfg.budget("budget_weak_total", 20)
         assert set(graph.selected_pairs()) <= set(graph.candidate_edges)
 
     def test_tree_is_acyclic_spanning(self, scored_orbit):
