@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from sara.epipolar import correspondences, sampson_error, short_ransac
+from sara.epipolar import correspondences, sampson_errors, short_ransac
 from sara.synth import generate_orbit_scene, oracle_pair_truth, project
 
 scene = generate_orbit_scene(12, 800, seed=4)
@@ -46,5 +46,5 @@ print(f"median triangulation angle: "
 # essential matrix lives in normalized coordinates, so map it back to the
 # pixel frame before asking for pixel distances
 F = np.linalg.inv(cam_b.intrinsics).T @ model.matrix @ np.linalg.inv(cam_a.intrinsics)
-errs = [np.sqrt(sampson_error(F, corrs[i])) for i in model.inliers]
+errs = np.sqrt(sampson_errors(F, corrs.x_a, corrs.x_b)[model.inliers])
 print(f"inlier Sampson distance: mean {np.mean(errs):.3f} px, max {np.max(errs):.3f} px")

@@ -1,6 +1,12 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
+``short_ransac`` is the one estimator. ``sampson_errors`` scores one model
+or a stack of them against all matches at once. In the calibrated branch
+``recover_pose`` triangulates each decomposition of E once, through
+``triangulate_angles``, on the normalized inlier coordinates the search
+already holds, and returns the winner's angles with its pose.
+
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
 satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
 branch works in normalized camera coordinates K^-1 [x y 1]^T; the world
@@ -127,30 +133,24 @@ def _project_essential(F: np.ndarray) -> np.ndarray:
     return _fix_sign(E)
 
 
-def _sampson_stack(M: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """(h, m) squared Sampson errors of m correspondences under h models."""
-    ha = np.column_stack([pa, np.ones(len(pa))])
-    hb = np.column_stack([pb, np.ones(len(pb))])
-    Ma = ha @ np.swapaxes(M, 1, 2)   # rows are (M x_a)^T
-    Mtb = hb @ M                     # rows are (M^T x_b)^T
-    num = np.einsum("ij,hij->hi", hb, Ma) ** 2
-    den = Ma[..., 0] ** 2 + Ma[..., 1] ** 2 + Mtb[..., 0] ** 2 + Mtb[..., 1] ** 2
-    return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
-
-
-def sampson_error(model, corr: np.record) -> float:
-    """First-order squared epipolar error for one correspondence (a row of
-    a ``correspondences`` array).
+def sampson_errors(M: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+    """Squared first-order epipolar errors of m correspondences (x_a, x_b).
 
     (x_b^T M x_a)^2 / ((M x_a)_1^2 + (M x_a)_2^2 + (M^T x_b)_1^2 + (M^T x_b)_2^2)
 
-    The formula is frame-agnostic: the result is in squared pixels for a
-    pixel correspondence and in squared normalized coordinates for a
-    normalized one. Returns +inf when the denominator vanishes (the point
-    sits at both epipoles).
+    ``x_a`` and ``x_b`` are (m, 2). ``M`` is one (3, 3) model, giving (m,)
+    errors, or an (h, 3, 3) stack, giving (h, m). The formula is
+    frame-agnostic: squared pixels for pixel points, squared normalized
+    coordinates for normalized ones. An error is +inf where the
+    denominator vanishes (the point sits at both epipoles).
     """
-    M = getattr(model, "matrix", model)
-    return float(_sampson_stack(M[None], corr.x_a[None], corr.x_b[None])[0, 0])
+    ha = np.column_stack([x_a, np.ones(len(x_a))])
+    hb = np.column_stack([x_b, np.ones(len(x_b))])
+    Ma = ha @ np.swapaxes(M, -1, -2)   # rows are (M x_a)^T
+    Mtb = hb @ M                       # rows are (M^T x_b)^T
+    num = np.einsum("ij,...ij->...i", hb, Ma) ** 2
+    den = Ma[..., 0] ** 2 + Ma[..., 1] ** 2 + Mtb[..., 0] ** 2 + Mtb[..., 1] ** 2
+    return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
 
 
 def _draw_samples(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
@@ -188,31 +188,23 @@ def _best_hypothesis(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> int
     return int(tied[int(np.argmin(totals))])
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return v / np.where(norms > 0.0, norms, 1.0)
+def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
+                       nb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint triangulation of normalized correspondences (na, nb), (m, 2).
 
-
-def _ray_bundles(corrs, K_a: np.ndarray, K_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit viewing rays of each correspondence, in camera a's and camera b's frame."""
-    ones = np.ones(len(corrs))
-    da = _unit_rows(np.column_stack([_normalized_coords(corrs.x_a, K_a), ones]))
-    db_cam = _unit_rows(np.column_stack([_normalized_coords(corrs.x_b, K_b), ones]))
-    return da, db_cam
-
-
-def _midpoint(R: np.ndarray, t: np.ndarray, da: np.ndarray,
-              db_cam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint triangulation for unit ray bundles.
-
-    ``da`` are rays in the world (= camera a) frame from the origin,
-    ``db_cam`` rays in camera b's frame from its center. Returns midpoints
-    and a mask of well-conditioned (non-parallel) ray pairs.
+    Returns each match's triangulation angle, radians in [0, pi], taken at
+    the midpoint between the two rays (0 where the rays are near-parallel
+    or the midpoint sits on a camera center), and a mask of the matches
+    triangulated at positive depth in both cameras.
     """
-    Cb = -(R.T @ t)
-    db = db_cam @ R  # rotate each ray into the world frame (R^T per row)
+    ones = np.ones(len(na))
+    da = np.column_stack([na, ones])   # rays from camera a's center, the origin
+    db = np.column_stack([nb, ones])
+    da /= np.linalg.norm(da, axis=1, keepdims=True)
+    db /= np.linalg.norm(db, axis=1, keepdims=True)
+    db = db @ R   # camera b's rays in camera a's frame (R^T per row)
+    w0 = R.T @ t   # C_a - C_b, camera b's center being -R^T t
     b = np.einsum("ij,ij->i", da, db)
-    w0 = -Cb  # C_a - C_b with C_a at the origin
     d = da @ w0
     e = db @ w0
     denom = 1.0 - b * b
@@ -220,19 +212,24 @@ def _midpoint(R: np.ndarray, t: np.ndarray, da: np.ndarray,
     safe = np.where(ok, denom, 1.0)
     s = np.where(ok, (b * e - d) / safe, 0.0)
     u = np.where(ok, (e - b * d) / safe, 0.0)
-    X = 0.5 * (s[:, None] * da + Cb[None, :] + u[:, None] * db)
-    return X, ok
+    X = 0.5 * (s[:, None] * da - w0[None, :] + u[:, None] * db)
+    vb = X + w0   # from camera b's center
+    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=1), np.einsum("ij,ij->i", X, vb))
+    degenerate = (np.linalg.norm(X, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
+    theta[~ok | degenerate] = 0.0
+    in_front = ok & (X[:, 2] > 0.0) & ((X @ R.T + t)[:, 2] > 0.0)
+    return theta, in_front
 
 
-def recover_pose(E: np.ndarray, corrs, K_a: np.ndarray,
-                 K_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def recover_pose(E: np.ndarray, na: np.ndarray,
+                 nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick the (R, t) decomposition of E that places points in front.
 
-    All four candidate decompositions are triangulated; the one with the
-    most points at positive depth in both cameras wins. Raises
-    CheiralityAmbiguity unless the winner covers a strict majority.
+    Each of the four candidate decompositions is triangulated once on the
+    normalized correspondences (na, nb); the first with the most points in
+    front of both cameras wins. Returns (R, t, triangulation angles).
+    Raises CheiralityAmbiguity unless the winner covers a strict majority.
     """
-    da, db_cam = _ray_bundles(corrs, K_a, K_b)
     U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
         U = -U
@@ -243,33 +240,15 @@ def recover_pose(E: np.ndarray, corrs, K_a: np.ndarray,
     t = U[:, 2]
     best = None
     for R, tc in ((R1, t), (R1, -t), (R2, t), (R2, -t)):
-        X, ok = _midpoint(R, tc, da, db_cam)
-        za = X[:, 2]
-        zb = (X @ R.T + tc)[:, 2]
-        count = int((ok & (za > 0.0) & (zb > 0.0)).sum())
+        angles, in_front = triangulate_angles(R, tc, na, nb)
+        count = int(in_front.sum())
         if best is None or count > best[0]:
-            best = (count, R, tc)
-    count, R, tc = best
-    if count * 2 <= len(corrs):
+            best = (count, R, tc, angles)
+    count, R, tc, angles = best
+    if count * 2 <= len(na):
         raise CheiralityAmbiguity(
-            f"best decomposition sees {count}/{len(corrs)} points in front")
-    return R, tc
-
-
-def triangulate_angles(R: np.ndarray, t: np.ndarray, corrs, K_a: np.ndarray,
-                       K_b: np.ndarray) -> np.ndarray:
-    """Triangulation angle per correspondence, radians in [0, pi].
-
-    Midpoint triangulation; the angle is taken at the point between the
-    two camera centers. Failed (near-parallel) triangulations yield 0.
-    """
-    da, db_cam = _ray_bundles(corrs, K_a, K_b)
-    X, ok = _midpoint(R, t, da, db_cam)
-    vb = X + R.T @ t  # from camera b's center -(R^T t)
-    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=1), np.einsum("ij,ij->i", X, vb))
-    degenerate = (np.linalg.norm(X, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
-    theta[~ok | degenerate] = 0.0
-    return theta
+            f"best decomposition sees {count}/{len(na)} points in front")
+    return R, tc, angles
 
 
 def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
@@ -312,7 +291,7 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     # so it is applied only to the final overdetermined refit
     samples = _draw_samples(rng, n, iterations)
     models, ok = _fundamental_stack(sa[samples], sb[samples])
-    errs = _sampson_stack(models, sa, sb)
+    errs = sampson_errors(models, sa, sb)
     masks = errs < threshold_sq
     best = _best_hypothesis(errs, masks, ok)
     if best is None:
@@ -324,15 +303,13 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     M = refit[0] if refit_ok[0] else models[best]
     if calib is not None:
         M = _project_essential(M)
-    errs = _sampson_stack(M[None], sa, sb)[0]
+    errs = sampson_errors(M, sa, sb)
     inliers = np.flatnonzero(errs < threshold_sq)
     if inliers.size < 8:
         raise NoModelFound("refit model keeps fewer than 8 inliers")
 
     if calib is None:
         return TwoViewModel(matrix=M, inliers=inliers)
-    kept = corrs[inliers]
-    R, t = recover_pose(M, kept, K_a, K_b)
-    angles = triangulate_angles(R, t, kept, K_a, K_b)
+    R, t, angles = recover_pose(M, sa[inliers], sb[inliers])
     return TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
                         triangulation_angles=angles)

@@ -19,7 +19,7 @@ from .errors import TooFewImages
 from .features import load_features, load_manifest, write_graph_report, write_pair_list
 from .retrieval import cosine_knn
 from .scorer import score_all
-from .viewgraph import build_view_graph
+from .viewgraph import build_view_graph, logger as viewgraph_logger
 
 logger = logging.getLogger(__name__)
 
@@ -117,18 +117,32 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir,
     """All eight augmentation on/off variants over one shared scoring pass.
 
     Writes ``<name>.pairs.txt`` and ``<name>.report.json`` per variant
-    into ``out_dir`` and returns the reports keyed by variant name.
+    into ``out_dir`` and returns the reports keyed by variant name. A
+    graph-building warning the variants share, such as a disconnected
+    candidate graph, is logged once per call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     manifest, candidates, scores = _prepare(manifest_path, config, threads, timings)
+    seen: set[str] = set()
+
+    def first_time(record: logging.LogRecord) -> bool:
+        line = record.getMessage()
+        new = line not in seen
+        seen.add(line)
+        return new
+
     reports = {}
-    for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
-        variant = dataclasses.replace(
-            config, use_loops=loops, use_anchors=anchors, use_weak=weak)
-        reports[name] = _finish(
-            manifest, candidates, scores, variant,
-            out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",
-            dict(timings))
+    viewgraph_logger.addFilter(first_time)
+    try:
+        for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
+            variant = dataclasses.replace(
+                config, use_loops=loops, use_anchors=anchors, use_weak=weak)
+            reports[name] = _finish(
+                manifest, candidates, scores, variant,
+                out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",
+                dict(timings))
+    finally:
+        viewgraph_logger.removeFilter(first_time)
     return reports

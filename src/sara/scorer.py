@@ -110,47 +110,35 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     if rng is None:
         rng = _pair_rng(config.seed, 0)
 
-    def rejected(reason: RejectReason, overlap=0.0, parallax=0.0,
-                 inliers=0, model=None, floored=False) -> PairScore:
-        if swap and model is not None:
-            model = model.swapped()
-        return PairScore(i=i, j=j, overlap=overlap, parallax=parallax, weight=0.0,
-                         inlier_count=inliers, model=model, rejected=reason,
-                         parallax_floored=floored)
-
     matches = mutual_nn_matches(fa, fb, config.b)
-    if len(matches) < 8:
-        return rejected(RejectReason.TOO_FEW_MUTUAL_NN)
-
     calibrated = fa.intrinsics is not None and fb.intrinsics is not None
     calib = (fa.intrinsics, fb.intrinsics) if calibrated else None
-    try:
-        model = short_ransac(matches, calib=calib,
-                             iterations=config.ransac_iterations,
-                             inlier_threshold=config.inlier_threshold_px, rng=rng)
-    except EstimationError:
-        return rejected(RejectReason.NO_MODEL)
-
-    overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
-    if calibrated:
-        parallax = lower_median(model.triangulation_angles)
-        floored = False
+    model = reason = None
+    if len(matches) < 8:
+        reason = RejectReason.TOO_FEW_MUTUAL_NN
     else:
-        parallax = config.tau_p
-        floored = True
-    weight = overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta
+        try:
+            model = short_ransac(matches, calib=calib, iterations=config.ransac_iterations,
+                                 inlier_threshold=config.inlier_threshold_px, rng=rng)
+        except EstimationError:
+            reason = RejectReason.NO_MODEL
 
-    if overlap < config.tau_o:
-        return rejected(RejectReason.BELOW_OVERLAP, overlap, parallax,
-                        int(model.inliers.size), model, floored)
-    if parallax < config.tau_p:
-        return rejected(RejectReason.BELOW_PARALLAX, overlap, parallax,
-                        int(model.inliers.size), model, floored)
-    if swap:
-        model = model.swapped()
+    overlap = parallax = 0.0
+    if model is not None:
+        overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
+        parallax = lower_median(model.triangulation_angles) if calibrated else config.tau_p
+        if overlap < config.tau_o:
+            reason = RejectReason.BELOW_OVERLAP
+        elif parallax < config.tau_p:
+            reason = RejectReason.BELOW_PARALLAX
+        if swap:
+            model = model.swapped()
+    weight = 0.0 if reason is not None else (
+        overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
     return PairScore(i=i, j=j, overlap=overlap, parallax=parallax, weight=weight,
-                     inlier_count=int(model.inliers.size), model=model,
-                     parallax_floored=floored)
+                     inlier_count=0 if model is None else int(model.inliers.size),
+                     model=model, rejected=reason,
+                     parallax_floored=model is not None and not calibrated)
 
 
 def score_all(features, candidates, config: SaraConfig,

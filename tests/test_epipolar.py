@@ -7,7 +7,7 @@ from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
 from sara.epipolar import (_best_hypothesis, _draw_samples, _fundamental_stack,
-                           recover_pose, sampson_error, short_ransac,
+                           recover_pose, sampson_errors, short_ransac,
                            triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
@@ -15,6 +15,11 @@ I3 = np.eye(3)
 # a pixel threshold under which every finite Sampson error is an inlier, so
 # the robust search's refit is the direct fit on all correspondences
 EVERY_MATCH_PX = 1e9
+
+
+def normalize(pts, K):
+    """Pixels to normalized camera coordinates, as the calibrated search maps them."""
+    return (np.column_stack([pts, np.ones(len(pts))]) @ np.linalg.inv(K).T)[:, :2]
 
 
 def fit_fundamental(corrs):
@@ -57,13 +62,13 @@ class TestFundamental:
         case = gen_frustum_pair(np.random.default_rng(0), n=8)
         corrs = to_corrs(case.kp_a, case.kp_b)
         F = fit_fundamental(corrs)
-        assert max(sampson_error(F, c) for c in corrs) < 1e-8
+        assert sampson_errors(F, corrs.x_a, corrs.x_b).max() < 1e-8
 
     def test_generalizes_to_held_out(self):
         case = gen_frustum_pair(np.random.default_rng(1), n=60)
         corrs = to_corrs(case.kp_a, case.kp_b)
         F = fit_fundamental(corrs[:30])
-        assert max(sampson_error(F, c) for c in corrs[30:]) < 1e-8
+        assert sampson_errors(F, corrs.x_a[30:], corrs.x_b[30:]).max() < 1e-8
 
     def test_unit_frobenius_and_rank2(self):
         case = gen_frustum_pair(np.random.default_rng(2), n=24)
@@ -150,7 +155,7 @@ class TestSampson:
         case = gen_frustum_pair(np.random.default_rng(20), n=20)
         corrs = to_corrs(case.kp_a, case.kp_b)
         F = fit_fundamental(corrs)
-        assert all(sampson_error(F, c) < 1e-12 for c in corrs)
+        assert (sampson_errors(F, corrs.x_a, corrs.x_b) < 1e-12).all()
 
     def test_tracks_epipolar_distance(self):
         # offset a true correspondence 2 px across its epipolar line; the
@@ -163,7 +168,7 @@ class TestSampson:
             line_b = F @ np.append(case.kp_a[i], 1.0)
             nvec = line_b[:2] / np.linalg.norm(line_b[:2])
             xb = case.kp_b[i] + 2.0 * nvec
-            err = sampson_error(F, to_corrs(case.kp_a[i:i + 1], xb[None])[0])
+            (err,) = sampson_errors(F, case.kp_a[i:i + 1], xb[None])
             d_b = abs(np.append(xb, 1.0) @ line_b) / np.linalg.norm(line_b[:2])
             line_a = F.T @ np.append(xb, 1.0)
             d_a = abs(np.append(case.kp_a[i], 1.0) @ line_a) / np.linalg.norm(line_a[:2])
@@ -173,16 +178,21 @@ class TestSampson:
     def test_epipole_is_inf(self):
         # forward motion puts both epipoles at the principal point
         E = essential_from_pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        corr = to_corrs(np.zeros((1, 2)), np.zeros((1, 2)))[0]
-        assert sampson_error(E, corr) == math.inf
+        assert sampson_errors(E, np.zeros((1, 2)), np.zeros((1, 2)))[0] == math.inf
 
-    def test_accepts_model_or_matrix(self):
-        case = gen_frustum_pair(np.random.default_rng(22), n=20)
+    def test_one_model_or_a_stack(self):
+        # a (3, 3) model gives (m,) errors, an (h, 3, 3) stack (h, m); each
+        # stacked row has the bits of its model's own call
+        case = gen_frustum_pair(np.random.default_rng(22), n=40, noise_px=1.0)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        model = short_ransac(corrs)
-        raw = sampson_error(model.matrix, corrs[0])
-        wrapped = sampson_error(model, corrs[0])
-        assert raw == wrapped
+        models, _ = _fundamental_stack(corrs.x_a[:24].reshape(3, 8, 2),
+                                       corrs.x_b[:24].reshape(3, 8, 2))
+        stacked = sampson_errors(models, corrs.x_a, corrs.x_b)
+        assert stacked.shape == (3, 40)
+        for h in range(3):
+            single = sampson_errors(models[h], corrs.x_a, corrs.x_b)
+            assert single.shape == (40,)
+            np.testing.assert_array_equal(stacked[h], single)
 
 
 class TestShortRansac:
@@ -237,8 +247,8 @@ class TestShortRansac:
         threshold = 3.0
         model = short_ransac(corrs, iterations=64, inlier_threshold=threshold,
                              rng=np.random.default_rng(0))
-        for idx in model.inliers:
-            assert sampson_error(model, corrs[idx]) < threshold ** 2
+        errs = sampson_errors(model.matrix, corrs.x_a, corrs.x_b)
+        assert (errs[model.inliers] < threshold ** 2).all()
 
     def test_inliers_satisfy_scaled_threshold_calibrated(self):
         case = gen_frustum_pair(np.random.default_rng(35), n=80, noise_px=1.0)
@@ -247,13 +257,9 @@ class TestShortRansac:
         model = short_ransac(corrs, calib=(case.intrinsics, case.intrinsics),
                              inlier_threshold=threshold, rng=np.random.default_rng(0))
         fbar = 900.0
-        kinv = np.linalg.inv(case.intrinsics)
-        for idx in model.inliers:
-            c = corrs[idx]
-            na = (kinv @ np.append(c.x_a, 1.0))[:2]
-            nb = (kinv @ np.append(c.x_b, 1.0))[:2]
-            err = sampson_error(model, to_corrs(na[None], nb[None])[0])
-            assert err < (threshold / fbar) ** 2
+        errs = sampson_errors(model.matrix, normalize(corrs.x_a, case.intrinsics),
+                              normalize(corrs.x_b, case.intrinsics))
+        assert (errs[model.inliers] < (threshold / fbar) ** 2).all()
 
     def test_deterministic_given_seed(self):
         case = gen_frustum_pair(np.random.default_rng(36), n=60, noise_px=1.0)
@@ -284,7 +290,7 @@ class TestRecoverPose:
             if len(na) < 10:
                 continue
             E = essential_from_pose(R, t)
-            rr, tr = recover_pose(E, to_corrs(na, nb), I3, I3)
+            rr, tr, _ = recover_pose(E, na, nb)
             assert np.linalg.norm(rr - R) < 1e-9
             assert np.linalg.norm(tr - t) < 1e-9
 
@@ -296,7 +302,7 @@ class TestRecoverPose:
         na = pts[:, :2] / pts[:, 2:3]
         nb = cam_b[:, :2] / cam_b[:, 2:3]
         E = essential_from_pose(np.eye(3), t)
-        R, tr = recover_pose(E, to_corrs(na, nb), I3, I3)
+        R, tr, _ = recover_pose(E, na, nb)
         assert np.linalg.norm(R - np.eye(3)) < 1e-9
         assert np.linalg.norm(tr - t) < 1e-9
 
@@ -306,50 +312,70 @@ class TestRecoverPose:
         na = rng.uniform(-0.5, 0.5, size=(20, 2))
         E = essential_from_pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(CheiralityAmbiguity):
-            recover_pose(E, to_corrs(na, na), I3, I3)
+            recover_pose(E, na, na)
+
+    def test_minority_behind_left_out(self):
+        # 4 of 20 points sit behind both cameras: they fall out of the
+        # in-front mask, and the 16 in front still pick the true pose
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(-1, 1, size=(20, 3))
+        pts[:, 2] = np.where(np.arange(20) < 4, -1.0, 1.0) * rng.uniform(4.0, 6.0, 20)
+        c, s = math.cos(0.1), math.sin(0.1)
+        R = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        t = np.array([1.0, 0.2, 0.0]) / math.hypot(1.0, 0.2)
+        cam_b = pts @ R.T + t
+        na = pts[:, :2] / pts[:, 2:3]
+        nb = cam_b[:, :2] / cam_b[:, 2:3]
+        rr, tr, angles = recover_pose(essential_from_pose(R, t), na, nb)
+        assert np.linalg.norm(rr - R) < 1e-9
+        assert np.linalg.norm(tr - t) < 1e-9
+        theta, in_front = triangulate_angles(rr, tr, na, nb)
+        np.testing.assert_array_equal(in_front, np.arange(20) >= 4)
+        np.testing.assert_array_equal(angles, theta)
 
 
 class TestTriangulateAngles:
     def test_isoceles_right_angle(self):
         # baseline 1, point on the perpendicular bisector at depth 0.5
         t = np.array([-1.0, 0.0, 0.0])     # camera b sits at +x
-        corr = to_corrs(np.array([[900.0 + 512.0, 384.0]]),
-                        np.array([[-900.0 + 512.0, 384.0]]))
-        theta = triangulate_angles(np.eye(3), t, corr, K_DEFAULT, K_DEFAULT)
+        theta, in_front = triangulate_angles(np.eye(3), t, np.array([[1.0, 0.0]]),
+                                             np.array([[-1.0, 0.0]]))
         assert theta[0] == pytest.approx(math.pi / 2, abs=1e-9)
+        assert in_front[0]
 
     def test_matches_scene_oracle(self):
         case = gen_frustum_pair(np.random.default_rng(50), n=60)
-        corrs = to_corrs(case.kp_a, case.kp_b)
         scale = np.linalg.norm(case.center_b - case.center_a)
-        theta = triangulate_angles(case.rel_rotation, case.rel_translation * scale,
-                                   corrs, case.intrinsics, case.intrinsics)
+        theta, in_front = triangulate_angles(
+            case.rel_rotation, case.rel_translation * scale,
+            normalize(case.kp_a, case.intrinsics), normalize(case.kp_b, case.intrinsics))
         np.testing.assert_allclose(theta, case.oracle_angles(), atol=1e-9)
+        assert in_front.all()
 
     def test_parallel_rays_zero(self):
         rng = np.random.default_rng(51)
         kp = np.column_stack([rng.uniform(0, WIDTH, 15), rng.uniform(0, HEIGHT, 15)])
-        theta = triangulate_angles(np.eye(3), np.array([1e-13, 0.0, 0.0]),
-                                   to_corrs(kp, kp), K_DEFAULT, K_DEFAULT)
+        n = normalize(kp, K_DEFAULT)
+        theta, in_front = triangulate_angles(np.eye(3), np.array([1e-13, 0.0, 0.0]), n, n)
         np.testing.assert_array_equal(theta, np.zeros(15))
+        assert not in_front.any()
 
     def test_scale_invariance(self):
         # doubling the whole scene (baseline included) leaves angles unchanged
         case = gen_frustum_pair(np.random.default_rng(52), n=40)
-        corrs = to_corrs(case.kp_a, case.kp_b)
+        na, nb = normalize(case.kp_a, case.intrinsics), normalize(case.kp_b, case.intrinsics)
         scale = np.linalg.norm(case.center_b - case.center_a)
         t1 = case.rel_translation * scale
-        a1 = triangulate_angles(case.rel_rotation, t1, corrs,
-                                case.intrinsics, case.intrinsics)
-        a2 = triangulate_angles(case.rel_rotation, 2.0 * t1, corrs,
-                                case.intrinsics, case.intrinsics)
+        a1, front1 = triangulate_angles(case.rel_rotation, t1, na, nb)
+        a2, front2 = triangulate_angles(case.rel_rotation, 2.0 * t1, na, nb)
         np.testing.assert_allclose(a1, a2, atol=1e-9)
+        np.testing.assert_array_equal(front1, front2)
 
     def test_range(self):
         case = gen_frustum_pair(np.random.default_rng(53), n=60, noise_px=2.0)
-        theta = triangulate_angles(case.rel_rotation, case.rel_translation,
-                                   to_corrs(case.kp_a, case.kp_b),
-                                   case.intrinsics, case.intrinsics)
+        theta, _ = triangulate_angles(case.rel_rotation, case.rel_translation,
+                                      normalize(case.kp_a, case.intrinsics),
+                                      normalize(case.kp_b, case.intrinsics))
         assert (theta >= 0.0).all() and (theta <= math.pi).all()
 
 
@@ -411,8 +437,6 @@ def ref_short_ransac(corrs, calib, iterations, threshold, rng):
     pa = np.array([c.x_a for c in corrs], dtype=np.float64)
     pb = np.array([c.x_b for c in corrs], dtype=np.float64)
     if calib is not None:
-        def normalize(pts, K):
-            return (np.column_stack([pts, np.ones(len(pts))]) @ np.linalg.inv(K).T)[:, :2]
         pa, pb = normalize(pa, calib[0]), normalize(pb, calib[1])
         fbar = float(np.mean([calib[0][0, 0], calib[0][1, 1], calib[1][0, 0], calib[1][1, 1]]))
         threshold_sq = (threshold / fbar) ** 2
@@ -559,3 +583,71 @@ class TestBatchedSearch:
         masks = errs < 1.0
         assert _best_hypothesis(errs, masks, np.array([True, False])) is None
         assert _best_hypothesis(errs, masks, np.array([True, True])) == 1
+
+
+# --- two-pass reference for pose recovery and triangulation ----------------
+# Pose recovery triangulates each decomposition once on the normalized inlier
+# coordinates the search already holds, and keeps the winner's angles. The
+# reference below builds the rays from the pixels and K instead, picks the
+# pose first, then rebuilds the rays and triangulates the winner again; the
+# search must match it bit for bit.
+
+def ref_rays(pts, K):
+    v = np.column_stack([normalize(pts, K), np.ones(len(pts))])
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def ref_midpoint(R, t, da, db_cam):
+    Cb = -(R.T @ t)
+    db = db_cam @ R
+    b = np.einsum("ij,ij->i", da, db)
+    d, e = da @ -Cb, db @ -Cb
+    denom = 1.0 - b * b
+    ok = np.abs(denom) > 1e-12
+    safe = np.where(ok, denom, 1.0)
+    s = np.where(ok, (b * e - d) / safe, 0.0)
+    u = np.where(ok, (e - b * d) / safe, 0.0)
+    return 0.5 * (s[:, None] * da + Cb[None, :] + u[:, None] * db), ok
+
+
+def ref_pose_then_angles(E, kept, K_a, K_b):
+    """(R, t, angles): pose from four triangulations, then the winner's angles."""
+    da, db_cam = ref_rays(kept.x_a, K_a), ref_rays(kept.x_b, K_b)
+    U, _, Vt = np.linalg.svd(E)
+    U = -U if np.linalg.det(U) < 0 else U
+    Vt = -Vt if np.linalg.det(Vt) < 0 else Vt
+    W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    best = None
+    for R in (U @ W @ Vt, U @ W.T @ Vt):
+        for t in (U[:, 2], -U[:, 2]):
+            X, ok = ref_midpoint(R, t, da, db_cam)
+            count = int((ok & (X[:, 2] > 0.0) & ((X @ R.T + t)[:, 2] > 0.0)).sum())
+            if best is None or count > best[0]:
+                best = (count, R, t)
+    _, R, t = best
+    da, db_cam = ref_rays(kept.x_a, K_a), ref_rays(kept.x_b, K_b)
+    X, ok = ref_midpoint(R, t, da, db_cam)
+    vb = X + R.T @ t
+    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=1), np.einsum("ij,ij->i", X, vb))
+    degenerate = (np.linalg.norm(X, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
+    theta[~ok | degenerate] = 0.0
+    return R, t, theta
+
+
+class TestPoseReference:
+    def test_equals_two_pass_reference(self):
+        seen = 0
+        for seed in range(200, 320):
+            r = np.random.default_rng(seed)
+            corrs, K = with_outliers(seed, int(r.integers(20, 80)), int(r.integers(0, 10)),
+                                     noise_px=float(r.uniform(0.0, 0.5)))
+            try:
+                model = short_ransac(corrs, calib=(K, K), rng=philox(seed))
+            except NoModelFound:
+                continue
+            R, t, theta = ref_pose_then_angles(model.matrix, corrs[model.inliers], K, K)
+            assert np.array_equal(model.rotation, R)
+            assert np.array_equal(model.translation, t)
+            assert np.array_equal(model.triangulation_angles, theta)
+            seen += 1
+        assert seen >= 100

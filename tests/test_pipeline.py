@@ -145,6 +145,35 @@ class TestRunAblation:
             assert rep.n_rejected == first.n_rejected
 
 
+@pytest.fixture(scope="module")
+def disconnected(tmp_path_factory):
+    # as `sara synth --n-cameras 8 --n-points 200 --seed 1`: two components
+    root = tmp_path_factory.mktemp("disconnected")
+    return dump_scene(generate_orbit_scene(8, 200, seed=1), root)
+
+
+def disconnected_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "sara.viewgraph" and "disconnected" in r.getMessage()]
+
+
+class TestDisconnectedWarning:
+    def test_run_select_warns_once(self, disconnected, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+            report = run_select(disconnected, SaraConfig(), tmp_path / "p.txt",
+                                tmp_path / "r.json")
+        assert report.summary["n_components"] == 2
+        assert disconnected_warnings(caplog) == [
+            "candidate graph is disconnected: 2 components [[0, 1, 7], [2, 3, 4, 5, 6]]"]
+
+    def test_run_ablation_warns_once_per_call(self, disconnected, tmp_path, caplog):
+        for call in (1, 2):
+            with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+                reports = run_ablation(disconnected, SaraConfig(), tmp_path / f"out{call}")
+            assert len(reports) == len(ABLATION_VARIANTS)
+            assert len(disconnected_warnings(caplog)) == call
+
+
 class TestCliSelect:
     @pytest.mark.parametrize("field", dataclasses.fields(SaraConfig), ids=lambda f: f.name)
     def test_every_config_field_is_a_flag(self, field):
