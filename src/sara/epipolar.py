@@ -81,6 +81,14 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     operation runs on the whole stack, with the same floating-point
     operations per set as a one-set solve, so a set's model does not
     depend on the stack it was solved in.
+
+    With m > 8 the null vector of the design matrix A comes from an SVD
+    and a set needs sigma_8 > 1e-10 sigma_1. With m == 8 it is exact: Q's
+    last column in the complete QR of A^T, and a set needs min |R_kk| >
+    1e-10 max |R_kk|. That ratio is at least sigma_8 / sigma_1, so the QR
+    test accepts every set the SVD test accepts. A batched LU solve raises
+    for the whole stack when one set is singular, and fixing f33 = 1
+    excludes models where it is 0.
     """
     ok = np.ones(pa.shape[0], dtype=bool)
     transforms, normalized = [], []
@@ -107,9 +115,17 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
         y2 * x1, y2 * y1, y2,
         x1, y1, np.ones_like(x1),
     ], axis=-1)
-    _, s, Vt = np.linalg.svd(A)
-    ok &= (s[:, 0] > 0.0) & (s[:, 7] > s[:, 0] * 1e-10)
-    U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    if A.shape[1] == 8:
+        # minimal sample: A^T = QR, and Q's last column spans A's null space
+        Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        ok &= (d.max(axis=1) > 0.0) & (d.min(axis=1) > d.max(axis=1) * 1e-10)
+        f = Q[:, :, -1]
+    else:
+        _, s, Vt = np.linalg.svd(A)
+        ok &= (s[:, 0] > 0.0) & (s[:, 7] > s[:, 0] * 1e-10)
+        f = Vt[:, -1]
+    U, sf, Vft = np.linalg.svd(f.reshape(-1, 3, 3))
     sf[:, 2] = 0.0
     F = (U * sf[:, None, :]) @ Vft
     F = np.swapaxes(Tb, 1, 2) @ F @ Ta
@@ -266,7 +282,9 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     eight-point solve and one (iterations, len(corrs)) Sampson matrix, so
     memory grows as iterations x correspondences floats (32 x 50 with the
     default config). The result is bit-identical to solving and scoring
-    the hypotheses one at a time in draw order.
+    the hypotheses one at a time in draw order. The minimal samples take
+    their null vectors from one batched QR and the refit on more than 8
+    inliers from an SVD (see ``_fundamental_stack``), in both branches.
 
     ``inlier_threshold`` is a pixel distance; with ``calib`` given the
     search runs in normalized coordinates (essential model) and the

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,59 @@ class TestFundamental:
         kp_a = project_pixels(pts, ra, ca, K_DEFAULT)
         kp_b = project_pixels(pts, rb, ca, K_DEFAULT)
         _, ok = _fundamental_stack(kp_a[None], kp_b[None])
+        assert not ok[0]
+
+    def test_minimal_qr_agrees_with_svd(self):
+        # 200 generic 8-sets, half noisy views of a scene and half uniform junk
+        sets = []
+        for seed in range(200):
+            r = np.random.default_rng(seed)
+            if seed % 2:
+                case = gen_frustum_pair(r, n=8, noise_px=0.5)
+                sets.append((case.kp_a, case.kp_b))
+            else:
+                sets.append(tuple(np.column_stack([r.uniform(0, WIDTH, 8), r.uniform(0, HEIGHT, 8)])
+                                  for _ in range(2)))
+        models, ok = _fundamental_stack(*(np.stack(p) for p in zip(*sets)))
+        assert ok.all()
+        for (pa, pb), model in zip(sets, models):
+            (Ta, na, _), (Tb, nb, _) = hartley(pa), hartley(pb)
+            A = design(na, nb)
+            (fq, qr_ok), (fs, svd_ok) = qr_null(A), svd_null(A)
+            assert qr_ok and svd_ok
+            assert min(np.abs(fq - fs).max(), np.abs(fq + fs).max()) < 1e-12
+            Fq, Fs = ref_fundamental(pa, pb, qr_null), ref_fundamental(pa, pb, svd_null)
+            assert model.tobytes() == Fq.tobytes()
+            # de-normalization scales a difference in the normalized frame by up
+            # to ||Ta|| ||Tb|| ||G||, G the normalized-frame model whose
+            # de-normalization is the unit F; most sets keep that gain below
+            # 100, and one here reaches 8190
+            G = np.linalg.inv(Tb).T @ Fq @ np.linalg.inv(Ta)
+            gain = np.linalg.norm(Ta, 2) * np.linalg.norm(Tb, 2) * np.linalg.norm(G)
+            assert np.abs(Fq - Fs).max() <= 1e-14 * gain
+
+    @pytest.mark.parametrize("family", ["repeated_point", "coincident", "pure_rotation"])
+    def test_minimal_degenerate_rejected_by_both_criteria(self, family):
+        if family == "repeated_point":
+            case = gen_frustum_pair(np.random.default_rng(60), n=8, noise_px=0.5)
+            pa, pb = case.kp_a.copy(), case.kp_b.copy()
+            pa[1], pb[1] = pa[0], pb[0]
+        elif family == "coincident":
+            pa = np.tile(np.array([[100.0, 200.0]]), (8, 1))
+            pb = pa + 5.0
+        else:
+            rng = np.random.default_rng(4)
+            ca = np.array([5.0, 0.0, 0.0])
+            ra = look_at_rot(ca, np.zeros(3))
+            rb = random_rotation(np.random.default_rng(1)) @ ra
+            pts = rng.normal(size=(8, 3))
+            pa = project_pixels(pts, ra, ca, K_DEFAULT)
+            pb = project_pixels(pts, rb, ca, K_DEFAULT)
+        (_, na, _), (_, nb, _) = hartley(pa), hartley(pb)
+        A = design(na, nb)
+        assert not qr_null(A)[1]
+        assert not svd_null(A)[1]
+        _, ok = _fundamental_stack(pa[None], pb[None])
         assert not ok[0]
 
     def test_deterministic(self):
@@ -396,25 +450,54 @@ def ref_fix_sign(M):
     return -M if M.flat[int(np.argmax(np.abs(M)))] < 0 else M
 
 
-def ref_fundamental(pa, pb):
-    """Normalized eight-point solve of one point set; None when degenerate."""
-    Ts, ns = [], []
-    for pts in (pa, pb):
-        c = pts.mean(axis=0)
-        mean_dist = float(np.linalg.norm(pts - c, axis=1).mean())
-        if mean_dist < 1e-9:
-            return None
-        s = math.sqrt(2.0) / mean_dist
-        Ts.append(np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]]))
-        ns.append((pts - c) * s)
-    (x1, y1), (x2, y2) = ns[0].T, ns[1].T
-    A = np.column_stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2,
-                         x1, y1, np.ones(len(pa))])
+def qr_null(A):
+    """Null vector of an (8, 9) design matrix from the complete QR of A^T,
+    and whether the diagonal-ratio test accepts the set."""
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    d = np.abs(np.diag(R))
+    return Q[:, -1], bool(d.max() > 0.0 and d.min() > d.max() * 1e-10)
+
+
+def svd_null(A):
+    """Least-squares null vector of an (m, 9) design matrix from its SVD, and
+    whether the singular-value-ratio test accepts the set."""
     _, s, Vt = np.linalg.svd(A)
-    if s[0] <= 0.0 or s[7] <= s[0] * 1e-10:
+    return Vt[-1], bool(s[0] > 0.0 and s[7] > s[0] * 1e-10)
+
+
+def design(na, nb):
+    (x1, y1), (x2, y2) = na.T, nb.T
+    return np.column_stack([x2 * x1, x2 * y1, x2, y2 * x1, y2 * y1, y2,
+                            x1, y1, np.ones(len(na))])
+
+
+def hartley(pts):
+    """(T, normalized points, coincident) of one image's points, normalized as
+    the batched solve normalizes them."""
+    c = pts.mean(axis=0)
+    mean_dist = float(np.linalg.norm(pts - c, axis=1).mean())
+    coincident = mean_dist < 1e-9
+    s = math.sqrt(2.0) / (1.0 if coincident else mean_dist)
+    T = np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+    return T, (pts - c) * s, coincident
+
+
+def ref_fundamental(pa, pb, null=None):
+    """Normalized eight-point solve of one point set; None when degenerate.
+
+    ``null`` is the null-vector routine; by default QR for exactly 8 points
+    and SVD above, the rule the batched solve follows.
+    """
+    if null is None:
+        null = qr_null if len(pa) == 8 else svd_null
+    (Ta, na, coincident_a), (Tb, nb, coincident_b) = hartley(pa), hartley(pb)
+    if coincident_a or coincident_b:
         return None
-    U, sf, Vft = np.linalg.svd(Vt[-1].reshape(3, 3))
-    F = Ts[1].T @ ((U * np.array([sf[0], sf[1], 0.0])) @ Vft) @ Ts[0]
+    f, accepted = null(design(na, nb))
+    if not accepted:
+        return None
+    U, sf, Vft = np.linalg.svd(f.reshape(3, 3))
+    F = Tb.T @ ((U * np.array([sf[0], sf[1], 0.0])) @ Vft) @ Ta
     F /= np.linalg.norm(F)
     return ref_fix_sign(F)
 
@@ -558,6 +641,24 @@ class TestBatchedSearch:
         assert ref_fundamental(pa[2], pb[2]) is None
         for h in (1, 3):
             assert models[h].tobytes() == ref_fundamental(pa[h], pb[h]).tobytes()
+
+    def test_minimal_samples_skip_svd(self, monkeypatch):
+        # structure, not timing: no (8, 9) design matrix reaches an SVD, while
+        # the overdetermined refit and the pose decomposition still use one
+        svd, calls = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, np.shape(a)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr("sara.epipolar.np.linalg.svd", recording)
+        corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
+        model = short_ransac(corrs, calib=(K, K), rng=philox(100))
+        assert model.rotation is not None
+        assert not [shape for _, shape in calls if shape[-2:] == (8, 9)]
+        assert any(name == "_fundamental_stack" and len(shape) == 3 and shape[1] > 8
+                   and shape[2] == 9 for name, shape in calls)
+        assert ("recover_pose", (3, 3)) in calls
 
     def test_winner_rule_on_near_tied_totals(self):
         # every row holds the same 40 inlier errors in its own order and at
