@@ -58,6 +58,17 @@ def random_pose_case(seed, n=20):
     return na, nb, rel_r, rel_t
 
 
+def pure_rotation_pair(n):
+    """Pixels of n points seen from one center under two rotations. With zero
+    baseline all correspondences satisfy a homography, and the epipolar
+    constraint has no unique rank-8 solution."""
+    ca = np.array([5.0, 0.0, 0.0])
+    ra = look_at_rot(ca, np.zeros(3))
+    rb = random_rotation(np.random.default_rng(1)) @ ra
+    pts = np.random.default_rng(4).normal(size=(n, 3))
+    return project_pixels(pts, ra, ca, K_DEFAULT), project_pixels(pts, rb, ca, K_DEFAULT)
+
+
 class TestFundamental:
     def test_exact_minimal_sample(self):
         case = gen_frustum_pair(np.random.default_rng(0), n=8)
@@ -83,15 +94,7 @@ class TestFundamental:
         assert not ok[0]
 
     def test_pure_rotation_degenerate(self):
-        # zero baseline: all correspondences satisfy a homography, the
-        # epipolar constraint has no unique rank-8 solution
-        rng = np.random.default_rng(4)
-        ca = np.array([5.0, 0.0, 0.0])
-        ra = look_at_rot(ca, np.zeros(3))
-        rb = random_rotation(np.random.default_rng(1)) @ ra
-        pts = rng.normal(size=(30, 3))
-        kp_a = project_pixels(pts, ra, ca, K_DEFAULT)
-        kp_b = project_pixels(pts, rb, ca, K_DEFAULT)
+        kp_a, kp_b = pure_rotation_pair(30)
         _, ok = _fundamental_stack(kp_a[None], kp_b[None])
         assert not ok[0]
 
@@ -134,13 +137,7 @@ class TestFundamental:
             pa = np.tile(np.array([[100.0, 200.0]]), (8, 1))
             pb = pa + 5.0
         else:
-            rng = np.random.default_rng(4)
-            ca = np.array([5.0, 0.0, 0.0])
-            ra = look_at_rot(ca, np.zeros(3))
-            rb = random_rotation(np.random.default_rng(1)) @ ra
-            pts = rng.normal(size=(8, 3))
-            pa = project_pixels(pts, ra, ca, K_DEFAULT)
-            pb = project_pixels(pts, rb, ca, K_DEFAULT)
+            pa, pb = pure_rotation_pair(8)
         (_, na, _), (_, nb, _) = hartley(pa), hartley(pb)
         A = design(na, nb)
         assert not qr_null(A)[1]
