@@ -23,7 +23,7 @@ report = run_select(manifest, config, "demo_out/pairs.txt", "demo_out/report.jso
 # the run report's summary is the graph report's "summary", word for word
 summary = report.summary
 full_graph = 24 * 23 // 2
-print(f"{summary['n_nodes']} images, {report.n_candidates} candidates, "
+print(f"{summary['n_nodes']} images, {report.n_scored} candidates, "
       f"{summary['n_selected_edges']} selected (complete graph: {full_graph})")
 print(f"selected by role: {summary['edges_by_role']}")
 print(f"reduction ratio:  {summary['reduction_ratio']:.3f}")

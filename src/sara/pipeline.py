@@ -39,7 +39,6 @@ ABLATION_VARIANTS = {
 @dataclass
 class RunReport:
     summary: dict      # ViewGraph.summary(), as the graph report's "summary"
-    n_candidates: int
     n_scored: int
     n_rejected: dict
     stage_seconds: dict
@@ -73,10 +72,10 @@ def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
     t0 = time.perf_counter()
     scores = score_all(features, candidates, config, threads=threads)
     timings["score"] = time.perf_counter() - t0
-    return manifest, candidates, scores
+    return manifest, scores
 
 
-def _finish(manifest, candidates, scores, config: SaraConfig, out_pairs, out_report,
+def _finish(manifest, scores, config: SaraConfig, out_pairs, out_report,
             timings: dict) -> RunReport:
     t0 = time.perf_counter()
     graph = build_view_graph(scores, len(manifest), config)
@@ -95,7 +94,6 @@ def _finish(manifest, candidates, scores, config: SaraConfig, out_pairs, out_rep
             rejected[key] = rejected.get(key, 0) + 1
     return RunReport(
         summary=graph.summary(),
-        n_candidates=len(candidates),
         n_scored=len(scores),
         n_rejected=rejected,
         stage_seconds=dict(timings),
@@ -108,8 +106,8 @@ def run_select(manifest_path, config: SaraConfig, out_pairs, out_report,
                threads: int = 1) -> RunReport:
     """Full selection pass: load, retrieve, score, build graph, write outputs."""
     timings: dict[str, float] = {}
-    manifest, candidates, scores = _prepare(manifest_path, config, threads, timings)
-    return _finish(manifest, candidates, scores, config, out_pairs, out_report, timings)
+    manifest, scores = _prepare(manifest_path, config, threads, timings)
+    return _finish(manifest, scores, config, out_pairs, out_report, timings)
 
 
 def run_ablation(manifest_path, config: SaraConfig, out_dir,
@@ -124,7 +122,7 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    manifest, candidates, scores = _prepare(manifest_path, config, threads, timings)
+    manifest, scores = _prepare(manifest_path, config, threads, timings)
     seen: set[str] = set()
 
     def first_time(record: logging.LogRecord) -> bool:
@@ -140,7 +138,7 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir,
             variant = dataclasses.replace(
                 config, use_loops=loops, use_anchors=anchors, use_weak=weak)
             reports[name] = _finish(
-                manifest, candidates, scores, variant,
+                manifest, scores, variant,
                 out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",
                 dict(timings))
     finally:

@@ -38,19 +38,25 @@ class PairScore:
     the saturation cap is applied only inside ``weight``. Rejected pairs
     carry weight 0 and the reason; overlap and parallax stay populated
     whenever they were computed so the rejection predicate can be
-    re-checked. ``parallax_floored`` marks uncalibrated pairs whose
-    parallax was pinned to the rejection threshold.
+    re-checked. The pair's image indices are its key in ``score_all``'s
+    map; the inlier count and the parallax floor are read off ``model``.
     """
 
-    i: int
-    j: int
     overlap: float
     parallax: float
     weight: float
-    inlier_count: int
     model: TwoViewModel | None = None
     rejected: RejectReason | None = None
-    parallax_floored: bool = False
+
+    @property
+    def inlier_count(self) -> int:
+        """Verified inliers of ``model``; 0 without one."""
+        return 0 if self.model is None else self.model.inliers.size
+
+    @property
+    def parallax_floored(self) -> bool:
+        """True for an uncalibrated model, whose parallax is pinned to ``tau_p``."""
+        return self.model is not None and self.model.rotation is None
 
 
 def lower_median(values) -> float:
@@ -93,22 +99,20 @@ def _pair_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
-               rng: np.random.Generator | None = None,
-               pair: tuple[int, int] = (0, 1)) -> PairScore:
+               stream: int = 0) -> PairScore:
     """Score one candidate pair.
 
     The computation is canonicalized on image id order, so swapping the
     arguments returns identical overlap, parallax and weight with the
     geometry mirrored to match the argument order. Pairs without both
-    intrinsics get parallax pinned to the rejection threshold and are
-    flagged, leaving overlap to differentiate them.
+    intrinsics get parallax pinned to the rejection threshold, leaving
+    overlap to differentiate them. The robust search draws from a
+    counter-based generator keyed by ``(config.seed, stream)``, built only
+    when the search runs; pairs with too few mutual matches build none.
     """
-    i, j = pair
     swap = fa.image_id > fb.image_id
     if swap:
         fa, fb = fb, fa
-    if rng is None:
-        rng = _pair_rng(config.seed, 0)
 
     matches = mutual_nn_matches(fa, fb, config.b)
     calibrated = fa.intrinsics is not None and fb.intrinsics is not None
@@ -119,7 +123,8 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     else:
         try:
             model = short_ransac(matches, calib=calib, iterations=config.ransac_iterations,
-                                 inlier_threshold=config.inlier_threshold_px, rng=rng)
+                                 inlier_threshold=config.inlier_threshold_px,
+                                 rng=_pair_rng(config.seed, stream))
         except EstimationError:
             reason = RejectReason.NO_MODEL
 
@@ -135,10 +140,8 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
             model = model.swapped()
     weight = 0.0 if reason is not None else (
         overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
-    return PairScore(i=i, j=j, overlap=overlap, parallax=parallax, weight=weight,
-                     inlier_count=0 if model is None else int(model.inliers.size),
-                     model=model, rejected=reason,
-                     parallax_floored=model is not None and not calibrated)
+    return PairScore(overlap=overlap, parallax=parallax, weight=weight,
+                     model=model, rejected=reason)
 
 
 def score_all(features, candidates, config: SaraConfig,
@@ -147,21 +150,18 @@ def score_all(features, candidates, config: SaraConfig,
 
     ``features`` is the loaded feature list in manifest order;
     ``candidates`` is any iterable of canonical (i, j) pairs indexing into
-    it. Each pair draws from its own counter-based RNG stream keyed by the
-    pair's index, so results do not depend on thread count or scheduling.
+    it. Pair (i, j) is scored with stream id ``i * n + j``, so its robust
+    search draws from its own counter-based generator and results do not
+    depend on thread count or scheduling.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, not {threads}")
     n = len(features)
     pairs = sorted(candidates)
-
-    def work(pair: tuple[int, int]) -> PairScore:
-        i, j = pair
-        rng = _pair_rng(config.seed, i * n + j)
-        return score_pair(features[i], features[j], config, rng=rng, pair=pair)
-
     if threads == 1:
-        return {pair: work(pair) for pair in pairs}
+        return {(i, j): score_pair(features[i], features[j], config, i * n + j)
+                for i, j in pairs}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pair: pool.submit(work, pair) for pair in pairs}
-        return {pair: futures[pair].result() for pair in pairs}
+        futures = {(i, j): pool.submit(score_pair, features[i], features[j], config, i * n + j)
+                   for i, j in pairs}
+        return {pair: future.result() for pair, future in futures.items()}

@@ -46,7 +46,7 @@ def test_1_pair_reduction_quasi_linear(tmp_path, capsys):
         manifest = dump_scene(scene, tmp_path / f"orbit{n}")
         report = run_select(manifest, cfg,
                             tmp_path / f"pairs{n}.txt",
-                            tmp_path / f"report{n}.json", threads=4)
+                            tmp_path / f"report{n}.json")
         cap = (n - 1) + cfg.budget("budget_loop", n) \
             + cfg.budget("budget_anchor", n) + cfg.budget("budget_weak_total", n)
         sel = report.summary["n_selected_edges"]
@@ -147,7 +147,7 @@ def test_4_scorer_fidelity(orbit20, orbit20_features, capsys):
     cfg = SaraConfig(b=150)  # default b saturates inlier counts on dense scenes
     vectors = np.stack([f.global_desc for f in orbit20_features]).astype(np.float64)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    scores = score_all(orbit20_features, cosine_knn(vectors, k=10), cfg, threads=4)
+    scores = score_all(orbit20_features, cosine_knn(vectors, k=10), cfg)
 
     est, oracle = [], []
     for (i, j), s in scores.items():
@@ -186,7 +186,7 @@ def test_5_weak_view_ablation(tmp_path, capsys):
     scene, planted = make_weak_scene(seed=11)
     manifest = dump_scene(scene, tmp_path / "weak")
     out = tmp_path / "runs"
-    run_ablation(manifest, SaraConfig(), out, threads=4)
+    run_ablation(manifest, SaraConfig(), out)
 
     planted_id = f"view_{planted:04d}"
     edges = {}
@@ -241,14 +241,13 @@ def test_6_connectivity_and_budgets(capsys):
                 continue
             rej = RejectReason.NO_MODEL if rng.uniform() < 0.1 else None
             scores[(i, j)] = PairScore(
-                i=i, j=j, overlap=float(rng.uniform(0.02, 1.0)),
+                overlap=float(rng.uniform(0.02, 1.0)),
                 parallax=float(rng.uniform(0.02, 0.6)),
-                weight=float(rng.uniform(0.01, 1.0)), inlier_count=10,
+                weight=float(rng.uniform(0.01, 1.0)),
                 rejected=rej)
         accepted = {e for e, sc in scores.items() if sc.rejected is None}
         if not accepted:  # build_view_graph rightly refuses empty input
-            scores[(0, 1)] = PairScore(i=0, j=1, overlap=0.5, parallax=0.1,
-                                       weight=0.5, inlier_count=10)
+            scores[(0, 1)] = PairScore(overlap=0.5, parallax=0.1, weight=0.5)
             accepted = {(0, 1)}
         graph = build_view_graph(scores, n, cfg)
 

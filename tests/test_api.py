@@ -1,6 +1,7 @@
 """The public surface: the top-level exports, every name the demos import,
-each demo running to completion, every function the benchmark traces and
-the metric names of the committed benchmark results."""
+each demo running to completion, every function the benchmark traces, the
+report and score attributes it reads and the metric names of the committed
+benchmark results."""
 
 import ast
 import dataclasses
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import sara
+from sara.config import SaraConfig
 from sara.pipeline import RunReport
+from sara.scorer import score_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -83,6 +86,44 @@ def test_benchmark_reads_run_report_fields():
             read.add(node.attr)
     assert read
     assert read <= {f.name for f in dataclasses.fields(RunReport)}
+
+
+def score_reads(path: Path):
+    """Attributes read off a pair score: ``s.<name>``, ``score.<name>``,
+    ``scores[...].<name>`` or ``...["scores"][...].<name>``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Subscript):
+            base = owner.value
+            if isinstance(base, ast.Subscript) and isinstance(base.slice, ast.Constant):
+                name = base.slice.value
+            else:
+                name = getattr(base, "id", None)
+            if name == "scores":
+                yield node.attr
+        elif getattr(owner, "id", None) in ("s", "score"):
+            yield node.attr
+
+
+def test_benchmark_reads_score_fields(orbit20_features):
+    # the benchmark's checks read attributes of the PairScores that
+    # score_all returned, and its tests plant wrong values with
+    # dataclasses.replace; a lost field would fail only when it runs
+    read = set()
+    for name in ("checks.py", "run.py"):
+        read |= set(score_reads(ROOT / "perfbench" / name))
+    assert {"rejected", "inlier_count", "model"} <= read
+    score = score_pair(orbit20_features[0], orbit20_features[1], SaraConfig())
+    assert score.model is not None
+    for name in read:
+        assert hasattr(score, name), name
+    planted = dataclasses.replace(score, overlap=score.overlap * 1.01,
+                                  parallax=score.parallax + 0.1)
+    assert (planted.overlap, planted.parallax) == (score.overlap * 1.01,
+                                                   score.parallax + 0.1)
+    assert planted.inlier_count == score.inlier_count
 
 
 def test_bench_files_name_declared_metrics():

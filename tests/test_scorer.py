@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import features_from_case, gen_frustum_pair, spearman, to_corrs
+from sara import scorer
 from sara.config import DEG, SaraConfig
 from sara.epipolar import correspondences
 from sara.features import ImageFeatures
@@ -26,6 +27,20 @@ def image_from(kp, desc, image_id="x", size=(1024, 768), intrinsics=None):
     return ImageFeatures(image_id=image_id, keypoints=np.asarray(kp, dtype=np.float32),
                          descriptors=desc, global_desc=(g / np.linalg.norm(g)).astype(np.float32),
                          image_size=size, intrinsics=intrinsics)
+
+
+def assert_same_score(a, b):
+    """Equal scalar fields and bit-equal model arrays."""
+    assert (a.overlap, a.parallax, a.weight, a.rejected) == \
+        (b.overlap, b.parallax, b.weight, b.rejected)
+    assert (a.model is None) == (b.model is None)
+    if a.model is not None:
+        for field in dataclasses.fields(a.model):
+            x, y = getattr(a.model, field.name), getattr(b.model, field.name)
+            assert (x is None) == (y is None), field.name
+            if x is not None:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), \
+                    field.name
 
 
 def argmax_mutual_nn(fa, fb, b):
@@ -319,9 +334,16 @@ class TestScorePair:
         assert s.weight == pytest.approx(
             s.overlap * self.cfg.tau_p ** self.cfg.beta, rel=1e-12)
 
+    def test_record_holds_primary_facts_only(self):
+        assert [f.name for f in dataclasses.fields(PairScore)] == [
+            "overlap", "parallax", "weight", "model", "rejected"]
+        bare = PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                         rejected=RejectReason.NO_MODEL)
+        assert bare.inlier_count == 0 and not bare.parallax_floored
+
     def test_symmetry(self):
-        s_ab = score_pair(self.fa, self.fb, self.cfg, pair=(0, 1))
-        s_ba = score_pair(self.fb, self.fa, self.cfg, pair=(1, 0))
+        s_ab = score_pair(self.fa, self.fb, self.cfg)
+        s_ba = score_pair(self.fb, self.fa, self.cfg)
         assert s_ba.overlap == s_ab.overlap
         assert s_ba.parallax == s_ab.parallax
         assert s_ba.weight == s_ab.weight
@@ -336,15 +358,15 @@ class TestScorePair:
 class TestScorePairOnScene:
     def test_adjacent_parallax_matches_oracle(self, orbit20, orbit20_features):
         cfg = SaraConfig()
-        s = score_pair(orbit20_features[0], orbit20_features[1], cfg, pair=(0, 1))
+        s = score_pair(orbit20_features[0], orbit20_features[1], cfg)
         truth = oracle_pair_truth(orbit20, 0, 1)
         assert s.rejected is None
         assert abs(s.parallax - truth.median_parallax) < 1.0 * DEG
 
     def test_adjacent_beats_antipodal(self, orbit20_features):
         cfg = SaraConfig()
-        adjacent = score_pair(orbit20_features[0], orbit20_features[1], cfg, pair=(0, 1))
-        antipodal = score_pair(orbit20_features[0], orbit20_features[10], cfg, pair=(0, 10))
+        adjacent = score_pair(orbit20_features[0], orbit20_features[1], cfg)
+        antipodal = score_pair(orbit20_features[0], orbit20_features[10], cfg)
         assert adjacent.weight > antipodal.weight
 
     def test_estimated_overlap_tracks_oracle(self, orbit20, orbit20_features):
@@ -353,7 +375,7 @@ class TestScorePairOnScene:
         cfg = SaraConfig(b=150)
         est, oracle = [], []
         for j in range(1, 20):
-            s = score_pair(orbit20_features[0], orbit20_features[j], cfg, pair=(0, j))
+            s = score_pair(orbit20_features[0], orbit20_features[j], cfg)
             est.append(s.overlap)
             oracle.append(oracle_pair_truth(orbit20, 0, j).overlap_fraction)
         assert spearman(est, oracle) > 0.8
@@ -367,10 +389,36 @@ class TestScoreAll:
         vectors = np.stack([f.global_desc for f in orbit20_features]).astype(np.float64)
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         candidates = cosine_knn(vectors, k=3)
-        scores = score_all(orbit20_features, candidates, SaraConfig())
+        cfg = SaraConfig()
+        scores = score_all(orbit20_features, candidates, cfg)
         assert set(scores) == set(candidates)
+        n = len(orbit20_features)
         for (i, j), s in scores.items():
-            assert (s.i, s.j) == (i, j)
+            assert_same_score(s, score_pair(orbit20_features[i], orbit20_features[j], cfg,
+                                            i * n + j))
+
+    def test_generator_built_only_for_robust_search(self, orbit20_features, monkeypatch):
+        # the last image keeps 5 keypoints, so its pairs stop before the search
+        few = orbit20_features[5]
+        features = list(orbit20_features[:5]) + [dataclasses.replace(
+            few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
+            scores=None if few.scores is None else few.scores[:5])]
+        streams = []
+        build = scorer._pair_rng
+
+        def counted(seed, stream):
+            streams.append(stream)
+            return build(seed, stream)
+
+        monkeypatch.setattr(scorer, "_pair_rng", counted)
+        n = len(features)
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        scores = score_all(features, pairs, SaraConfig())
+        searched = sorted(i * n + j for (i, j), s in scores.items()
+                          if s.rejected is not RejectReason.TOO_FEW_MUTUAL_NN)
+        assert sum(s.rejected is RejectReason.TOO_FEW_MUTUAL_NN
+                   for s in scores.values()) == n - 1
+        assert searched and sorted(streams) == searched
 
     def test_thread_count_irrelevant(self, orbit20_features):
         cfg = SaraConfig()
@@ -379,13 +427,7 @@ class TestScoreAll:
         par = score_all(orbit20_features, pairs, cfg, threads=4)
         assert set(seq) == set(par)
         for key in seq:
-            a, b = seq[key], par[key]
-            assert (a.overlap, a.parallax, a.weight, a.inlier_count,
-                    a.rejected) == (b.overlap, b.parallax, b.weight,
-                                    b.inlier_count, b.rejected)
-            if a.model is not None:
-                np.testing.assert_array_equal(a.model.matrix, b.model.matrix)
-                np.testing.assert_array_equal(a.model.inliers, b.model.inliers)
+            assert_same_score(seq[key], par[key])
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, orbit20_features, threads):
@@ -395,7 +437,7 @@ class TestScoreAll:
     def test_rejection_reasons_recheckable(self, orbit20_features):
         cfg = SaraConfig()
         pairs = {(i, j) for i in range(20) for j in range(i + 1, 20)}
-        scores = score_all(orbit20_features, pairs, cfg, threads=4)
+        scores = score_all(orbit20_features, pairs, cfg)
         seen = set()
         for s in scores.values():
             if s.rejected is None:

@@ -20,7 +20,7 @@ def fake_scores(weights, parallax=None, rejected=frozenset()):
     out = {}
     for (i, j), w in weights.items():
         out[(i, j)] = PairScore(
-            i=i, j=j, overlap=min(1.0, w), weight=w, inlier_count=10,
+            overlap=min(1.0, w), weight=w,
             parallax=(parallax or {}).get((i, j), 0.1),
             rejected=RejectReason.NO_MODEL if (i, j) in rejected else None)
     return out
@@ -39,7 +39,7 @@ def scored_orbit(orbit20_features):
     vectors = np.stack([f.global_desc for f in orbit20_features]).astype(np.float64)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     candidates = cosine_knn(vectors, k=5)
-    return score_all(orbit20_features, candidates, SaraConfig(), threads=4)
+    return score_all(orbit20_features, candidates, SaraConfig())
 
 
 class TestMaxSpanningTree:
