@@ -72,17 +72,22 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarr
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
     neighbor under cosine similarity. Ties in the argmax and in the final
-    ordering break toward lower indices: q's best neighbor is the first
-    row that attains column q's maximum, which is ``argmax(sims, axis=0)``
-    for finite similarities without its transposed float64 copy. Returns
-    a ``correspondences`` record array, of length 0 when either image has
-    no keypoints.
+    ordering break toward lower indices. q's best neighbor is the first
+    hit of column q in the column-maximum mask: the mask's row-major flat
+    hits come in row order, so the lowest hit row per column is the
+    first row that attains the maximum. For finite similarities, which
+    ``read_features`` and ``write_features`` enforce, that equals
+    ``argmax(sims, axis=0)``, without the transposed copy an argmax along
+    axis 0 makes. Returns a ``correspondences`` record array, of length 0
+    when either image has no keypoints.
     """
     if fa.n_keypoints == 0 or fb.n_keypoints == 0:
         return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
     sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
-    best_ba = np.argmax(sims == sims.max(axis=0), axis=0)
+    hits = np.flatnonzero(sims == sims.max(axis=0))
+    best_ba = np.full(fb.n_keypoints, fa.n_keypoints)
+    np.minimum.at(best_ba, hits % fb.n_keypoints, hits // fb.n_keypoints)
     p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
     q = best_ab[p]
     s = sims[p, q]
