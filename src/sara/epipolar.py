@@ -3,9 +3,9 @@ Sampson scoring, pose recovery, and triangulation parallax angles.
 
 ``short_ransac`` is the one estimator. ``sampson_errors`` scores one model
 or a stack of them against all matches at once. In the calibrated branch
-``recover_pose`` triangulates each decomposition of E once, through
-``triangulate_angles``, on the normalized inlier coordinates the search
-already holds, and returns the winner's angles with its pose.
+``recover_pose`` triangulates all four decompositions of E in one stacked
+``triangulate_angles`` call, on the normalized inlier coordinates the
+search already holds, and returns the winner's angles with its pose.
 
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
 satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
@@ -26,6 +26,7 @@ from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFou
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
                          ("x_b", np.float64, (2,)), ("similarity", np.float64)])
+_MATCH_RECORD = np.dtype((np.record, _MATCH_DTYPE))
 
 
 def correspondences(idx_a, idx_b, x_a, x_b, similarity) -> np.recarray:
@@ -36,7 +37,12 @@ def correspondences(idx_a, idx_b, x_a, x_b, similarity) -> np.recarray:
     float64. Fields read as whole arrays (``corrs.x_a`` is (m, 2)) and rows
     by attribute (``corrs[k].idx_a``).
     """
-    return np.rec.fromarrays([idx_a, idx_b, x_a, x_b, similarity], dtype=_MATCH_DTYPE)
+    # allocated as a recarray directly: no format parsing (np.recarray(...)),
+    # no per-field list (np.rec.fromarrays) and no base array held by a view
+    corrs = np.ndarray.__new__(np.recarray, len(idx_a), _MATCH_RECORD)
+    corrs["idx_a"], corrs["idx_b"], corrs["similarity"] = idx_a, idx_b, similarity
+    corrs["x_a"], corrs["x_b"] = x_a, x_b
+    return corrs
 
 
 @dataclass(frozen=True)
@@ -66,9 +72,15 @@ class TwoViewModel:
             triangulation_angles=self.triangulation_angles)
 
 
-def _normalized_coords(points: np.ndarray, K: np.ndarray) -> np.ndarray:
-    h = np.column_stack([points, np.ones(len(points))])
-    return (h @ np.linalg.inv(K).T)[:, :2]
+def _search_points(corrs, calib) -> np.ndarray:
+    """(2, m, 3) homogeneous points of images a and b, each [x y 1]: pixels,
+    or with ``calib`` the first two coordinates of K^-1 [x y 1]^T."""
+    h = np.ones((2, len(corrs), 3))
+    h[0, :, :2], h[1, :, :2] = corrs.x_a, corrs.x_b
+    if calib is not None:
+        h = h @ np.swapaxes(np.linalg.inv(np.stack(calib)), 1, 2)
+        h[..., 2] = 1.0   # only the first two coordinates count, for any K
+    return h
 
 
 def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,31 +102,26 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     for the whole stack when one set is singular, and fixing f33 = 1
     excludes models where it is 0.
     """
-    ok = np.ones(pa.shape[0], dtype=bool)
-    transforms, normalized = [], []
-    for pts in (pa, pb):
-        # Hartley: centroid to the origin, mean radius to sqrt(2)
-        c = pts.mean(axis=1)
-        centered = pts - c[:, None, :]
-        mean_dist = np.linalg.norm(centered, axis=2).mean(axis=1)
-        coincident = mean_dist < 1e-9
-        ok &= ~coincident
-        s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
-        T = np.zeros((pts.shape[0], 3, 3))
-        T[:, 0, 0] = T[:, 1, 1] = s
-        T[:, 0, 2] = -s * c[:, 0]
-        T[:, 1, 2] = -s * c[:, 1]
-        T[:, 2, 2] = 1.0
-        transforms.append(T)
-        normalized.append(centered * s[:, None, None])
-    (Ta, Tb), (na, nb) = transforms, normalized
-    x1, y1 = na[..., 0], na[..., 1]
-    x2, y2 = nb[..., 0], nb[..., 1]
-    A = np.stack([
-        x2 * x1, x2 * y1, x2,
-        y2 * x1, y2 * y1, y2,
-        x1, y1, np.ones_like(x1),
-    ], axis=-1)
+    h, m = pa.shape[:2]
+    # Hartley, both images in one pass: centroid to the origin, mean radius
+    # to sqrt(2); a mean is sum / m and a norm sqrt(sum of squares), the
+    # operations np.mean and np.linalg.norm run
+    pts = np.stack([pa, pb])
+    c = pts.sum(axis=2) / m
+    centered = pts - c[:, :, None, :]
+    mean_dist = np.sqrt((centered * centered).sum(axis=3)).sum(axis=2) / m
+    coincident = mean_dist < 1e-9
+    ok = ~coincident.any(axis=0)
+    s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+    T = np.zeros((2, h, 3, 3))
+    T[..., 0, 0] = T[..., 1, 1] = s
+    T[..., :2, 2] = -s[..., None] * c
+    T[..., 2, 2] = 1.0
+    homog = np.ones((2, h, m, 3))
+    homog[..., :2] = centered * s[..., None, None]
+    # row k of A is the outer product x_b x_a^T of match k, flattened:
+    # (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
+    A = (homog[1, :, :, :, None] * homog[0, :, :, None, :]).reshape(h, m, 9)
     if A.shape[1] == 8:
         # minimal sample: A^T = QR, and Q's last column spans A's null space
         Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
@@ -122,13 +129,13 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
         ok &= (d.max(axis=1) > 0.0) & (d.min(axis=1) > d.max(axis=1) * 1e-10)
         f = Q[:, :, -1]
     else:
-        _, s, Vt = np.linalg.svd(A)
-        ok &= (s[:, 0] > 0.0) & (s[:, 7] > s[:, 0] * 1e-10)
+        _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        ok &= (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
         f = Vt[:, -1]
     U, sf, Vft = np.linalg.svd(f.reshape(-1, 3, 3))
     sf[:, 2] = 0.0
     F = (U * sf[:, None, :]) @ Vft
-    F = np.swapaxes(Tb, 1, 2) @ F @ Ta
+    F = np.swapaxes(T[1], 1, 2) @ F @ T[0]
     flat = F.reshape(-1, 1, 9)
     # a per-set dot product, rounded as np.linalg.norm rounds a single matrix
     F /= np.sqrt(flat @ np.swapaxes(flat, 1, 2))
@@ -138,7 +145,7 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
 def _fix_sign(M: np.ndarray) -> np.ndarray:
     # deterministic sign: the largest-magnitude entry of each 3x3 model positive
     flat = M.reshape(-1, 9)
-    lead = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=1)[:, None], axis=1)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
     return np.where(lead.reshape(M.shape[:-2] + (1, 1)) < 0.0, -M, M)
 
 
@@ -160,8 +167,12 @@ def sampson_errors(M: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarra
     coordinates for normalized ones. An error is +inf where the
     denominator vanishes (the point sits at both epipoles).
     """
-    ha = np.column_stack([x_a, np.ones(len(x_a))])
-    hb = np.column_stack([x_b, np.ones(len(x_b))])
+    return _sampson(M, np.column_stack([x_a, np.ones(len(x_a))]),
+                    np.column_stack([x_b, np.ones(len(x_b))]))
+
+
+def _sampson(M: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    # sampson_errors on homogeneous (m, 3) points [x y 1]
     Ma = ha @ np.swapaxes(M, -1, -2)   # rows are (M x_a)^T
     Mtb = hb @ M                       # rows are (M^T x_b)^T
     num = np.einsum("ij,...ij->...i", hb, Ma) ** 2
@@ -211,29 +222,33 @@ def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
     Returns each match's triangulation angle, radians in [0, pi], taken at
     the midpoint between the two rays (0 where the rays are near-parallel
     or the midpoint sits on a camera center), and a mask of the matches
-    triangulated at positive depth in both cameras.
+    triangulated at positive depth in both cameras. ``R`` (3, 3) and ``t``
+    (3,) give one pose, with (m,) outputs; stacks (..., 3, 3) and (..., 3)
+    give one (..., m) row per pose, each equal to a one-pose call.
     """
-    ones = np.ones(len(na))
-    da = np.column_stack([na, ones])   # rays from camera a's center, the origin
-    db = np.column_stack([nb, ones])
-    da /= np.linalg.norm(da, axis=1, keepdims=True)
-    db /= np.linalg.norm(db, axis=1, keepdims=True)
-    db = db @ R   # camera b's rays in camera a's frame (R^T per row)
-    w0 = R.T @ t   # C_a - C_b, camera b's center being -R^T t
-    b = np.einsum("ij,ij->i", da, db)
-    d = da @ w0
-    e = db @ w0
+    rays = np.ones((2, len(na), 3))
+    rays[0, :, :2], rays[1, :, :2] = na, nb
+    rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+    da = rays[0]        # rays from camera a's center, the origin
+    db = rays[1] @ R    # camera b's rays in camera a's frame (R^T per row)
+    Rt = np.swapaxes(R, -1, -2)
+    w0 = Rt @ t[..., None]   # (..., 3, 1): C_a - C_b, camera b's center being -R^T t
+    b = np.einsum("...ij,...ij->...i", da, db)
+    d = (da @ w0)[..., 0]
+    e = (db @ w0)[..., 0]
     denom = 1.0 - b * b
     ok = np.abs(denom) > 1e-12
     safe = np.where(ok, denom, 1.0)
     s = np.where(ok, (b * e - d) / safe, 0.0)
     u = np.where(ok, (e - b * d) / safe, 0.0)
-    X = 0.5 * (s[:, None] * da - w0[None, :] + u[:, None] * db)
+    w0 = np.swapaxes(w0, -1, -2)
+    X = 0.5 * (s[..., None] * da - w0 + u[..., None] * db)
     vb = X + w0   # from camera b's center
-    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=1), np.einsum("ij,ij->i", X, vb))
-    degenerate = (np.linalg.norm(X, axis=1) < 1e-12) | (np.linalg.norm(vb, axis=1) < 1e-12)
+    theta = np.arctan2(np.linalg.norm(np.cross(X, vb), axis=-1),
+                       np.einsum("...ij,...ij->...i", X, vb))
+    degenerate = (np.linalg.norm(X, axis=-1) < 1e-12) | (np.linalg.norm(vb, axis=-1) < 1e-12)
     theta[~ok | degenerate] = 0.0
-    in_front = ok & (X[:, 2] > 0.0) & ((X @ R.T + t)[:, 2] > 0.0)
+    in_front = ok & (X[..., 2] > 0.0) & ((X @ Rt + t[..., None, :])[..., 2] > 0.0)
     return theta, in_front
 
 
@@ -241,10 +256,11 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
                  nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick the (R, t) decomposition of E that places points in front.
 
-    Each of the four candidate decompositions is triangulated once on the
-    normalized correspondences (na, nb); the first with the most points in
-    front of both cameras wins. Returns (R, t, triangulation angles).
-    Raises CheiralityAmbiguity unless the winner covers a strict majority.
+    The four candidate decompositions are triangulated together, in one
+    ``triangulate_angles`` call on the normalized correspondences (na, nb);
+    the first with the most points in front of both cameras wins. Returns
+    (R, t, triangulation angles). Raises CheiralityAmbiguity unless the
+    winner covers a strict majority.
     """
     U, _, Vt = np.linalg.svd(E)
     if np.linalg.det(U) < 0:
@@ -252,19 +268,16 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
     if np.linalg.det(Vt) < 0:
         Vt = -Vt
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    R1, R2 = U @ W @ Vt, U @ W.T @ Vt
-    t = U[:, 2]
-    best = None
-    for R, tc in ((R1, t), (R1, -t), (R2, t), (R2, -t)):
-        angles, in_front = triangulate_angles(R, tc, na, nb)
-        count = int(in_front.sum())
-        if best is None or count > best[0]:
-            best = (count, R, tc, angles)
-    count, R, tc, angles = best
-    if count * 2 <= len(na):
+    # (R1, t), (R1, -t), (R2, t), (R2, -t) with R1 = U W Vt, R2 = U W^T Vt
+    R = (U @ np.stack([W, W.T]) @ Vt)[[0, 0, 1, 1]]
+    t = U[:, 2] * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    angles, in_front = triangulate_angles(R, t, na, nb)
+    counts = in_front.sum(axis=1)
+    best = int(np.argmax(counts))
+    if counts[best] * 2 <= len(na):
         raise CheiralityAmbiguity(
-            f"best decomposition sees {count}/{len(na)} points in front")
-    return R, tc, angles
+            f"best decomposition sees {counts[best]}/{len(na)} points in front")
+    return R[best], t[best], angles[best]
 
 
 def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
@@ -295,10 +308,10 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
         raise InsufficientCorrespondences(f"{n} < 8")
     if rng is None:
         rng = np.random.default_rng(0)
-    sa, sb = corrs.x_a, corrs.x_b
+    pts = _search_points(corrs, calib)
+    ha, hb = pts
     if calib is not None:
         K_a, K_b = calib
-        sa, sb = _normalized_coords(sa, K_a), _normalized_coords(sb, K_b)
         fbar = float(np.mean([K_a[0, 0], K_a[1, 1], K_b[0, 0], K_b[1, 1]]))
         threshold_sq = (inlier_threshold / fbar) ** 2
     else:
@@ -308,26 +321,24 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     # the essential-manifold projection is brutal on noisy minimal samples,
     # so it is applied only to the final overdetermined refit
     samples = _draw_samples(rng, n, iterations)
-    models, ok = _fundamental_stack(sa[samples], sb[samples])
-    errs = sampson_errors(models, sa, sb)
+    models, ok = _fundamental_stack(*pts[:, samples, :2])
+    errs = _sampson(models, ha, hb)
     masks = errs < threshold_sq
     best = _best_hypothesis(errs, masks, ok)
     if best is None:
         raise NoModelFound("no hypothesis reached 8 inliers")
 
-    mask = masks[best]
-    refit, refit_ok = _fundamental_stack(sa[mask][None], sb[mask][None])
+    refit, refit_ok = _fundamental_stack(*pts[:, None, masks[best], :2])
     # a degenerate refit keeps the winning hypothesis as the final model
     M = refit[0] if refit_ok[0] else models[best]
     if calib is not None:
         M = _project_essential(M)
-    errs = sampson_errors(M, sa, sb)
-    inliers = np.flatnonzero(errs < threshold_sq)
+    inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
     if inliers.size < 8:
         raise NoModelFound("refit model keeps fewer than 8 inliers")
 
     if calib is None:
         return TwoViewModel(matrix=M, inliers=inliers)
-    R, t, angles = recover_pose(M, sa[inliers], sb[inliers])
+    R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])
     return TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
                         triangulation_angles=angles)

@@ -7,9 +7,9 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (_best_hypothesis, _draw_samples, _fundamental_stack,
-                           recover_pose, sampson_errors, short_ransac,
-                           triangulate_angles)
+from sara.epipolar import (_MATCH_DTYPE, _best_hypothesis, _draw_samples, _fix_sign,
+                           _fundamental_stack, correspondences, recover_pose,
+                           sampson_errors, short_ransac, triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
 I3 = np.eye(3)
@@ -334,6 +334,23 @@ class TestShortRansac:
         assert back.swapped().rotation == pytest.approx(model.rotation)
 
 
+class TestCorrespondences:
+    @pytest.mark.parametrize("m", [0, 1, 50])
+    def test_equals_fromarrays(self, m):
+        r = np.random.default_rng(m)
+        idx_a, idx_b = r.permutation(m), r.permutation(m)
+        x_a = r.uniform(0.0, WIDTH, size=(m, 2)).astype(np.float32)
+        x_b = r.uniform(0.0, HEIGHT, size=(m, 2))
+        sim = r.uniform(-1.0, 1.0, size=m)
+        got = correspondences(idx_a, idx_b, x_a, x_b, sim)
+        want = np.rec.fromarrays([idx_a, idx_b, x_a, x_b, sim], dtype=_MATCH_DTYPE)
+        assert isinstance(got, np.recarray) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if m:
+            assert got[m - 1].idx_b == idx_b[-1]
+            np.testing.assert_array_equal(got.x_a, x_a.astype(np.float64))
+
+
 class TestRecoverPose:
     def test_random_poses_recovered_exactly(self):
         for seed in range(1000):
@@ -385,6 +402,22 @@ class TestRecoverPose:
         np.testing.assert_array_equal(angles, theta)
 
 
+    def test_one_stacked_triangulation(self, monkeypatch):
+        # structure, not timing: the four decompositions go to
+        # triangulate_angles together, as one (4, 3, 3) / (4, 3) stack
+        triangulate, calls = triangulate_angles, []
+
+        def recording(R, t, na, nb):
+            calls.append((np.shape(R), np.shape(t)))
+            return triangulate(R, t, na, nb)
+
+        monkeypatch.setattr("sara.epipolar.triangulate_angles", recording)
+        na, nb, R, t = random_pose_case(3)
+        rr, tr, _ = recover_pose(essential_from_pose(R, t), na, nb)
+        assert calls == [((4, 3, 3), (4, 3))]
+        assert np.linalg.norm(rr - R) < 1e-9 and np.linalg.norm(tr - t) < 1e-9
+
+
 class TestTriangulateAngles:
     def test_isoceles_right_angle(self):
         # baseline 1, point on the perpendicular bisector at depth 0.5
@@ -421,6 +454,27 @@ class TestTriangulateAngles:
         a2, front2 = triangulate_angles(case.rel_rotation, 2.0 * t1, na, nb)
         np.testing.assert_allclose(a1, a2, atol=1e-9)
         np.testing.assert_array_equal(front1, front2)
+
+    def test_pose_stack_equals_single_poses(self):
+        # the true pose, its mirror -t (every point behind a camera) and a
+        # wrong rotation with both signs of t; under the true pose the first
+        # 5 matches are made parallel rays
+        case = gen_frustum_pair(np.random.default_rng(54), n=40, noise_px=0.5)
+        na, nb = normalize(case.kp_a, case.intrinsics), normalize(case.kp_b, case.intrinsics)
+        R, t = case.rel_rotation, case.rel_translation
+        rotated = np.column_stack([na[:5], np.ones(5)]) @ R.T
+        nb[:5] = rotated[:, :2] / rotated[:, 2:]
+        wrong = random_rotation(np.random.default_rng(55)) @ R
+        Rs, ts = np.stack([R, R, wrong, wrong]), np.stack([t, -t, t, -t])
+        theta, in_front = triangulate_angles(Rs, ts, na, nb)
+        assert theta.shape == in_front.shape == (4, 40)
+        for k in range(4):
+            one_theta, one_front = triangulate_angles(Rs[k], ts[k], na, nb)
+            assert theta[k].tobytes() == one_theta.tobytes()
+            np.testing.assert_array_equal(in_front[k], one_front)
+        # the stack covers the cases it is built for
+        assert (theta[0, :5] == 0.0).all() and not in_front[0, :5].any()
+        assert in_front[0, 5:].all() and not in_front[1].any()
 
     def test_range(self):
         case = gen_frustum_pair(np.random.default_rng(53), n=60, noise_px=2.0)
@@ -638,6 +692,21 @@ class TestBatchedSearch:
         assert ref_fundamental(pa[2], pb[2]) is None
         for h in (1, 3):
             assert models[h].tobytes() == ref_fundamental(pa[h], pb[h]).tobytes()
+
+    def test_fix_sign_ties_take_the_first_entry(self):
+        # entries tied in magnitude with opposite signs: the first in
+        # row-major order sets the sign, as the take_along_axis rule reads it
+        r = np.random.default_rng(61)
+        M = r.uniform(-1.0, 1.0, size=(64, 3, 3))
+        for k, (i, j) in enumerate(r.choice(9, size=(64, 2))):
+            if i != j:
+                M.reshape(64, 9)[k, [i, j]] = 2.0 * np.array([1.0, -1.0]) * r.choice([-1.0, 1.0])
+        flat = M.reshape(-1, 9)
+        lead = np.take_along_axis(flat, np.argmax(np.abs(flat), axis=1)[:, None], axis=1)
+        want = np.where(lead.reshape(-1, 1, 1) < 0.0, -M, M)
+        assert _fix_sign(M).tobytes() == want.tobytes()
+        for k in range(64):
+            assert _fix_sign(M[k]).tobytes() == ref_fix_sign(M[k]).tobytes()
 
     def test_minimal_samples_skip_svd(self, monkeypatch):
         # structure, not timing: no (8, 9) design matrix reaches an SVD, while
