@@ -23,7 +23,7 @@ def test_even_pairs_run_the_parent_first(monkeypatch):
     order = []
     monkeypatch.setattr(abbench, "run_once", lambda checkout, *args: (
         order.append(checkout), fake_run(1.0, 1.0))[1])
-    abbench.alternate({"parent": "P", "change": "C"}, 4, "orbit_sparse", 1, 1.0, 0)
+    abbench.alternate({"parent": "P", "change": "C"}, 4, "orbit_sparse", 1.0, 0)
     assert order == ["P", "C", "C", "P", "P", "C", "C", "P"]
 
 

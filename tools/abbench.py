@@ -6,7 +6,7 @@ Usage, from the root of a checkout::
 
     python3 tools/abbench.py --base 75a6924 --out BENCH_14.json
     python3 tools/abbench.py --base 75a6924 --workload large_collection \\
-        --pairs 3 --seconds 10 --traced-pairs 3 --out BENCH_14.json
+        --pairs 4 --seconds 10 --out BENCH_14.json
 
 The base side is a temporary ``git archive`` export of ``--base``, removed
 afterwards; the change side is this checkout as it stands on disk. Each
@@ -14,7 +14,9 @@ pair runs ``perfbench/run.py`` once per side, each run in its own process
 from its own checkout. Even pairs run the base first and odd pairs the
 change first, because whichever side runs first tends to read faster.
 ``--pairs`` pairs with ``--trace 0`` give the end-to-end metrics, then
-``--traced-pairs`` pairs with ``--trace 1`` give the per-layer ones.
+three pairs with ``--trace 1`` give the per-layer ones. Every run takes
+``run.py``'s default seed; ``--seconds`` defaults to the ``run_seconds``
+that ``BENCHMARK.json`` declares.
 
 Every run of both sides must print the same two SHA-256 digests (pair
 list and graph report) and the same failures per round; otherwise nothing
@@ -41,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_PAIRS = 3
 
 
 def git(*args: str) -> bytes:
@@ -54,9 +57,9 @@ def export(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     """One benchmark process: its JSON result, digests and failures per round."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if proc.returncode not in (0, 1):
@@ -74,7 +77,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             "attempted_per_round": per_round}
 
 
-def alternate(sides: dict[str, Path], pairs: int, workload: str, seed: int,
+def alternate(sides: dict[str, Path], pairs: int, workload: str,
               seconds: float, trace: int) -> list[dict[str, dict]]:
     """``pairs`` pairs of runs, one per side; even pairs run the base first."""
     results = []
@@ -82,7 +85,7 @@ def alternate(sides: dict[str, Path], pairs: int, workload: str, seed: int,
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
-            pair[side] = run_once(sides[side], workload, seed, seconds, trace)
+            pair[side] = run_once(sides[side], workload, seconds, trace)
             shown = ", ".join(f"{m} {v:.6g}" for m, v in list(pair[side]["metrics"].items())[:2])
             print(f"{workload} trace={trace} pair {k} {side}: {shown}", file=sys.stderr)
         results.append(pair)
@@ -136,14 +139,12 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git ref of the parent side")
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: the workloads BENCHMARK.json gates")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced-pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=float(declared["run_seconds"]))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     base = git("rev-parse", "--short", args.base).decode().strip()
     head = git("rev-parse", "--short", "HEAD").decode().strip()
@@ -154,11 +155,11 @@ def main(argv=None) -> int:
         sides = {"parent": Path(tmp), "change": ROOT}
         gated = [w["name"] for w in declared["workloads"]]
         for workload in args.workload or gated:
-            e2e = alternate(sides, args.pairs, workload, args.seed, args.seconds, 0)
-            traced = alternate(sides, args.traced_pairs, workload, args.seed, args.seconds, 1)
+            e2e = alternate(sides, args.pairs, workload, args.seconds, 0)
+            traced = alternate(sides, TRACED_PAIRS, workload, args.seconds, 1)
             entry = summarize(e2e, traced, better)
-            entry["command"] = (f"python3 perfbench/run.py --workload {workload} --seed "
-                                f"{args.seed} --seconds {args.seconds:g} --trace 0|1")
+            entry["command"] = (f"python3 perfbench/run.py --workload {workload} "
+                                f"--seconds {args.seconds:g} --trace 0|1")
             doc.setdefault("workloads" if workload in gated else "ungated", {})[workload] = entry
     doc.update({
         "parent": base,
