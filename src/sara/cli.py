@@ -72,14 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out-run-report", default=None,
                           help="also write the run report JSON here")
     p_select.add_argument("--config", default=None, help="JSON config file")
-    p_select.add_argument("--threads", type=int, default=1)
     _add_config_flags(p_select)
 
     p_ablate = sub.add_parser("ablate", help="run all augmentation on/off variants")
     p_ablate.add_argument("--manifest", required=True)
     p_ablate.add_argument("--out-dir", required=True)
     p_ablate.add_argument("--config", default=None, help="JSON config file")
-    p_ablate.add_argument("--threads", type=int, default=1)
     _add_config_flags(p_ablate)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -95,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_select(args) -> int:
     config = _assemble_config(args)
-    report = run_select(args.manifest, config, args.out_pairs, args.out_report,
-                        threads=args.threads)
+    report = run_select(args.manifest, config, args.out_pairs, args.out_report)
     text = report.to_json()
     if args.out_run_report:
         with open(args.out_run_report, "w") as fh:
@@ -107,7 +104,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_ablate(args) -> int:
     config = _assemble_config(args)
-    reports = run_ablation(args.manifest, config, args.out_dir, threads=args.threads)
+    reports = run_ablation(args.manifest, config, args.out_dir)
     summaries = {name: r.summary for name, r in reports.items()}
     print(json.dumps(summaries, indent=2, sort_keys=True))
     return EXIT_OK

@@ -79,6 +79,8 @@ class ImageFeatures:
             raise ValueError("descriptor count must match keypoint count")
         if self.scores is not None and self.scores.shape != (n,):
             raise ValueError("score count must match keypoint count")
+        if self.global_desc.ndim != 1:
+            raise ValueError("global descriptor must be 1-D")
         self._check_values()
         if n:
             norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)

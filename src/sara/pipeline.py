@@ -50,9 +50,7 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, not {threads}")
+def _prepare(manifest_path, config: SaraConfig, timings: dict):
     t0 = time.perf_counter()
     manifest = load_manifest(manifest_path)
     features = [load_features(manifest, image_id) for image_id in manifest.image_ids]
@@ -70,7 +68,7 @@ def _prepare(manifest_path, config: SaraConfig, threads: int, timings: dict):
     timings["retrieve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scores = score_all(features, candidates, config, threads=threads)
+    scores = score_all(features, candidates, config)
     timings["score"] = time.perf_counter() - t0
     return manifest, scores
 
@@ -104,14 +102,19 @@ def _finish(manifest, scores, config: SaraConfig, out_pairs, out_report,
 
 def run_select(manifest_path, config: SaraConfig, out_pairs, out_report,
                threads: int = 1) -> RunReport:
-    """Full selection pass: load, retrieve, score, build graph, write outputs."""
+    """Full selection pass: load, retrieve, score, build graph, write outputs.
+
+    ``threads`` accepts only 1 and raises ValueError otherwise; it goes
+    once the benchmark stops passing ``threads=1`` (ROADMAP item 1).
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, not {threads}")
     timings: dict[str, float] = {}
-    manifest, scores = _prepare(manifest_path, config, threads, timings)
+    manifest, scores = _prepare(manifest_path, config, timings)
     return _finish(manifest, scores, config, out_pairs, out_report, timings)
 
 
-def run_ablation(manifest_path, config: SaraConfig, out_dir,
-                 threads: int = 1) -> dict[str, RunReport]:
+def run_ablation(manifest_path, config: SaraConfig, out_dir) -> dict[str, RunReport]:
     """All eight augmentation on/off variants over one shared scoring pass.
 
     Writes ``<name>.pairs.txt`` and ``<name>.report.json`` per variant
@@ -122,7 +125,7 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    manifest, scores = _prepare(manifest_path, config, threads, timings)
+    manifest, scores = _prepare(manifest_path, config, timings)
     seen: set[str] = set()
 
     def first_time(record: logging.LogRecord) -> bool:

@@ -11,7 +11,6 @@ the decision stays re-checkable from the stored numbers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,24 +148,15 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
                      model=model, rejected=reason)
 
 
-def score_all(features, candidates, config: SaraConfig,
-              threads: int = 1) -> dict[tuple[int, int], PairScore]:
-    """Score every candidate pair; deterministic for a given config seed.
+def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int], PairScore]:
+    """Score every candidate pair, in sorted order on the calling thread.
 
     ``features`` is the loaded feature list in manifest order;
     ``candidates`` is any iterable of canonical (i, j) pairs indexing into
     it. Pair (i, j) is scored with stream id ``i * n + j``, so its robust
-    search draws from its own counter-based generator and results do not
-    depend on thread count or scheduling.
+    search draws from its own counter-based generator and each score
+    depends only on the pair, the features and the config seed.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, not {threads}")
     n = len(features)
-    pairs = sorted(candidates)
-    if threads == 1:
-        return {(i, j): score_pair(features[i], features[j], config, i * n + j)
-                for i, j in pairs}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {(i, j): pool.submit(score_pair, features[i], features[j], config, i * n + j)
-                   for i, j in pairs}
-        return {pair: future.result() for pair, future in futures.items()}
+    return {(i, j): score_pair(features[i], features[j], config, i * n + j)
+            for i, j in sorted(candidates)}

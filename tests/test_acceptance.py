@@ -9,8 +9,12 @@ to make a red check green.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,21 +275,36 @@ def test_6_connectivity_and_budgets(capsys):
 
 
 def test_7_determinism_across_threads(tmp_path, capsys):
-    """Same manifest, config, seed: byte-identical outputs at any thread count."""
+    """Same manifest, config, seed: byte-identical outputs on every run and
+    whether or not numpy's OpenBLAS runs its worker threads."""
     failures = []
-    scene = generate_orbit_scene(12, 300, seed=2)
+    # about 1,800 keypoints per view, so the descriptor product is large
+    # enough for OpenBLAS to split across its threads
+    scene = generate_orbit_scene(6, 6000, noise_px=0.5, descriptor_dim=128)
     manifest = dump_scene(scene, tmp_path / "scene")
-    outs = []
-    for threads in (1, 4):
-        pairs = tmp_path / f"pairs_t{threads}.txt"
-        report = tmp_path / f"report_t{threads}.json"
-        run_select(manifest, SaraConfig(), pairs, report, threads=threads)
-        outs.append((pairs.read_bytes(), report.read_bytes()))
-    if outs[0][0] != outs[1][0]:
-        failures.append("pair lists differ between threads=1 and threads=4")
-    if outs[0][1] != outs[1][1]:
-        failures.append("graph reports differ between threads=1 and threads=4")
-    _verdict(capsys, 7, "determinism across thread counts", failures)
+    outs = {}
+    for name in ("first", "second"):
+        pairs, report = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+        run_select(manifest, SaraConfig(), pairs, report)
+        outs[name] = (pairs.read_bytes(), report.read_bytes())
+    pairs, report = tmp_path / "blas1.txt", tmp_path / "blas1.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "sara", "select",
+                             "--manifest", str(manifest),
+                             "--out-pairs", str(pairs), "--out-report", str(report)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    if result.returncode != 0:
+        failures.append(f"OPENBLAS_NUM_THREADS=1 run exited {result.returncode}: "
+                        f"{result.stderr}")
+    else:
+        outs["OPENBLAS_NUM_THREADS=1"] = (pairs.read_bytes(), report.read_bytes())
+    for name, (pair_bytes, report_bytes) in outs.items():
+        if pair_bytes != outs["first"][0]:
+            failures.append(f"pair list of the {name} run differs from the first")
+        if report_bytes != outs["first"][1]:
+            failures.append(f"graph report of the {name} run differs from the first")
+    _verdict(capsys, 7, "determinism across runs and BLAS threads", failures)
 
 
 def _random_features(rng, image_id):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,6 +75,19 @@ class TestValidation:
                               image_size=feats.image_size)
         with pytest.raises(ValueError):
             feats.validate()
+
+    @pytest.mark.parametrize("d_g,shape", [(8, (4, 2)), (1, ())], ids=["2d", "0d"])
+    def test_global_desc_not_1d_not_written(self, tmp_path, d_g, shape):
+        # unit norm, so only the shape check can refuse it; a written (4, 2)
+        # copy would record d_g = 4 and hold 8 values
+        feats = make_features(d_g=d_g)
+        feats = dataclasses.replace(feats, global_desc=feats.global_desc.reshape(shape))
+        with pytest.raises(ValueError, match="1-D"):
+            feats.validate()
+        path = tmp_path / "f.sarf"
+        with pytest.raises(ValueError, match="1-D"):
+            write_features(feats, path)
+        assert not path.exists()
 
     def test_score_range(self):
         feats = make_features(with_scores=True)

@@ -67,17 +67,17 @@ class TestRunSelect:
                             tmp_path / "r.json")
         assert report.summary["edges_by_role"]["tree"] == 11
 
-    def test_byte_determinism_across_threads(self, dataset, tmp_path):
+    def test_byte_determinism_across_runs(self, dataset, tmp_path):
         outs = []
-        for name, threads in (("a", 1), ("b", 4)):
+        for name in ("a", "b"):
             pairs = tmp_path / f"{name}.txt"
             rep = tmp_path / f"{name}.json"
-            run_select(dataset, SaraConfig(), pairs, rep, threads=threads)
+            run_select(dataset, SaraConfig(), pairs, rep)
             outs.append((pairs.read_bytes(), rep.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_threads_below_one_rejected(self, dataset, tmp_path):
-        for threads in (0, -3):
+    def test_threads_other_than_one_rejected(self, dataset, tmp_path):
+        for threads in (0, -3, 2):
             with pytest.raises(ValueError, match="threads"):
                 run_select(dataset, SaraConfig(), tmp_path / "p.txt", tmp_path / "r.json",
                            threads=threads)
@@ -302,20 +302,19 @@ class TestCliSelect:
         assert "need at least 2 images" in capsys.readouterr().err
         assert "clamping" not in caplog.text
 
-    @pytest.mark.parametrize("document,extra", [
-        ("5", []),
-        ('"abc"', []),
-        ('{"k": "5"}', []),
-        ('{"k": 2.5}', []),
-        ('{"seed": 1.5}', []),
-        ('{"use_loops": "no"}', []),
-        ('{"tau_o": NaN}', []),
-        ('{"parallax_cap": Infinity}', []),
-        ("{}", ["--threads", "0"]),
+    @pytest.mark.parametrize("document", [
+        "5",
+        '"abc"',
+        '{"k": "5"}',
+        '{"k": 2.5}',
+        '{"seed": 1.5}',
+        '{"use_loops": "no"}',
+        '{"tau_o": NaN}',
+        '{"parallax_cap": Infinity}',
     ], ids=["number", "string", "k_string", "k_float", "seed_float", "use_loops_string",
-            "tau_o_nan", "parallax_cap_inf", "threads_zero"])
+            "tau_o_nan", "parallax_cap_inf"])
     def test_bad_config_or_threads_exits_one_before_loading(self, dataset, tmp_path, capsys,
-                                                            monkeypatch, document, extra):
+                                                            monkeypatch, document):
         import sara.pipeline as pipeline_mod
 
         def never(*args, **kwargs):
@@ -324,7 +323,7 @@ class TestCliSelect:
         monkeypatch.setattr(pipeline_mod, "load_features", never)
         config = tmp_path / "c.json"
         config.write_text(document)
-        code = main(["select", "--manifest", str(dataset), "--config", str(config), *extra,
+        code = main(["select", "--manifest", str(dataset), "--config", str(config),
                      "--out-pairs", str(tmp_path / "p.txt"),
                      "--out-report", str(tmp_path / "r.json")])
         assert code == 1, capsys.readouterr().err
@@ -342,6 +341,16 @@ class TestCliSelect:
                   "--out-pairs", str(tmp_path / "p.txt"),
                   "--out-report", str(tmp_path / "r.json")])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["select", "ablate"])
+    def test_threads_flag_is_unknown(self, dataset, tmp_path, command):
+        outputs = {"select": ["--out-pairs", str(tmp_path / "p.txt"),
+                              "--out-report", str(tmp_path / "r.json")],
+                   "ablate": ["--out-dir", str(tmp_path / "ablate")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(dataset), "--threads", "1", *outputs])
+        assert exc.value.code == 1
+        assert not list(tmp_path.iterdir())
 
     def test_internal_error_exits_three(self, dataset, tmp_path, capsys,
                                         monkeypatch):
@@ -435,7 +444,7 @@ class TestCliAblate:
     def test_ablate_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "ablate"
         code = main(["ablate", "--manifest", str(dataset),
-                     "--out-dir", str(out), "--threads", "2"])
+                     "--out-dir", str(out)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == set(ABLATION_VARIANTS)

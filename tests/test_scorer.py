@@ -457,20 +457,6 @@ class TestScoreAll:
                    for s in scores.values()) == n - 1
         assert searched and sorted(streams) == searched
 
-    def test_thread_count_irrelevant(self, orbit20_features):
-        cfg = SaraConfig()
-        pairs = {(i, j) for i in range(8) for j in range(i + 1, 9)}
-        seq = score_all(orbit20_features, pairs, cfg, threads=1)
-        par = score_all(orbit20_features, pairs, cfg, threads=4)
-        assert set(seq) == set(par)
-        for key in seq:
-            assert_same_score(seq[key], par[key])
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_rejected(self, orbit20_features, threads):
-        with pytest.raises(ValueError, match="threads"):
-            score_all(orbit20_features, {(0, 1)}, SaraConfig(), threads=threads)
-
     def test_rejection_reasons_recheckable(self, orbit20_features):
         cfg = SaraConfig()
         pairs = {(i, j) for i in range(20) for j in range(i + 1, 20)}
