@@ -62,15 +62,6 @@ class TwoViewModel:
     translation: np.ndarray | None = None
     triangulation_angles: np.ndarray | None = None
 
-    def swapped(self) -> "TwoViewModel":
-        """The same model with the roles of image a and b exchanged."""
-        rot = None if self.rotation is None else self.rotation.T
-        tr = None if self.translation is None else -(self.rotation.T @ self.translation)
-        return TwoViewModel(
-            matrix=self.matrix.T.copy(), inliers=self.inliers,
-            rotation=rot, translation=tr,
-            triangulation_angles=self.triangulation_angles)
-
 
 def _search_points(corrs, calib) -> np.ndarray:
     """(2, m, 3) homogeneous points of images a and b, each [x y 1]: pixels,

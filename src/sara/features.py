@@ -112,6 +112,10 @@ class ImageFeatures:
                 raise ValueError("intrinsics must be a finite 3x3 matrix")
             if K[0, 0] <= 0 or K[1, 1] <= 0:
                 raise ValueError("focal lengths must be positive")
+            # the robust search maps pixels through np.linalg.inv(K), which
+            # raises exactly when this LU determinant is 0
+            if np.linalg.det(K) == 0:
+                raise ValueError("intrinsics must be invertible")
 
 
 @dataclass(frozen=True)

@@ -70,14 +70,16 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarr
     """Mutual nearest-neighbor correspondences, best-first, at most b.
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
-    neighbor under cosine similarity. Ties in the argmax and in the final
-    ordering break toward lower indices. q's best neighbor is the first
-    hit of column q in the column-maximum mask: the mask's row-major flat
-    hits come in row order, so the lowest hit row per column is the
-    first row that attains the maximum. For finite similarities, which
+    neighbor under cosine similarity. Ties in the argmax break toward
+    lower indices. q's best neighbor is the first hit of column q in the
+    column-maximum mask: the mask's row-major flat hits come in row
+    order, so the lowest hit row per column is the first row that
+    attains the maximum. For finite similarities, which
     ``read_features`` and ``write_features`` enforce, that equals
     ``argmax(sims, axis=0)``, without the transposed copy an argmax along
-    axis 0 makes. Returns a ``correspondences`` record array, of length 0
+    axis 0 makes. The mutual matches come in ascending p, one per p, so
+    a stable sort on similarity breaks ties in the final ordering toward
+    lower p. Returns a ``correspondences`` record array, of length 0
     when either image has no keypoints.
     """
     if fa.n_keypoints == 0 or fb.n_keypoints == 0:
@@ -90,7 +92,7 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarr
     p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
     q = best_ab[p]
     s = sims[p, q]
-    keep = np.lexsort((q, p, -s))[:b]
+    keep = np.argsort(-s, kind="stable")[:b]
     p, q = p[keep], q[keep]
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
@@ -106,18 +108,15 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
                stream: int = 0) -> PairScore:
     """Score one candidate pair.
 
-    The computation is canonicalized on image id order, so swapping the
-    arguments returns identical overlap, parallax and weight with the
-    geometry mirrored to match the argument order. Pairs without both
+    The model estimates image b relative to image a in argument order:
+    matches run from ``fa`` to ``fb`` and the pose maps camera a's frame
+    to camera b's. ``score_all`` passes each pair as (i, j), i < j in
+    manifest order, so image names play no part. Pairs without both
     intrinsics get parallax pinned to the rejection threshold, leaving
     overlap to differentiate them. The robust search draws from a
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
     """
-    swap = fa.image_id > fb.image_id
-    if swap:
-        fa, fb = fb, fa
-
     matches = mutual_nn_matches(fa, fb, config.b)
     calibrated = fa.intrinsics is not None and fb.intrinsics is not None
     calib = (fa.intrinsics, fb.intrinsics) if calibrated else None
@@ -140,8 +139,6 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
             reason = RejectReason.BELOW_OVERLAP
         elif parallax < config.tau_p:
             reason = RejectReason.BELOW_PARALLAX
-        if swap:
-            model = model.swapped()
     weight = 0.0 if reason is not None else (
         overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
     return PairScore(overlap=overlap, parallax=parallax, weight=weight,

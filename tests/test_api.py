@@ -1,7 +1,7 @@
 """The public surface: the top-level exports, every name the demos import,
-each demo running to completion, every function the benchmark traces, the
-report and score attributes it reads and the metric names of the committed
-benchmark results."""
+each demo and the README's library example running to completion, every
+function the benchmark traces, the report and score attributes it reads
+and the metric names of the committed benchmark results."""
 
 import ast
 import dataclasses
@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import sara
 from sara.config import SaraConfig
 from sara.pipeline import RunReport
 from sara.scorer import score_pair
+from sara.synth import dump_scene, generate_orbit_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -51,6 +53,15 @@ def test_demo_imports_resolve(demo):
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_example_runs(tmp_path):
+    example = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    dump_scene(generate_orbit_scene(12, 300, seed=2), tmp_path / "scene")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", example.group(1)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 

@@ -320,19 +320,6 @@ class TestShortRansac:
         np.testing.assert_array_equal(m1.inliers, m2.inliers)
         np.testing.assert_array_equal(m1.matrix, m2.matrix)
 
-    def test_swapped_mirrors_model(self):
-        case = gen_frustum_pair(np.random.default_rng(37), n=40)
-        corrs = to_corrs(case.kp_a, case.kp_b)
-        model = short_ransac(corrs, calib=(case.intrinsics, case.intrinsics),
-                             rng=np.random.default_rng(0))
-        back = model.swapped()
-        np.testing.assert_allclose(back.matrix, model.matrix.T)
-        np.testing.assert_allclose(back.rotation @ model.rotation, np.eye(3),
-                                   atol=1e-12)
-        np.testing.assert_allclose(
-            back.translation, -(model.rotation.T @ model.translation), atol=1e-12)
-        assert back.swapped().rotation == pytest.approx(model.rotation)
-
 
 class TestCorrespondences:
     @pytest.mark.parametrize("m", [0, 1, 50])

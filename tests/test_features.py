@@ -271,6 +271,15 @@ class TestReadChecks:
         with pytest.raises(CorruptFile, match="focal lengths must be positive"):
             read_features(path)
 
+    def test_singular_intrinsics_rejected(self, tmp_path):
+        path = tmp_path / "f.sarf"
+        write_features(make_features(with_k=True), path)
+        raw = bytearray(path.read_bytes())
+        raw[78:102] = np.zeros(3).tobytes()   # K's last row
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptFile, match="f.sarf: intrinsics must be invertible"):
+            read_features(path)
+
 
 class TestManifest:
     def test_load_ok(self, tmp_path):
@@ -353,7 +362,11 @@ class TestManifest:
     @pytest.mark.parametrize("K", [
         [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0]],
         [[-800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]],
-    ], ids=["not_3x3", "negative_focal"])
+        [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 0.0]],
+        # cofactor expansion gives 2.8e-17 here, but LU elimination, which
+        # np.linalg.inv runs, reaches an exact zero pivot
+        [[1.0, 0.0, 0.1], [0.0, 1.0, 0.3], [1.0, 1.0, 0.4]],
+    ], ids=["not_3x3", "negative_focal", "singular", "singular_in_lu"])
     def test_invalid_manifest_intrinsics(self, tmp_path, K):
         mpath = write_dataset(tmp_path)
         data = json.loads(mpath.read_text())

@@ -76,6 +76,32 @@ class TestRunSelect:
             outs.append((pairs.read_bytes(), rep.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_outputs_independent_of_image_names(self, tmp_path):
+        # ids that sort opposite to manifest order; pairs are oriented by
+        # manifest order, so only the names in the outputs may change
+        scene = generate_orbit_scene(n_cameras=8, n_points=300, noise_px=0.5, seed=0)
+        manifest = dump_scene(scene, tmp_path / "scene")
+        data = json.loads(manifest.read_text())
+        ids = [entry["image_id"] for entry in data["entries"]]
+        renamed_ids = [f"z{len(ids) - k:04d}" for k in range(len(ids))]
+        for entry, new_id in zip(data["entries"], renamed_ids):
+            entry["image_id"] = new_id
+        renamed = manifest.with_name("renamed.json")
+        renamed.write_text(json.dumps(data))
+        to_original = dict(zip(renamed_ids, ids))
+
+        outs = []
+        for name, path, id_of in (("original", manifest, str),
+                                  ("renamed", renamed, to_original.get)):
+            run_select(path, SaraConfig(), tmp_path / f"{name}.txt", tmp_path / f"{name}.json")
+            pairs = {frozenset(map(id_of, line.split()))
+                     for line in (tmp_path / f"{name}.txt").read_text().splitlines()}
+            doc = json.loads((tmp_path / f"{name}.json").read_text())
+            for edge in doc["edges"]:
+                edge["a"], edge["b"] = id_of(edge["a"]), id_of(edge["b"])
+            outs.append((pairs, doc))
+        assert outs[0] == outs[1]
+
     def test_threads_other_than_one_rejected(self, dataset, tmp_path):
         for threads in (0, -3, 2):
             with pytest.raises(ValueError, match="threads"):
@@ -237,10 +263,12 @@ class TestCliSelect:
             intrinsics=[[900.0, 0.0, 512.0], [0.0, 900.0, 384.0]]),
         lambda d: d["entries"][0].update(
             intrinsics=[[-900.0, 0.0, 512.0], [0.0, 900.0, 384.0], [0.0, 0.0, 1.0]]),
+        lambda d: d["entries"][0].update(
+            intrinsics=[[900.0, 0.0, 512.0], [0.0, 900.0, 384.0], [0.0, 0.0, 0.0]]),
         lambda d: d["entries"][3].update(path=d["entries"][3]["path"] + ".gone"),
         lambda d: d.update(descriptor_dim=d["descriptor_dim"] + 1),
     ], ids=["no_path", "entries_object", "whitespace_id", "intrinsics_not_3x3",
-            "negative_focal", "missing_file", "dim_mismatch"])
+            "negative_focal", "singular_intrinsics", "missing_file", "dim_mismatch"])
     def test_malformed_manifest_exits_two_before_scoring(self, dataset, tmp_path, capsys,
                                                          monkeypatch, mutate):
         import sara.pipeline as pipeline_mod
