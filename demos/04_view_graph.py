@@ -30,7 +30,8 @@ graph = build_view_graph(scores, scene.n_cameras, config)
 roles = {}
 for _, role in graph.selected_edges:
     roles[role.value] = roles.get(role.value, 0) + 1
-degrees = [graph.degree(v) for v in range(scene.n_cameras)]
+degrees = np.bincount([v for edge, _ in graph.selected_edges for v in edge],
+                      minlength=scene.n_cameras)
 print("selected edges by role:", roles)
 print(f"components: {len(graph.components)}, "
       f"degrees {min(degrees)} to {max(degrees)}")

@@ -49,11 +49,7 @@ class SaraConfig:
     parallax_cap: float = _knob(30.0 * DEG, "parallax saturation, radians")
     budget_loop: int | None = _budget("loop budget", "budget_loop")
     budget_anchor: int | None = _budget("anchor budget", "budget_anchor")
-    budget_weak: int = _knob(2, "support edges per weak view")
     budget_weak_total: int | None = _budget("weak-edge global cap", "budget_weak_total")
-    weak_degree_threshold: int = _knob(1, "tree degree at or below which a view is weak")
-    loop_short_max: int = _knob(4, "upper path length of the short loop bin")
-    loop_medium_max: int = _knob(10, "upper path length of the medium loop bin")
     # the stages the command line's --disable-* switches skip
     use_loops: bool = _knob(True, "loop-closure stage")
     use_anchors: bool = _knob(True, "anchor stage")
@@ -86,13 +82,10 @@ class SaraConfig:
             raise ValueError("thresholds must be >= 0")
         if self.parallax_cap <= 0:
             raise ValueError("parallax_cap must be > 0")
-        for name in ("budget_loop", "budget_anchor", "budget_weak_total", "budget_weak",
-                     "weak_degree_threshold", "seed"):
+        for name in ("budget_loop", "budget_anchor", "budget_weak_total", "seed"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not 2 <= self.loop_short_max < self.loop_medium_max:
-            raise ValueError("loop bins must satisfy 2 <= short_max < medium_max")
 
     def budget(self, name: str, n_images: int) -> int:
         """The named budget field, or its share of ``n_images`` rounded up if None."""

@@ -107,15 +107,7 @@ class ImageFeatures:
             if (self.scores < 0).any() or (self.scores > 1).any():
                 raise ValueError("scores must lie in [0, 1]")
         if self.intrinsics is not None:
-            K = self.intrinsics
-            if K.shape != (3, 3) or not np.isfinite(K).all():
-                raise ValueError("intrinsics must be a finite 3x3 matrix")
-            if K[0, 0] <= 0 or K[1, 1] <= 0:
-                raise ValueError("focal lengths must be positive")
-            # the robust search maps pixels through np.linalg.inv(K), which
-            # raises exactly when this LU determinant is 0
-            if np.linalg.det(K) == 0:
-                raise ValueError("intrinsics must be invertible")
+            _check_intrinsics(self.intrinsics)
 
 
 @dataclass(frozen=True)
@@ -142,6 +134,19 @@ class DatasetManifest:
     def _by_id(self) -> dict[str, ManifestEntry]:
         # built once per manifest; the first entry wins a repeated id
         return {e.image_id: e for e in reversed(self.entries)}
+
+
+def _check_intrinsics(K: np.ndarray) -> None:
+    """Raise ValueError unless K is a finite, invertible 3x3 matrix with
+    positive focal lengths."""
+    if K.shape != (3, 3) or not np.isfinite(K).all():
+        raise ValueError("intrinsics must be a finite 3x3 matrix")
+    if K[0, 0] <= 0 or K[1, 1] <= 0:
+        raise ValueError("focal lengths must be positive")
+    # the robust search maps pixels through np.linalg.inv(K), which
+    # raises exactly when this LU determinant is 0
+    if np.linalg.det(K) == 0:
+        raise ValueError("intrinsics must be invertible")
 
 
 def _non_finite(keypoints, scores, descriptors, global_desc) -> str | None:
@@ -243,11 +248,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse and check a dataset manifest; opens no feature file.
 
     Checks the JSON structure, that the dimensions are integers, that
-    entries are well-formed with numeric intrinsics, and that image ids
-    are unique and free of whitespace (the pair list separates ids by a
-    space); relative paths are resolved. Whether a referenced file
-    exists, parses and has the manifest's dimensions is checked by
-    ``load_features`` when it reads the file.
+    entries are well-formed, that intrinsics are 3x3 arrays of JSON
+    numbers (not strings or booleans) that pass ``_check_intrinsics``,
+    and that image ids are unique and free of whitespace (the pair list
+    separates ids by a space); relative paths are resolved. Whether a
+    referenced file exists, parses and has the manifest's dimensions is
+    checked by ``load_features`` when it reads the file.
     """
     path = Path(path)
     if not path.exists():
@@ -284,9 +290,13 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         K = item.get("intrinsics")
         if K is not None:
             try:
-                K = np.asarray(K, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise CorruptFile(f"{path}: {image_id}: intrinsics: {exc}") from exc
+                # JSON numbers only: a float64 cast would also take "900" and true
+                if not all(type(v) in (int, float) for v in np.ravel(np.array(K, dtype=object))):
+                    raise ValueError("intrinsics must be an array of numbers")
+                K = np.array(K, dtype=np.float64)
+                _check_intrinsics(K)
+            except (ValueError, OverflowError) as exc:
+                raise CorruptFile(f"{path}: {image_id}: {exc}") from exc
         entries.append(ManifestEntry(image_id=image_id, path=fpath, intrinsics=K))
     return DatasetManifest(entries=tuple(entries), descriptor_dim=d, global_dim=d_g)
 
@@ -313,7 +323,9 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
-    """Load one image's features; manifest intrinsics override the file's."""
+    """Load one image's features; manifest intrinsics, which ``load_manifest``
+    checked, replace the file's. The file is read and checked whole first,
+    so its own invalid intrinsics are refused even when overridden."""
     entry = manifest._by_id.get(image_id)
     if entry is None:
         raise MissingFile(f"image id {image_id!r} not in manifest")
@@ -326,10 +338,6 @@ def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
         raise DimensionMismatch(f"{image_id}: global dim {d_g} != manifest {manifest.global_dim}")
     if entry.intrinsics is not None:
         feats = replace(feats, intrinsics=entry.intrinsics)
-        try:
-            feats._check_values()
-        except ValueError as exc:
-            raise CorruptFile(f"{image_id}: manifest intrinsics: {exc}") from exc
     return feats
 
 

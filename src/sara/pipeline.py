@@ -19,7 +19,7 @@ from .errors import TooFewImages
 from .features import load_features, load_manifest, write_graph_report, write_pair_list
 from .retrieval import cosine_knn
 from .scorer import score_all
-from .viewgraph import build_view_graph, logger as viewgraph_logger
+from .viewgraph import build_view_graph
 
 logger = logging.getLogger(__name__)
 
@@ -73,11 +73,24 @@ def _prepare(manifest_path, config: SaraConfig, timings: dict):
     return manifest, scores
 
 
+def _warn_disconnected(components: list) -> None:
+    """Warn once of a forest: its tree count, then at most 8 trees of at most 8 nodes."""
+    if len(components) > 1:
+        more = len(components) - 8
+        logger.warning(
+            "candidate graph is disconnected: %d components %s%s",
+            len(components),
+            [c[:8] + ["..."] if len(c) > 8 else c for c in components[:8]],
+            f" ... (+{more} more)" if more > 0 else "")
+
+
 def _finish(manifest, scores, config: SaraConfig, out_pairs, out_report,
-            timings: dict) -> RunReport:
+            timings: dict, warn: bool = True) -> RunReport:
     t0 = time.perf_counter()
     graph = build_view_graph(scores, len(manifest), config)
     timings["graph"] = time.perf_counter() - t0
+    if warn:
+        _warn_disconnected(graph.components)
 
     t0 = time.perf_counter()
     ids = manifest.image_ids
@@ -118,32 +131,20 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir) -> dict[str, RunRep
     """All eight augmentation on/off variants over one shared scoring pass.
 
     Writes ``<name>.pairs.txt`` and ``<name>.report.json`` per variant
-    into ``out_dir`` and returns the reports keyed by variant name. A
-    graph-building warning the variants share, such as a disconnected
-    candidate graph, is logged once per call.
+    into ``out_dir`` and returns the reports keyed by variant name. The
+    variants share one spanning forest, so a disconnected candidate graph
+    is logged once per call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     manifest, scores = _prepare(manifest_path, config, timings)
-    seen: set[str] = set()
-
-    def first_time(record: logging.LogRecord) -> bool:
-        line = record.getMessage()
-        new = line not in seen
-        seen.add(line)
-        return new
-
     reports = {}
-    viewgraph_logger.addFilter(first_time)
-    try:
-        for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
-            variant = dataclasses.replace(
-                config, use_loops=loops, use_anchors=anchors, use_weak=weak)
-            reports[name] = _finish(
-                manifest, scores, variant,
-                out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",
-                dict(timings))
-    finally:
-        viewgraph_logger.removeFilter(first_time)
+    for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
+        variant = dataclasses.replace(
+            config, use_loops=loops, use_anchors=anchors, use_weak=weak)
+        reports[name] = _finish(
+            manifest, scores, variant,
+            out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",
+            dict(timings), warn=not reports)
     return reports

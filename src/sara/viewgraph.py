@@ -2,16 +2,18 @@
 augmentation stages, applied in a fixed order.
 
 Stage order is tree, loops, anchors, weak-view support. Loop candidates
-are non-tree edges binned by tree-path length between their endpoints and
-drained round-robin across bins; anchors favor high parallax-times-weight
-with an endpoint-diversity rule; weak-view support tops up views that the
-tree leaves poorly connected or poorly supported. Every ranking breaks
-ties by ascending (i, j), so construction is deterministic.
+are non-tree edges binned by tree-path length between their endpoints
+(short up to ``LOOP_SHORT_MAX``, medium up to ``LOOP_MEDIUM_MAX``, long
+beyond) and drained round-robin across bins; anchors favor high
+parallax-times-weight with an endpoint-diversity rule; weak-view support
+tops up views that the tree leaves poorly connected (tree degree at most
+``WEAK_DEGREE_MAX``) or poorly supported, with at most ``WEAK_PER_VIEW``
+edges each. Every ranking breaks ties by ascending (i, j), so
+construction is deterministic.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -22,9 +24,11 @@ from .config import SaraConfig
 from .errors import EmptyScoreSet
 from .scorer import lower_median
 
-logger = logging.getLogger(__name__)
-
-WEAK_EPS = 1e-6  # regularizer inside the weak-view priority
+LOOP_SHORT_MAX = 4    # chords over at most 4 tree edges close local loops
+LOOP_MEDIUM_MAX = 10  # beyond 10 tree edges a chord closes a long, drift-bounding loop
+WEAK_DEGREE_MAX = 1   # a tree leaf hangs on one edge, so losing that edge cuts it off
+WEAK_PER_VIEW = 2     # two support edges give a weak view a redundant link
+WEAK_EPS = 1e-6       # regularizer inside the weak-view priority
 
 
 class EdgeRole(Enum):
@@ -32,13 +36,6 @@ class EdgeRole(Enum):
     LOOP = "loop"
     ANCHOR = "anchor"
     WEAK = "weak"
-
-
-@dataclass(frozen=True)
-class NodeConfidence:
-    node: int
-    degree_in_tree: int
-    kappa: float  # median incident tree-edge weight, 0 for isolated nodes
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,6 @@ class ViewGraph:
             "n_components": len(self.components),
             "reduction_ratio": (1.0 - n_selected / total) if total else 0.0,
         }
-
-    def degree(self, node: int) -> int:
-        return sum(1 for (i, j), _ in self.selected_edges if node in (i, j))
 
 
 class UnionFind:
@@ -167,29 +161,11 @@ class TreePaths:
         return steps
 
 
-def node_confidences(tree_edges, candidates: dict, n_nodes: int) -> list[NodeConfidence]:
-    """Tree degree and median incident tree-edge weight per node."""
-    incident: list[list[float]] = [[] for _ in range(n_nodes)]
-    for i, j in tree_edges:
-        w = candidates[(i, j)]
-        incident[i].append(w)
-        incident[j].append(w)
-    return [NodeConfidence(node=node, degree_in_tree=len(ws),
-                           kappa=lower_median(ws) if ws else 0.0)
-            for node, ws in enumerate(incident)]
-
-
-def weak_priority(degree_in_tree: int, kappa: float) -> float:
-    """Support priority: grows as tree degree and confidence shrink."""
-    return 1.0 / ((1.0 + degree_in_tree) * (WEAK_EPS + kappa))
-
-
-def add_loops(selected, candidates: dict, paths: TreePaths, config: SaraConfig,
-              budget: int) -> list:
+def add_loops(selected, candidates: dict, paths: TreePaths, budget: int) -> list:
     """Budgeted loop closures, round-robin across path-length bins.
 
     Non-tree candidates whose endpoints share a component are binned by
-    tree-path length (short, medium, long per the config bounds) and
+    tree-path length (short, medium, long per the ``LOOP_*`` bounds) and
     ranked within their bin by weight (the per-bin gain factor is
     constant). Every bin's r-th edge, in long, medium, short order,
     comes before any bin's (r+1)-th; the first ``budget`` edges are taken.
@@ -201,8 +177,7 @@ def add_loops(selected, candidates: dict, paths: TreePaths, config: SaraConfig,
     for edge, w in candidates.items():
         length = None if edge in taken else paths.length(*edge)
         if length is not None:
-            b = (2 if length <= config.loop_short_max
-                 else 1 if length <= config.loop_medium_max else 0)
+            b = 2 if length <= LOOP_SHORT_MAX else 1 if length <= LOOP_MEDIUM_MAX else 0
             bins[b].append((-w, edge))
     keyed = sorted((rank, b, neg_w, edge) for b, members in enumerate(bins)
                    for rank, (neg_w, edge) in enumerate(sorted(members)))
@@ -239,57 +214,50 @@ def add_anchors(selected, candidates: dict, scores, budget: int) -> list:
     return added
 
 
-def add_weak_view_support(selected, candidates: dict, confidences,
-                          config: SaraConfig, budget_total: int) -> list:
+def add_weak_view_support(selected, candidates: dict, tree, n_nodes: int,
+                          budget_total: int) -> list:
     """Support edges for weak views, weakest views first.
 
-    A view is weak if its tree degree is at most the config threshold or
-    its confidence sits below the 25th percentile of all views'. Views are
-    served in descending support priority; each receives up to the
-    per-view budget from its incident remaining candidates (best weight
-    first), subject to the global cap.
+    A view's confidence kappa is the lower median of its incident
+    ``tree`` edge weights, 0 for a view the tree leaves isolated. A view is
+    weak if its tree degree is at most ``WEAK_DEGREE_MAX`` or its kappa
+    sits below the 25th percentile of all views'. Views are served in
+    descending priority 1 / ((1 + degree) (WEAK_EPS + kappa)), ties by
+    node; each receives up to ``WEAK_PER_VIEW`` of its incident remaining
+    candidates (best weight first), subject to the global cap.
     """
-    if budget_total <= 0 or config.budget_weak <= 0:
+    if budget_total <= 0:
         return []
-    kappas = np.asarray([c.kappa for c in confidences])
-    cutoff = float(np.percentile(kappas, 25.0)) if kappas.size else 0.0
-    weak = [c for c in confidences
-            if c.degree_in_tree <= config.weak_degree_threshold or c.kappa < cutoff]
-    weak.sort(key=lambda c: (-weak_priority(c.degree_in_tree, c.kappa), c.node))
+    tree_weights: list[list[float]] = [[] for _ in range(n_nodes)]
+    for i, j in tree:
+        tree_weights[i].append(candidates[(i, j)])
+        tree_weights[j].append(candidates[(i, j)])
+    kappas = [lower_median(ws) if ws else 0.0 for ws in tree_weights]
+    cutoff = float(np.percentile(kappas, 25.0)) if kappas else 0.0
+    weak = sorted((-1.0 / ((1.0 + len(ws)) * (WEAK_EPS + kappa)), node)
+                  for node, (ws, kappa) in enumerate(zip(tree_weights, kappas))
+                  if len(ws) <= WEAK_DEGREE_MAX or kappa < cutoff)
 
     taken = {e for e, _ in selected}
-    incident: dict[int, list] = {}
-    for edge, w in candidates.items():
-        if edge in taken:
-            continue
-        for node in edge:
-            incident.setdefault(node, []).append((edge, w))
-    for node in incident:
-        incident[node].sort(key=lambda ew: (-ew[1], ew[0]))
-
-    added = []
-    added_set: set = set()
-    for conf in weak:
-        if len(added) >= budget_total:
-            break
-        grabbed = 0
-        for edge, _ in incident.get(conf.node, []):
-            if grabbed >= config.budget_weak or len(added) >= budget_total:
-                break
-            if edge in added_set:
-                continue
-            added.append((edge, EdgeRole.WEAK))
-            added_set.add(edge)
-            grabbed += 1
-    return added
+    incident: list[list] = [[] for _ in range(n_nodes)]   # best weight first
+    for _, edge in sorted((-w, e) for e, w in candidates.items() if e not in taken):
+        incident[edge[0]].append(edge)
+        incident[edge[1]].append(edge)
+    added: dict = {}   # edge -> role, in insertion order
+    for _, node in weak:
+        fresh = [edge for edge in incident[node] if edge not in added]
+        for edge in fresh[:min(WEAK_PER_VIEW, budget_total - len(added))]:
+            added[edge] = EdgeRole.WEAK
+    return list(added.items())
 
 
 def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     """Assemble the selected edge set: tree, then loops, anchors, weak support.
 
     ``scores`` maps canonical (i, j) pairs to PairScores; rejected pairs
-    are excluded from candidacy. Disconnected candidate graphs produce a
-    spanning forest and a prominent warning instead of an error.
+    are excluded from candidacy. A disconnected candidate graph gives a
+    spanning forest, whose trees are listed in ``components``; this
+    function logs nothing about it.
     """
     if not scores:
         raise EmptyScoreSet("no scored pairs")
@@ -297,24 +265,14 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     tree = max_spanning_tree(candidates, n_nodes)
     selected = [(edge, EdgeRole.TREE) for edge in tree]
     paths = TreePaths(tree, n_nodes)
-    components = paths.components
-    if len(components) > 1:
-        more = len(components) - 8
-        logger.warning(
-            "candidate graph is disconnected: %d components %s%s",
-            len(components),
-            [c[:8] + ["..."] if len(c) > 8 else c for c in components[:8]],
-            f" ... (+{more} more)" if more > 0 else "")
-
     if config.use_loops:
-        selected += add_loops(selected, candidates, paths, config,
+        selected += add_loops(selected, candidates, paths,
                               config.budget("budget_loop", n_nodes))
     if config.use_anchors:
         selected += add_anchors(selected, candidates, scores,
                                 config.budget("budget_anchor", n_nodes))
     if config.use_weak:
-        confidences = node_confidences(tree, candidates, n_nodes)
-        selected += add_weak_view_support(selected, candidates, confidences, config,
+        selected += add_weak_view_support(selected, candidates, tree, n_nodes,
                                           config.budget("budget_weak_total", n_nodes))
     return ViewGraph(n_nodes=n_nodes, candidate_edges=candidates,
-                     selected_edges=selected, components=components)
+                     selected_edges=selected, components=paths.components)

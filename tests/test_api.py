@@ -1,7 +1,7 @@
 """The public surface: the top-level exports, every name the demos import,
 each demo and the README's library example running to completion, every
-function the benchmark traces, the report and score attributes it reads
-and the metric names of the committed benchmark results."""
+function the benchmark traces, the report, score and config attributes it
+reads and the metric names of the committed benchmark results."""
 
 import ast
 import dataclasses
@@ -97,6 +97,18 @@ def test_benchmark_reads_run_report_fields():
             read.add(node.attr)
     assert read
     assert read <= {f.name for f in dataclasses.fields(RunReport)}
+
+
+def test_benchmark_reads_config_fields():
+    # the benchmark reads ``config.<name>`` off the SaraConfig it runs with; a
+    # field it reads that the config lost would fail only when it runs
+    read = set()
+    for name in ("checks.py", "run.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and getattr(node.value, "id", None) == "config"}
+    assert {"k", "b", "alpha", "beta", "parallax_cap", "use_weak"} <= read
+    assert read <= {f.name for f in dataclasses.fields(SaraConfig)}
 
 
 def score_reads(path: Path):

@@ -34,11 +34,11 @@ def test_defaults_are_valid():
     ("tau_p", -0.001),
     ("parallax_cap", 0.0),
     ("budget_loop", -1),
-    ("budget_weak", -2),
-    ("weak_degree_threshold", -1),
+    ("budget_anchor", -1),
+    ("budget_weak_total", -3),
     ("seed", -1),
-    ("loop_short_max", 1),
-    ("loop_medium_max", 4),   # must exceed loop_short_max
+    ("seed", True),
+    ("beta", 0.0),
     # wrong types, as a JSON config file can carry them; bool is no number
     ("k", "5"),
     ("k", 2.5),

@@ -76,6 +76,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             feats.validate()
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda f: dict(keypoints=np.zeros((12, 3), np.float32)), "keypoints must be"),
+        (lambda f: dict(scores=f.scores[:5]), "score count must match"),
+        (lambda f: dict(image_size=(0, 480)), "image size must be positive"),
+    ], ids=["keypoints_not_n_by_2", "score_count", "zero_width"])
+    def test_shape_and_size_checks(self, change, message):
+        feats = make_features(with_scores=True)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(feats, **change(feats)).validate()
+
     @pytest.mark.parametrize("d_g,shape", [(8, (4, 2)), (1, ())], ids=["2d", "0d"])
     def test_global_desc_not_1d_not_written(self, tmp_path, d_g, shape):
         # unit norm, so only the shape check can refuse it; a written (4, 2)
@@ -349,15 +359,31 @@ class TestManifest:
         lambda es: [es[0], dict(es[1], image_id="img 1"), es[2]],
         lambda es: [es[0], dict(es[1], image_id=""), es[2]],
         lambda es: [es[0], dict(es[1], intrinsics="eye"), es[2]],
+        lambda es: [es[0], dict(es[1], intrinsics=[["900", "0", "512"], ["0", "900", "384"],
+                                                   ["0", "0", "1"]]), es[2]],
+        lambda es: [es[0], dict(es[1], intrinsics=[[900, 0, 512], [0, 900, 384],
+                                                   [0, 0, True]]), es[2]],
     ], ids=["no_path", "no_image_id", "numeric_image_id", "entry_not_object",
-            "entries_not_list", "whitespace_id", "empty_id", "intrinsics_not_numeric"])
+            "entries_not_list", "whitespace_id", "empty_id", "intrinsics_not_numeric",
+            "intrinsics_strings", "intrinsics_bool"])
     def test_malformed_entries(self, tmp_path, mutate):
         mpath = write_dataset(tmp_path)
         data = json.loads(mpath.read_text())
         data["entries"] = mutate(data["entries"])
         mpath.write_text(json.dumps(data))
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile, match="manifest.json"):
             load_manifest(mpath)
+
+    def test_write_manifest_round_trip_with_intrinsics(self, tmp_path):
+        K = np.array([[800.0, 0.0, 320.5], [0.0, 810.0, 240.25], [0.0, 0.0, 1.0]])
+        entries = (ManifestEntry("a", tmp_path / "a.sarf", intrinsics=K),
+                   ManifestEntry("b", tmp_path / "b.sarf"))
+        write_manifest(DatasetManifest(entries, descriptor_dim=128, global_dim=64),
+                       tmp_path / "manifest.json")
+        manifest = load_manifest(tmp_path / "manifest.json")
+        assert manifest.image_ids == ["a", "b"]
+        np.testing.assert_array_equal(manifest.entries[0].intrinsics, K)
+        assert manifest.entries[1].intrinsics is None
 
     @pytest.mark.parametrize("K", [
         [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0]],
@@ -372,8 +398,24 @@ class TestManifest:
         data = json.loads(mpath.read_text())
         data["entries"][0]["intrinsics"] = K
         mpath.write_text(json.dumps(data))
+        with pytest.raises(CorruptFile, match="manifest.json: img_0: "):
+            load_manifest(mpath)
+
+    def test_invalid_file_intrinsics_refused_despite_override(self, tmp_path):
+        # load_features reads and checks the whole file before the manifest's
+        # valid K replaces its singular one, so the file is refused
+        mpath = write_dataset(tmp_path)
+        path = tmp_path / "img_0.sarf"
+        write_features(make_features("img_0", with_k=True), path)
+        raw = bytearray(path.read_bytes())
+        raw[78:102] = np.zeros(3).tobytes()   # K's last row
+        path.write_bytes(bytes(raw))
+        data = json.loads(mpath.read_text())
+        data["entries"][0]["intrinsics"] = [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0],
+                                            [0.0, 0.0, 1.0]]
+        mpath.write_text(json.dumps(data))
         manifest = load_manifest(mpath)
-        with pytest.raises(CorruptFile, match="img_0"):
+        with pytest.raises(CorruptFile, match="img_0.sarf: intrinsics must be invertible"):
             load_features(manifest, "img_0")
 
     def test_unknown_image_id(self, tmp_path):

@@ -183,12 +183,12 @@ def disconnected(tmp_path_factory):
 
 def disconnected_warnings(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records
-            if r.name == "sara.viewgraph" and "disconnected" in r.getMessage()]
+            if r.name == "sara.pipeline" and "disconnected" in r.getMessage()]
 
 
 class TestDisconnectedWarning:
     def test_run_select_warns_once(self, disconnected, tmp_path, caplog):
-        with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+        with caplog.at_level(logging.WARNING, logger="sara.pipeline"):
             report = run_select(disconnected, SaraConfig(), tmp_path / "p.txt",
                                 tmp_path / "r.json")
         assert report.summary["n_components"] == 2
@@ -197,7 +197,7 @@ class TestDisconnectedWarning:
 
     def test_run_ablation_warns_once_per_call(self, disconnected, tmp_path, caplog):
         for call in (1, 2):
-            with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+            with caplog.at_level(logging.WARNING, logger="sara.pipeline"):
                 reports = run_ablation(disconnected, SaraConfig(), tmp_path / f"out{call}")
             assert len(reports) == len(ABLATION_VARIANTS)
             assert len(disconnected_warnings(caplog)) == call
@@ -339,8 +339,9 @@ class TestCliSelect:
         '{"use_loops": "no"}',
         '{"tau_o": NaN}',
         '{"parallax_cap": Infinity}',
+        '{"loop_short_max": 4}',
     ], ids=["number", "string", "k_string", "k_float", "seed_float", "use_loops_string",
-            "tau_o_nan", "parallax_cap_inf"])
+            "tau_o_nan", "parallax_cap_inf", "removed_key"])
     def test_bad_config_or_threads_exits_one_before_loading(self, dataset, tmp_path, capsys,
                                                             monkeypatch, document):
         import sara.pipeline as pipeline_mod

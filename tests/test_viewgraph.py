@@ -10,9 +10,10 @@ from sara.errors import EmptyScoreSet
 from sara.retrieval import cosine_knn
 from sara.scorer import PairScore, RejectReason, score_all
 from sara.synth import oracle_mst
-from sara.viewgraph import (EdgeRole, TreePaths, ViewGraph, add_anchors,
-                            add_loops, add_weak_view_support, build_view_graph,
-                            max_spanning_tree, node_confidences, weak_priority)
+from sara.pipeline import _warn_disconnected
+from sara.viewgraph import (LOOP_MEDIUM_MAX, LOOP_SHORT_MAX, WEAK_PER_VIEW, EdgeRole,
+                            TreePaths, add_anchors, add_loops, add_weak_view_support,
+                            build_view_graph, max_spanning_tree)
 
 
 def fake_scores(weights, parallax=None, rejected=frozenset()):
@@ -129,26 +130,51 @@ class TestTreePaths:
             assert paths.length(i, j) == bfs(i, j)
 
 
+def weak_support(tree_weights: dict, extra: dict, n_nodes: int, budget: int = 10) -> list:
+    """Edges add_weak_view_support picks, in order, for a tree given as
+    {edge: weight} and the non-tree candidates ``extra``."""
+    tree = list(tree_weights)
+    selected = [(e, EdgeRole.TREE) for e in tree]
+    added = add_weak_view_support(selected, {**tree_weights, **extra}, tree, n_nodes, budget)
+    assert all(role is EdgeRole.WEAK for _, role in added)
+    return [e for e, _ in added]
+
+
 class TestNodeConfidence:
+    """A view's tree degree and confidence kappa, the lower median of its
+    incident tree-edge weights, as seen in the order weak views are served."""
+
     def test_path_medians(self):
-        weights = {(0, 1): 4.0, (1, 2): 2.0}
-        confs = node_confidences([(0, 1), (1, 2)], weights, 3)
-        assert [c.degree_in_tree for c in confs] == [1, 2, 1]
-        assert confs[0].kappa == 4.0
-        assert confs[1].kappa == 2.0   # lower median of {2, 4}
-        assert confs[2].kappa == 2.0
+        # path 0-1-2-3: kappa is [3, 3, 2, 2] (lower medians of {3, 4} and
+        # {4, 2}), so no view falls below the 25th percentile and only the
+        # two leaves are weak; at equal degree leaf 3, with the lower kappa,
+        # is served before leaf 0
+        tree = {(0, 1): 3.0, (1, 2): 4.0, (2, 3): 2.0}
+        extra = {(0, 2): 0.5, (1, 3): 0.5, (0, 3): 0.1}
+        assert weak_support(tree, extra, 4, budget=1) == [(1, 3)]
+        assert weak_support(tree, extra, 4) == [(1, 3), (0, 3), (0, 2)]
 
     def test_isolated_node(self):
-        confs = node_confidences([(0, 1)], {(0, 1): 1.0}, 3)
-        assert confs[2].degree_in_tree == 0
-        assert confs[2].kappa == 0.0
+        # view 3 is outside the tree: degree 0 and kappa 0 put it ahead of
+        # the two degree-1 leaves, whose kappa 0.1 gives them priority 5,
+        # though the leaves' candidate weighs more
+        tree = {(0, 1): 0.1, (1, 2): 0.1}
+        extra = {(0, 2): 0.9, (0, 3): 0.2, (2, 3): 0.3}
+        assert weak_support(tree, extra, 4, budget=1) == [(2, 3)]
+        assert weak_support(tree, extra, 4) == [(2, 3), (0, 3), (0, 2)]
 
     def test_priority_degree_ratio(self):
-        assert weak_priority(1, 0.5) / weak_priority(3, 0.5) == pytest.approx(2.0)
-        assert weak_priority(0, 1.0) > weak_priority(5, 1.0)
+        # the priority is 1 / ((1 + degree) (eps + kappa)): hub 0 (degree 3,
+        # kappa 1, priority 1/4) waits behind leaf 11 (degree 1, kappa 1.5,
+        # priority 1/3) although its kappa is lower
+        tree = {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 5.0, (10, 11): 1.5}
+        tree.update({(v, v + 1): 5.0 for v in range(3, 10)})
+        extra = {(0, 6): 0.2, (4, 11): 0.1}
+        assert weak_support(tree, extra, 12, budget=1) == [(4, 11)]
+        assert weak_support(tree, extra, 12, budget=2) == [(4, 11), (0, 6)]
 
 
-def round_robin_loops(selected, candidates, paths, config, budget):
+def round_robin_loops(selected, candidates, paths, budget):
     """Reference loop stage: per-bin queues drained one edge per bin per pass."""
     taken = {e for e, _ in selected}
     bins = {"short": [], "medium": [], "long": []}
@@ -156,9 +182,9 @@ def round_robin_loops(selected, candidates, paths, config, budget):
         length = None if edge in taken else paths.length(*edge)
         if length is None:
             continue
-        if length <= config.loop_short_max:
+        if length <= LOOP_SHORT_MAX:
             bins["short"].append((edge, w))
-        elif length <= config.loop_medium_max:
+        elif length <= LOOP_MEDIUM_MAX:
             bins["medium"].append((edge, w))
         else:
             bins["long"].append((edge, w))
@@ -183,13 +209,13 @@ class TestAddLoops:
         weights[(0, 11)] = 1.0
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        assert add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 0) == []
+        assert add_loops(selected, weights, TreePaths(tree, 12), 0) == []
 
     def test_no_chords(self):
         weights = self.make_path_tree()
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        assert add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 5) == []
+        assert add_loops(selected, weights, TreePaths(tree, 12), 5) == []
 
     def test_round_robin_long_medium_short(self):
         weights = self.make_path_tree()
@@ -198,7 +224,7 @@ class TestAddLoops:
         weights[(0, 11)] = 1.0   # path length 11: long
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 3)
+        added = add_loops(selected, weights, TreePaths(tree, 12), 3)
         assert added == [((0, 11), EdgeRole.LOOP), ((0, 8), EdgeRole.LOOP),
                          ((0, 3), EdgeRole.LOOP)]
 
@@ -209,7 +235,7 @@ class TestAddLoops:
         weights[(0, 11)] = 1.0
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 2)
+        added = add_loops(selected, weights, TreePaths(tree, 12), 2)
         assert [e for e, _ in added] == [(0, 11), (0, 8)]
 
     def test_second_pass_drains_remaining(self):
@@ -220,7 +246,7 @@ class TestAddLoops:
         weights[(0, 11)] = 1.0   # long
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 5)
+        added = add_loops(selected, weights, TreePaths(tree, 12), 5)
         assert [e for e, _ in added] == [(0, 11), (0, 8), (1, 4), (0, 2)]
 
     def test_within_bin_weight_order(self):
@@ -229,7 +255,7 @@ class TestAddLoops:
         weights[(1, 4)] = 2.0
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 1)
+        added = add_loops(selected, weights, TreePaths(tree, 12), 1)
         assert [e for e, _ in added] == [(1, 4)]
 
     def test_matches_round_robin_reference(self):
@@ -239,21 +265,18 @@ class TestAddLoops:
             # few distinct weights, so rankings tie and fall back to (i, j)
             weights = {e: float(rng.choice([0.25, 0.5, 1.0]))
                        for e in itertools.combinations(range(n), 2) if rng.random() < 0.3}
-            short_max = int(rng.integers(2, 5))
-            config = SaraConfig(loop_short_max=short_max,
-                                loop_medium_max=short_max + int(rng.integers(1, 5)))
             tree = max_spanning_tree(weights, n)
             selected = [(e, EdgeRole.TREE) for e in tree]
             paths = TreePaths(tree, n)
             for budget in (0, 1, 2, 5, 17, len(weights)):
-                assert (add_loops(selected, weights, paths, config, budget)
-                        == round_robin_loops(selected, weights, paths, config, budget))
+                assert (add_loops(selected, weights, paths, budget)
+                        == round_robin_loops(selected, weights, paths, budget))
 
     def test_equal_weight_cycle_single_chord(self):
         weights = {tuple(sorted((i, (i + 1) % 12))): 1.0 for i in range(12)}
         tree = max_spanning_tree(weights, 12)
         selected = [(e, EdgeRole.TREE) for e in tree]
-        added = add_loops(selected, weights, TreePaths(tree, 12), SaraConfig(), 3)
+        added = add_loops(selected, weights, TreePaths(tree, 12), 3)
         assert added == [((10, 11), EdgeRole.LOOP)]
 
 
@@ -315,53 +338,39 @@ class TestAddWeakSupport:
         # leaf-to-leaf candidates the support stage can draw from
         for i in range(1, n_leaves):
             weights[(i, i + 1)] = 0.5 + 0.01 * i
-        confs = node_confidences(tree_edges, weights, n_leaves + 1)
         selected = [(e, EdgeRole.TREE) for e in tree_edges]
-        return selected, weights, confs
+        return selected, weights, tree_edges, n_leaves + 1
 
     def test_leaves_weak_hub_not(self):
-        selected, weights, confs = self.star_setup()
-        hub, leaves = confs[0], confs[1:]
-        assert hub.degree_in_tree == 5
-        assert all(c.degree_in_tree == 1 for c in leaves)
-        added = add_weak_view_support(selected, weights, confs, SaraConfig(), 10)
+        selected, weights, tree, n = self.star_setup()
+        added = add_weak_view_support(selected, weights, tree, n, 10)
         touched = {n for e, _ in added for n in e}
         assert touched and touched <= set(range(1, 6))
         assert all(role is EdgeRole.WEAK for _, role in added)
 
     def test_per_view_budget(self):
-        selected, weights, confs = self.star_setup()
-        cfg = SaraConfig(budget_weak=1)
-        added = add_weak_view_support(selected, weights, confs, cfg, 10)
-        # every edge added on behalf of a view; with budget 1 each view
-        # grabs at most one, and duplicates are never added
-        assert len(added) == len({e for e, _ in added})
-        assert len(added) <= 5
+        # on an equal-weight path only the two ends are weak; end 0 has
+        # three candidates to interior views and takes its best two
+        tree = {(v, v + 1): 1.0 for v in range(5)}
+        extra = {(0, 2): 0.2, (0, 3): 0.3, (0, 4): 0.4}
+        assert WEAK_PER_VIEW == 2
+        assert weak_support(tree, extra, 6) == [(0, 4), (0, 3)]
 
     def test_global_cap(self):
-        selected, weights, confs = self.star_setup()
-        added = add_weak_view_support(selected, weights, confs, SaraConfig(), 2)
+        selected, weights, tree, n = self.star_setup()
+        added = add_weak_view_support(selected, weights, tree, n, 2)
         assert len(added) == 2
 
     def test_zero_budgets(self):
-        selected, weights, confs = self.star_setup()
-        assert add_weak_view_support(selected, weights, confs, SaraConfig(), 0) == []
-        assert add_weak_view_support(selected, weights, confs,
-                                     SaraConfig(budget_weak=0), 10) == []
+        selected, weights, tree, n = self.star_setup()
+        assert add_weak_view_support(selected, weights, tree, n, 0) == []
 
     def test_weakest_first(self):
         # node 3 isolated in tree (degree 0) must be served before leaves
-        tree_edges = [(0, 1), (0, 2)]
-        weights = {e: 1.0 for e in tree_edges}
-        weights[(1, 3)] = 0.3
-        weights[(2, 3)] = 0.4
-        weights[(1, 2)] = 0.5
-        confs = node_confidences(tree_edges, weights, 4)
-        selected = [(e, EdgeRole.TREE) for e in tree_edges]
-        added = add_weak_view_support(selected, weights, confs, SaraConfig(), 2)
-        first_edges = [e for e, _ in added]
+        tree = {(0, 1): 1.0, (0, 2): 1.0}
+        extra = {(1, 3): 0.3, (2, 3): 0.4, (1, 2): 0.5}
         # node 3's best incident candidates come first: (2, 3) then (1, 3)
-        assert first_edges[:2] == [(2, 3), (1, 3)]
+        assert weak_support(tree, extra, 4, budget=2) == [(2, 3), (1, 3)]
 
 
 class TestBuildViewGraph:
@@ -399,22 +408,31 @@ class TestBuildViewGraph:
         assert EdgeRole.LOOP not in roles and EdgeRole.ANCHOR not in roles
 
     def test_disconnected_warns(self, caplog):
+        # the builder only lists the forest's trees; the pipeline warns
         weights = {(0, 1): 1.0, (1, 2): 0.9, (0, 2): 0.8,
                    (3, 4): 1.0, (4, 5): 0.9, (3, 5): 0.8}
-        with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
+        with caplog.at_level(logging.DEBUG):
             graph = build_view_graph(fake_scores(weights), 6, SaraConfig())
-        assert "disconnected" in caplog.text
+            assert not caplog.records
+            _warn_disconnected(graph.components[:1])
+            assert not caplog.records
+            _warn_disconnected(graph.components)
         assert graph.components == [[0, 1, 2], [3, 4, 5]]
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("sara.pipeline", logging.WARNING)
+        assert record.getMessage() == (
+            "candidate graph is disconnected: 2 components [[0, 1, 2], [3, 4, 5]]")
         tree_edges = [e for e, r in graph.selected_edges if r is EdgeRole.TREE]
         assert len(tree_edges) == 4
 
     def test_disconnected_warning_is_bounded(self, caplog):
         # a 20-node chain, then 3980 isolated nodes: 3981 components
         weights = {(i, i + 1): 1.0 for i in range(19)}
-        with caplog.at_level(logging.WARNING, logger="sara.viewgraph"):
-            graph = build_view_graph(fake_scores(weights), 4000, SaraConfig())
+        graph = build_view_graph(fake_scores(weights), 4000, SaraConfig())
         assert len(graph.components) == 3981
-        (record,) = [r for r in caplog.records if "disconnected" in r.getMessage()]
+        with caplog.at_level(logging.WARNING, logger="sara.pipeline"):
+            _warn_disconnected(graph.components)
+        (record,) = caplog.records
         line = record.getMessage()
         assert len(line) < 400
         assert "3981 components" in line
