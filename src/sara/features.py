@@ -112,9 +112,16 @@ class ImageFeatures:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest image; intrinsics, when given, must pass
+    ``_check_intrinsics`` or construction raises ValueError."""
+
     image_id: str
     path: Path
     intrinsics: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.intrinsics is not None:
+            _check_intrinsics(self.intrinsics)
 
 
 @dataclass(frozen=True)
@@ -249,7 +256,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Checks the JSON structure, that the dimensions are integers, that
     entries are well-formed, that intrinsics are 3x3 arrays of JSON
-    numbers (not strings or booleans) that pass ``_check_intrinsics``,
+    numbers (not strings or booleans) that ``ManifestEntry`` accepts,
     and that image ids are unique and free of whitespace (the pair list
     separates ids by a space); relative paths are resolved. Whether a
     referenced file exists, parses and has the manifest's dimensions is
@@ -288,16 +295,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if not fpath.is_absolute():
             fpath = path.parent / fpath
         K = item.get("intrinsics")
-        if K is not None:
-            try:
+        try:
+            if K is not None:
                 # JSON numbers only: a float64 cast would also take "900" and true
                 if not all(type(v) in (int, float) for v in np.ravel(np.array(K, dtype=object))):
                     raise ValueError("intrinsics must be an array of numbers")
                 K = np.array(K, dtype=np.float64)
-                _check_intrinsics(K)
-            except (ValueError, OverflowError) as exc:
-                raise CorruptFile(f"{path}: {image_id}: {exc}") from exc
-        entries.append(ManifestEntry(image_id=image_id, path=fpath, intrinsics=K))
+            entries.append(ManifestEntry(image_id=image_id, path=fpath, intrinsics=K))
+        except (ValueError, OverflowError) as exc:
+            raise CorruptFile(f"{path}: {image_id}: {exc}") from exc
     return DatasetManifest(entries=tuple(entries), descriptor_dim=d, global_dim=d_g)
 
 
@@ -323,7 +329,7 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_features(manifest: DatasetManifest, image_id: str) -> ImageFeatures:
-    """Load one image's features; manifest intrinsics, which ``load_manifest``
+    """Load one image's features; manifest intrinsics, which ``ManifestEntry``
     checked, replace the file's. The file is read and checked whole first,
     so its own invalid intrinsics are refused even when overridden."""
     entry = manifest._by_id.get(image_id)

@@ -11,11 +11,20 @@ import numpy as np
 
 from .errors import InvalidK, TooFewImages
 
+# bytes of similarity rows per selection block
+_BLOCK_BYTES = 1 << 21
+
 
 def cosine_knn(global_descs, k: int) -> frozenset[tuple[int, int]]:
     """Candidate pairs from exact top-k neighbors per image over unit global descriptors.
 
-    Ties in similarity break toward the lower node index. Pairs are
+    Ties in similarity break toward the lower node index: each row keeps
+    every column strictly above its k-th largest similarity, then the
+    lowest-index columns equal to it, which is the first k of a stable
+    descending sort. The similarities are one full ``g @ g.T`` product
+    (a blocked product would change their bits); the selection runs
+    over row blocks of about ``_BLOCK_BYTES``, so beyond that one n x n
+    matrix it holds a few blocks' worth of memory. Pairs are
     deduplicated into canonical (i, j) with i < j.
     """
     g = np.asarray(global_descs, dtype=np.float64)
@@ -33,8 +42,16 @@ def cosine_knn(global_descs, k: int) -> frozenset[tuple[int, int]]:
 
     sims = g @ g.T
     np.fill_diagonal(sims, -np.inf)
-    # stable argsort on negated sims keeps ascending index among ties
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    rows = np.repeat(np.arange(n), k)
-    cols = order.ravel()
-    return frozenset(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
+    pairs: set[tuple[int, int]] = set()
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, step):
+        block = sims[start:start + step]
+        # fancy indexing copies the k-th values, so the partitioned copy is freed
+        kth = np.partition(block, n - k, axis=1)[:, [n - k]]
+        above = block > kth
+        ties = block == kth
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= k - above.sum(axis=1, keepdims=True)
+        rows, cols = np.nonzero(above | ties)
+        rows += start
+        pairs.update(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
+    return frozenset(pairs)

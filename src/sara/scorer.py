@@ -66,7 +66,8 @@ def lower_median(values) -> float:
     return float(arr[(arr.size - 1) // 2])
 
 
-def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarray:
+def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
+                      work: np.ndarray | None = None) -> np.recarray:
     """Mutual nearest-neighbor correspondences, best-first, at most b.
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
@@ -81,15 +82,24 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int) -> np.recarr
     a stable sort on similarity breaks ties in the final ordering toward
     lower p. Returns a ``correspondences`` record array, of length 0
     when either image has no keypoints.
+
+    ``work``, a 1-d float64 array of at least n_a * n_b elements, holds
+    the similarity matrix when given; without it the matrix is
+    allocated. Either way the product is the same full ``np.matmul``,
+    so the matches are bit-identical, and the returned array shares no
+    memory with ``work``.
     """
-    if fa.n_keypoints == 0 or fb.n_keypoints == 0:
+    n_a, n_b = fa.n_keypoints, fb.n_keypoints
+    if n_a == 0 or n_b == 0:
         return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
-    sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+    out = None if work is None else work[:n_a * n_b].reshape(n_a, n_b)
+    sims = np.matmul(fa.descriptors.astype(np.float64), fb.descriptors.astype(np.float64).T,
+                     out=out)
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
     hits = np.flatnonzero(sims == sims.max(axis=0))
-    best_ba = np.full(fb.n_keypoints, fa.n_keypoints)
-    np.minimum.at(best_ba, hits % fb.n_keypoints, hits // fb.n_keypoints)
-    p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
+    best_ba = np.full(n_b, n_a)
+    np.minimum.at(best_ba, hits % n_b, hits // n_b)
+    p = np.flatnonzero(best_ba[best_ab] == np.arange(n_a))
     q = best_ab[p]
     s = sims[p, q]
     keep = np.argsort(-s, kind="stable")[:b]
@@ -105,7 +115,7 @@ def _pair_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
-               stream: int = 0) -> PairScore:
+               stream: int = 0, work: np.ndarray | None = None) -> PairScore:
     """Score one candidate pair.
 
     The model estimates image b relative to image a in argument order:
@@ -116,8 +126,10 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     overlap to differentiate them. The robust search draws from a
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
+    ``work`` is passed on to ``mutual_nn_matches`` as its similarity
+    workspace.
     """
-    matches = mutual_nn_matches(fa, fb, config.b)
+    matches = mutual_nn_matches(fa, fb, config.b, work)
     calibrated = fa.intrinsics is not None and fb.intrinsics is not None
     calib = (fa.intrinsics, fb.intrinsics) if calibrated else None
     model = reason = None
@@ -153,7 +165,15 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     it. Pair (i, j) is scored with stream id ``i * n + j``, so its robust
     search draws from its own counter-based generator and each score
     depends only on the pair, the features and the config seed.
+
+    One float64 workspace, sized for the largest n_a * n_b among the
+    pairs, holds every pair's similarity matrix in turn, so no matrix is
+    freed per pair: after a large free glibc raises its mmap threshold,
+    and the next matrices come from a heap it keeps resident.
     """
     n = len(features)
-    return {(i, j): score_pair(features[i], features[j], config, i * n + j)
-            for i, j in sorted(candidates)}
+    pairs = sorted(candidates)
+    work = np.empty(max((features[i].n_keypoints * features[j].n_keypoints
+                         for i, j in pairs), default=0))
+    return {(i, j): score_pair(features[i], features[j], config, i * n + j, work)
+            for i, j in pairs}

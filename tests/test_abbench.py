@@ -40,6 +40,33 @@ def test_pairs_won_follow_the_better_direction():
     assert entry["correct"] and entry["runs_checked"] == 8
 
 
+@pytest.mark.parametrize("change_s,met", [
+    # nine wins of ten, medians 0.20 s apart, parent quartiles 1.95-2.05 s
+    ([1.8] * 9 + [2.1], True),
+    # eight wins of ten
+    ([1.8] * 8 + [2.1] * 2, False),
+    # ten wins, but the medians differ by less than the parent's spread
+    ([1.94] * 10, False),
+    # ten losses by a wide margin
+    ([2.5] * 10, False),
+], ids=["nine_wins", "eight_wins", "within_spread", "worse"])
+def test_claim_rule(change_s, met):
+    parent_s = [1.95, 2.05] * 5
+    e2e = [{"parent": fake_run(p, 10.0), "change": fake_run(c, 10.0)}
+           for p, c in zip(parent_s, change_s)]
+    entry = abbench.summarize(e2e, [], BETTER)
+    assert entry["end_to_end"]["select_s"]["meets_claim_rule"] is met
+    # ties in every pair
+    assert entry["end_to_end"]["pairs_per_s"]["meets_claim_rule"] is False
+
+
+def test_claim_rule_follows_the_better_direction():
+    e2e = [{"parent": fake_run(2.0, 10.0 + 0.1 * (k % 2)), "change": fake_run(2.0, 12.0)}
+           for k in range(10)]
+    entry = abbench.summarize(e2e, [], BETTER)
+    assert entry["end_to_end"]["pairs_per_s"]["meets_claim_rule"] is True
+
+
 @pytest.mark.parametrize("change", [
     dict(digests=("a" * 64, "c" * 64)),
     dict(failed=30.0),

@@ -28,6 +28,17 @@ def make_features(image_id="img", n=12, d=128, d_g=64, size=(640, 480),
                          intrinsics=K)
 
 
+INVALID_K = [
+    [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0]],
+    [[-800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]],
+    [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 0.0]],
+    # cofactor expansion gives 2.8e-17 here, but LU elimination, which
+    # np.linalg.inv runs, reaches an exact zero pivot
+    [[1.0, 0.0, 0.1], [0.0, 1.0, 0.3], [1.0, 1.0, 0.4]],
+]
+INVALID_K_IDS = ["not_3x3", "negative_focal", "singular", "singular_in_lu"]
+
+
 def write_dataset(tmp_path, n_images=3, d=128, d_g=64):
     entries = []
     for i in range(n_images):
@@ -385,14 +396,7 @@ class TestManifest:
         np.testing.assert_array_equal(manifest.entries[0].intrinsics, K)
         assert manifest.entries[1].intrinsics is None
 
-    @pytest.mark.parametrize("K", [
-        [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0]],
-        [[-800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]],
-        [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 0.0]],
-        # cofactor expansion gives 2.8e-17 here, but LU elimination, which
-        # np.linalg.inv runs, reaches an exact zero pivot
-        [[1.0, 0.0, 0.1], [0.0, 1.0, 0.3], [1.0, 1.0, 0.4]],
-    ], ids=["not_3x3", "negative_focal", "singular", "singular_in_lu"])
+    @pytest.mark.parametrize("K", INVALID_K, ids=INVALID_K_IDS)
     def test_invalid_manifest_intrinsics(self, tmp_path, K):
         mpath = write_dataset(tmp_path)
         data = json.loads(mpath.read_text())
@@ -400,6 +404,20 @@ class TestManifest:
         mpath.write_text(json.dumps(data))
         with pytest.raises(CorruptFile, match="manifest.json: img_0: "):
             load_manifest(mpath)
+
+    @pytest.mark.parametrize("K", INVALID_K, ids=INVALID_K_IDS)
+    def test_invalid_intrinsics_refused_when_built_in_code(self, tmp_path, K):
+        # refused where the entry is built, not as numpy's LinAlgError in
+        # scoring; load_manifest reports the same message
+        with pytest.raises(ValueError) as built:
+            ManifestEntry("img_0", tmp_path / "img_0.sarf", intrinsics=np.array(K))
+        mpath = write_dataset(tmp_path)
+        data = json.loads(mpath.read_text())
+        data["entries"][0]["intrinsics"] = K
+        mpath.write_text(json.dumps(data))
+        with pytest.raises(CorruptFile) as loaded:
+            load_manifest(mpath)
+        assert str(loaded.value) == f"{mpath}: img_0: {built.value}"
 
     def test_invalid_file_intrinsics_refused_despite_override(self, tmp_path):
         # load_features reads and checks the whole file before the manifest's

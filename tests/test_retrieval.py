@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sara.errors import InvalidK, TooFewImages
-from sara.retrieval import cosine_knn
+from sara.retrieval import _BLOCK_BYTES, cosine_knn
 
 
 def unit_rows(rng, n, d=64):
@@ -105,3 +107,43 @@ def test_deterministic_under_ties():
     assert r1 == r2
     # 3 is equally similar to 0, 1 and 2; the lower indices win, so (2, 3) is absent
     assert r1 == brute_force_pairs(v, 2) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
+
+
+def argsort_pairs(vectors, k):
+    """Reference: the first k columns of a stable descending sort of each row."""
+    sims = vectors @ vectors.T
+    np.fill_diagonal(sims, -np.inf)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(len(vectors)), k)
+    cols = order.ravel()
+    return set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
+
+
+@pytest.mark.parametrize("k", [1, 4, 1099])
+def test_row_blocks_match_argsort_with_planted_ties(k):
+    # n = 1100 spans several selection blocks; exact duplicates make rows
+    # whose k-th similarity is shared by more columns than fit in the top k
+    rng = np.random.default_rng(7)
+    v = unit_rows(rng, 1100, d=8)
+    v[[100, 300, 550, 900, 1099]] = v[5]
+    v[[2, 700]] = v[1000]
+    assert 8 * len(v) ** 2 > 2 * _BLOCK_BYTES
+    sims = v @ v.T
+    np.fill_diagonal(sims, -np.inf)
+    kth = -np.sort(-sims[5])[k - 1]
+    assert k == 1099 or (sims[5] == kth).sum() > 1
+    assert cosine_knn(v, k=k) == argsort_pairs(v, k)
+
+
+def test_selection_holds_one_similarity_matrix():
+    # the full-row argsort of -sims held three n x n arrays, about 3x
+    n = 1500
+    v = unit_rows(np.random.default_rng(2), n, d=32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cosine_knn(v, k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n * 8

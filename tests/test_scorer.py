@@ -258,6 +258,20 @@ class TestMutualNN:
             tracemalloc.stop()
         assert peak < 1.2 * n_a * n_b * 8
 
+    def test_workspace_gives_the_same_bits(self):
+        rng = np.random.default_rng(11)
+        fa = image_from(rng.uniform(0, 700, (300, 2)), unit_rows(rng, 300, 32), "a")
+        fb = image_from(rng.uniform(0, 700, (170, 2)), unit_rows(rng, 170, 32), "b")
+        # larger than either product, and filled with leftovers of another pair
+        work = rng.normal(size=300 * 170 + 999)
+        for x, y in ((fa, fb), (fb, fa)):
+            got = mutual_nn_matches(x, y, 60, work)
+            want = mutual_nn_matches(x, y, 60)
+            assert len(got) > 0
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+            # callers may keep every pair's matches while the workspace is reused
+            assert not np.shares_memory(got, work)
+
 
 class TestScorePair:
     def setup_method(self):
@@ -422,6 +436,18 @@ class TestScoreAll:
         for (i, j), s in scores.items():
             assert_same_score(s, score_pair(orbit20_features[i], orbit20_features[j], cfg,
                                             i * n + j))
+
+    def test_one_workspace_across_keypoint_counts(self, orbit20_features):
+        # largest product first, so later pairs run over the earlier ones' leftovers
+        features = [dataclasses.replace(f, keypoints=f.keypoints[:m], descriptors=f.descriptors[:m])
+                    for f, m in zip(orbit20_features[:3], (400, 260, 130))]
+        assert len({f.n_keypoints for f in features}) == 3
+        cfg = SaraConfig()
+        scores = score_all(features, {(0, 1), (0, 2), (1, 2)}, cfg)
+        assert sum(s.model is not None for s in scores.values()) >= 2
+        for (i, j), s in scores.items():
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j,
+                                            work=None))
 
     def test_generator_built_only_for_robust_search(self, orbit20_features, monkeypatch):
         # the last image keeps 5 keypoints, so its pairs stop before the search

@@ -110,12 +110,15 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str]) -> di
         sign = -1.0 if better[metric] == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: spread(v) for side, v in values.items()}
-        base = float(np.median(values["parent"]))
+        base, med = (float(np.median(values[side])) for side in ("parent", "change"))
         entry["end_to_end"][metric] = {
             "unit": unit, "better": better[metric], **stats,
             "change_better_pairs": int(wins),
-            "median_change_pct": round(100.0 * (float(np.median(values["change"])) - base)
-                                       / base, 1),
+            # a gain may be claimed: the change won at least 9 in 10 pairs and its
+            # median beats the parent's by more than the parent's quartile spread
+            "meets_claim_rule": bool(10 * wins >= 9 * len(e2e) and sign * (med - base)
+                                     > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            "median_change_pct": round(100.0 * (med - base) / base, 1),
             "runs": {side: [round(x, 6) for x in v] for side, v in values.items()},
         }
     if traced:
@@ -168,8 +171,10 @@ def main(argv=None) -> int:
                   "pairs run the parent first, odd pairs the change first; each side from "
                   "its own checkout; medians and quartiles (numpy.percentile 25/75) of the "
                   "per-run values the benchmark prints; change_better_pairs counts pairs the "
-                  "change won, ties counting for neither; per_layer holds medians of the "
-                  "--trace 1 runs",
+                  "change won, ties counting for neither; meets_claim_rule is true when the "
+                  "change won at least nine tenths of the pairs and its median is better "
+                  "than the parent's by more than the parent's q3 - q1; per_layer holds "
+                  "medians of the --trace 1 runs",
         "hardware": f"{platform.machine()} {platform.system()}, {len(os.sched_getaffinity(0))} "
                     f"usable CPUs, Python {platform.python_version()}, numpy {np.__version__}",
     })
