@@ -1,8 +1,16 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
-``short_ransac`` is the one estimator. ``sampson_errors`` scores one model
-or a stack of them against all matches at once. In the calibrated branch
+``short_ransac`` is the one estimator. Its hypotheses come from
+``ransac_hypotheses``, the one stage that draws, solves and scores them,
+for one search or for several at once: each search draws from its own
+generator, every search's eight-point sets are solved in one stack, and
+the Sampson errors of searches with equal match counts are computed
+together. ``short_ransac`` builds them itself as a stack of one, or takes
+a search's share of a stack built over several pairs; either way it then
+picks the best hypothesis, refits, projects and recovers the pose for
+that one pair. ``sampson_errors`` scores one model or a stack of them
+against all matches at once. In the calibrated branch
 ``recover_pose`` triangulates all four decompositions of E in one stacked
 ``triangulate_angles`` call, on the normalized inlier coordinates the
 search already holds, and returns the winner's angles with its pose.
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +122,9 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     # row k of A is the outer product x_b x_a^T of match k, flattened:
     # (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
     A = (homog[1, :, :, :, None] * homog[0, :, :, None, :]).reshape(h, m, 9)
+    # a stacked solve's peak memory is the decomposition's copies of A: drop
+    # the arrays A was built from first
+    del pts, centered, homog
     if A.shape[1] == 8:
         # minimal sample: A^T = QR, and Q's last column spans A's null space
         Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
@@ -163,31 +175,89 @@ def sampson_errors(M: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarra
 
 
 def _sampson(M: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    # sampson_errors on homogeneous (m, 3) points [x y 1]
+    # sampson_errors on homogeneous (..., m, 3) points [x y 1], broadcast
+    # against the models' leading axes. The two (..., m, 3) products are the
+    # largest arrays of a stacked search, so only one is alive at a time; the
+    # denominator adds its four squares in the order a + b + c + d rounds them.
     Ma = ha @ np.swapaxes(M, -1, -2)   # rows are (M x_a)^T
+    num = np.einsum("...ij,...ij->...i", hb, Ma)
+    num *= num
+    den = Ma[..., 0] ** 2
+    den += Ma[..., 1] ** 2
+    del Ma
     Mtb = hb @ M                       # rows are (M^T x_b)^T
-    num = np.einsum("ij,...ij->...i", hb, Ma) ** 2
-    den = Ma[..., 0] ** 2 + Ma[..., 1] ** 2 + Mtb[..., 0] ** 2 + Mtb[..., 1] ** 2
-    return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0.0)
+    den += Mtb[..., 0] ** 2
+    den += Mtb[..., 1] ** 2
+    del Mtb
+    positive = den > 0.0
+    np.divide(num, den, out=num, where=positive)
+    num[~positive] = np.inf
+    return num
 
 
-def _draw_samples(rng: np.random.Generator, n: int, rows: int) -> np.ndarray:
-    """(rows, 8) indices, each row 8 draws without replacement from range(n).
+def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
+    """(len(rngs) * rows, 8) indices: for each search k in turn, ``rows``
+    rows of 8 draws without replacement from range(sizes[k]).
 
-    Partial Fisher-Yates on every row at once. All draws come from one
-    call, in the order row-after-row shuffles would take them, so the rows
-    and the generator's next state equal those of ``rows`` sequential
-    shuffles.
+    Partial Fisher-Yates on every row at once. Each search takes all its
+    draws from its own generator in one call, in the order row-after-row
+    shuffles would take them, so its rows and its generator's next state
+    equal those of ``rows`` sequential shuffles. Rows of a smaller search
+    leave the padding columns past its size untouched.
     """
-    offsets = rng.integers(np.tile(n - np.arange(8), rows)).reshape(rows, 8)
-    idx = np.tile(np.arange(n), (rows, 1))
-    r = np.arange(rows)
+    offsets = np.concatenate([rng.integers(np.tile(n - np.arange(8), rows))
+                              for rng, n in zip(rngs, sizes)]).reshape(-1, 8)
+    idx = np.tile(np.arange(max(sizes)), (len(offsets), 1))
+    r = np.arange(len(offsets))
     for i in range(8):
         j = i + offsets[:, i]
         picked = idx[r, j]
         idx[r, j] = idx[:, i]
         idx[:, i] = picked
     return idx[:, :8]
+
+
+class Hypotheses(NamedTuple):
+    """One robust search's hypotheses, as ``ransac_hypotheses`` builds them."""
+
+    points: np.ndarray   # (2, m, 3) homogeneous points of images a and b
+    models: np.ndarray   # (h, 3, 3) rank-2 eight-point fits, in draw order
+    ok: np.ndarray       # (h,) False where a sample was degenerate
+    errors: np.ndarray   # (h, m) Sampson error of every match under every model
+
+
+def ransac_hypotheses(searches, iterations: int) -> list[Hypotheses]:
+    """Draw, solve and score the hypotheses of one or more robust searches.
+
+    ``searches`` holds one (corrs, calib, rng) triple per search, each
+    with at least 8 correspondences; ``calib`` is as in ``short_ransac``.
+    Every search draws its ``iterations`` 8-subsets from its own ``rng``,
+    with the one call a lone search makes. All subsets are solved in one
+    ``_fundamental_stack``, and the Sampson errors of searches with equal
+    match counts in one broadcast pass. Each search's hypotheses are
+    bit-identical to those of a stack of one, so a search's result does
+    not depend on the searches it is stacked with; memory grows with the
+    total of iterations x correspondences over the searches.
+
+    Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
+    the essential-manifold projection is brutal on noisy minimal samples,
+    so ``short_ransac`` applies it only to the final overdetermined refit.
+    """
+    points = [_search_points(corrs, calib) for corrs, calib, _ in searches]
+    sizes = [p.shape[1] for p in points]
+    samples = _draw_samples([rng for *_, rng in searches], sizes, iterations)
+    # one gather: each search's indices shifted to its rows of the joined points
+    samples += np.repeat(np.cumsum([0] + sizes[:-1]), iterations)[:, None]
+    models, ok = _fundamental_stack(*np.concatenate(points, axis=1)[:, samples, :2])
+    models = models.reshape(len(points), iterations, 3, 3)
+    ok = ok.reshape(len(points), iterations)
+    errors = [None] * len(points)
+    for m in dict.fromkeys(sizes):
+        group = [k for k, size in enumerate(sizes) if size == m]
+        ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
+        for k, errs in zip(group, _sampson(models[group], ha, hb)):
+            errors[k] = errs
+    return [Hypotheses(*search) for search in zip(points, models, ok, errors)]
 
 
 def _best_hypothesis(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> int | None:
@@ -273,7 +343,8 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
 
 def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
                  iterations: int = 32, inlier_threshold: float = 2.0,
-                 rng: np.random.Generator | None = None) -> TwoViewModel:
+                 rng: np.random.Generator | None = None, *,
+                 hypotheses: Hypotheses | None = None) -> TwoViewModel:
     """Fixed-iteration robust two-view estimation.
 
     Hypotheses are eight-point fits on uniform 8-subsets, scored by inlier
@@ -282,13 +353,16 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     refit once on its inliers and the inlier set is recomputed against the
     refit model, so stored inliers satisfy the threshold by construction.
 
-    All hypotheses are drawn, solved and scored together: one stacked
-    eight-point solve and one (iterations, len(corrs)) Sampson matrix, so
-    memory grows as iterations x correspondences floats (32 x 50 with the
-    default config). The result is bit-identical to solving and scoring
-    the hypotheses one at a time in draw order. The minimal samples take
-    their null vectors from one batched QR and the refit on more than 8
-    inliers from an SVD (see ``_fundamental_stack``), in both branches.
+    The hypotheses come from ``ransac_hypotheses``: all of them drawn,
+    solved and scored together, one stacked eight-point solve and one
+    (iterations, len(corrs)) Sampson matrix. Without ``hypotheses`` the
+    search builds them as a stack of one from ``rng``; ``hypotheses`` is
+    this search's share of a stack built over several searches, whose
+    ``iterations`` and generator then stand in for the arguments. Either
+    way the result is bit-identical to solving and scoring the hypotheses
+    one at a time in draw order. The minimal samples take their null
+    vectors from one batched QR and the refit on more than 8 inliers from
+    an SVD (see ``_fundamental_stack``), in both branches.
 
     ``inlier_threshold`` is a pixel distance; with ``calib`` given the
     search runs in normalized coordinates (essential model) and the
@@ -297,9 +371,11 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     n = len(corrs)
     if n < 8:
         raise InsufficientCorrespondences(f"{n} < 8")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = _search_points(corrs, calib)
+    if hypotheses is None:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        hypotheses = ransac_hypotheses([(corrs, calib, rng)], iterations)[0]
+    pts, models, ok, errs = hypotheses
     ha, hb = pts
     if calib is not None:
         K_a, K_b = calib
@@ -308,12 +384,6 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     else:
         threshold_sq = inlier_threshold ** 2
 
-    # hypotheses stay rank-2 fundamental fits even in the calibrated branch:
-    # the essential-manifold projection is brutal on noisy minimal samples,
-    # so it is applied only to the final overdetermined refit
-    samples = _draw_samples(rng, n, iterations)
-    models, ok = _fundamental_stack(*pts[:, samples, :2])
-    errs = _sampson(models, ha, hb)
     masks = errs < threshold_sq
     best = _best_hypothesis(errs, masks, ok)
     if best is None:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .config import SaraConfig
-from .epipolar import TwoViewModel, correspondences, short_ransac
+from .epipolar import TwoViewModel, correspondences, ransac_hypotheses, short_ransac
 from .errors import EstimationError
 from .features import ImageFeatures
 
@@ -107,6 +107,11 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
 
+# hypothesis sets that score_all draws, solves and scores in one stack: 8
+# pairs at 32 iterations. It bounds the stacked arrays; scores do not depend on it.
+_GROUP_HYPOTHESES = 256
+
+
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
     # counter-based generator keyed by (run seed, pair stream id)
     mask = (1 << 64) - 1
@@ -127,34 +132,55 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
     ``work`` is passed on to ``mutual_nn_matches`` as its similarity
-    workspace.
+    workspace. The pair is scored as a group of one, and the result
+    equals ``score_all``'s for the same pair and stream.
     """
-    matches = mutual_nn_matches(fa, fb, config.b, work)
-    calibrated = fa.intrinsics is not None and fb.intrinsics is not None
-    calib = (fa.intrinsics, fb.intrinsics) if calibrated else None
-    model = reason = None
-    if len(matches) < 8:
-        reason = RejectReason.TOO_FEW_MUTUAL_NN
-    else:
-        try:
-            model = short_ransac(matches, calib=calib, iterations=config.ransac_iterations,
-                                 inlier_threshold=config.inlier_threshold_px,
-                                 rng=_pair_rng(config.seed, stream))
-        except EstimationError:
-            reason = RejectReason.NO_MODEL
+    return _score_group([(fa, fb, stream)], config, work)[0]
 
-    overlap = parallax = 0.0
-    if model is not None:
-        overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
-        parallax = lower_median(model.triangulation_angles) if calibrated else config.tau_p
-        if overlap < config.tau_o:
-            reason = RejectReason.BELOW_OVERLAP
-        elif parallax < config.tau_p:
-            reason = RejectReason.BELOW_PARALLAX
-    weight = 0.0 if reason is not None else (
-        overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
-    return PairScore(overlap=overlap, parallax=parallax, weight=weight,
-                     model=model, rejected=reason)
+
+def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
+    """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
+
+    Each pair is matched on its own. The pairs with at least 8 mutual
+    matches then share one ``ransac_hypotheses`` call, and each finishes
+    its robust search in its own ``short_ransac`` call on its share.
+    """
+    matches = [mutual_nn_matches(fa, fb, config.b, work) for fa, fb, _ in group]
+    calibs = [(fa.intrinsics, fb.intrinsics)
+              if fa.intrinsics is not None and fb.intrinsics is not None else None
+              for fa, fb, _ in group]
+    searched = [k for k, m in enumerate(matches) if len(m) >= 8]
+    stack = ransac_hypotheses([(matches[k], calibs[k], _pair_rng(config.seed, group[k][2]))
+                               for k in searched], config.ransac_iterations) if searched else []
+    hypotheses = dict(zip(searched, stack))
+
+    scores = []
+    for k, (fa, fb, _) in enumerate(group):
+        model = reason = None
+        if k not in hypotheses:
+            reason = RejectReason.TOO_FEW_MUTUAL_NN
+        else:
+            try:
+                model = short_ransac(matches[k], calib=calibs[k],
+                                     inlier_threshold=config.inlier_threshold_px,
+                                     hypotheses=hypotheses[k])
+            except EstimationError:
+                reason = RejectReason.NO_MODEL
+
+        overlap = parallax = 0.0
+        if model is not None:
+            overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
+            parallax = (config.tau_p if calibs[k] is None
+                        else lower_median(model.triangulation_angles))
+            if overlap < config.tau_o:
+                reason = RejectReason.BELOW_OVERLAP
+            elif parallax < config.tau_p:
+                reason = RejectReason.BELOW_PARALLAX
+        weight = 0.0 if reason is not None else (
+            overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
+        scores.append(PairScore(overlap=overlap, parallax=parallax, weight=weight,
+                                model=model, rejected=reason))
+    return scores
 
 
 def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int], PairScore]:
@@ -164,7 +190,15 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     ``candidates`` is any iterable of canonical (i, j) pairs indexing into
     it. Pair (i, j) is scored with stream id ``i * n + j``, so its robust
     search draws from its own counter-based generator and each score
-    depends only on the pair, the features and the config seed.
+    depends only on the pair, the features and the config seed: it equals
+    ``score_pair``'s.
+
+    The sorted pairs are scored in groups, each of as many pairs as make
+    up ``_GROUP_HYPOTHESES`` hypothesis sets at ``config.ransac_iterations``
+    (at least one pair). A group's searches draw, solve and score their
+    hypotheses in one stack, which saves numpy's per-call cost on tiny
+    arrays; the bound keeps the stacked arrays from growing with the pair
+    count.
 
     One float64 workspace, sized for the largest n_a * n_b among the
     pairs, holds every pair's similarity matrix in turn, so no matrix is
@@ -175,5 +209,10 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     pairs = sorted(candidates)
     work = np.empty(max((features[i].n_keypoints * features[j].n_keypoints
                          for i, j in pairs), default=0))
-    return {(i, j): score_pair(features[i], features[j], config, i * n + j, work)
-            for i, j in pairs}
+    size = max(1, _GROUP_HYPOTHESES // config.ransac_iterations)
+    scores = {}
+    for start in range(0, len(pairs), size):
+        group = pairs[start:start + size]
+        scores.update(zip(group, _score_group(
+            [(features[i], features[j], i * n + j) for i, j in group], config, work)))
+    return scores

@@ -167,3 +167,20 @@ def test_bench_files_name_declared_metrics():
                 for metric, entry in workload.get(kind, {}).items():
                     assert declared_units.get(metric) == entry["unit"], \
                         f"{path.name} {name} {kind} {metric}"
+
+
+def test_traced_benchmark_prints_every_declared_metric():
+    # a traced run leaves a per-layer metric out when a function it wraps is
+    # gone or a count it divides by is zero; its last line must still be a
+    # correct result that names every metric BENCHMARK.json declares
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    result = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "orbit_sparse",
+                             "--seconds", "0.1", "--trace", "1"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    last = json.loads(result.stdout.strip().splitlines()[-1], parse_constant=reject)
+    assert last["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(last["metrics"]) == {m["name"] for m in declared["per_layer"]}

@@ -8,8 +8,8 @@ from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
 from sara.epipolar import (_MATCH_DTYPE, _best_hypothesis, _draw_samples, _fix_sign,
-                           _fundamental_stack, correspondences, recover_pose,
-                           sampson_errors, short_ransac, triangulate_angles)
+                           _fundamental_stack, correspondences, ransac_hypotheses,
+                           recover_pose, sampson_errors, short_ransac, triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
 I3 = np.eye(3)
@@ -630,11 +630,60 @@ class TestBatchedSearch:
         for seed in range(40):
             batched_rng, sequential_rng = philox(seed), philox(seed)
             rows = int(np.random.default_rng(seed).integers(1, 40))
-            got = _draw_samples(batched_rng, n, rows)
+            got = _draw_samples([batched_rng], [n], rows)
             want = np.array([ref_fisher_yates(sequential_rng, n) for _ in range(rows)])
             np.testing.assert_array_equal(got, want)
             # the stream is left at the same position
             assert batched_rng.integers(1 << 62) == sequential_rng.integers(1 << 62)
+
+    def test_draw_across_searches_equals_one_search_draws(self):
+        # searches of several sizes in one swap loop: each search's rows and
+        # generator state equal a draw of that search alone
+        sizes = [50, 8, 13, 50, 9]
+        for seed in range(20):
+            rows = int(np.random.default_rng(seed).integers(1, 40))
+            stacked = [philox(seed + k) for k in range(len(sizes))]
+            alone = [philox(seed + k) for k in range(len(sizes))]
+            got = _draw_samples(stacked, sizes, rows).reshape(len(sizes), rows, 8)
+            for k, n in enumerate(sizes):
+                np.testing.assert_array_equal(got[k], _draw_samples([alone[k]], [n], rows))
+                assert stacked[k].integers(1 << 62) == alone[k].integers(1 << 62)
+
+    def test_stacked_searches_equal_one_search_stacks(self):
+        # match counts 50, 51, 30, 50 and 20, each calibrated and not, one
+        # scene with a repeated point and one without a model: every search's
+        # hypotheses and its finished model keep their bits whatever they
+        # are stacked with
+        searches = []
+        for seed, scene in enumerate([lambda s: with_outliers(s, 30, 20, separation_deg=35.0),
+                                      duplicated_points, clean,
+                                      lambda s: with_outliers(s, 35, 15, separation_deg=20.0),
+                                      lambda s: with_outliers(s, 0, 20)]):
+            for calibrated in (False, True):
+                corrs, K = scene(200 + seed)
+                searches.append((corrs, (K, K) if calibrated else None, 10 * seed + calibrated))
+        counts = sorted(len(corrs) for corrs, _, _ in searches)
+        assert counts == [20] * 2 + [30] * 2 + [50] * 4 + [51] * 2
+        stacked = ransac_hypotheses([(corrs, calib, philox(key)) for corrs, calib, key
+                                     in searches], 32)
+        assert any(not hyp.ok.all() for hyp in stacked)   # the repeated point
+        outcomes = set()
+        for (corrs, calib, key), got in zip(searches, stacked):
+            alone = ransac_hypotheses([(corrs, calib, philox(key))], 32)[0]
+            for field, x, y in zip(got._fields, got, alone):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
+            try:
+                want = short_ransac(corrs, calib=calib, rng=philox(key))
+            except NoModelFound:
+                with pytest.raises(NoModelFound):
+                    short_ransac(corrs, calib=calib, hypotheses=got)
+                outcomes.add("no_model")
+                continue
+            model = short_ransac(corrs, calib=calib, hypotheses=got)
+            assert model.matrix.tobytes() == want.matrix.tobytes()
+            np.testing.assert_array_equal(model.inliers, want.inliers)
+            outcomes.add("model")
+        assert outcomes == {"model", "no_model"}
 
     @pytest.mark.parametrize("calibrated", [False, True])
     @pytest.mark.parametrize("scene, want", [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -448,6 +449,42 @@ class TestScoreAll:
         for (i, j), s in scores.items():
             assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j,
                                             work=None))
+
+    @pytest.mark.parametrize("group_pairs", [1, 3, None], ids=["one", "three", "unbounded"])
+    def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, group_pairs):
+        # image 2 keeps 5 keypoints, so its pairs stop before the search and
+        # sit between searched ones in a group; image 4 has no intrinsics
+        cfg = SaraConfig()
+        few, bare = orbit20_features[2], orbit20_features[4]
+        features = list(orbit20_features[:7])
+        features[2] = dataclasses.replace(few, keypoints=few.keypoints[:5],
+                                          descriptors=few.descriptors[:5])
+        features[4] = dataclasses.replace(bare, intrinsics=None)
+        monkeypatch.setattr(scorer, "_GROUP_HYPOTHESES", sys.maxsize if group_pairs is None
+                            else group_pairs * cfg.ransac_iterations)
+        n = len(features)
+        scores = score_all(features, {(i, j) for i in range(n) for j in range(i + 1, n)}, cfg)
+        reasons = {s.rejected for s in scores.values()}
+        assert {None, RejectReason.TOO_FEW_MUTUAL_NN, RejectReason.NO_MODEL} <= reasons
+        assert any(s.parallax_floored for s in scores.values())
+        for (i, j), s in scores.items():
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+
+    def test_peak_memory_bounded_by_group(self, orbit20_features):
+        # 160 pairs against 40: the 120 more scores the result holds take
+        # about 0.25 MB, while one stack over every pair would add about 13 MB
+        pairs = sorted((i, j) for i in range(20) for j in range(i + 1, 20))
+        peaks = []
+        for count in (40, 160):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                score_all(orbit20_features, pairs[:count], SaraConfig())
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 ** 19
 
     def test_generator_built_only_for_robust_search(self, orbit20_features, monkeypatch):
         # the last image keeps 5 keypoints, so its pairs stop before the search
