@@ -10,6 +10,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -169,15 +170,19 @@ def test_bench_files_name_declared_metrics():
                         f"{path.name} {name} {kind} {metric}"
 
 
-def test_traced_benchmark_prints_every_declared_metric():
+def test_traced_benchmark_prints_every_declared_metric(tmp_path):
     # a traced run leaves a per-layer metric out when a function it wraps is
     # gone or a count it divides by is zero; its last line must still be a
-    # correct result that names every metric BENCHMARK.json declares
+    # correct result that names every metric BENCHMARK.json declares. It runs
+    # from a copy, since the benchmark writes its outputs beside run.py.
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
     result = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "orbit_sparse",
-                             "--seconds", "0.1", "--trace", "1"], cwd=ROOT,
+                             "--seconds", "0.1", "--trace", "1"], cwd=tmp_path,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
     last = json.loads(result.stdout.strip().splitlines()[-1], parse_constant=reject)

@@ -457,8 +457,9 @@ class TestScoreAll:
         cfg = SaraConfig()
         few, bare = orbit20_features[2], orbit20_features[4]
         features = list(orbit20_features[:7])
-        features[2] = dataclasses.replace(few, keypoints=few.keypoints[:5],
-                                          descriptors=few.descriptors[:5])
+        features[2] = dataclasses.replace(
+            few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
+            scores=None if few.scores is None else few.scores[:5])
         features[4] = dataclasses.replace(bare, intrinsics=None)
         monkeypatch.setattr(scorer, "_GROUP_HYPOTHESES", sys.maxsize if group_pairs is None
                             else group_pairs * cfg.ransac_iterations)
