@@ -92,7 +92,9 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     the model of a masked-out set is finite but meaningless. Every
     operation runs on the whole stack, with the same floating-point
     operations per set as a one-set solve, so a set's model does not
-    depend on the stack it was solved in.
+    depend on the stack it was solved in. That holds for any input
+    layout: the inputs are made C-contiguous first, since numpy's
+    reductions may sum in another order over other strides.
 
     With m > 8 the null vector of the design matrix A comes from an SVD
     and a set needs sigma_8 > 1e-10 sigma_1. With m == 8 it is exact: Q's
@@ -102,6 +104,7 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     for the whole stack when one set is singular, and fixing f33 = 1
     excludes models where it is 0.
     """
+    pa, pb = np.ascontiguousarray(pa), np.ascontiguousarray(pb)
     h, m = pa.shape[:2]
     # Hartley, both images in one pass: centroid to the origin, mean radius
     # to sqrt(2); a mean is sum / m and a norm sqrt(sum of squares), the

@@ -82,15 +82,16 @@ class ImageFeatures:
         if self.global_desc.ndim != 1:
             raise ValueError("global descriptor must be 1-D")
         self._check_values()
-        if n:
+        if n and not _unit_rows(self.descriptors, 1e-4):
             norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)
             if np.abs(norms - 1.0).max() > 1e-4:
                 raise NormalizationFailure(
                     f"{self.image_id}: local descriptors not unit norm")
-        gnorm = float(np.linalg.norm(self.global_desc.astype(np.float64)))
-        if abs(gnorm - 1.0) > 1e-4:
-            raise NormalizationFailure(
-                f"{self.image_id}: global descriptor not unit norm")
+        if not _unit_rows(self.global_desc[None, :], 1e-4):
+            gnorm = float(np.linalg.norm(self.global_desc.astype(np.float64)))
+            if abs(gnorm - 1.0) > 1e-4:
+                raise NormalizationFailure(
+                    f"{self.image_id}: global descriptor not unit norm")
 
     def _check_values(self) -> None:
         """Image size, keypoint bounds, score range and intrinsics: the checks
@@ -166,6 +167,28 @@ def _non_finite(keypoints, scores, descriptors, global_desc) -> str | None:
     return None
 
 
+def _unit_rows(rows: np.ndarray, tol: float) -> bool:
+    """True when the 2-d array ``rows`` is float32 and one float64 pass
+    shows every value finite and every row's norm within ``tol / 1.99`` of 1.
+
+    A True answer is the one the exact checks (``_non_finite``, then a norm
+    of a float64 copy) would give, so a caller may skip them; on False it
+    runs them to find the fault or repair. The pass sums squares in float64
+    without a float64 copy: s = sum x_k^2, each product exact for float32
+    x_k. A non-finite value makes s inf or NaN, which fails the test below.
+    Summed in any order, s lies within d*u*s of the exact sum, u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2): under
+    3e-14 at d = 128. So |s - 1| <= tol gives |norm - 1| = |s - 1| /
+    (norm + 1) < tol / 1.99 for tol up to 1e-2, and the float64 norm of
+    the exact checks, off by a few d*u, cannot exceed tol.
+    """
+    if rows.dtype != np.float32:
+        return False
+    s = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    # NaN fails the comparison, so the max needs no finiteness check of its own
+    return bool(np.abs(s - 1.0).max(initial=0.0) <= tol)
+
+
 def _renormalize(vectors: np.ndarray, what: str, image_id: str) -> np.ndarray:
     """Repair near-unit rows; reject rows beyond the tolerance."""
     arr = np.atleast_2d(vectors)
@@ -233,14 +256,17 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     scores = take(n, "<f4") if has_s else None
     desc = take(n * d, "<f4").reshape(n, d)
     gdesc = take(d_g, "<f4")
-    # before renormalizing, which would report an infinite descriptor as off-norm
-    bad = _non_finite(kps, scores, desc, gdesc)
+    ident = image_id if image_id is not None else path.stem
+    bad = _non_finite(kps, scores, None, None)
     if bad:
         raise CorruptFile(f"{path}: non-finite {bad}")
-
-    ident = image_id if image_id is not None else path.stem
-    desc = _renormalize(desc, "local descriptor", ident) if n else desc
-    gdesc = _renormalize(gdesc[None, :], "global descriptor", ident)[0]
+    if not (_unit_rows(desc, _NORM_REPAIR) and _unit_rows(gdesc[None, :], _NORM_REPAIR)):
+        # before renormalizing, which would report an infinite descriptor as off-norm
+        bad = _non_finite(None, None, desc, gdesc)
+        if bad:
+            raise CorruptFile(f"{path}: non-finite {bad}")
+        desc = _renormalize(desc, "local descriptor", ident) if n else desc
+        gdesc = _renormalize(gdesc[None, :], "global descriptor", ident)[0]
     feats = ImageFeatures(
         image_id=ident, keypoints=kps, descriptors=desc, global_desc=gdesc,
         image_size=(int(w), int(h)), scores=scores, intrinsics=K)

@@ -66,20 +66,25 @@ def lower_median(values) -> float:
     return float(arr[(arr.size - 1) // 2])
 
 
+# bytes of similarity rows that mutual_nn_matches reduces at a time
+_BLOCK_BYTES = 1 << 20
+
+
 def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
                       work: np.ndarray | None = None) -> np.recarray:
     """Mutual nearest-neighbor correspondences, best-first, at most b.
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
     neighbor under cosine similarity. Ties in the argmax break toward
-    lower indices. q's best neighbor is the first hit of column q in the
-    column-maximum mask: the mask's row-major flat hits come in row
-    order, so the lowest hit row per column is the first row that
-    attains the maximum. For finite similarities, which
-    ``read_features`` and ``write_features`` enforce, that equals
-    ``argmax(sims, axis=0)``, without the transposed copy an argmax along
-    axis 0 makes. The mutual matches come in ascending p, one per p, so
-    a stable sort on similarity breaks ties in the final ordering toward
+    lower indices. Column winners come from one pass over row blocks of
+    the similarity matrix, each block at most ``_BLOCK_BYTES``: a
+    column's winner moves to a later block only where that block's
+    column maximum is strictly greater, so a tied column keeps its
+    lowest row. For finite similarities, which ``read_features`` and
+    ``write_features`` enforce, that equals ``argmax(sims, axis=0)``,
+    without the transposed copy of the whole matrix an argmax along axis
+    0 makes. The mutual matches come in ascending p, one per p, so a
+    stable sort on similarity breaks ties in the final ordering toward
     lower p. Returns a ``correspondences`` record array, of length 0
     when either image has no keypoints.
 
@@ -96,9 +101,15 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     sims = np.matmul(fa.descriptors.astype(np.float64), fb.descriptors.astype(np.float64).T,
                      out=out)
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
-    hits = np.flatnonzero(sims == sims.max(axis=0))
-    best_ba = np.full(n_b, n_a)
-    np.minimum.at(best_ba, hits % n_b, hits // n_b)
+    rows = max(1, _BLOCK_BYTES // (8 * n_b))
+    best_ba = sims[:rows].argmax(axis=0)
+    col_max = sims[best_ba, np.arange(n_b)]
+    for r0 in range(rows, n_a, rows):
+        blk = sims[r0:r0 + rows]
+        blk_max = blk.max(axis=0)
+        up = np.flatnonzero(blk_max > col_max)
+        best_ba[up] = r0 + blk[:, up].argmax(axis=0)
+        col_max[up] = blk_max[up]
     p = np.flatnonzero(best_ba[best_ab] == np.arange(n_a))
     q = best_ab[p]
     s = sims[p, q]

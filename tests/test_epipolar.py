@@ -145,6 +145,24 @@ class TestFundamental:
         _, ok = _fundamental_stack(pa[None], pb[None])
         assert not ok[0]
 
+    def test_strided_stack_equals_one_set_solves(self):
+        # refit-sized sets (m > 8) cut from one (2, n, 3) array by fancy
+        # indexing, as short_ransac cuts its refit, and stacked: the stack is
+        # not C-contiguous, yet each set's model keeps its one-set bits
+        rng = np.random.default_rng(21)
+        case = gen_frustum_pair(rng, n=60, noise_px=0.5)
+        pts = np.ones((2, 60, 3))
+        pts[0, :, :2], pts[1, :, :2] = case.kp_a, case.kp_b
+        subsets = [np.sort(rng.choice(60, 23, replace=False)) for _ in range(5)]
+        stack = np.stack([pts[:, idx, :2] for idx in subsets], axis=1)
+        assert not stack.flags.c_contiguous
+        models, ok = _fundamental_stack(*stack)
+        assert ok.all()
+        for idx, model in zip(subsets, models):
+            one, one_ok = _fundamental_stack(*np.ascontiguousarray(pts[:, None, idx, :2]))
+            assert one_ok[0]
+            assert model.tobytes() == one[0].tobytes()
+
     def test_deterministic(self):
         case = gen_frustum_pair(np.random.default_rng(5), n=16)
         corrs = to_corrs(case.kp_a, case.kp_b)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sara.errors import (CorruptFile, DimensionMismatch, DuplicateImageId,
                          MissingFile, NormalizationFailure, OutOfBoundsKeypoint)
-from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry,
+from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry, _unit_rows,
                            load_features, load_manifest, read_features,
                            write_features, write_manifest, write_pair_list)
 
@@ -300,6 +302,204 @@ class TestReadChecks:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile, match="f.sarf: intrinsics must be invertible"):
             read_features(path)
+
+
+def write_raw(path, desc, gdesc, scores=None, size=(640, 480)):
+    """A feature file holding these arrays as they are, unchecked, with
+    every keypoint at (0, 0)."""
+    n, d = desc.shape
+    parts = [b"SARF", struct.pack("<IIIIII", 1, n, d, len(gdesc), *size),
+             struct.pack("<BB", 0, int(scores is not None)),
+             np.zeros((n, 2), "<f4").tobytes()]
+    if scores is not None:
+        parts.append(np.asarray(scores, "<f4").tobytes())
+    parts += [np.asarray(desc, "<f4").tobytes(), np.asarray(gdesc, "<f4").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+# read_features' descriptor checks as they were before the one-pass screen,
+# kept here as the reference the screen must reproduce byte for byte
+def ref_non_finite(keypoints, scores, descriptors, global_desc):
+    for what, values in (("keypoint", keypoints), ("score", scores),
+                         ("local descriptor", descriptors), ("global descriptor", global_desc)):
+        if values is not None and not np.isfinite(values).all():
+            return what
+    return None
+
+
+def ref_renormalize(vectors, what, image_id):
+    arr = np.atleast_2d(vectors)
+    norms = np.linalg.norm(arr.astype(np.float64), axis=1)
+    if arr.shape[0] and (np.abs(norms - 1.0) > 1e-3).any():
+        worst = float(np.abs(norms - 1.0).max())
+        raise NormalizationFailure(
+            f"{image_id}: {what} norm off by {worst:.2e} (tolerance {1e-3})")
+    if arr.shape[0] and (np.abs(norms - 1.0) > 1e-6).any():
+        arr = (arr.astype(np.float64) / norms[:, None]).astype(np.float32)
+    return arr.reshape(vectors.shape)
+
+
+def ref_read(path, desc, gdesc, scores=None):
+    bad = ref_non_finite(np.zeros((len(desc), 2), np.float32), scores, desc, gdesc)
+    if bad:
+        raise CorruptFile(f"{path}: non-finite {bad}")
+    desc = ref_renormalize(desc, "local descriptor", path.stem) if len(desc) else desc
+    gdesc = ref_renormalize(gdesc[None, :], "global descriptor", path.stem)[0]
+    return desc, gdesc
+
+
+def ref_validate_norms(feats):
+    if feats.n_keypoints:
+        norms = np.linalg.norm(feats.descriptors.astype(np.float64), axis=1)
+        if np.abs(norms - 1.0).max() > 1e-4:
+            raise NormalizationFailure(f"{feats.image_id}: local descriptors not unit norm")
+    gnorm = float(np.linalg.norm(feats.global_desc.astype(np.float64)))
+    if abs(gnorm - 1.0) > 1e-4:
+        raise NormalizationFailure(f"{feats.image_id}: global descriptor not unit norm")
+
+
+def outcome(fn):
+    """fn's arrays as (dtype, shape, bytes), or its exception's type and message."""
+    try:
+        arrays = fn()
+    except Exception as exc:   # compared, not swallowed
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_read_as_reference(path, desc, gdesc, scores=None):
+    write_raw(path, desc, gdesc, scores)
+
+    def got():
+        feats = read_features(path)
+        return feats.descriptors, feats.global_desc
+
+    assert outcome(got) == outcome(lambda: ref_read(path, desc.copy(), gdesc.copy(), scores))
+
+
+def unit_f32(rng, *shape):
+    v = rng.normal(size=shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def scaled(v, dev):
+    """float32 copy of the unit float64 vector ``v`` with norm about 1 + dev."""
+    return (v * (1.0 + dev)).astype(np.float32)
+
+
+def norm_dev(row):
+    return float(np.linalg.norm(row.astype(np.float64))) - 1.0
+
+
+class TestDescriptorScreen:
+    """A read gives the bytes, or the exception type and message, that the
+    exact finiteness and norm checks give, on either side of every
+    threshold and of the screen's own margin."""
+
+    @pytest.mark.parametrize("dev,limit", [
+        (0.9e-6, 1e-6), (1.1e-6, 1e-6), (-0.9e-6, 1e-6), (-1.1e-6, 1e-6),
+        (0.99e-3, 1e-3), (1.01e-3, 1e-3), (-0.99e-3, 1e-3), (-1.01e-3, 1e-3),
+    ])
+    @pytest.mark.parametrize("where", ["local", "global"])
+    def test_norm_thresholds(self, tmp_path, dev, limit, where):
+        rng = np.random.default_rng(0)
+        desc, gdesc = unit_f32(rng, 12, 128).astype(np.float32), unit_f32(rng, 64)
+        if where == "local":
+            desc[5] = scaled(unit_f32(rng, 128), dev)
+            off = norm_dev(desc[5])
+        else:
+            gdesc = scaled(gdesc, dev)
+            off = norm_dev(gdesc)
+        assert (abs(off) > limit) == (abs(dev) > limit)   # float32 rounding kept the side
+        assert_read_as_reference(tmp_path / "f.sarf", desc, gdesc.astype(np.float32))
+
+    def test_screen_margin(self, tmp_path):
+        # squared norms on both sides of the screen's tolerance: rows it
+        # accepts as they are and rows it hands to the exact checks
+        rng = np.random.default_rng(1)
+        base = unit_f32(rng, 128)
+        gdesc = unit_f32(rng, 64).astype(np.float32)
+        decisions = set()
+        for k, dev in enumerate(np.linspace(0.48e-6, 0.52e-6, 9)):
+            desc = unit_f32(rng, 12, 128).astype(np.float32)
+            desc[3] = scaled(base, dev)
+            s = float(np.einsum("i,i->", desc[3], desc[3], dtype=np.float64))
+            assert abs(s - 1.0 - 1e-6) < 1e-7
+            decisions.add(_unit_rows(desc, 1e-6))
+            assert_read_as_reference(tmp_path / f"f{k}.sarf", desc, gdesc)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("off", [None, "local_repair", "local_reject",
+                                     "global_repair", "global_reject"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["local", "global", "both"])
+    def test_non_finite_with_off_norm_rows(self, tmp_path, where, value, off):
+        rng = np.random.default_rng(2)
+        desc, gdesc = unit_f32(rng, 12, 128).astype(np.float32), unit_f32(rng, 64)
+        if off is not None:
+            dev = 5e-4 if off.endswith("repair") else 2e-3
+            if off.startswith("local"):
+                desc[7] = scaled(unit_f32(rng, 128), dev)
+            else:
+                gdesc = scaled(gdesc, dev)
+        gdesc = gdesc.astype(np.float32)
+        if where in ("local", "both"):
+            desc[2, 40] = value
+        if where in ("global", "both"):
+            gdesc[9] = value
+        assert_read_as_reference(tmp_path / "f.sarf", desc, gdesc, scores=np.ones(12))
+
+    @pytest.mark.parametrize("gdev", [0.0, 5e-4, 2e-3, np.nan], ids=["unit", "repair", "reject", "nan"])
+    def test_zero_keypoints(self, tmp_path, gdev):
+        gdesc = unit_f32(np.random.default_rng(3), 64)
+        gdesc = np.full(64, np.nan, np.float32) if np.isnan(gdev) else scaled(gdesc, gdev)
+        assert_read_as_reference(tmp_path / "f.sarf", np.zeros((0, 128), np.float32), gdesc)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, -1.0, 1.0], [1.0, -(1 + 5e-4), 1.0], [1.0, 1.0, 1 + 2e-3], [1.0, 1 + 4e-7, -1.0],
+        [1.0, np.inf, 1.0], [0.0, 1.0, 1.0],
+    ], ids=["unit", "repair", "reject", "round_off", "inf", "zero"])
+    def test_one_dimensional_descriptors(self, tmp_path, values):
+        desc = np.array(values, np.float32)[:, None]
+        assert_read_as_reference(tmp_path / "f.sarf", desc, np.array([1.0], np.float32))
+
+    @pytest.mark.parametrize("dev", [0.5e-4, 0.9e-4, 1.1e-4, -0.9e-4, -1.1e-4])
+    @pytest.mark.parametrize("where", ["local", "global", "local_float64"])
+    def test_validate_tolerance(self, where, dev):
+        rng = np.random.default_rng(4)
+        feats = make_features()
+        if where == "global":
+            feats = dataclasses.replace(feats, global_desc=scaled(unit_f32(rng, 64), dev))
+        else:
+            desc = feats.descriptors.astype(np.float64 if where == "local_float64" else np.float32)
+            desc[4] = scaled(unit_f32(rng, 128), dev)
+            feats = dataclasses.replace(feats, descriptors=desc)
+
+        def checked():
+            feats.validate()
+            return []
+
+        def reference():
+            ref_validate_norms(feats)
+            return []
+
+        assert outcome(checked) == outcome(reference)
+
+    def test_read_peak_memory(self, tmp_path):
+        # the file's bytes, the descriptor copy parsed from them and the
+        # screen's float64 row sums; a float64 copy of the descriptors and
+        # its square, as a norm of a cast makes, reach about 6x
+        path = tmp_path / "f.sarf"
+        write_features(make_features(n=2000, d=128), path)
+        desc_bytes = 2000 * 128 * 4
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            read_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * desc_bytes
 
 
 class TestManifest:

@@ -235,6 +235,28 @@ class TestMutualNN:
         assert sorted((int(c.idx_a), int(c.idx_b)) for c in got) == [(0, 1), (1, 3), (2, 4)]
         assert_matches_reference(fa, fb)
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_column_ties_across_row_blocks(self, monkeypatch, rows):
+        # blocks of a few rows, so a column's tied maxima lie in several
+        # blocks; the earliest tied row must keep the column
+        rng = np.random.default_rng(rows)
+        distinct = unit_rows(rng, 3, 16)
+        da = np.concatenate([distinct[np.arange(21) % 3], unit_rows(rng, 6, 16)])
+        da = da[rng.permutation(27)]
+        db = np.concatenate([distinct, unit_rows(rng, 8, 16)])[rng.permutation(11)]
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 8 * len(db))
+        fa = image_from(rng.uniform(0, 700, (27, 2)), da, "a")
+        fb = image_from(rng.uniform(0, 700, (11, 2)), db, "b")
+        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        tied = sims == sims.max(axis=0)
+        blocks = [np.unique(np.flatnonzero(col) // rows) for col in tied.T]
+        assert sum(len(b) > 1 for b in blocks) >= 3
+        got = mutual_nn_matches(fa, fb, 1000)
+        assert len(got) >= 3
+        best_ba = np.argmax(sims, axis=0)
+        assert all(best_ba[int(c.idx_b)] == int(c.idx_a) for c in got)
+        assert_matches_reference(fa, fb)
+
     @pytest.mark.parametrize("n_a,n_b", [(1, 9), (9, 1), (1, 1), (0, 9), (9, 0), (0, 0)])
     def test_equals_argmax_on_degenerate_shapes(self, n_a, n_b):
         rng = np.random.default_rng(n_a * 10 + n_b)
@@ -243,9 +265,9 @@ class TestMutualNN:
         assert_matches_reference(fa, fb)
 
     def test_peak_memory_one_similarity_matrix(self):
-        # one float64 matrix plus one bool mask (1.125x the matrix); a
-        # transposed copy of the mask, as an argmax along axis 0 makes,
-        # reaches 1.25x, and a transposed float64 copy 2x
+        # one float64 matrix plus row-block temporaries; a bool mask of the
+        # matrix, transposed as an argmax along axis 0 copies it, reaches
+        # 1.25x, and a transposed float64 copy 2x
         n_a, n_b = 1500, 1400
         rng = np.random.default_rng(3)
         fa = image_from(np.zeros((n_a, 2)), unit_rows(rng, n_a, 32), "a")
