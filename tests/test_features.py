@@ -377,7 +377,7 @@ def assert_read_as_reference(path, desc, gdesc, scores=None):
     assert outcome(got) == outcome(lambda: ref_read(path, desc.copy(), gdesc.copy(), scores))
 
 
-def unit_f32(rng, *shape):
+def unit_vectors(rng, *shape):
     v = rng.normal(size=shape)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -403,9 +403,9 @@ class TestDescriptorScreen:
     @pytest.mark.parametrize("where", ["local", "global"])
     def test_norm_thresholds(self, tmp_path, dev, limit, where):
         rng = np.random.default_rng(0)
-        desc, gdesc = unit_f32(rng, 12, 128).astype(np.float32), unit_f32(rng, 64)
+        desc, gdesc = unit_vectors(rng, 12, 128).astype(np.float32), unit_vectors(rng, 64)
         if where == "local":
-            desc[5] = scaled(unit_f32(rng, 128), dev)
+            desc[5] = scaled(unit_vectors(rng, 128), dev)
             off = norm_dev(desc[5])
         else:
             gdesc = scaled(gdesc, dev)
@@ -417,11 +417,11 @@ class TestDescriptorScreen:
         # squared norms on both sides of the screen's tolerance: rows it
         # accepts as they are and rows it hands to the exact checks
         rng = np.random.default_rng(1)
-        base = unit_f32(rng, 128)
-        gdesc = unit_f32(rng, 64).astype(np.float32)
+        base = unit_vectors(rng, 128)
+        gdesc = unit_vectors(rng, 64).astype(np.float32)
         decisions = set()
         for k, dev in enumerate(np.linspace(0.48e-6, 0.52e-6, 9)):
-            desc = unit_f32(rng, 12, 128).astype(np.float32)
+            desc = unit_vectors(rng, 12, 128).astype(np.float32)
             desc[3] = scaled(base, dev)
             s = float(np.einsum("i,i->", desc[3], desc[3], dtype=np.float64))
             assert abs(s - 1.0 - 1e-6) < 1e-7
@@ -435,11 +435,11 @@ class TestDescriptorScreen:
     @pytest.mark.parametrize("where", ["local", "global", "both"])
     def test_non_finite_with_off_norm_rows(self, tmp_path, where, value, off):
         rng = np.random.default_rng(2)
-        desc, gdesc = unit_f32(rng, 12, 128).astype(np.float32), unit_f32(rng, 64)
+        desc, gdesc = unit_vectors(rng, 12, 128).astype(np.float32), unit_vectors(rng, 64)
         if off is not None:
             dev = 5e-4 if off.endswith("repair") else 2e-3
             if off.startswith("local"):
-                desc[7] = scaled(unit_f32(rng, 128), dev)
+                desc[7] = scaled(unit_vectors(rng, 128), dev)
             else:
                 gdesc = scaled(gdesc, dev)
         gdesc = gdesc.astype(np.float32)
@@ -449,9 +449,10 @@ class TestDescriptorScreen:
             gdesc[9] = value
         assert_read_as_reference(tmp_path / "f.sarf", desc, gdesc, scores=np.ones(12))
 
-    @pytest.mark.parametrize("gdev", [0.0, 5e-4, 2e-3, np.nan], ids=["unit", "repair", "reject", "nan"])
+    @pytest.mark.parametrize("gdev", [0.0, 5e-4, 2e-3, np.nan],
+                             ids=["unit", "repair", "reject", "nan"])
     def test_zero_keypoints(self, tmp_path, gdev):
-        gdesc = unit_f32(np.random.default_rng(3), 64)
+        gdesc = unit_vectors(np.random.default_rng(3), 64)
         gdesc = np.full(64, np.nan, np.float32) if np.isnan(gdev) else scaled(gdesc, gdev)
         assert_read_as_reference(tmp_path / "f.sarf", np.zeros((0, 128), np.float32), gdesc)
 
@@ -469,10 +470,10 @@ class TestDescriptorScreen:
         rng = np.random.default_rng(4)
         feats = make_features()
         if where == "global":
-            feats = dataclasses.replace(feats, global_desc=scaled(unit_f32(rng, 64), dev))
+            feats = dataclasses.replace(feats, global_desc=scaled(unit_vectors(rng, 64), dev))
         else:
             desc = feats.descriptors.astype(np.float64 if where == "local_float64" else np.float32)
-            desc[4] = scaled(unit_f32(rng, 128), dev)
+            desc[4] = scaled(unit_vectors(rng, 128), dev)
             feats = dataclasses.replace(feats, descriptors=desc)
 
         def checked():
