@@ -82,16 +82,15 @@ class ImageFeatures:
         if self.global_desc.ndim != 1:
             raise ValueError("global descriptor must be 1-D")
         self._check_values()
-        if n and not _unit_rows(self.descriptors, 1e-4):
+        if n:
             norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)
             if np.abs(norms - 1.0).max() > 1e-4:
                 raise NormalizationFailure(
                     f"{self.image_id}: local descriptors not unit norm")
-        if not _unit_rows(self.global_desc[None, :], 1e-4):
-            gnorm = float(np.linalg.norm(self.global_desc.astype(np.float64)))
-            if abs(gnorm - 1.0) > 1e-4:
-                raise NormalizationFailure(
-                    f"{self.image_id}: global descriptor not unit norm")
+        gnorm = float(np.linalg.norm(self.global_desc.astype(np.float64)))
+        if abs(gnorm - 1.0) > 1e-4:
+            raise NormalizationFailure(
+                f"{self.image_id}: global descriptor not unit norm")
 
     def _check_values(self) -> None:
         """Image size, keypoint bounds, score range and intrinsics: the checks
