@@ -1,19 +1,21 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
-``short_ransac`` is the one estimator. Its hypotheses come from
-``ransac_hypotheses``, the one stage that draws, solves and scores them,
-for one search or for several at once: each search draws from its own
-generator, every search's eight-point sets are solved in one stack, and
-the Sampson errors of searches with equal match counts are computed
-together. ``short_ransac`` builds them itself as a stack of one, or takes
-a search's share of a stack built over several pairs; either way it then
-picks the best hypothesis, refits, projects and recovers the pose for
-that one pair. ``sampson_errors`` scores one model or a stack of them
-against all matches at once. In the calibrated branch
-``recover_pose`` triangulates all four decompositions of E in one stacked
-``triangulate_angles`` call, on the normalized inlier coordinates the
-search already holds, and returns the winner's angles with its pose.
+``short_ransac`` is the one estimator. Its search runs in two halves. The
+front half is ``ransac_models``, the one stage that draws, solves, scores,
+selects, refits and projects, for one search or for several at once: each
+search draws from its own generator, every search's eight-point sets are
+solved in one stack, the Sampson errors of searches with equal match counts
+are computed and compared together, the winners are refit in one stack per
+inlier count and the calibrated refits projected in one call. The back half
+stays per pair: ``short_ransac`` recounts the inliers against its search's
+final model and recovers the pose. It builds its share as a stack of one,
+or takes a search's share of a stack built over several pairs.
+``sampson_errors`` scores one model or a stack of them against all
+matches at once. In the calibrated branch ``recover_pose`` triangulates
+all four decompositions of E in one stacked ``triangulate_angles`` call,
+on the normalized inlier coordinates the search already holds, and
+returns the winner's angles with its pose.
 
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
 satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
@@ -220,33 +222,76 @@ def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
     return idx[:, :8]
 
 
-class Hypotheses(NamedTuple):
-    """One robust search's hypotheses, as ``ransac_hypotheses`` builds them."""
+class RansacShare(NamedTuple):
+    """One robust search's share of ``ransac_models``: what ``short_ransac`` finishes."""
 
-    points: np.ndarray   # (2, m, 3) homogeneous points of images a and b
-    models: np.ndarray   # (h, 3, 3) rank-2 eight-point fits, in draw order
-    ok: np.ndarray       # (h,) False where a sample was degenerate
-    errors: np.ndarray   # (h, m) Sampson error of every match under every model
+    points: np.ndarray         # (2, m, 3) homogeneous points of images a and b
+    threshold_sq: float        # squared inlier threshold in the frame of ``points``
+    winner: int | None         # row of the winning hypothesis; None if none keeps 8 inliers
+    model: np.ndarray | None   # the winner's refit, projected to an essential matrix
+                               # when calibrated; None with ``winner``
 
 
-def ransac_hypotheses(searches, iterations: int) -> list[Hypotheses]:
-    """Draw, solve and score the hypotheses of one or more robust searches.
+def _threshold_sq(calib, inlier_threshold: float) -> float:
+    # a pixel distance squared; in normalized coordinates it is scaled by the
+    # inverse squared mean focal length of the two K
+    if calib is None:
+        return inlier_threshold ** 2
+    K_a, K_b = calib
+    fbar = float(np.mean([K_a[0, 0], K_a[1, 1], K_b[0, 0], K_b[1, 1]]))
+    return (inlier_threshold / fbar) ** 2
+
+
+def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | None]:
+    """Each search's winning hypothesis row, or None where none keeps 8 inliers.
+
+    ``errs`` and ``masks`` are (s, h, m): s searches' Sampson errors and
+    inlier masks; ``ok`` is (s, h). Most inliers wins; a tie goes to the
+    strictly lower inlier-error total, then to the earlier row. A search's
+    tied rows total their inlier errors in one ``sum(axis=1)`` over the
+    (n_tied, top) array of those errors, compacted in row order. numpy sums
+    each contiguous row pairwise, as it sums one row's inlier errors alone,
+    so a total keeps the bits of a one-hypothesis search's.
+    """
+    counts = np.where(ok, masks.sum(axis=2), 0)
+    rows = []
+    for e, mask, c, top in zip(errs, masks, counts, counts.max(axis=1).tolist()):
+        tied = np.flatnonzero(c == top)
+        if top < 8:
+            rows.append(None)
+        elif len(tied) == 1:
+            rows.append(int(tied[0]))
+        else:
+            totals = e[tied][mask[tied]].reshape(len(tied), top).sum(axis=1)
+            rows.append(int(tied[np.argmin(totals)]))
+    return rows
+
+
+def ransac_models(searches, iterations: int, inlier_threshold: float) -> list[RansacShare]:
+    """The front half of one or more robust searches: draw, solve, score,
+    select, refit and project.
 
     ``searches`` holds one (corrs, calib, rng) triple per search, each
-    with at least 8 correspondences; ``calib`` is as in ``short_ransac``.
-    Every search draws its ``iterations`` 8-subsets from its own ``rng``,
-    with the one call a lone search makes. All subsets are solved in one
-    ``_fundamental_stack``, and the Sampson errors of searches with equal
-    match counts in one broadcast pass. Each search's hypotheses are
-    bit-identical to those of a stack of one, so a search's result does
-    not depend on the searches it is stacked with; memory grows with the
-    total of iterations x correspondences over the searches.
+    with at least 8 correspondences; ``calib`` and ``inlier_threshold`` are
+    as in ``short_ransac``. Every search draws its ``iterations`` 8-subsets
+    from its own ``rng``, with the one call a lone search makes. All
+    subsets are solved in one ``_fundamental_stack``. Searches with equal
+    match counts are scored in one Sampson pass and pick their winners
+    from one stack of inlier counts (see ``_winners``). The winners are
+    refit on their inliers in one ``_fundamental_stack`` per inlier count,
+    so an 8-inlier refit keeps the exact QR path; a degenerate refit keeps
+    the winning hypothesis. Every calibrated search's model is projected
+    onto the essential manifold in one ``_project_essential`` call. Each
+    share is bit-identical to that of a stack of one, so a search's result
+    does not depend on the searches it is stacked with; memory grows with
+    the total of iterations x correspondences over the searches.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
-    so ``short_ransac`` applies it only to the final overdetermined refit.
+    so it applies only to the overdetermined refit.
     """
     points = [_search_points(corrs, calib) for corrs, calib, _ in searches]
+    thresholds = [_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches]
     sizes = [p.shape[1] for p in points]
     samples = _draw_samples([rng for *_, rng in searches], sizes, iterations)
     # one gather: each search's indices shifted to its rows of the joined points
@@ -254,29 +299,33 @@ def ransac_hypotheses(searches, iterations: int) -> list[Hypotheses]:
     models, ok = _fundamental_stack(*np.concatenate(points, axis=1)[:, samples, :2])
     models = models.reshape(len(points), iterations, 3, 3)
     ok = ok.reshape(len(points), iterations)
-    errors = [None] * len(points)
+    winners, inliers = [None] * len(points), [None] * len(points)
     for m in dict.fromkeys(sizes):
         group = [k for k, size in enumerate(sizes) if size == m]
         ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
-        for k, errs in zip(group, _sampson(models[group], ha, hb)):
-            errors[k] = errs
-    return [Hypotheses(*search) for search in zip(points, models, ok, errors)]
+        errs = _sampson(models[group], ha, hb)
+        masks = errs < np.array(thresholds)[group, None, None]
+        for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
+            if row is not None:
+                winners[k], inliers[k] = row, masks[j, row]
+        del errs   # before the next match count's pass allocates its own
 
-
-def _best_hypothesis(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> int | None:
-    """Row of the winning hypothesis, or None if none keeps 8 inliers.
-
-    Most inliers wins; a tie goes to the strictly lower inlier-error total,
-    then to the earlier row. A total sums the row's inlier errors alone, in
-    order, as a one-hypothesis search sums them.
-    """
-    counts = np.where(ok, masks.sum(axis=1), 0)
-    top = int(counts.max(initial=0))
-    if top < 8:
-        return None
-    tied = np.flatnonzero(counts == top)
-    totals = [errs[h][masks[h]].sum() for h in tied]
-    return int(tied[int(np.argmin(totals))])
+    final = [None] * len(points)
+    found = [k for k, row in enumerate(winners) if row is not None]
+    counts = [np.count_nonzero(inliers[k]) for k in found]
+    for count in dict.fromkeys(counts):
+        same = [k for k, c in zip(found, counts) if c == count]
+        refits, refit_ok = _fundamental_stack(
+            *np.stack([points[k][:, inliers[k], :2] for k in same], axis=1))
+        for k, refit, good in zip(same, refits, refit_ok):
+            # a degenerate refit keeps the winning hypothesis as the final model
+            final[k] = refit if good else models[k, winners[k]]
+    calibrated = [k for k in found if searches[k][1] is not None]
+    if calibrated:
+        projected = _project_essential(np.stack([final[k] for k in calibrated]))
+        for k, E in zip(calibrated, projected):
+            final[k] = E
+    return [RansacShare(*share) for share in zip(points, thresholds, winners, final)]
 
 
 def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
@@ -347,7 +396,7 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
 def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
                  iterations: int = 32, inlier_threshold: float = 2.0,
                  rng: np.random.Generator | None = None, *,
-                 hypotheses: Hypotheses | None = None) -> TwoViewModel:
+                 share: RansacShare | None = None) -> TwoViewModel:
     """Fixed-iteration robust two-view estimation.
 
     Hypotheses are eight-point fits on uniform 8-subsets, scored by inlier
@@ -356,16 +405,18 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     refit once on its inliers and the inlier set is recomputed against the
     refit model, so stored inliers satisfy the threshold by construction.
 
-    The hypotheses come from ``ransac_hypotheses``: all of them drawn,
-    solved and scored together, one stacked eight-point solve and one
-    (iterations, len(corrs)) Sampson matrix. Without ``hypotheses`` the
-    search builds them as a stack of one from ``rng``; ``hypotheses`` is
-    this search's share of a stack built over several searches, whose
-    ``iterations`` and generator then stand in for the arguments. Either
-    way the result is bit-identical to solving and scoring the hypotheses
-    one at a time in draw order. The minimal samples take their null
-    vectors from one batched QR and the refit on more than 8 inliers from
-    an SVD (see ``_fundamental_stack``), in both branches.
+    Everything up to the refit model runs in ``ransac_models``: all
+    hypotheses drawn, solved and scored together, one stacked eight-point
+    solve and one (iterations, len(corrs)) Sampson matrix. Without
+    ``share`` the search builds its share as a stack of one from ``rng``;
+    ``share`` is this search's share of a stack built over several
+    searches, whose ``iterations``, threshold and generator then stand in
+    for the arguments. Either way the result is bit-identical to solving
+    and scoring the hypotheses one at a time in draw order. This call then
+    recounts the inliers against the final model, needs 8 of them and, in
+    the calibrated branch, recovers the pose. The minimal samples take
+    their null vectors from one batched QR and the refit on more than 8
+    inliers from an SVD (see ``_fundamental_stack``), in both branches.
 
     ``inlier_threshold`` is a pixel distance; with ``calib`` given the
     search runs in normalized coordinates (essential model) and the
@@ -374,29 +425,13 @@ def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
     n = len(corrs)
     if n < 8:
         raise InsufficientCorrespondences(f"{n} < 8")
-    if hypotheses is None:
+    if share is None:
         if rng is None:
             rng = np.random.default_rng(0)
-        hypotheses = ransac_hypotheses([(corrs, calib, rng)], iterations)[0]
-    pts, models, ok, errs = hypotheses
-    ha, hb = pts
-    if calib is not None:
-        K_a, K_b = calib
-        fbar = float(np.mean([K_a[0, 0], K_a[1, 1], K_b[0, 0], K_b[1, 1]]))
-        threshold_sq = (inlier_threshold / fbar) ** 2
-    else:
-        threshold_sq = inlier_threshold ** 2
-
-    masks = errs < threshold_sq
-    best = _best_hypothesis(errs, masks, ok)
-    if best is None:
+        share = ransac_models([(corrs, calib, rng)], iterations, inlier_threshold)[0]
+    (ha, hb), threshold_sq, _, M = share
+    if M is None:
         raise NoModelFound("no hypothesis reached 8 inliers")
-
-    refit, refit_ok = _fundamental_stack(*pts[:, None, masks[best], :2])
-    # a degenerate refit keeps the winning hypothesis as the final model
-    M = refit[0] if refit_ok[0] else models[best]
-    if calib is not None:
-        M = _project_essential(M)
     inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
     if inliers.size < 8:
         raise NoModelFound("refit model keeps fewer than 8 inliers")

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .config import SaraConfig
-from .epipolar import TwoViewModel, correspondences, ransac_hypotheses, short_ransac
+from .epipolar import TwoViewModel, correspondences, ransac_models, short_ransac
 from .errors import EstimationError
 from .features import ImageFeatures
 
@@ -153,28 +153,29 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
     """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
 
     Each pair is matched on its own. The pairs with at least 8 mutual
-    matches then share one ``ransac_hypotheses`` call, and each finishes
-    its robust search in its own ``short_ransac`` call on its share.
+    matches then share one ``ransac_models`` call, which draws, solves,
+    scores, selects, refits and projects for all of them, and each
+    finishes its robust search (inlier recount and pose) in its own
+    ``short_ransac`` call on its share.
     """
     matches = [mutual_nn_matches(fa, fb, config.b, work) for fa, fb, _ in group]
     calibs = [(fa.intrinsics, fb.intrinsics)
               if fa.intrinsics is not None and fb.intrinsics is not None else None
               for fa, fb, _ in group]
     searched = [k for k, m in enumerate(matches) if len(m) >= 8]
-    stack = ransac_hypotheses([(matches[k], calibs[k], _pair_rng(config.seed, group[k][2]))
-                               for k in searched], config.ransac_iterations) if searched else []
-    hypotheses = dict(zip(searched, stack))
+    stack = ransac_models([(matches[k], calibs[k], _pair_rng(config.seed, group[k][2]))
+                           for k in searched], config.ransac_iterations,
+                          config.inlier_threshold_px) if searched else []
+    shares = dict(zip(searched, stack))
 
     scores = []
     for k, (fa, fb, _) in enumerate(group):
         model = reason = None
-        if k not in hypotheses:
+        if k not in shares:
             reason = RejectReason.TOO_FEW_MUTUAL_NN
         else:
             try:
-                model = short_ransac(matches[k], calib=calibs[k],
-                                     inlier_threshold=config.inlier_threshold_px,
-                                     hypotheses=hypotheses[k])
+                model = short_ransac(matches[k], calib=calibs[k], share=shares[k])
             except EstimationError:
                 reason = RejectReason.NO_MODEL
 
@@ -206,8 +207,8 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
 
     The sorted pairs are scored in groups, each of as many pairs as make
     up ``_GROUP_HYPOTHESES`` hypothesis sets at ``config.ransac_iterations``
-    (at least one pair). A group's searches draw, solve and score their
-    hypotheses in one stack, which saves numpy's per-call cost on tiny
+    (at least one pair). A group's searches draw, solve, score, select,
+    refit and project in stacks, which saves numpy's per-call cost on tiny
     arrays; the bound keeps the stacked arrays from growing with the pair
     count.
 

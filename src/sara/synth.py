@@ -120,6 +120,9 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         raise ValueError("need at least 50 points")
     if radius <= 1.0:
         raise ValueError("orbit radius must exceed the unit point shell")
+    for name, value in (("noise_px", noise_px), ("noise_desc", noise_desc)):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     w, h = image_size
     K = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
     phis = 2.0 * math.pi * np.arange(n_cameras) / n_cameras

@@ -1,6 +1,8 @@
-"""tools/abbench.py: run order, pairs won, and the refusal on differing outputs."""
+"""tools/abbench.py: run order, pairs won, the refusal on differing outputs,
+and which uncommitted edits it names."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,29 @@ def test_refuses_differing_outputs(change):
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **change)}]
     with pytest.raises(SystemExit):
         abbench.summarize(e2e, [], BETTER)
+
+
+def test_names_only_dirty_paths_a_run_uses(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    for name in ("README.md", "tests/test_x.py", "src/sara/a.py", "perfbench/run.py",
+                 "BENCHMARK.json"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("0\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    monkeypatch.setattr(abbench, "ROOT", tmp_path)
+    # docs and tests: nothing a run executes or reads
+    (tmp_path / "README.md").write_text("1\n")
+    (tmp_path / "tests/test_x.py").write_text("1\n")
+    (tmp_path / "notes.txt").write_text("1\n")
+    assert abbench.dirty_paths() == []
+    (tmp_path / "src/sara/a.py").write_text("1\n")
+    (tmp_path / "src/sara/b.py").write_text("1\n")
+    (tmp_path / "BENCHMARK.json").write_text("1\n")
+    git("mv", "perfbench/run.py", "perfbench/main.py")
+    assert abbench.dirty_paths() == ["BENCHMARK.json", "perfbench/main.py",
+                                     "src/sara/a.py", "src/sara/b.py"]

@@ -7,9 +7,10 @@ import pytest
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
                      project_pixels, random_rotation, rot_geodesic, to_corrs)
-from sara.epipolar import (_MATCH_DTYPE, _best_hypothesis, _draw_samples, _fix_sign,
-                           _fundamental_stack, correspondences, ransac_hypotheses,
-                           recover_pose, sampson_errors, short_ransac, triangulate_angles)
+import sara.epipolar as epipolar
+from sara.epipolar import (_MATCH_DTYPE, _draw_samples, _fix_sign, _fundamental_stack,
+                           _winners, correspondences, ransac_models, recover_pose,
+                           sampson_errors, short_ransac, triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
 I3 = np.eye(3)
@@ -147,7 +148,7 @@ class TestFundamental:
 
     def test_strided_stack_equals_one_set_solves(self):
         # refit-sized sets (m > 8) cut from one (2, n, 3) array by fancy
-        # indexing, as short_ransac cuts its refit, and stacked: the stack is
+        # indexing, as ransac_models cuts its refits, and stacked: the stack is
         # not C-contiguous, yet each set's model keeps its one-set bits
         rng = np.random.default_rng(21)
         case = gen_frustum_pair(rng, n=60, noise_px=0.5)
@@ -570,9 +571,10 @@ def ref_sampson(M, pa, pb):
     return out
 
 
-def ref_short_ransac(corrs, calib, iterations, threshold, rng):
-    """(matrix, inliers, stats) of a one-hypothesis-at-a-time search, or
-    (None, None, stats) where the search finds no model."""
+def ref_select(corrs, calib, iterations, threshold, rng):
+    """(pa, pb, threshold_sq, best, stats) of a one-hypothesis-at-a-time
+    search: ``best`` is (row, model, inlier mask) of the winning hypothesis,
+    or None where no hypothesis keeps 8 inliers."""
     pa = np.array([c.x_a for c in corrs], dtype=np.float64)
     pb = np.array([c.x_b for c in corrs], dtype=np.float64)
     if calib is not None:
@@ -583,7 +585,7 @@ def ref_short_ransac(corrs, calib, iterations, threshold, rng):
         threshold_sq = threshold ** 2
     stats = {"degenerate": 0, "counts": []}
     best = None
-    for _ in range(iterations):
+    for row in range(iterations):
         idx = ref_fisher_yates(rng, len(corrs))
         M = ref_fundamental(pa[idx], pb[idx])
         if M is None:
@@ -597,19 +599,44 @@ def ref_short_ransac(corrs, calib, iterations, threshold, rng):
             continue
         total = float(errs[mask].sum())
         if best is None or count > best[0] or (count == best[0] and total < best[1]):
-            best = (count, total, M, mask)
+            best = (count, total, row, M, mask)
+    return pa, pb, threshold_sq, None if best is None else best[2:], stats
+
+
+def ref_project(M):
+    U, _, Vt = np.linalg.svd(M)
+    return ref_fix_sign((U * np.array([1.0, 1.0, 0.0])) @ Vt)
+
+
+def ref_refit(pa, pb, best, calib):
+    """(refit, final model) of a winner: the refit is None where degenerate,
+    and the final model is then the winning hypothesis, projected when calibrated."""
+    _, M, mask = best
+    refit = ref_fundamental(pa[mask], pb[mask])
+    final = M if refit is None else refit
+    return refit, final if calib is None else ref_project(final)
+
+
+def ref_short_ransac(corrs, calib, iterations, threshold, rng):
+    """(matrix, inliers, stats) of a one-hypothesis-at-a-time search, or
+    (None, None, stats) where the search finds no model."""
+    pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, iterations, threshold, rng)
     if best is None:
         return None, None, stats
-    M = ref_fundamental(pa[best[3]], pb[best[3]])
-    if M is None:
-        M = best[2]
-    if calib is not None:
-        U, _, Vt = np.linalg.svd(M)
-        M = ref_fix_sign((U * np.array([1.0, 1.0, 0.0])) @ Vt)
+    _, M = ref_refit(pa, pb, best, calib)
     inliers = np.flatnonzero(ref_sampson(M, pa, pb) < threshold_sq)
     if inliers.size < 8:
         return None, None, stats
     return M, inliers, stats
+
+
+def assert_same_share(got, want):
+    """Two ``ransac_models`` shares hold the same bits."""
+    assert got.points.tobytes() == want.points.tobytes()
+    assert (got.threshold_sq, got.winner) == (want.threshold_sq, want.winner)
+    assert (got.model is None) == (want.model is None)
+    if got.model is not None:
+        assert got.model.tobytes() == want.model.tobytes()
 
 
 def philox(seed):
@@ -667,11 +694,11 @@ class TestBatchedSearch:
                 np.testing.assert_array_equal(got[k], _draw_samples([alone[k]], [n], rows))
                 assert stacked[k].integers(1 << 62) == alone[k].integers(1 << 62)
 
-    def test_stacked_searches_equal_one_search_stacks(self):
+    def test_stacked_searches_equal_one_search_stacks(self, monkeypatch):
         # match counts 50, 51, 30, 50 and 20, each calibrated and not, one
         # scene with a repeated point and one without a model: every search's
-        # hypotheses and its finished model keep their bits whatever they
-        # are stacked with
+        # share and its finished model keep their bits whatever they are
+        # stacked with
         searches = []
         for seed, scene in enumerate([lambda s: with_outliers(s, 30, 20, separation_deg=35.0),
                                       duplicated_points, clean,
@@ -682,26 +709,109 @@ class TestBatchedSearch:
                 searches.append((corrs, (K, K) if calibrated else None, 10 * seed + calibrated))
         counts = sorted(len(corrs) for corrs, _, _ in searches)
         assert counts == [20] * 2 + [30] * 2 + [50] * 4 + [51] * 2
-        stacked = ransac_hypotheses([(corrs, calib, philox(key)) for corrs, calib, key
-                                     in searches], 32)
-        assert any(not hyp.ok.all() for hyp in stacked)   # the repeated point
+        solve, solved = epipolar._fundamental_stack, []
+        monkeypatch.setattr(epipolar, "_fundamental_stack",
+                            lambda pa, pb: solved.append(solve(pa, pb)) or solved[-1])
+        stacked = ransac_models([(corrs, calib, philox(key)) for corrs, calib, key
+                                 in searches], 32, 2.0)
+        assert not solved[0][1].all()   # the repeated point
         outcomes = set()
         for (corrs, calib, key), got in zip(searches, stacked):
-            alone = ransac_hypotheses([(corrs, calib, philox(key))], 32)[0]
-            for field, x, y in zip(got._fields, got, alone):
-                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
+            alone = ransac_models([(corrs, calib, philox(key))], 32, 2.0)[0]
+            assert_same_share(got, alone)
             try:
                 want = short_ransac(corrs, calib=calib, rng=philox(key))
             except NoModelFound:
                 with pytest.raises(NoModelFound):
-                    short_ransac(corrs, calib=calib, hypotheses=got)
+                    short_ransac(corrs, calib=calib, share=got)
                 outcomes.add("no_model")
                 continue
-            model = short_ransac(corrs, calib=calib, hypotheses=got)
+            model = short_ransac(corrs, calib=calib, share=got)
             assert model.matrix.tobytes() == want.matrix.tobytes()
             np.testing.assert_array_equal(model.inliers, want.inliers)
             outcomes.add("model")
         assert outcomes == {"model", "no_model"}
+
+    def test_group_stage_equals_stacks_of_one(self, monkeypatch):
+        # one group holding every branch of the stage: calibrated and
+        # uncalibrated searches with unequal match counts, count ties of
+        # several sizes, an 8-inlier refit beside larger ones, a degenerate
+        # refit and a search where no hypothesis keeps 8 inliers
+        exact = gen_frustum_pair(np.random.default_rng(70), n=40)
+        eight = gen_frustum_pair(np.random.default_rng(71), n=8, noise_px=0.3)
+        kept = gen_frustum_pair(np.random.default_rng(72), n=25, noise_px=0.5)
+        r = np.random.default_rng(73)
+        junk_a, junk_b = (np.column_stack([r.uniform(0, WIDTH, 6), r.uniform(0, HEIGHT, 6)])
+                          for _ in range(2))
+        scenes = {
+            "outliers": with_outliers(100, 30, 20, separation_deg=35.0),
+            "outliers_uncal": with_outliers(101, 30, 20, separation_deg=35.0),
+            "clean": clean(102),
+            # noise-free: every all-true sample keeps the same 40 inliers
+            "exact": (to_corrs(np.vstack([exact.kp_a, junk_a]),
+                                   np.vstack([exact.kp_b, junk_b])), exact.intrinsics),
+            "eight": (to_corrs(eight.kp_a, eight.kp_b), eight.intrinsics),
+            "degenerate_refit": (to_corrs(kept.kp_a, kept.kp_b), kept.intrinsics),
+            "no_model": with_outliers(105, 0, 20),
+        }
+        calibrated = {"outliers", "clean", "eight", "degenerate_refit", "no_model"}
+        searches = [(name, corrs, (K, K) if name in calibrated else None, 300 + k)
+                    for k, (name, (corrs, K)) in enumerate(scenes.items())]
+
+        # a refit that holds the first point of "degenerate_refit", in the
+        # normalized frame the search runs in, is reported degenerate: the
+        # stage must keep that search's winning hypothesis
+        corrs, K = scenes["degenerate_refit"]
+        marker = epipolar._search_points(corrs, (K, K))[0, 0, :2]
+        solve = epipolar._fundamental_stack
+
+        def planted(pa, pb):
+            models, ok = solve(pa, pb)
+            return models, ok & ~((pa.shape[1] > 8) & (pa == marker).all(axis=2).any(axis=1))
+
+        project, projected = epipolar._project_essential, []
+
+        def recording(F):
+            projected.append((F, project(F)))
+            return projected[-1][1]
+
+        monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
+        monkeypatch.setattr(epipolar, "_project_essential", recording)
+        stacked = ransac_models([(corrs, calib, philox(key)) for _, corrs, calib, key
+                                 in searches], 32, 2.0)
+        # one projection for the group, over its calibrated searches that found a winner
+        assert len(projected) == 1 and len(projected[0][0]) == len(calibrated) - 1
+        group_in, group_out = (iter(x) for x in projected.pop())
+
+        tie_sizes = {}
+        for (name, corrs, calib, key), got in zip(searches, stacked):
+            alone = ransac_models([(corrs, calib, philox(key))], 32, 2.0)[0]
+            assert_same_share(got, alone)
+            if calib is not None and got.winner is not None:
+                # the refit a stack of one projects, and its projection
+                refit_in, refit_out = projected.pop()
+                assert next(group_in).tobytes() == refit_in[0].tobytes()
+                assert next(group_out).tobytes() == refit_out[0].tobytes()
+            pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, 32, 2.0, philox(key))
+            assert got.threshold_sq == threshold_sq
+            if best is None:
+                assert name == "no_model" and got.winner is None and got.model is None
+                continue
+            assert got.winner == best[0]
+            refit, final = ref_refit(pa, pb, best, calib)
+            if name == "degenerate_refit":
+                assert refit is not None    # degenerate only as planted
+                final = best[1] if calib is None else ref_project(best[1])
+            assert got.model.tobytes() == final.tobytes()
+            tie_sizes[name] = stats["counts"].count(max(stats["counts"]))
+            if name == "eight":
+                assert int(best[2].sum()) == 8
+            else:
+                assert int(best[2].sum()) > 8
+        assert not projected
+        # count ties of four sizes: 2, 12, 14 and all 32 rows
+        assert tie_sizes["eight"] == 32
+        assert len({size for size in tie_sizes.values() if size > 1}) >= 4
 
     @pytest.mark.parametrize("calibrated", [False, True])
     @pytest.mark.parametrize("scene, want", [
@@ -781,29 +891,51 @@ class TestBatchedSearch:
         assert ("recover_pose", (3, 3)) in calls
 
     def test_winner_rule_on_near_tied_totals(self):
-        # every row holds the same 40 inlier errors in its own order and at
-        # its own positions: counts tie, and totals differ only by rounding
-        # or not at all, so both later tie-breaks decide
-        for seed in range(200):
+        # every row holds the same inlier errors in its own order and at its
+        # own positions: counts tie, and totals differ only by rounding or not
+        # at all, so both later tie-breaks decide. The searches of a stack
+        # hold 8 to 399 inliers each
+        for seed in range(60):
             r = np.random.default_rng(seed)
-            values = r.uniform(0.0, 4.0, 40) * 10.0 ** r.uniform(-3.0, 3.0, 40)
-            errs = np.full((32, 50), 1e9)
-            for row in errs:
-                row[np.sort(r.choice(50, 40, replace=False))] = r.permutation(values)
+            tops = r.integers(8, 400, size=4)
+            m = int(tops.max()) + 10
+            errs = np.full((4, 32, m), 1e9)
+            ok = r.random((4, 32)) > 0.1
+            for stack_errs, top in zip(errs, tops):
+                values = r.uniform(0.0, 4.0, top) * 10.0 ** r.uniform(-3.0, 3.0, top)
+                for row in stack_errs:
+                    row[np.sort(r.choice(m, top, replace=False))] = r.permutation(values)
             masks = errs < 1e8
-            ok = r.random(32) > 0.1
-            best = None
-            for h in np.flatnonzero(ok):
-                total = float(errs[h][masks[h]].sum())
-                if best is None or total < best[1]:
-                    best = (h, total)
-            assert _best_hypothesis(errs, masks, ok) == best[0]
+            want = []
+            for stack_errs, stack_masks, stack_ok in zip(errs, masks, ok):
+                best = None
+                for h in np.flatnonzero(stack_ok):
+                    total = float(stack_errs[h][stack_masks[h]].sum())
+                    if best is None or total < best[1]:
+                        best = (h, total)
+                want.append(best[0])
+            assert _winners(errs, masks, ok) == want
+
+    def test_tie_totals_equal_per_row_sums(self):
+        # _winners totals a search's tied rows in one sum(axis=1) over their
+        # compacted inlier errors: numpy must sum each row as it sums the row
+        # alone, for every inlier count a search can hold
+        r = np.random.default_rng(62)
+        for top in range(1, 400):
+            n_tied = int(r.integers(2, 33))
+            errs = r.uniform(0.0, 4.0, (n_tied, top + 7)) * 10.0 ** r.uniform(-6.0, 3.0, (n_tied, top + 7))
+            masks = np.zeros(errs.shape, dtype=bool)
+            for row in masks:
+                row[r.choice(top + 7, top, replace=False)] = True
+            stacked = errs[masks].reshape(n_tied, top).sum(axis=1)
+            assert stacked.tobytes() == np.array([e[k].sum() for e, k in zip(errs, masks)]).tobytes()
 
     def test_winner_rule_needs_eight_inliers(self):
         errs = np.array([[0.0] * 7 + [9.0], [0.0] * 8])
         masks = errs < 1.0
-        assert _best_hypothesis(errs, masks, np.array([True, False])) is None
-        assert _best_hypothesis(errs, masks, np.array([True, True])) == 1
+        stack = np.stack([errs, errs])
+        assert _winners(stack, np.stack([masks, masks]),
+                        np.array([[True, False], [True, True]])) == [None, 1]
 
 
 # --- two-pass reference for pose recovery and triangulation ----------------

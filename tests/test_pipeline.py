@@ -456,6 +456,17 @@ class TestCliSynth:
         assert code == 1
         assert "camera" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-px", "-1"), ("--noise-px", "nan"), ("--noise-desc", "-0.5"),
+        ("--noise-desc", "inf"),
+    ])
+    def test_bad_noise_exits_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code = main(["synth", "--out-dir", str(out), "--n-cameras", "4", flag, value])
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_then_select(self, tmp_path, capsys):
         out = tmp_path / "scene"
         assert main(["synth", "--out-dir", str(out), "--n-cameras", "10",

@@ -87,6 +87,12 @@ class TestOrbitScene:
         with pytest.raises(ValueError):
             generate_orbit_scene(**kwargs)
 
+    @pytest.mark.parametrize("field", ["noise_px", "noise_desc"])
+    @pytest.mark.parametrize("value", [-1.0, -0.5, -1e-12, math.nan, math.inf, -math.inf])
+    def test_noise_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            generate_orbit_scene(4, 100, **{field: value})
+
     def test_impossible_visibility_fails(self):
         # a huge minimum-visible requirement cannot be met
         with pytest.raises(GenerationFailure):

@@ -9,7 +9,10 @@ Usage, from the root of a checkout::
         --pairs 4 --seconds 10 --out BENCH_14.json
 
 The base side is a temporary ``git archive`` export of ``--base``, removed
-afterwards; the change side is this checkout as it stands on disk. Each
+afterwards; the change side is this checkout as it stands on disk. The
+result's ``change`` names HEAD and, when files that a run executes or
+reads (under ``src/`` or ``perfbench/``, or ``BENCHMARK.json``) differ from
+it, those paths; edits elsewhere, such as docs or tests, are not named. Each
 pair runs ``perfbench/run.py`` once per side, each run in its own process
 from its own checkout. Even pairs run the base first and odd pairs the
 change first, because whichever side runs first tends to read faster.
@@ -44,11 +47,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_PAIRS = 3
+# what a benchmark run executes or reads; an edit anywhere else does not change a run
+RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True).stdout
+
+
+def dirty_paths() -> list[str]:
+    """Files under ``RUN_PATHS`` that differ from HEAD, untracked ones included."""
+    out = git("status", "--porcelain", "--untracked-files=all", "--", *RUN_PATHS).decode()
+    # porcelain lines are "XY path", or "XY old -> new" for a rename
+    return sorted(line[3:].split(" -> ")[-1] for line in out.splitlines())
 
 
 def export(ref: str, dest: Path) -> None:
@@ -151,7 +163,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     base = git("rev-parse", "--short", args.base).decode().strip()
     head = git("rev-parse", "--short", "HEAD").decode().strip()
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
+    dirty = dirty_paths()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
         export(base, Path(tmp))
@@ -166,7 +178,7 @@ def main(argv=None) -> int:
             doc.setdefault("workloads" if workload in gated else "ungated", {})[workload] = entry
     doc.update({
         "parent": base,
-        "change": head + (" plus uncommitted changes" if dirty else ""),
+        "change": head + (f" plus uncommitted changes to {', '.join(dirty)}" if dirty else ""),
         "method": "alternating parent/change pairs per workload (tools/abbench.py): even "
                   "pairs run the parent first, odd pairs the change first; each side from "
                   "its own checkout; medians and quartiles (numpy.percentile 25/75) of the "
