@@ -1,16 +1,19 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
-``short_ransac`` is the one estimator. Its search runs in two halves. The
-front half is ``ransac_models``, the one stage that draws, solves, scores,
-selects, refits and projects, for one search or for several at once: each
-search draws from its own generator, every search's eight-point sets are
-solved in one stack, the Sampson errors of searches with equal match counts
-are computed and compared together, the winners are refit in one stack per
-inlier count and the calibrated refits projected in one call. The back half
-stays per pair: ``short_ransac`` recounts the inliers against its search's
-final model and recovers the pose. It builds its share as a stack of one,
-or takes a search's share of a stack built over several pairs.
+A robust search has two entry points, one per half. ``ransac_models``
+starts searches, one or several at once: it draws, solves, scores,
+selects, refits and projects. Each search draws from its own generator,
+every search's eight-point sets are solved in one stack, the Sampson
+errors of searches with equal match counts are computed and compared
+together, the winners are refit in one stack per inlier count and the
+calibrated refits projected in one call. It returns one ``RansacShare``
+per search. ``short_ransac`` finishes one search from its share alone:
+it recounts the inliers against the final model and, when calibrated,
+recovers the pose. One pair is the two calls in a row::
+
+    model = short_ransac(ransac_models([(corrs, calib, rng)])[0])
+
 ``sampson_errors`` scores one model or a stack of them against all
 matches at once. In the calibrated branch ``recover_pose`` triangulates
 all four decompositions of E in one stacked ``triangulate_angles`` call,
@@ -227,9 +230,9 @@ class RansacShare(NamedTuple):
 
     points: np.ndarray         # (2, m, 3) homogeneous points of images a and b
     threshold_sq: float        # squared inlier threshold in the frame of ``points``
-    winner: int | None         # row of the winning hypothesis; None if none keeps 8 inliers
+    calibrated: bool           # ``points`` are normalized and ``model`` is essential
     model: np.ndarray | None   # the winner's refit, projected to an essential matrix
-                               # when calibrated; None with ``winner``
+                               # when calibrated; None if no hypothesis keeps 8 inliers
 
 
 def _threshold_sq(calib, inlier_threshold: float) -> float:
@@ -267,29 +270,42 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
-def ransac_models(searches, iterations: int, inlier_threshold: float) -> list[RansacShare]:
-    """The front half of one or more robust searches: draw, solve, score,
-    select, refit and project.
+def ransac_models(searches, iterations: int = 32,
+                  inlier_threshold: float = 2.0) -> list[RansacShare]:
+    """Start robust searches, one or several at once: draw, solve, score,
+    select, refit and project. Returns one share per search, in order, for
+    ``short_ransac`` to finish; ``[]`` for no searches.
 
-    ``searches`` holds one (corrs, calib, rng) triple per search, each
-    with at least 8 correspondences; ``calib`` and ``inlier_threshold`` are
-    as in ``short_ransac``. Every search draws its ``iterations`` 8-subsets
-    from its own ``rng``, with the one call a lone search makes. All
-    subsets are solved in one ``_fundamental_stack``. Searches with equal
-    match counts are scored in one Sampson pass and pick their winners
-    from one stack of inlier counts (see ``_winners``). The winners are
-    refit on their inliers in one ``_fundamental_stack`` per inlier count,
-    so an 8-inlier refit keeps the exact QR path; a degenerate refit keeps
-    the winning hypothesis. Every calibrated search's model is projected
-    onto the essential manifold in one ``_project_essential`` call. Each
-    share is bit-identical to that of a stack of one, so a search's result
-    does not depend on the searches it is stacked with; memory grows with
-    the total of iterations x correspondences over the searches.
+    ``searches`` holds one (corrs, calib, rng) triple per search. Without
+    ``calib`` a search fits a fundamental matrix in pixels; with the two
+    intrinsics (K_a, K_b) it runs in normalized coordinates, ends in an
+    essential matrix, and the square of the pixel ``inlier_threshold`` is
+    scaled by the inverse squared mean focal length of the two K. A search
+    with fewer than 8 matches raises InsufficientCorrespondences before any
+    generator is drawn from.
+
+    Each search draws ``iterations`` uniform 8-subsets from its own ``rng``
+    in one call. All are solved in one ``_fundamental_stack``; searches
+    with equal match counts are scored in one Sampson pass, and each picks
+    the hypothesis with the most inliers under the squared threshold (ties:
+    lower inlier-error total, then the earlier draw; see ``_winners``). The
+    winners are refit on their inliers in one ``_fundamental_stack`` per
+    inlier count, so an 8-inlier refit keeps the exact QR path; a
+    degenerate refit keeps the winning hypothesis. The calibrated refits
+    are projected onto the essential manifold in one ``_project_essential``
+    call. Each share is bit-identical to a stack of one's and to a search
+    that solves and scores its hypotheses one at a time in draw order;
+    memory grows with the total of iterations x correspondences.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
     so it applies only to the overdetermined refit.
     """
+    for corrs, _, _ in searches:
+        if len(corrs) < 8:
+            raise InsufficientCorrespondences(f"{len(corrs)} < 8")
+    if not searches:
+        return []
     points = [_search_points(corrs, calib) for corrs, calib, _ in searches]
     thresholds = [_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches]
     sizes = [p.shape[1] for p in points]
@@ -320,12 +336,12 @@ def ransac_models(searches, iterations: int, inlier_threshold: float) -> list[Ra
         for k, refit, good in zip(same, refits, refit_ok):
             # a degenerate refit keeps the winning hypothesis as the final model
             final[k] = refit if good else models[k, winners[k]]
-    calibrated = [k for k in found if searches[k][1] is not None]
-    if calibrated:
-        projected = _project_essential(np.stack([final[k] for k in calibrated]))
-        for k, E in zip(calibrated, projected):
+    calibrated = [calib is not None for _, calib, _ in searches]
+    projected = [k for k in found if calibrated[k]]
+    if projected:
+        for k, E in zip(projected, _project_essential(np.stack([final[k] for k in projected]))):
             final[k] = E
-    return [RansacShare(*share) for share in zip(points, thresholds, winners, final)]
+    return [RansacShare(*share) for share in zip(points, thresholds, calibrated, final)]
 
 
 def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
@@ -393,50 +409,23 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
     return R[best], t[best], angles[best]
 
 
-def short_ransac(corrs, calib: tuple[np.ndarray, np.ndarray] | None = None,
-                 iterations: int = 32, inlier_threshold: float = 2.0,
-                 rng: np.random.Generator | None = None, *,
-                 share: RansacShare | None = None) -> TwoViewModel:
-    """Fixed-iteration robust two-view estimation.
+def short_ransac(share: RansacShare) -> TwoViewModel:
+    """Finish one robust search from its ``ransac_models`` share.
 
-    Hypotheses are eight-point fits on uniform 8-subsets, scored by inlier
-    count under the squared Sampson threshold (count ties broken by lower
-    total inlier error, then by the earlier draw). The best hypothesis is
-    refit once on its inliers and the inlier set is recomputed against the
-    refit model, so stored inliers satisfy the threshold by construction.
-
-    Everything up to the refit model runs in ``ransac_models``: all
-    hypotheses drawn, solved and scored together, one stacked eight-point
-    solve and one (iterations, len(corrs)) Sampson matrix. Without
-    ``share`` the search builds its share as a stack of one from ``rng``;
-    ``share`` is this search's share of a stack built over several
-    searches, whose ``iterations``, threshold and generator then stand in
-    for the arguments. Either way the result is bit-identical to solving
-    and scoring the hypotheses one at a time in draw order. This call then
-    recounts the inliers against the final model, needs 8 of them and, in
-    the calibrated branch, recovers the pose. The minimal samples take
-    their null vectors from one batched QR and the refit on more than 8
-    inliers from an SVD (see ``_fundamental_stack``), in both branches.
-
-    ``inlier_threshold`` is a pixel distance; with ``calib`` given the
-    search runs in normalized coordinates (essential model) and the
-    squared threshold is scaled by the inverse squared mean focal length.
+    Recounts the inliers against the search's final model, so stored
+    inliers satisfy the threshold by construction, needs 8 of them and,
+    for a calibrated search, recovers the pose from the normalized inlier
+    coordinates. Raises NoModelFound when the search found no model or
+    its final model keeps fewer than 8 inliers, and CheiralityAmbiguity
+    from ``recover_pose``.
     """
-    n = len(corrs)
-    if n < 8:
-        raise InsufficientCorrespondences(f"{n} < 8")
-    if share is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        share = ransac_models([(corrs, calib, rng)], iterations, inlier_threshold)[0]
-    (ha, hb), threshold_sq, _, M = share
+    (ha, hb), threshold_sq, calibrated, M = share
     if M is None:
         raise NoModelFound("no hypothesis reached 8 inliers")
     inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
     if inliers.size < 8:
         raise NoModelFound("refit model keeps fewer than 8 inliers")
-
-    if calib is None:
+    if not calibrated:
         return TwoViewModel(matrix=M, inliers=inliers)
     R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])
     return TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,

@@ -131,7 +131,7 @@ def _pair_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
-               stream: int = 0, work: np.ndarray | None = None) -> PairScore:
+               stream: int = 0) -> PairScore:
     """Score one candidate pair.
 
     The model estimates image b relative to image a in argument order:
@@ -142,11 +142,10 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     overlap to differentiate them. The robust search draws from a
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
-    ``work`` is passed on to ``mutual_nn_matches`` as its similarity
-    workspace. The pair is scored as a group of one, and the result
-    equals ``score_all``'s for the same pair and stream.
+    The pair is scored as a group of one, and the result equals
+    ``score_all``'s for the same pair and stream.
     """
-    return _score_group([(fa, fb, stream)], config, work)[0]
+    return _score_group([(fa, fb, stream)], config, None)[0]
 
 
 def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
@@ -163,10 +162,9 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
               if fa.intrinsics is not None and fb.intrinsics is not None else None
               for fa, fb, _ in group]
     searched = [k for k, m in enumerate(matches) if len(m) >= 8]
-    stack = ransac_models([(matches[k], calibs[k], _pair_rng(config.seed, group[k][2]))
-                           for k in searched], config.ransac_iterations,
-                          config.inlier_threshold_px) if searched else []
-    shares = dict(zip(searched, stack))
+    shares = dict(zip(searched, ransac_models(
+        [(matches[k], calibs[k], _pair_rng(config.seed, group[k][2])) for k in searched],
+        config.ransac_iterations, config.inlier_threshold_px)))
 
     scores = []
     for k, (fa, fb, _) in enumerate(group):
@@ -175,7 +173,7 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
             reason = RejectReason.TOO_FEW_MUTUAL_NN
         else:
             try:
-                model = short_ransac(matches[k], calib=calibs[k], share=shares[k])
+                model = short_ransac(shares[k])
             except EstimationError:
                 reason = RejectReason.NO_MODEL
 

@@ -118,8 +118,8 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         raise ValueError("need at least 2 cameras")
     if n_points < 50:
         raise ValueError("need at least 50 points")
-    if radius <= 1.0:
-        raise ValueError("orbit radius must exceed the unit point shell")
+    if not (math.isfinite(radius) and radius > 1.0):
+        raise ValueError(f"radius must be finite and exceed the unit point shell, got {radius}")
     for name, value in (("noise_px", noise_px), ("noise_desc", noise_desc)):
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")

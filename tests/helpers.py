@@ -91,6 +91,16 @@ def to_corrs(kp_a: np.ndarray, kp_b: np.ndarray, similarity: float = 1.0):
     return correspondences(idx, idx, kp_a, kp_b, np.full(len(kp_a), similarity))
 
 
+def robust_search(corrs, calib=None, iterations: int = 32, inlier_threshold: float = 2.0,
+                  rng: np.random.Generator | None = None):
+    """One pair's robust search: ``ransac_models`` starts it and
+    ``short_ransac`` finishes it, with the generator ``default_rng(0)``
+    unless ``rng`` is given."""
+    from sara.epipolar import ransac_models, short_ransac
+    rng = np.random.default_rng(0) if rng is None else rng
+    return short_ransac(ransac_models([(corrs, calib, rng)], iterations, inlier_threshold)[0])
+
+
 @dataclasses.dataclass
 class TwoViewCase:
     """A synthetic calibrated pair with ground truth."""

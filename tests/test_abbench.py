@@ -1,5 +1,6 @@
 """tools/abbench.py: run order, pairs won, the refusal on differing outputs,
-and which uncommitted edits it names."""
+per-layer metrics that one side alone prints, and which uncommitted edits
+it names."""
 
 import importlib.util
 import subprocess
@@ -77,6 +78,26 @@ def test_refuses_differing_outputs(change):
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **change)}]
     with pytest.raises(SystemExit):
         abbench.summarize(e2e, [], BETTER)
+
+
+def traced_run(metrics):
+    run = fake_run(1.0, 10.0)
+    run["metrics"], run["units"] = dict(metrics), {name: "s" for name in metrics}
+    return run
+
+
+@pytest.mark.parametrize("only", ["parent", "change"])
+def test_per_layer_metric_of_one_side(only):
+    # the sides trace different functions: a metric only one side prints
+    # keeps its median there and reads null on the other side
+    both, extra = {"scorer.score_s": 0.09}, {"scorer.stage_s": 0.02}
+    sides = {"parent": both, "change": both, only: {**both, **extra}}
+    traced = [{side: traced_run(metrics) for side, metrics in sides.items()}] * 3
+    e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(2.0, 10.0)}]
+    per_layer = abbench.summarize(e2e, traced, BETTER)["per_layer"]
+    other = "change" if only == "parent" else "parent"
+    assert per_layer["scorer.score_s"] == {"unit": "s", "parent": 0.09, "change": 0.09}
+    assert per_layer["scorer.stage_s"] == {"unit": "s", only: 0.02, other: None}
 
 
 def test_names_only_dirty_paths_a_run_uses(tmp_path, monkeypatch):

@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 
 from helpers import (angle_between, gen_frustum_pair, make_weak_scene,
-                     rot_geodesic, spearman, to_corrs)
+                     robust_search, rot_geodesic, spearman, to_corrs)
 from sara.config import SaraConfig
-from sara.epipolar import short_ransac
 from sara.features import read_features, write_features, write_pair_list
 from sara.features import ImageFeatures
 from sara.pipeline import run_ablation, run_select
@@ -117,8 +116,8 @@ def test_3_two_view_geometry_accuracy(capsys):
     t0 = time.perf_counter()
     for i in range(100):
         case = _frustum_case(7000 + i, n=120)
-        model = short_ransac(to_corrs(case.kp_a, case.kp_b),
-                             calib=(case.intrinsics, case.intrinsics))
+        model = robust_search(to_corrs(case.kp_a, case.kp_b),
+                              calib=(case.intrinsics, case.intrinsics))
         rot_err = rot_geodesic(model.rotation, case.rel_rotation)
         tr_err = angle_between(model.translation, case.rel_translation)
         est_par = math.degrees(lower_median(model.triangulation_angles))
@@ -133,9 +132,9 @@ def test_3_two_view_geometry_accuracy(capsys):
     good = 0
     for i in range(100):
         case = _frustum_case(8000 + i, n=120, noise_px=1.0)
-        model = short_ransac(to_corrs(case.kp_a, case.kp_b),
-                             calib=(case.intrinsics, case.intrinsics),
-                             inlier_threshold=4.0)
+        model = robust_search(to_corrs(case.kp_a, case.kp_b),
+                              calib=(case.intrinsics, case.intrinsics),
+                              inlier_threshold=4.0)
         good += rot_geodesic(model.rotation, case.rel_rotation) < math.radians(0.5)
     if good < 95:
         failures.append(f"1 px noise: only {good}/100 pairs under 0.5 deg")

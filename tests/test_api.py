@@ -1,5 +1,5 @@
 """The public surface: the top-level exports, every name the demos import,
-each demo and the README's library example running to completion, every
+each demo and the README's library examples running to completion, every
 function the benchmark traces, the report, score and config attributes it
 reads and the metric names of the committed benchmark results."""
 
@@ -59,10 +59,11 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_readme_example_runs(tmp_path):
-    example = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    # the library examples run as one script, each continuing the one before
+    examples = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     dump_scene(generate_orbit_scene(12, 300, seed=2), tmp_path / "scene")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", example.group(1)], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, "-c", "".join(examples)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 

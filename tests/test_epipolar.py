@@ -6,7 +6,8 @@ import pytest
 
 from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      essential_from_pose, gen_frustum_pair, look_at_rot,
-                     project_pixels, random_rotation, rot_geodesic, to_corrs)
+                     project_pixels, random_rotation, robust_search, rot_geodesic,
+                     to_corrs)
 import sara.epipolar as epipolar
 from sara.epipolar import (_MATCH_DTYPE, _draw_samples, _fix_sign, _fundamental_stack,
                            _winners, correspondences, ransac_models, recover_pose,
@@ -34,7 +35,7 @@ def fit_fundamental(corrs):
 def fit_essential(corrs, K_a, K_b):
     """Direct calibrated fit on all of ``corrs``, as a robust search whose
     threshold admits every match."""
-    return short_ransac(corrs, calib=(K_a, K_b), inlier_threshold=EVERY_MATCH_PX)
+    return robust_search(corrs, calib=(K_a, K_b), inlier_threshold=EVERY_MATCH_PX)
 
 
 def random_pose_case(seed, n=20):
@@ -269,15 +270,15 @@ class TestShortRansac:
     def test_clean_uncalibrated(self):
         case = gen_frustum_pair(np.random.default_rng(30), n=50)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        model = short_ransac(corrs, rng=np.random.default_rng(0))
+        model = robust_search(corrs, rng=np.random.default_rng(0))
         assert model.rotation is None and model.translation is None
         np.testing.assert_array_equal(model.inliers, np.arange(50))
 
     def test_clean_calibrated(self):
         case = gen_frustum_pair(np.random.default_rng(31), n=50)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        model = short_ransac(corrs, calib=(case.intrinsics, case.intrinsics),
-                             rng=np.random.default_rng(0))
+        model = robust_search(corrs, calib=(case.intrinsics, case.intrinsics),
+                              rng=np.random.default_rng(0))
         assert model.rotation is not None
         np.testing.assert_array_equal(model.inliers, np.arange(50))
         assert rot_geodesic(model.rotation, case.rel_rotation) < 1e-6
@@ -294,29 +295,29 @@ class TestShortRansac:
         junk_b = np.column_stack([r2.uniform(0, WIDTH, 20), r2.uniform(0, HEIGHT, 20)])
         corrs = to_corrs(np.vstack([case.kp_a, junk_a]), np.vstack([case.kp_b, junk_b]))
         calib = (case.intrinsics, case.intrinsics) if calibrated else None
-        model = short_ransac(corrs, calib=calib, rng=np.random.default_rng(1))
+        model = robust_search(corrs, calib=calib, rng=np.random.default_rng(1))
         np.testing.assert_array_equal(model.inliers, np.arange(30))
 
     def test_too_few(self):
         case = gen_frustum_pair(np.random.default_rng(32), n=8)
         with pytest.raises(InsufficientCorrespondences):
-            short_ransac(to_corrs(case.kp_a, case.kp_b)[:7])
+            robust_search(to_corrs(case.kp_a, case.kp_b)[:7])
 
     def test_all_junk_no_model(self):
         rng = np.random.default_rng(33)
         kp_a = np.column_stack([rng.uniform(0, WIDTH, 40), rng.uniform(0, HEIGHT, 40)])
         kp_b = np.column_stack([rng.uniform(0, WIDTH, 40), rng.uniform(0, HEIGHT, 40)])
         with pytest.raises(NoModelFound):
-            short_ransac(to_corrs(kp_a, kp_b), calib=(K_DEFAULT, K_DEFAULT),
-                         rng=np.random.default_rng(0))
+            robust_search(to_corrs(kp_a, kp_b), calib=(K_DEFAULT, K_DEFAULT),
+                          rng=np.random.default_rng(0))
 
     def test_inliers_satisfy_threshold(self):
         # by construction: stored inliers are recomputed against the refit model
         case = gen_frustum_pair(np.random.default_rng(34), n=80, noise_px=1.5)
         corrs = to_corrs(case.kp_a, case.kp_b)
         threshold = 3.0
-        model = short_ransac(corrs, iterations=64, inlier_threshold=threshold,
-                             rng=np.random.default_rng(0))
+        model = robust_search(corrs, iterations=64, inlier_threshold=threshold,
+                              rng=np.random.default_rng(0))
         errs = sampson_errors(model.matrix, corrs.x_a, corrs.x_b)
         assert (errs[model.inliers] < threshold ** 2).all()
 
@@ -324,8 +325,8 @@ class TestShortRansac:
         case = gen_frustum_pair(np.random.default_rng(35), n=80, noise_px=1.0)
         corrs = to_corrs(case.kp_a, case.kp_b)
         threshold = 4.0
-        model = short_ransac(corrs, calib=(case.intrinsics, case.intrinsics),
-                             inlier_threshold=threshold, rng=np.random.default_rng(0))
+        model = robust_search(corrs, calib=(case.intrinsics, case.intrinsics),
+                              inlier_threshold=threshold, rng=np.random.default_rng(0))
         fbar = 900.0
         errs = sampson_errors(model.matrix, normalize(corrs.x_a, case.intrinsics),
                               normalize(corrs.x_b, case.intrinsics))
@@ -334,8 +335,8 @@ class TestShortRansac:
     def test_deterministic_given_seed(self):
         case = gen_frustum_pair(np.random.default_rng(36), n=60, noise_px=1.0)
         corrs = to_corrs(case.kp_a, case.kp_b)
-        m1 = short_ransac(corrs, rng=np.random.default_rng(9), inlier_threshold=4.0)
-        m2 = short_ransac(corrs, rng=np.random.default_rng(9), inlier_threshold=4.0)
+        m1 = robust_search(corrs, rng=np.random.default_rng(9), inlier_threshold=4.0)
+        m2 = robust_search(corrs, rng=np.random.default_rng(9), inlier_threshold=4.0)
         np.testing.assert_array_equal(m1.inliers, m2.inliers)
         np.testing.assert_array_equal(m1.matrix, m2.matrix)
 
@@ -633,10 +634,25 @@ def ref_short_ransac(corrs, calib, iterations, threshold, rng):
 def assert_same_share(got, want):
     """Two ``ransac_models`` shares hold the same bits."""
     assert got.points.tobytes() == want.points.tobytes()
-    assert (got.threshold_sq, got.winner) == (want.threshold_sq, want.winner)
+    assert (got.threshold_sq, got.calibrated) == (want.threshold_sq, want.calibrated)
     assert (got.model is None) == (want.model is None)
     if got.model is not None:
         assert got.model.tobytes() == want.model.tobytes()
+
+
+def models_and_winners(searches, iterations=32, threshold=2.0):
+    """(shares, winners) of one ``ransac_models`` call. Each search's winning
+    hypothesis row, None where no hypothesis keeps 8 inliers, is read by a
+    spy on ``_winners``, which the stage calls once per match count, in the
+    order the counts first appear."""
+    pick, picked = epipolar._winners, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(epipolar, "_winners", lambda *args: picked.append(pick(*args)) or picked[-1])
+        shares = ransac_models(searches, iterations, threshold)
+    sizes = [len(corrs) for corrs, _, _ in searches]
+    order = [k for m in dict.fromkeys(sizes) for k, size in enumerate(sizes) if size == m]
+    rows = dict(zip(order, (row for rows in picked for row in rows)))
+    return shares, [rows[k] for k in range(len(searches))]
 
 
 def philox(seed):
@@ -712,21 +728,22 @@ class TestBatchedSearch:
         solve, solved = epipolar._fundamental_stack, []
         monkeypatch.setattr(epipolar, "_fundamental_stack",
                             lambda pa, pb: solved.append(solve(pa, pb)) or solved[-1])
-        stacked = ransac_models([(corrs, calib, philox(key)) for corrs, calib, key
-                                 in searches], 32, 2.0)
+        stacked, winners = models_and_winners([(corrs, calib, philox(key))
+                                               for corrs, calib, key in searches])
         assert not solved[0][1].all()   # the repeated point
         outcomes = set()
-        for (corrs, calib, key), got in zip(searches, stacked):
-            alone = ransac_models([(corrs, calib, philox(key))], 32, 2.0)[0]
-            assert_same_share(got, alone)
+        for (corrs, calib, key), got, row in zip(searches, stacked, winners):
+            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
+            assert_same_share(got, alone[0])
+            assert [row] == alone_rows
             try:
-                want = short_ransac(corrs, calib=calib, rng=philox(key))
+                want = robust_search(corrs, calib=calib, rng=philox(key))
             except NoModelFound:
                 with pytest.raises(NoModelFound):
-                    short_ransac(corrs, calib=calib, share=got)
+                    short_ransac(got)
                 outcomes.add("no_model")
                 continue
-            model = short_ransac(corrs, calib=calib, share=got)
+            model = short_ransac(got)
             assert model.matrix.tobytes() == want.matrix.tobytes()
             np.testing.assert_array_equal(model.inliers, want.inliers)
             outcomes.add("model")
@@ -777,17 +794,18 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
         monkeypatch.setattr(epipolar, "_project_essential", recording)
-        stacked = ransac_models([(corrs, calib, philox(key)) for _, corrs, calib, key
-                                 in searches], 32, 2.0)
+        stacked, winners = models_and_winners([(corrs, calib, philox(key))
+                                               for _, corrs, calib, key in searches])
         # one projection for the group, over its calibrated searches that found a winner
         assert len(projected) == 1 and len(projected[0][0]) == len(calibrated) - 1
         group_in, group_out = (iter(x) for x in projected.pop())
 
         tie_sizes = {}
-        for (name, corrs, calib, key), got in zip(searches, stacked):
-            alone = ransac_models([(corrs, calib, philox(key))], 32, 2.0)[0]
-            assert_same_share(got, alone)
-            if calib is not None and got.winner is not None:
+        for (name, corrs, calib, key), got, row in zip(searches, stacked, winners):
+            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
+            assert_same_share(got, alone[0])
+            assert [row] == alone_rows
+            if calib is not None and row is not None:
                 # the refit a stack of one projects, and its projection
                 refit_in, refit_out = projected.pop()
                 assert next(group_in).tobytes() == refit_in[0].tobytes()
@@ -795,9 +813,9 @@ class TestBatchedSearch:
             pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, 32, 2.0, philox(key))
             assert got.threshold_sq == threshold_sq
             if best is None:
-                assert name == "no_model" and got.winner is None and got.model is None
+                assert name == "no_model" and row is None and got.model is None
                 continue
-            assert got.winner == best[0]
+            assert row == best[0]
             refit, final = ref_refit(pa, pb, best, calib)
             if name == "degenerate_refit":
                 assert refit is not None    # degenerate only as planted
@@ -812,6 +830,30 @@ class TestBatchedSearch:
         # count ties of four sizes: 2, 12, 14 and all 32 rows
         assert tie_sizes["eight"] == 32
         assert len({size for size in tie_sizes.values() if size > 1}) >= 4
+
+    def test_fewer_than_eight_matches_raise_before_any_draw(self):
+        corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
+        rngs = [philox(1), philox(2)]
+        with pytest.raises(InsufficientCorrespondences, match="7 < 8"):
+            ransac_models([(corrs, (K, K), rngs[0]), (corrs[:7], None, rngs[1])])
+        # neither generator was drawn from
+        assert [r.integers(1 << 62) for r in rngs] == [philox(k).integers(1 << 62) for k in (1, 2)]
+
+    def test_no_searches(self):
+        assert ransac_models([]) == []
+
+    def test_finishing_a_mixed_group(self):
+        # calibrated and uncalibrated searches of unequal match counts in one
+        # stack: only the calibrated ones end with a pose
+        searches = []
+        for seed, (n_in, n_out) in enumerate([(30, 5), (40, 10), (45, 0)]):
+            corrs, K = with_outliers(110 + seed, n_in, n_out, separation_deg=35.0)
+            searches += [(corrs, None, philox(2 * seed)), (corrs, (K, K), philox(2 * seed + 1))]
+        for (corrs, calib, _), share in zip(searches, ransac_models(searches)):
+            assert share.calibrated == (calib is not None)
+            model = short_ransac(share)
+            posed = [model.rotation, model.translation, model.triangulation_angles]
+            assert [x is None for x in posed] == [calib is None] * 3
 
     @pytest.mark.parametrize("calibrated", [False, True])
     @pytest.mark.parametrize("scene, want", [
@@ -829,9 +871,9 @@ class TestBatchedSearch:
             M, inliers, stats = ref_short_ransac(corrs, calib, 32, 2.0, ref_rng)
             if M is None:
                 with pytest.raises(NoModelFound):
-                    short_ransac(corrs, calib=calib, rng=rng)
+                    robust_search(corrs, calib=calib, rng=rng)
             else:
-                model = short_ransac(corrs, calib=calib, rng=rng)
+                model = robust_search(corrs, calib=calib, rng=rng)
                 assert model.matrix.tobytes() == M.tobytes()
                 np.testing.assert_array_equal(model.inliers, inliers)
             assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
@@ -883,7 +925,7 @@ class TestBatchedSearch:
 
         monkeypatch.setattr("sara.epipolar.np.linalg.svd", recording)
         corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
-        model = short_ransac(corrs, calib=(K, K), rng=philox(100))
+        model = robust_search(corrs, calib=(K, K), rng=philox(100))
         assert model.rotation is not None
         assert not [shape for _, shape in calls if shape[-2:] == (8, 9)]
         assert any(name == "_fundamental_stack" and len(shape) == 3 and shape[1] > 8
@@ -995,7 +1037,7 @@ class TestPoseReference:
             corrs, K = with_outliers(seed, int(r.integers(20, 80)), int(r.integers(0, 10)),
                                      noise_px=float(r.uniform(0.0, 0.5)))
             try:
-                model = short_ransac(corrs, calib=(K, K), rng=philox(seed))
+                model = robust_search(corrs, calib=(K, K), rng=philox(seed))
             except NoModelFound:
                 continue
             R, t, theta = ref_pose_then_angles(model.matrix, corrs[model.inliers], K, K)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,16 @@ class TestCliSynth:
         code = main(["synth", "--out-dir", str(out), "--n-cameras", "4", flag, value])
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.0"])
+    def test_bad_radius_exits_one(self, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused before any arithmetic warns
+            code = main(["synth", "--out-dir", str(out), "--n-cameras", "4", f"--radius={value}"])
+        assert code == 1
+        assert "radius" in capsys.readouterr().err
         assert not out.exists()
 
     def test_synth_then_select(self, tmp_path, capsys):

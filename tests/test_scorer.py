@@ -469,8 +469,7 @@ class TestScoreAll:
         scores = score_all(features, {(0, 1), (0, 2), (1, 2)}, cfg)
         assert sum(s.model is not None for s in scores.values()) >= 2
         for (i, j), s in scores.items():
-            assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j,
-                                            work=None))
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j))
 
     @pytest.mark.parametrize("group_pairs", [1, 3, None], ids=["one", "three", "unbounded"])
     def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, group_pairs):

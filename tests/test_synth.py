@@ -87,6 +87,11 @@ class TestOrbitScene:
         with pytest.raises(ValueError):
             generate_orbit_scene(**kwargs)
 
+    @pytest.mark.parametrize("radius", [1.0, math.nan, math.inf, -math.inf])
+    def test_radius_must_be_finite_beyond_the_shell(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            generate_orbit_scene(4, 100, radius=radius)
+
     @pytest.mark.parametrize("field", ["noise_px", "noise_desc"])
     @pytest.mark.parametrize("value", [-1.0, -0.5, -1e-12, math.nan, math.inf, -math.inf])
     def test_noise_must_be_finite_and_non_negative(self, field, value):

@@ -134,12 +134,16 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str]) -> di
             "runs": {side: [round(x, 6) for x in v] for side, v in values.items()},
         }
     if traced:
+        # the two sides may trace different functions: a metric that only one
+        # side prints gets a null median on the other
+        units = {**traced[0]["parent"]["units"], **traced[0]["change"]["units"]}
         entry["per_layer_pairs"] = len(traced)
         entry["per_layer"] = {
             metric: {"unit": unit, **{side: round(float(np.median(
                 [pair[side]["metrics"][metric] for pair in traced])), 6)
+                if metric in traced[0][side]["units"] else None
                 for side in ("parent", "change")}}
-            for metric, unit in traced[0]["parent"]["units"].items()}
+            for metric, unit in units.items()}
     pairs_sha, report_sha = runs[0]["digests"]
     entry["sha256"] = {"pairs": pairs_sha, "report": report_sha, "same_on_both_sides": True}
     entry["failed_per_round"] = runs[0]["failed_per_round"]
@@ -186,7 +190,8 @@ def main(argv=None) -> int:
                   "change won, ties counting for neither; meets_claim_rule is true when the "
                   "change won at least nine tenths of the pairs and its median is better "
                   "than the parent's by more than the parent's q3 - q1; per_layer holds "
-                  "medians of the --trace 1 runs",
+                  "medians of the --trace 1 runs, null on a side that does not print "
+                  "the metric",
         "hardware": f"{platform.machine()} {platform.system()}, {len(os.sched_getaffinity(0))} "
                     f"usable CPUs, Python {platform.python_version()}, numpy {np.__version__}",
     })
