@@ -33,12 +33,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# the bool fields, each a switch that turns its stage off
+# the bool fields, each a switch that turns its stage off; select only,
+# as ablate runs every on/off variant
 _DISABLE_FLAGS = {"use_loops": "--disable-msl", "use_anchors": "--disable-lba",
                   "use_weak": "--disable-wvr"}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, switches: bool) -> None:
     # one flag per config field, named, typed and described by the field
     fields = dataclasses.fields(SaraConfig)
     for f in fields:
@@ -47,7 +48,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 type=float if f.type == "float" else int,
                                 help=f.metadata["help"])
     for f in fields:
-        if f.name in _DISABLE_FLAGS:
+        if switches and f.name in _DISABLE_FLAGS:
             parser.add_argument(_DISABLE_FLAGS[f.name], dest=f.name, action="store_const",
                                 const=False, default=None,
                                 help=f"skip the {f.metadata['help']}")
@@ -56,7 +57,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _assemble_config(args: argparse.Namespace) -> SaraConfig:
     config = load_config(args.config) if args.config else SaraConfig()
     overrides = {f.name: value for f in dataclasses.fields(SaraConfig)
-                 if (value := getattr(args, f.name)) is not None}
+                 if (value := getattr(args, f.name, None)) is not None}
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out-run-report", default=None,
                           help="also write the run report JSON here")
     p_select.add_argument("--config", default=None, help="JSON config file")
-    _add_config_flags(p_select)
+    _add_config_flags(p_select, switches=True)
 
     p_ablate = sub.add_parser("ablate", help="run all augmentation on/off variants")
     p_ablate.add_argument("--manifest", required=True)
     p_ablate.add_argument("--out-dir", required=True)
     p_ablate.add_argument("--config", default=None, help="JSON config file")
-    _add_config_flags(p_ablate)
+    _add_config_flags(p_ablate, switches=False)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out-dir", required=True)

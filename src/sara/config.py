@@ -54,7 +54,7 @@ class SaraConfig:
     use_loops: bool = _knob(True, "loop-closure stage")
     use_anchors: bool = _knob(True, "anchor stage")
     use_weak: bool = _knob(True, "weak-view support stage")
-    seed: int = _knob(0, "RNG seed")
+    seed: int = _knob(0, "RNG seed, 0 to 2**64 - 1")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -86,6 +86,9 @@ class SaraConfig:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.seed >= 2**64:
+            # the robust search keys its generator with 64 bits of the seed
+            raise ValueError(f"seed must be < 2**64, not {self.seed}")
 
     def budget(self, name: str, n_images: int) -> int:
         """The named budget field, or its share of ``n_images`` rounded up if None."""

@@ -46,7 +46,8 @@ from .errors import (
 MAGIC = b"SARF"
 VERSION = 1
 
-# renormalize quietly up to float32 round-off; repair up to this; reject beyond
+# a read keeps descriptor rows within _NORM_REPAIR of unit norm, repairs
+# rows up to _NORM_REJECT off and refuses a file with a row beyond
 _NORM_REJECT = 1e-3
 _NORM_REPAIR = 1e-6
 
@@ -82,19 +83,14 @@ class ImageFeatures:
         if self.global_desc.ndim != 1:
             raise ValueError("global descriptor must be 1-D")
         self._check_values()
-        if n:
-            norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)
-            if np.abs(norms - 1.0).max() > 1e-4:
-                raise NormalizationFailure(
-                    f"{self.image_id}: local descriptors not unit norm")
-        gnorm = float(np.linalg.norm(self.global_desc.astype(np.float64)))
-        if abs(gnorm - 1.0) > 1e-4:
-            raise NormalizationFailure(
-                f"{self.image_id}: global descriptor not unit norm")
+        if not _unit_norms(self.descriptors, 1e-4)[1]:
+            raise NormalizationFailure(f"{self.image_id}: local descriptors not unit norm")
+        if not _unit_norms(self.global_desc[None, :], 1e-4)[1]:
+            raise NormalizationFailure(f"{self.image_id}: global descriptor not unit norm")
 
     def _check_values(self) -> None:
         """Image size, keypoint bounds, score range and intrinsics: the checks
-        a read repeats after ``_renormalize`` has bounded every norm."""
+        a read repeats after its descriptor norms are checked or repaired."""
         w, h = self.image_size
         if w <= 0 or h <= 0:
             raise ValueError("image size must be positive")
@@ -166,39 +162,16 @@ def _non_finite(keypoints, scores, descriptors, global_desc) -> str | None:
     return None
 
 
-def _unit_rows(rows: np.ndarray, tol: float) -> bool:
-    """True when the 2-d array ``rows`` is float32 and one float64 pass
-    shows every value finite and every row's norm within ``tol / 1.99`` of 1.
+def _unit_norms(rows: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """Each row's squared norm ``s`` of the 2-d array ``rows``, and whether
+    every row's norm is within ``tol`` of 1.
 
-    A True answer is the one the exact checks (``_non_finite``, then a norm
-    of a float64 copy) would give, so a caller may skip them; on False it
-    runs them to find the fault or repair. The pass sums squares in float64
-    without a float64 copy: s = sum x_k^2, each product exact for float32
-    x_k. A non-finite value makes s inf or NaN, which fails the test below.
-    Summed in any order, s lies within d*u*s of the exact sum, u = 2^-53
-    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2): under
-    3e-14 at d = 128. So |s - 1| <= tol gives |norm - 1| = |s - 1| /
-    (norm + 1) < tol / 1.99 for tol up to 1e-2, and the float64 norm of
-    the exact checks, off by a few d*u, cannot exceed tol.
+    One pass sums the squares in float64 without a float64 copy. A NaN or
+    infinite value makes its row's ``s`` NaN or inf, which fails the test.
     """
-    if rows.dtype != np.float32:
-        return False
     s = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
-    # NaN fails the comparison, so the max needs no finiteness check of its own
-    return bool(np.abs(s - 1.0).max(initial=0.0) <= tol)
-
-
-def _renormalize(vectors: np.ndarray, what: str, image_id: str) -> np.ndarray:
-    """Repair near-unit rows; reject rows beyond the tolerance."""
-    arr = np.atleast_2d(vectors)
-    norms = np.linalg.norm(arr.astype(np.float64), axis=1)
-    if arr.shape[0] and (np.abs(norms - 1.0) > _NORM_REJECT).any():
-        worst = float(np.abs(norms - 1.0).max())
-        raise NormalizationFailure(
-            f"{image_id}: {what} norm off by {worst:.2e} (tolerance {_NORM_REJECT})")
-    if arr.shape[0] and (np.abs(norms - 1.0) > _NORM_REPAIR).any():
-        arr = (arr.astype(np.float64) / norms[:, None]).astype(np.float32)
-    return arr.reshape(vectors.shape)
+    # |s - (1 + tol^2)| <= 2 tol is (1 - tol)^2 <= s <= (1 + tol)^2
+    return s, bool(np.abs(s - (1.0 + tol * tol)).max(initial=0.0) <= 2.0 * tol)
 
 
 def write_features(features: ImageFeatures, path: str | Path) -> None:
@@ -259,13 +232,25 @@ def read_features(path: str | Path, image_id: str | None = None) -> ImageFeature
     bad = _non_finite(kps, scores, None, None)
     if bad:
         raise CorruptFile(f"{path}: non-finite {bad}")
-    if not (_unit_rows(desc, _NORM_REPAIR) and _unit_rows(gdesc[None, :], _NORM_REPAIR)):
-        # before renormalizing, which would report an infinite descriptor as off-norm
-        bad = _non_finite(None, None, desc, gdesc)
-        if bad:
-            raise CorruptFile(f"{path}: non-finite {bad}")
-        desc = _renormalize(desc, "local descriptor", ident) if n else desc
-        gdesc = _renormalize(gdesc[None, :], "global descriptor", ident)[0]
+    s, ok = _unit_norms(desc, _NORM_REPAIR)
+    gs, gok = _unit_norms(gdesc[None, :], _NORM_REPAIR)
+    if not (ok and gok):
+        checked = (("local descriptor", desc, s, ok),
+                   ("global descriptor", gdesc[None, :], gs, gok))
+        # both arrays' finiteness first: an infinite row would read as off-norm
+        for what, _, sq, _ in checked:
+            if not np.isfinite(sq).all():
+                raise CorruptFile(f"{path}: non-finite {what}")
+        for what, rows, sq, unit in checked:
+            norms = np.sqrt(sq)
+            worst = float(np.abs(norms - 1.0).max(initial=0.0))
+            if worst > _NORM_REJECT:
+                raise NormalizationFailure(
+                    f"{ident}: {what} norm off by {worst:.2e} (tolerance {_NORM_REJECT})")
+            if not unit:
+                # in place, in float64, rounded once to float32; ``rows`` is
+                # this read's own copy, or a view of it
+                np.divide(rows, norms[:, None], out=rows, casting="unsafe")
     feats = ImageFeatures(
         image_id=ident, keypoints=kps, descriptors=desc, global_desc=gdesc,
         image_size=(int(w), int(h)), scores=scores, intrinsics=K)

@@ -131,9 +131,11 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir) -> dict[str, RunRep
     """All eight augmentation on/off variants over one shared scoring pass.
 
     Writes ``<name>.pairs.txt`` and ``<name>.report.json`` per variant
-    into ``out_dir`` and returns the reports keyed by variant name. The
-    variants share one spanning forest, so a disconnected candidate graph
-    is logged once per call.
+    into ``out_dir`` and returns the reports keyed by variant name. Each
+    variant sets ``use_loops``, ``use_anchors`` and ``use_weak`` itself,
+    so ``config``'s values of them are not read. The variants share one
+    spanning forest, so a disconnected candidate graph is logged once per
+    call.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,12 @@ from .errors import GenerationFailure, TooLarge
 from .features import DatasetManifest, ImageFeatures, ManifestEntry, write_features, write_manifest
 from .viewgraph import UnionFind
 
-DEFAULT_MAX_VIEW_ANGLE = math.radians(75.0)
+# largest angle between a point's normal and its ray to a camera that sees it
+_MAX_VIEW_ANGLE = math.radians(75.0)
+# scene draws before generate_orbit_scene gives up
+_MAX_RETRIES = 10
+# world up direction of every camera
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,11 @@ class OraclePairTruth:
     translation: np.ndarray     # unit norm, zero for i == j
 
 
-def look_at(center: np.ndarray, target: np.ndarray,
-            up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """World-to-camera rotation with +z toward the target."""
+def look_at(center: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """World-to-camera rotation with +z toward the target and world +z up."""
     z = np.asarray(target, dtype=np.float64) - center
     z = z / np.linalg.norm(z)
-    x = np.cross(np.asarray(up, dtype=np.float64), z)
+    x = np.cross(_UP, z)
     nx = np.linalg.norm(x)
     if nx < 1e-12:
         raise ValueError("up direction parallel to viewing direction")
@@ -79,15 +83,14 @@ def project(camera: CameraPose, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     return uv1[:, :2], depth
 
 
-def compute_visibility(cameras, points: np.ndarray, image_size: tuple[int, int],
-                       max_view_angle: float = DEFAULT_MAX_VIEW_ANGLE) -> np.ndarray:
+def compute_visibility(cameras, points: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
     """Frustum test plus the convex-surface grazing-angle test.
 
     Point normals are the outward radial directions from the origin.
     """
     w, h = image_size
     normals = points / np.linalg.norm(points, axis=1, keepdims=True)
-    cos_max = math.cos(max_view_angle)
+    cos_max = math.cos(_MAX_VIEW_ANGLE)
     vis = np.zeros((len(cameras), len(points)), dtype=bool)
     for idx, camera in enumerate(cameras):
         uv, depth = project(camera, points)
@@ -105,9 +108,7 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
                          noise_desc: float = 0.0, descriptor_dim: int = 32,
                          image_size: tuple[int, int] = (1024, 768),
                          focal: float = 900.0,
-                         max_view_angle: float = DEFAULT_MAX_VIEW_ANGLE,
-                         min_visible: int = 20,
-                         max_retries: int = 10) -> SyntheticScene:
+                         min_visible: int = 20) -> SyntheticScene:
     """Evenly spaced orbit of cameras looking at the origin.
 
     Points are drawn uniformly in a spherical shell (radii 0.4 to 1.0).
@@ -118,6 +119,8 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         raise ValueError("need at least 2 cameras")
     if n_points < 50:
         raise ValueError("need at least 50 points")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(radius) and radius > 1.0):
         raise ValueError(f"radius must be finite and exceed the unit point shell, got {radius}")
     for name, value in (("noise_px", noise_px), ("noise_desc", noise_desc)):
@@ -131,7 +134,7 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         for c in (radius * np.column_stack(
             [np.cos(phis), np.sin(phis), np.zeros(n_cameras)]))
     )
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         directions = rng.normal(size=(n_points, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -139,14 +142,14 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         points = directions * radii[:, None]
         descriptors = rng.normal(size=(n_points, descriptor_dim))
         descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
-        vis = compute_visibility(cameras, points, image_size, max_view_angle)
+        vis = compute_visibility(cameras, points, image_size)
         if int(vis.sum(axis=1).min()) >= min_visible:
             return SyntheticScene(
                 cameras=cameras, points=points, point_descriptors=descriptors,
                 visibility=vis, image_size=image_size, noise_px=noise_px,
                 noise_desc=noise_desc, seed=seed)
     raise GenerationFailure(
-        f"{max_retries} attempts, some camera sees fewer than {min_visible} points")
+        f"{_MAX_RETRIES} attempts, some camera sees fewer than {min_visible} points")
 
 
 def render_features(scene: SyntheticScene) -> list[ImageFeatures]:

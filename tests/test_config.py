@@ -56,6 +56,8 @@ def test_defaults_are_valid():
     ("tau_o", float("nan")),
     ("parallax_cap", float("inf")),
     ("alpha", -float("inf")),
+    # the robust search keys on 64 bits of the seed: 2**64 would repeat seed 0
+    ("seed", 2**64),
 ])
 def test_bad_values_rejected(field, value):
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from sara.errors import (CorruptFile, DimensionMismatch, DuplicateImageId,
                          MissingFile, NormalizationFailure, OutOfBoundsKeypoint)
-from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry, _unit_rows,
+from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry,
                            load_features, load_manifest, read_features,
                            write_features, write_manifest, write_pair_list)
 
@@ -414,20 +414,17 @@ class TestDescriptorScreen:
         assert_read_as_reference(tmp_path / "f.sarf", desc, gdesc.astype(np.float32))
 
     def test_screen_margin(self, tmp_path):
-        # squared norms on both sides of the screen's tolerance: rows it
-        # accepts as they are and rows it hands to the exact checks
+        # squared norms on both sides of 1 + 1e-6, where a test of |s - 1|
+        # against the repair tolerance would flip: every row is kept
         rng = np.random.default_rng(1)
         base = unit_vectors(rng, 128)
         gdesc = unit_vectors(rng, 64).astype(np.float32)
-        decisions = set()
         for k, dev in enumerate(np.linspace(0.48e-6, 0.52e-6, 9)):
             desc = unit_vectors(rng, 12, 128).astype(np.float32)
             desc[3] = scaled(base, dev)
             s = float(np.einsum("i,i->", desc[3], desc[3], dtype=np.float64))
             assert abs(s - 1.0 - 1e-6) < 1e-7
-            decisions.add(_unit_rows(desc, 1e-6))
             assert_read_as_reference(tmp_path / f"f{k}.sarf", desc, gdesc)
-        assert decisions == {True, False}
 
     @pytest.mark.parametrize("off", [None, "local_repair", "local_reject",
                                      "global_repair", "global_reject"])
@@ -488,19 +485,34 @@ class TestDescriptorScreen:
 
     def test_read_peak_memory(self, tmp_path):
         # the file's bytes, the descriptor copy parsed from them and the
-        # screen's float64 row sums; a float64 copy of the descriptors and
-        # its square, as a norm of a cast makes, reach about 6x
+        # float64 squared norms; a float64 copy of the descriptors and its
+        # square, as a norm of a cast makes, reach about 6x
         path = tmp_path / "f.sarf"
         write_features(make_features(n=2000, d=128), path)
-        desc_bytes = 2000 * 128 * 4
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            read_features(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * desc_bytes
+        assert read_peak(path) < 2.5 * 2000 * 128 * 4
+
+    def test_repair_peak_memory(self, tmp_path):
+        # rows 2e-5 off unit norm are divided in place by the norms of the
+        # same pass, so a repair costs what a plain read does; a float64
+        # copy for the norms and another for the division reach about 6x
+        path = tmp_path / "f.sarf"
+        feats = make_features(n=2000, d=128)
+        desc = scaled(feats.descriptors.astype(np.float64), 2e-5)
+        assert_read_as_reference(path, desc, feats.global_desc)
+        assert not np.array_equal(read_features(path).descriptors, desc)   # repaired
+        assert read_peak(path) < 2.5 * desc.nbytes
+
+
+def read_peak(path):
+    """Traced peak bytes of one ``read_features(path)``."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        read_features(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestManifest:

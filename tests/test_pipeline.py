@@ -372,6 +372,15 @@ class TestCliSelect:
                   "--out-report", str(tmp_path / "r.json")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 1)])
+    def test_seed_range(self, dataset, tmp_path, capsys, seed, code):
+        assert main(["select", "--manifest", str(dataset), "--seed", str(seed),
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")]) == code
+        if code:
+            assert "seed" in capsys.readouterr().err
+            assert not (tmp_path / "p.txt").exists()
+
     @pytest.mark.parametrize("command", ["select", "ablate"])
     def test_threads_flag_is_unknown(self, dataset, tmp_path, command):
         outputs = {"select": ["--out-pairs", str(tmp_path / "p.txt"),
@@ -468,6 +477,12 @@ class TestCliSynth:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--n-cameras", "4", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.0"])
     def test_bad_radius_exits_one(self, tmp_path, capsys, value):
         out = tmp_path / "x"
@@ -504,3 +519,12 @@ class TestCliAblate:
         assert len(files) == 16
         for name, summary in doc.items():
             assert summary == json.loads((out / f"{name}.report.json").read_text())["summary"]
+
+    @pytest.mark.parametrize("switch", ["--disable-msl", "--disable-lba", "--disable-wvr"])
+    def test_stage_switches_are_select_only(self, dataset, tmp_path, switch):
+        # every variant sets the stages itself, so a switch would do nothing
+        out = tmp_path / "ablate"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--manifest", str(dataset), "--out-dir", str(out), switch])
+        assert exc.value.code == 1
+        assert not out.exists()

@@ -87,6 +87,10 @@ class TestOrbitScene:
         with pytest.raises(ValueError):
             generate_orbit_scene(**kwargs)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed"):
+            generate_orbit_scene(4, 100, seed=-1)
+
     @pytest.mark.parametrize("radius", [1.0, math.nan, math.inf, -math.inf])
     def test_radius_must_be_finite_beyond_the_shell(self, radius):
         with pytest.raises(ValueError, match="radius"):
