@@ -119,8 +119,8 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         raise ValueError("need at least 2 cameras")
     if n_points < 50:
         raise ValueError("need at least 50 points")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**63:   # dump_scene stores it as int64
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     if not (math.isfinite(radius) and radius > 1.0):
         raise ValueError(f"radius must be finite and exceed the unit point shell, got {radius}")
     for name, value in (("noise_px", noise_px), ("noise_desc", noise_desc)):

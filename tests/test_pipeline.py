@@ -477,9 +477,10 @@ class TestCliSynth:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", [-1, 2**63])   # truth.npz stores the seed as int64
+    def test_seed_out_of_range_exits_one(self, tmp_path, capsys, seed):
         out = tmp_path / "x"
-        assert main(["synth", "--out-dir", str(out), "--n-cameras", "4", "--seed", "-1"]) == 1
+        assert main(["synth", "--out-dir", str(out), "--n-cameras", "4", f"--seed={seed}"]) == 1
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 

@@ -87,9 +87,10 @@ class TestOrbitScene:
         with pytest.raises(ValueError):
             generate_orbit_scene(**kwargs)
 
-    def test_negative_seed_named(self):
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_out_of_range_named(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            generate_orbit_scene(4, 100, seed=-1)
+            generate_orbit_scene(4, 100, seed=seed)
 
     @pytest.mark.parametrize("radius", [1.0, math.nan, math.inf, -math.inf])
     def test_radius_must_be_finite_beyond_the_shell(self, radius):
