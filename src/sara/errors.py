@@ -69,7 +69,3 @@ class EmptyScoreSet(SaraError):
 
 class GenerationFailure(SaraError):
     """Scene generation could not satisfy visibility requirements."""
-
-
-class TooLarge(SaraError):
-    """Exhaustive oracle asked for a problem beyond its size limit."""

@@ -125,8 +125,7 @@ _GROUP_HYPOTHESES = 256
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
     # counter-based generator keyed by (run seed, pair stream id)
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    key = np.array([seed, stream & ((1 << 64) - 1)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

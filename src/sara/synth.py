@@ -1,5 +1,4 @@
-"""Synthetic multi-view scenes with exact ground truth, plus the
-brute-force oracles the tests lean on.
+"""Synthetic multi-view scenes with exact ground truth.
 
 Scenes put cameras on an orbit looking at a point cloud sampled in a
 unit-ish shell around the origin. Points carry outward radial normals
@@ -11,16 +10,14 @@ grazing views and gives antipodal cameras near-zero covisibility.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationFailure, TooLarge
+from .errors import GenerationFailure
 from .features import DatasetManifest, ImageFeatures, ManifestEntry, write_features, write_manifest
-from .viewgraph import UnionFind
 
 # largest angle between a point's normal and its ray to a camera that sees it
 _MAX_VIEW_ANGLE = math.radians(75.0)
@@ -28,6 +25,9 @@ _MAX_VIEW_ANGLE = math.radians(75.0)
 _MAX_RETRIES = 10
 # world up direction of every camera
 _UP = np.array([0.0, 0.0, 1.0])
+# image width and height in pixels, and focal length in pixels, of every camera
+_IMAGE_SIZE = (1024, 768)
+_FOCAL = 900.0
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,6 @@ def compute_visibility(cameras, points: np.ndarray, image_size: tuple[int, int])
 def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
                          noise_px: float = 0.0, seed: int = 0, *,
                          noise_desc: float = 0.0, descriptor_dim: int = 32,
-                         image_size: tuple[int, int] = (1024, 768),
-                         focal: float = 900.0,
                          min_visible: int = 20) -> SyntheticScene:
     """Evenly spaced orbit of cameras looking at the origin.
 
@@ -126,8 +124,8 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
     for name, value in (("noise_px", noise_px), ("noise_desc", noise_desc)):
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    w, h = image_size
-    K = np.array([[focal, 0.0, w / 2.0], [0.0, focal, h / 2.0], [0.0, 0.0, 1.0]])
+    w, h = _IMAGE_SIZE
+    K = np.array([[_FOCAL, 0.0, w / 2.0], [0.0, _FOCAL, h / 2.0], [0.0, 0.0, 1.0]])
     phis = 2.0 * math.pi * np.arange(n_cameras) / n_cameras
     cameras = tuple(
         CameraPose(rotation=look_at(c, np.zeros(3)), center=c, intrinsics=K)
@@ -142,11 +140,11 @@ def generate_orbit_scene(n_cameras: int, n_points: int, radius: float = 5.0,
         points = directions * radii[:, None]
         descriptors = rng.normal(size=(n_points, descriptor_dim))
         descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
-        vis = compute_visibility(cameras, points, image_size)
+        vis = compute_visibility(cameras, points, _IMAGE_SIZE)
         if int(vis.sum(axis=1).min()) >= min_visible:
             return SyntheticScene(
                 cameras=cameras, points=points, point_descriptors=descriptors,
-                visibility=vis, image_size=image_size, noise_px=noise_px,
+                visibility=vis, image_size=_IMAGE_SIZE, noise_px=noise_px,
                 noise_desc=noise_desc, seed=seed)
     raise GenerationFailure(
         f"{_MAX_RETRIES} attempts, some camera sees fewer than {min_visible} points")
@@ -219,34 +217,6 @@ def oracle_pair_truth(scene: SyntheticScene, i: int, j: int) -> OraclePairTruth:
         translation = translation / norm
     return OraclePairTruth(overlap_fraction=overlap, median_parallax=median,
                            rotation=rotation, translation=translation)
-
-
-def oracle_mst(weights: dict, n_nodes: int) -> float:
-    """Exhaustive maximum spanning-tree weight for small graphs.
-
-    Enumerates all acyclic (n-1)-edge subsets. Raises TooLarge above 7
-    nodes and ValueError when no spanning tree exists.
-    """
-    if n_nodes > 7:
-        raise TooLarge(f"{n_nodes} nodes exceeds the exhaustive limit of 7")
-    if n_nodes <= 1:
-        return 0.0
-    edges = list(weights.items())
-    best = None
-    for subset in itertools.combinations(edges, n_nodes - 1):
-        uf = UnionFind(n_nodes)
-        acyclic = True
-        for (a, b), _ in subset:
-            if not uf.union(a, b):
-                acyclic = False
-                break
-        if acyclic:
-            total = sum(w for _, w in subset)
-            if best is None or total > best:
-                best = total
-    if best is None:
-        raise ValueError("graph has no spanning tree")
-    return float(best)
 
 
 def dump_scene(scene: SyntheticScene, out_dir: str | Path) -> Path:

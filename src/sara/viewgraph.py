@@ -66,7 +66,7 @@ class ViewGraph:
         }
 
 
-class UnionFind:
+class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
@@ -98,7 +98,7 @@ def max_spanning_tree(candidates: dict, n_nodes: int) -> list:
     yields a spanning forest.
     """
     edges = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-    uf = UnionFind(n_nodes)
+    uf = _UnionFind(n_nodes)
     tree = []
     for (i, j), _ in edges:
         if uf.union(i, j):

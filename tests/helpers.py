@@ -1,14 +1,15 @@
 """Shared fixtures-adjacent helpers: scene builders and small math oracles.
 
 Everything here is deliberately independent of the library internals where it
-serves as an oracle (spearman, rotation distance, chord angles); the scene
-builders reuse sara.synth because they only need *a* scene, not a reference
-answer.
+serves as an oracle (spearman, rotation distance, chord angles, the exhaustive
+maximum spanning forest); the scene builders reuse sara.synth because they
+only need *a* scene, not a reference answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -249,3 +250,31 @@ def spearman(x, y) -> float:
     if denom == 0:
         return 0.0
     return float((rx * ry).sum() / denom)
+
+
+def _joins(edges, n_nodes: int) -> int:
+    """How many of ``edges``, taken in order, join two different components."""
+    label = list(range(n_nodes))
+    joins = 0
+    for a, b in edges:
+        la, lb = label[a], label[b]
+        if la != lb:
+            label = [la if x == lb else x for x in label]
+            joins += 1
+    return joins
+
+
+def oracle_mst(weights: dict, n_nodes: int) -> float:
+    """Exhaustive maximum spanning-forest weight for graphs of at most 7 nodes.
+
+    A forest spanning a graph of c components has n - c edges, so this
+    enumerates every (n - c)-edge subset and keeps the heaviest acyclic one
+    (a subset is acyclic when each of its edges joins two components).
+    """
+    if n_nodes > 7:
+        raise ValueError(f"{n_nodes} nodes exceeds the exhaustive limit of 7")
+    edges = list(weights.items())
+    size = _joins(weights, n_nodes)
+    return float(max(sum(w for _, w in subset)
+                     for subset in itertools.combinations(edges, size)
+                     if _joins((e for e, _ in subset), n_nodes) == size))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (angle_between, gen_frustum_pair, make_weak_scene,
+from helpers import (angle_between, gen_frustum_pair, make_weak_scene, oracle_mst,
                      robust_search, rot_geodesic, spearman, to_corrs)
 from sara.config import SaraConfig
 from sara.features import read_features, write_features, write_pair_list
@@ -27,8 +27,7 @@ from sara.features import ImageFeatures
 from sara.pipeline import run_ablation, run_select
 from sara.retrieval import cosine_knn
 from sara.scorer import RejectReason, PairScore, lower_median, score_all
-from sara.synth import (dump_scene, generate_orbit_scene, oracle_mst,
-                        oracle_pair_truth)
+from sara.synth import dump_scene, generate_orbit_scene, oracle_pair_truth
 from sara.viewgraph import EdgeRole, build_view_graph, max_spanning_tree
 
 

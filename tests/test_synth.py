@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -7,13 +6,12 @@ import pytest
 
 from helpers import angle_between
 from sara.config import DEG
-from sara.errors import GenerationFailure, TooLarge
+from sara.errors import GenerationFailure
 from sara.features import load_features, load_manifest
 from sara.scorer import mutual_nn_matches
 from sara.synth import (CameraPose, compute_visibility, dump_scene,
-                        generate_orbit_scene, look_at, oracle_mst,
-                        oracle_pair_truth, project, render_features)
-from sara.viewgraph import max_spanning_tree
+                        generate_orbit_scene, look_at, oracle_pair_truth, project,
+                        render_features)
 
 
 class TestLookAt:
@@ -58,6 +56,13 @@ class TestOrbitScene:
         assert all(np.linalg.norm(c) == pytest.approx(5.0) for c in centers)
         assert angle_between(centers[0], centers[1]) == pytest.approx(math.pi / 2)
         assert angle_between(centers[0], centers[2]) == pytest.approx(math.pi)
+
+    def test_fixed_camera_model(self):
+        scene = generate_orbit_scene(5, 100, seed=0)
+        K = np.array([[900.0, 0.0, 512.0], [0.0, 900.0, 384.0], [0.0, 0.0, 1.0]])
+        assert scene.image_size == (1024, 768)
+        for camera in scene.cameras:
+            np.testing.assert_array_equal(camera.intrinsics, K)
 
     def test_min_visible_guarantee(self):
         scene = generate_orbit_scene(20, 400, seed=0)
@@ -213,29 +218,6 @@ class TestOracleTruth:
         vi, vj = orbit20.visibility[0], orbit20.visibility[1]
         expected = (vi & vj).sum() / math.sqrt(vi.sum() * vj.sum())
         assert truth.overlap_fraction == pytest.approx(expected, rel=1e-15)
-
-
-class TestOracleMst:
-    def test_triangle(self):
-        weights = {(0, 1): 3.0, (1, 2): 2.0, (0, 2): 1.0}
-        assert oracle_mst(weights, 3) == pytest.approx(5.0)
-
-    def test_k4_matches_kruskal(self):
-        rng = np.random.default_rng(9)
-        weights = {e: float(rng.uniform(0.1, 1.0))
-                   for e in itertools.combinations(range(4), 2)}
-        tree = max_spanning_tree(weights, 4)
-        assert oracle_mst(weights, 4) == pytest.approx(
-            sum(weights[e] for e in tree))
-
-    def test_too_large(self):
-        weights = {(i, i + 1): 1.0 for i in range(7)}
-        with pytest.raises(TooLarge):
-            oracle_mst(weights, 8)
-
-    def test_no_spanning_tree(self):
-        with pytest.raises(ValueError):
-            oracle_mst({(0, 1): 1.0}, 4)
 
 
 class TestDumpScene:

@@ -5,11 +5,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+from helpers import oracle_mst
 from sara.config import SaraConfig
 from sara.errors import EmptyScoreSet
 from sara.retrieval import cosine_knn
 from sara.scorer import PairScore, RejectReason, score_all
-from sara.synth import oracle_mst
 from sara.pipeline import _warn_disconnected
 from sara.viewgraph import (LOOP_MEDIUM_MAX, LOOP_SHORT_MAX, WEAK_PER_VIEW, EdgeRole,
                             TreePaths, add_anchors, add_loops, add_weak_view_support,
@@ -51,17 +51,17 @@ class TestMaxSpanningTree:
         assert sum(weights[e] for e in tree) == 5.0
 
     def test_matches_exhaustive_oracle(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(3, 8))
-            weights = random_weights(rng, n)
-            tree = max_spanning_tree(weights, n)
-            try:
-                best = oracle_mst(weights, n)
-            except ValueError:
-                # disconnected: compare per-component totals instead
-                continue
-            assert sum(weights[e] for e in tree) == pytest.approx(best)
+        # density 0.3 draws mostly disconnected graphs, so forests are checked too
+        forests = 0
+        for density in (0.7, 0.3):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                n = int(rng.integers(3, 8))
+                weights = random_weights(rng, n, density)
+                tree = max_spanning_tree(weights, n)
+                forests += len(tree) < n - 1
+                assert sum(weights[e] for e in tree) == pytest.approx(oracle_mst(weights, n))
+        assert forests > 0
 
     def test_tie_break_ascending(self):
         # equal weights on a 12-cycle: Kruskal keeps the lexicographically
@@ -278,6 +278,31 @@ class TestAddLoops:
         selected = [(e, EdgeRole.TREE) for e in tree]
         added = add_loops(selected, weights, TreePaths(tree, 12), 3)
         assert added == [((10, 11), EdgeRole.LOOP)]
+
+
+class TestOracleMst:
+    def test_triangle(self):
+        weights = {(0, 1): 3.0, (1, 2): 2.0, (0, 2): 1.0}
+        assert oracle_mst(weights, 3) == pytest.approx(5.0)
+
+    def test_k4_matches_kruskal(self):
+        rng = np.random.default_rng(9)
+        weights = {e: float(rng.uniform(0.1, 1.0))
+                   for e in itertools.combinations(range(4), 2)}
+        tree = max_spanning_tree(weights, 4)
+        assert oracle_mst(weights, 4) == pytest.approx(
+            sum(weights[e] for e in tree))
+
+    def test_too_large(self):
+        weights = {(i, i + 1): 1.0 for i in range(7)}
+        with pytest.raises(ValueError, match="limit of 7"):
+            oracle_mst(weights, 8)
+
+    def test_forest_weight(self):
+        # two components plus an isolated node: the forest keeps 3 of 4 edges
+        weights = {(0, 1): 1.0, (1, 2): 0.5, (0, 2): 0.25, (3, 4): 2.0}
+        assert oracle_mst(weights, 6) == 3.5
+        assert oracle_mst({(0, 1): 1.0}, 4) == 1.0
 
 
 class TestAddAnchors:
