@@ -75,20 +75,23 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     """Mutual nearest-neighbor correspondences, best-first, at most b.
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
-    neighbor under cosine similarity. Ties in the argmax break toward
-    lower indices. Column winners come from one pass over row blocks of
-    the similarity matrix, each block at most ``_BLOCK_BYTES``: a
-    column's winner moves to a later block only where that block's
-    column maximum is strictly greater, so a tied column keeps its
-    lowest row. For finite similarities, which ``read_features`` and
+    neighbor under cosine similarity, the float32 product of the two
+    float32 descriptor arrays; the argmaxes, the column winners and the
+    final order all read those float32 values. Ties in the argmax break
+    toward lower indices. Column winners come from one pass over row
+    blocks of the similarity matrix, each block at most ``_BLOCK_BYTES``:
+    a column's winner moves to a later block only where that block's
+    column maximum is strictly greater, so a tied column keeps its lowest
+    row. For finite similarities, which ``read_features`` and
     ``write_features`` enforce, that equals ``argmax(sims, axis=0)``,
     without the transposed copy of the whole matrix an argmax along axis
     0 makes. The mutual matches come in ascending p, one per p, so a
     stable sort on similarity breaks ties in the final ordering toward
-    lower p. Returns a ``correspondences`` record array, of length 0
-    when either image has no keypoints.
+    lower p. Returns a ``correspondences`` record array, of length 0 when
+    either image has no keypoints; its ``similarity`` field holds the
+    float32 values widened to float64.
 
-    ``work``, a 1-d float64 array of at least n_a * n_b elements, holds
+    ``work``, a 1-d float32 array of at least n_a * n_b elements, holds
     the similarity matrix when given; without it the matrix is
     allocated. Either way the product is the same full ``np.matmul``,
     so the matches are bit-identical, and the returned array shares no
@@ -98,10 +101,9 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     if n_a == 0 or n_b == 0:
         return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
     out = None if work is None else work[:n_a * n_b].reshape(n_a, n_b)
-    sims = np.matmul(fa.descriptors.astype(np.float64), fb.descriptors.astype(np.float64).T,
-                     out=out)
+    sims = np.matmul(fa.descriptors, fb.descriptors.T, out=out)
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
-    rows = max(1, _BLOCK_BYTES // (8 * n_b))
+    rows = max(1, _BLOCK_BYTES // (sims.itemsize * n_b))
     best_ba = sims[:rows].argmax(axis=0)
     col_max = sims[best_ba, np.arange(n_b)]
     for r0 in range(rows, n_a, rows):
@@ -150,17 +152,21 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
 def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
     """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
 
-    Each pair is matched on its own. The pairs with at least 8 mutual
-    matches then share one ``ransac_models`` call, which draws, solves,
-    scores, selects, refits and projects for all of them, and each
-    finishes its robust search (inlier recount and pose) in its own
-    ``short_ransac`` call on its share.
+    Each pair is matched on its own, except a pair whose smaller image
+    has fewer than 8 keypoints: it cannot reach 8 mutual matches, so it
+    is not matched and ends ``TOO_FEW_MUTUAL_NN`` as matching would end
+    it. The pairs with at least 8 mutual matches then share one
+    ``ransac_models`` call, which draws, solves, scores, selects, refits
+    and projects for all of them, and each finishes its robust search
+    (inlier recount and pose) in its own ``short_ransac`` call on its
+    share.
     """
-    matches = [mutual_nn_matches(fa, fb, config.b, work) for fa, fb, _ in group]
+    matches = {k: mutual_nn_matches(fa, fb, config.b, work)
+               for k, (fa, fb, _) in enumerate(group) if min(fa.n_keypoints, fb.n_keypoints) >= 8}
     calibs = [(fa.intrinsics, fb.intrinsics)
               if fa.intrinsics is not None and fb.intrinsics is not None else None
               for fa, fb, _ in group]
-    searched = [k for k, m in enumerate(matches) if len(m) >= 8]
+    searched = [k for k, m in matches.items() if len(m) >= 8]
     shares = dict(zip(searched, ransac_models(
         [(matches[k], calibs[k], _pair_rng(config.seed, group[k][2])) for k in searched],
         config.ransac_iterations, config.inlier_threshold_px)))
@@ -209,7 +215,7 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     arrays; the bound keeps the stacked arrays from growing with the pair
     count.
 
-    One float64 workspace, sized for the largest n_a * n_b among the
+    One float32 workspace, sized for the largest n_a * n_b among the
     pairs, holds every pair's similarity matrix in turn, so no matrix is
     freed per pair: after a large free glibc raises its mmap threshold,
     and the next matrices come from a heap it keeps resident.
@@ -217,7 +223,7 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     n = len(features)
     pairs = sorted(candidates)
     work = np.empty(max((features[i].n_keypoints * features[j].n_keypoints
-                         for i, j in pairs), default=0))
+                         for i, j in pairs), default=0), dtype=np.float32)
     size = max(1, _GROUP_HYPOTHESES // config.ransac_iterations)
     scores = {}
     for start in range(0, len(pairs), size):

@@ -1,6 +1,6 @@
-"""tools/abbench.py: run order, pairs won, the refusal on differing outputs,
-per-layer metrics that one side alone prints, and which uncommitted edits
-it names."""
+"""tools/abbench.py: run order, pairs won, the refusal on differing outputs
+and the rebaseline that records them, per-layer metrics that one side alone
+prints, and which uncommitted edits it names."""
 
 import importlib.util
 import subprocess
@@ -16,9 +16,9 @@ _SPEC.loader.exec_module(abbench)
 BETTER = {"select_s": "lower", "pairs_per_s": "higher"}
 
 
-def fake_run(select_s, pairs_per_s, digests=("a" * 64, "b" * 64), failed=31.0):
+def fake_run(select_s, pairs_per_s, digests=("a" * 64, "b" * 64), failed=31.0, correct=True):
     return {"metrics": {"select_s": select_s, "pairs_per_s": pairs_per_s},
-            "units": {"select_s": "s", "pairs_per_s": "1/s"}, "correct": True,
+            "units": {"select_s": "s", "pairs_per_s": "1/s"}, "correct": correct,
             "digests": digests, "failed_per_round": failed, "attempted_per_round": 86}
 
 
@@ -78,6 +78,39 @@ def test_refuses_differing_outputs(change):
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **change)}]
     with pytest.raises(SystemExit):
         abbench.summarize(e2e, [], BETTER)
+
+
+NEW = dict(digests=("c" * 64, "d" * 64), failed=29.0)
+
+
+def test_rebaseline_records_each_side():
+    e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **NEW)}] * 10
+    traced = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **NEW)}] * 3
+    with pytest.raises(SystemExit):
+        abbench.summarize(e2e, traced, BETTER)
+    entry = abbench.summarize(e2e, traced, BETTER, rebaseline=True)
+    assert entry["sha256"] == {"parent": {"pairs": "a" * 64, "report": "b" * 64},
+                               "change": {"pairs": "c" * 64, "report": "d" * 64},
+                               "same_on_both_sides": False}
+    assert entry["failed_per_round"] == {"parent": 31.0, "change": 29.0}
+    assert entry["attempted_per_round"] == {"parent": 86, "change": 86}
+    assert entry["end_to_end"]["select_s"]["meets_claim_rule"] is True
+    assert entry["correct"] and entry["runs_checked"] == 26
+
+
+@pytest.mark.parametrize("odd", [
+    dict(digests=("c" * 64, "e" * 64)),
+    dict(failed=30.0),
+    dict(correct=False),
+], ids=["digest", "failures", "incorrect"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_rebaseline_refuses_a_side_that_disagrees_or_fails(odd, side):
+    # one run of one side differs from that side's others, or is not correct
+    runs = {"parent": {}, "change": NEW}
+    e2e = [{s: fake_run(2.0, 10.0, **kw) for s, kw in runs.items()} for _ in range(3)]
+    e2e[1][side] = fake_run(2.0, 10.0, **{**runs[side], **odd})
+    with pytest.raises(SystemExit):
+        abbench.summarize(e2e, [], BETTER, rebaseline=True)
 
 
 def traced_run(metrics):

@@ -9,10 +9,11 @@ import pytest
 
 from sara.cli import _assemble_config, build_parser, main
 from sara.config import SaraConfig
-from sara.features import load_features, load_manifest
+from sara.features import (DatasetManifest, ManifestEntry, load_features, load_manifest,
+                           write_features, write_manifest)
 from sara.pipeline import ABLATION_VARIANTS, run_ablation, run_select
 from sara.retrieval import cosine_knn
-from sara.synth import dump_scene, generate_orbit_scene
+from sara.synth import dump_scene, generate_orbit_scene, render_features
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +178,28 @@ class TestRunAblation:
 
 @pytest.fixture(scope="module")
 def disconnected(tmp_path_factory):
-    # as `sara synth --n-cameras 8 --n-points 200 --seed 1`: two components
+    # two orbit scenes in one manifest, their descriptors in orthogonal
+    # halves of the space: every cross-scene similarity is 0, so a
+    # cross-scene pair has one mutual match and no edge can join the scenes.
+    # Each scene's ring keeps every adjacent pair, so it stays one component
+    # should any single pair fail.
     root = tmp_path_factory.mktemp("disconnected")
-    return dump_scene(generate_orbit_scene(8, 200, seed=1), root)
+    def pad(v, half):   # the scene's 32 dims before 32 zeros (half 0) or after them (half 1)
+        return np.roll(np.concatenate([v, np.zeros_like(v)], axis=-1), 32 * half, axis=-1)
+
+    entries = []
+    for half, seed in enumerate((2, 3)):
+        for f in render_features(generate_orbit_scene(6, 400, seed=seed)):
+            image_id = f"{'ab'[half]}_{f.image_id}"
+            path = root / f"{image_id}.sarf"
+            write_features(dataclasses.replace(f, image_id=image_id,
+                                               descriptors=pad(f.descriptors, half),
+                                               global_desc=pad(f.global_desc, half)), path)
+            entries.append(ManifestEntry(image_id=image_id, path=path))
+    manifest = root / "manifest.json"
+    write_manifest(DatasetManifest(entries=tuple(entries), descriptor_dim=64, global_dim=64),
+                   manifest)
+    return manifest
 
 
 def disconnected_warnings(caplog) -> list[str]:
@@ -194,7 +214,8 @@ class TestDisconnectedWarning:
                                 tmp_path / "r.json")
         assert report.summary["n_components"] == 2
         assert disconnected_warnings(caplog) == [
-            "candidate graph is disconnected: 2 components [[0, 1, 7], [2, 3, 4, 5, 6]]"]
+            "candidate graph is disconnected: 2 components "
+            "[[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]"]
 
     def test_run_ablation_warns_once_per_call(self, disconnected, tmp_path, caplog):
         for call in (1, 2):

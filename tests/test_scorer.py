@@ -48,7 +48,7 @@ def argmax_mutual_nn(fa, fb, b):
     """Reference: mutual nearest neighbours from two plain argmax calls."""
     if fa.n_keypoints == 0 or fb.n_keypoints == 0:
         return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
-    sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+    sims = fa.descriptors @ fb.descriptors.T
     best_ab, best_ba = np.argmax(sims, axis=1), np.argmax(sims, axis=0)
     p = np.flatnonzero(best_ba[best_ab] == np.arange(fa.n_keypoints))
     q = best_ab[p]
@@ -97,7 +97,7 @@ class TestMutualNN:
         fa = image_from(np.zeros((25, 2)), da, "a")
         fb = image_from(np.zeros((40, 2)), db, "b")
         matches = mutual_nn_matches(fa, fb, b=100)
-        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         expected = []
         for i in range(25):
             j = int(np.argmax(sims[i]))
@@ -145,7 +145,7 @@ class TestMutualNN:
         kp_a = rng.uniform(0, 1000, size=(40, 2))
         kp_b = rng.uniform(0, 1000, size=(35, 2))
         fa, fb = image_from(kp_a, da, "a"), image_from(kp_b, db, "b")
-        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         best_ab, best_ba = np.argmax(sims, axis=1), np.argmax(sims, axis=0)
         everything = sorted(
             ((-sims[p, q], p, q) for p, q in enumerate(best_ab) if best_ba[q] == p))
@@ -183,7 +183,7 @@ class TestMutualNN:
         db /= np.linalg.norm(db, axis=1, keepdims=True)
         fa = image_from(rng.uniform(0, 700, (n_a, 2)), da.astype(np.float32), "a")
         fb = image_from(rng.uniform(0, 700, (n_b, 2)), db.astype(np.float32), "b")
-        sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         assert ((sims == sims.max(axis=0)).sum(axis=0) > 1).any()   # column ties present
         assert len(argmax_mutual_nn(fa, fb, 1000)) > 0
         assert_matches_reference(fa, fb)
@@ -209,7 +209,7 @@ class TestMutualNN:
         db = np.concatenate([distinct, unit_rows(rng, 17, 16)])[rng.permutation(17 + k)]
         fa = image_from(rng.uniform(0, 700, (24, 2)), da, "a")
         fb = image_from(rng.uniform(0, 700, (17 + k, 2)), db, "b")
-        sims = fa.descriptors.astype(np.float64) @ fb.descriptors.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         assert ((sims == sims.max(axis=0)).sum(axis=0) > 1).all()
         assert len(mutual_nn_matches(fa, fb, 1000)) > 0
         assert_matches_reference(fa, fb)
@@ -227,7 +227,7 @@ class TestMutualNN:
         db = np.eye(6, dtype=np.float32)
         fa = image_from(np.zeros((5, 2)), da, "a")
         fb = image_from(np.zeros((6, 2)), db, "b")
-        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         first_hit = np.argmax(sims == sims.max(axis=0), axis=0)
         elsewhere = np.argmax(sims, axis=1)[first_hit] != np.arange(6)
         assert elsewhere.sum() > 1
@@ -244,10 +244,10 @@ class TestMutualNN:
         da = np.concatenate([distinct[np.arange(21) % 3], unit_rows(rng, 6, 16)])
         da = da[rng.permutation(27)]
         db = np.concatenate([distinct, unit_rows(rng, 8, 16)])[rng.permutation(11)]
-        monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 8 * len(db))
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 4 * len(db))
         fa = image_from(rng.uniform(0, 700, (27, 2)), da, "a")
         fb = image_from(rng.uniform(0, 700, (11, 2)), db, "b")
-        sims = da.astype(np.float64) @ db.astype(np.float64).T
+        sims = fa.descriptors @ fb.descriptors.T
         tied = sims == sims.max(axis=0)
         blocks = [np.unique(np.flatnonzero(col) // rows) for col in tied.T]
         assert sum(len(b) > 1 for b in blocks) >= 3
@@ -264,10 +264,22 @@ class TestMutualNN:
         fb = image_from(rng.uniform(0, 700, (n_b, 2)), unit_rows(rng, n_b, 16), "b")
         assert_matches_reference(fa, fb)
 
+    def test_similarity_is_the_float32_product_widened(self):
+        rng = np.random.default_rng(12)
+        fa = image_from(rng.uniform(0, 700, (90, 2)), unit_rows(rng, 90, 128), "a")
+        fb = image_from(rng.uniform(0, 700, (70, 2)), unit_rows(rng, 70, 128), "b")
+        sims = fa.descriptors @ fb.descriptors.T
+        assert sims.dtype == np.float32
+        got = mutual_nn_matches(fa, fb, 1000)
+        assert len(got) > 0
+        want = sims[got.idx_a, got.idx_b].astype(np.float64)
+        assert got.similarity.dtype == np.float64
+        assert got.similarity.tobytes() == want.tobytes()
+
     def test_peak_memory_one_similarity_matrix(self):
-        # one float64 matrix plus row-block temporaries; a bool mask of the
+        # one float32 matrix plus row-block temporaries; a bool mask of the
         # matrix, transposed as an argmax along axis 0 copies it, reaches
-        # 1.25x, and a transposed float64 copy 2x
+        # 1.25x, a transposed float32 copy 2x and a float64 product 2x
         n_a, n_b = 1500, 1400
         rng = np.random.default_rng(3)
         fa = image_from(np.zeros((n_a, 2)), unit_rows(rng, n_a, 32), "a")
@@ -279,14 +291,14 @@ class TestMutualNN:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * n_a * n_b * 8
+        assert peak < 1.2 * n_a * n_b * 4
 
     def test_workspace_gives_the_same_bits(self):
         rng = np.random.default_rng(11)
         fa = image_from(rng.uniform(0, 700, (300, 2)), unit_rows(rng, 300, 32), "a")
         fb = image_from(rng.uniform(0, 700, (170, 2)), unit_rows(rng, 170, 32), "b")
         # larger than either product, and filled with leftovers of another pair
-        work = rng.normal(size=300 * 170 + 999)
+        work = rng.normal(size=300 * 170 + 999).astype(np.float32)
         for x, y in ((fa, fb), (fb, fa)):
             got = mutual_nn_matches(x, y, 60, work)
             want = mutual_nn_matches(x, y, 60)
@@ -530,6 +542,35 @@ class TestScoreAll:
         assert sum(s.rejected is RejectReason.TOO_FEW_MUTUAL_NN
                    for s in scores.values()) == n - 1
         assert searched and sorted(streams) == searched
+
+    def test_pairs_below_eight_keypoints_skip_the_matcher(self, orbit20_features, monkeypatch):
+        # image 3 keeps 7 keypoints and image 4 keeps 8: only image 3's
+        # pairs are decided without matching, as matching would decide them
+        features = [dataclasses.replace(f, keypoints=f.keypoints[:m], descriptors=f.descriptors[:m],
+                                        scores=None if f.scores is None else f.scores[:m])
+                    for f, m in zip(orbit20_features[:5], (400, 400, 400, 7, 8))]
+        seen = []
+        match = scorer.mutual_nn_matches
+
+        def counted(fa, fb, b, work=None):
+            seen.append((fa.image_id, fb.image_id))
+            return match(fa, fb, b, work)
+
+        monkeypatch.setattr(scorer, "mutual_nn_matches", counted)
+        cfg = SaraConfig()
+        n = len(features)
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        scores = score_all(features, pairs, cfg)
+        small = features[3].image_id
+        assert len(seen) == len(pairs) - (n - 1)
+        assert all(small not in ids for ids in seen)
+        assert any(features[4].image_id in ids for ids in seen)
+        for (i, j), s in scores.items():
+            if 3 in (i, j):
+                assert s == PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                                      rejected=RejectReason.TOO_FEW_MUTUAL_NN)
+                assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+                assert len(match(features[i], features[j], cfg.b)) < 8
 
     def test_rejection_reasons_recheckable(self, orbit20_features):
         cfg = SaraConfig()

@@ -7,6 +7,7 @@ Usage, from the root of a checkout::
     python3 tools/abbench.py --base 75a6924 --out BENCH_14.json
     python3 tools/abbench.py --base 75a6924 --workload large_collection \\
         --pairs 4 --seconds 10 --out BENCH_14.json
+    python3 tools/abbench.py --base 53f0d28 --rebaseline --out BENCH_27.json
 
 The base side is a temporary ``git archive`` export of ``--base``, removed
 afterwards; the change side is this checkout as it stands on disk. The
@@ -23,10 +24,13 @@ that ``BENCHMARK.json`` declares.
 
 Every run of both sides must print the same two SHA-256 digests (pair
 list and graph report) and the same failures per round; otherwise nothing
-is written and the exit code is 1. The results of the workloads run
-replace those workloads' entries in ``--out``, under ``workloads`` for the
-ones ``BENCHMARK.json`` gates and ``ungated`` for the rest; other entries
-stay.
+is written and the exit code is 1. A change that alters the outputs on
+purpose runs with ``--rebaseline``: then every run must report
+``"correct": true``, and each side's runs must agree among themselves on
+the digests and failures per round, which the entry records per side.
+The results of the workloads run replace those workloads' entries in
+``--out``, under ``workloads`` for the ones ``BENCHMARK.json`` gates and
+``ungated`` for the rest; other entries stay.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED_PAIRS = 3
 # what a benchmark run executes or reads; an edit anywhere else does not change a run
 RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> bytes:
@@ -109,20 +114,33 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": round(float(med), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
 
 
-def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str]) -> dict:
-    runs = [pair[side] for pair in e2e + traced for side in ("parent", "change")]
-    if len({r["digests"] for r in runs}) != 1:
+def outputs(run: dict) -> tuple:
+    """What a run must repeat: its digests, failures and pairs per round."""
+    return run["digests"], run["failed_per_round"], run["attempted_per_round"]
+
+
+def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
+              rebaseline: bool = False) -> dict:
+    runs = [pair[side] for pair in e2e + traced for side in SIDES]
+    if rebaseline:
+        if not all(r["correct"] for r in runs):
+            raise SystemExit("a run was not correct; nothing written")
+        for side in SIDES:
+            if len({outputs(pair[side]) for pair in e2e + traced}) != 1:
+                raise SystemExit(f"the {side} runs printed different digests or failed "
+                                 "different shares of pairs; nothing written")
+    elif len({r["digests"] for r in runs}) != 1:
         raise SystemExit("the runs printed different SHA-256 digests; nothing written")
-    if len({(r["failed_per_round"], r["attempted_per_round"]) for r in runs}) != 1:
+    elif len({(r["failed_per_round"], r["attempted_per_round"]) for r in runs}) != 1:
         raise SystemExit("the runs failed different shares of pairs; nothing written")
     entry = {"pairs_run": len(e2e), "end_to_end": {}}
     for metric, unit in e2e[0]["parent"]["units"].items():
         values = {side: [pair[side]["metrics"][metric] for pair in e2e]
-                  for side in ("parent", "change")}
+                  for side in SIDES}
         sign = -1.0 if better[metric] == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: spread(v) for side, v in values.items()}
-        base, med = (float(np.median(values[side])) for side in ("parent", "change"))
+        base, med = (float(np.median(values[side])) for side in SIDES)
         entry["end_to_end"][metric] = {
             "unit": unit, "better": better[metric], **stats,
             "change_better_pairs": int(wins),
@@ -142,12 +160,21 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str]) -> di
             metric: {"unit": unit, **{side: round(float(np.median(
                 [pair[side]["metrics"][metric] for pair in traced])), 6)
                 if metric in traced[0][side]["units"] else None
-                for side in ("parent", "change")}}
+                for side in SIDES}}
             for metric, unit in units.items()}
-    pairs_sha, report_sha = runs[0]["digests"]
-    entry["sha256"] = {"pairs": pairs_sha, "report": report_sha, "same_on_both_sides": True}
-    entry["failed_per_round"] = runs[0]["failed_per_round"]
-    entry["attempted_per_round"] = runs[0]["attempted_per_round"]
+    if rebaseline:
+        first = {side: e2e[0][side] for side in SIDES}
+        entry["sha256"] = {**{side: dict(zip(("pairs", "report"), run["digests"]))
+                              for side, run in first.items()},
+                           "same_on_both_sides": first["parent"]["digests"]
+                           == first["change"]["digests"]}
+        for key in ("failed_per_round", "attempted_per_round"):
+            entry[key] = {side: run[key] for side, run in first.items()}
+    else:
+        pairs_sha, report_sha = runs[0]["digests"]
+        entry["sha256"] = {"pairs": pairs_sha, "report": report_sha, "same_on_both_sides": True}
+        entry["failed_per_round"] = runs[0]["failed_per_round"]
+        entry["attempted_per_round"] = runs[0]["attempted_per_round"]
     entry["correct"] = all(r["correct"] for r in runs)
     entry["runs_checked"] = len(runs)
     return entry
@@ -162,6 +189,9 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=float(declared["run_seconds"]))
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--rebaseline", action="store_true",
+                        help="the change alters the outputs on purpose: record each "
+                             "side's digests and failures instead of refusing")
     args = parser.parse_args(argv)
 
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -176,7 +206,7 @@ def main(argv=None) -> int:
         for workload in args.workload or gated:
             e2e = alternate(sides, args.pairs, workload, args.seconds, 0)
             traced = alternate(sides, TRACED_PAIRS, workload, args.seconds, 1)
-            entry = summarize(e2e, traced, better)
+            entry = summarize(e2e, traced, better, args.rebaseline)
             entry["command"] = (f"python3 perfbench/run.py --workload {workload} "
                                 f"--seconds {args.seconds:g} --trace 0|1")
             doc.setdefault("workloads" if workload in gated else "ungated", {})[workload] = entry
