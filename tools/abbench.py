@@ -114,29 +114,21 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": round(float(med), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
 
 
-def outputs(run: dict) -> tuple:
-    """What a run must repeat: its digests, failures and pairs per round."""
-    return run["digests"], run["failed_per_round"], run["attempted_per_round"]
-
-
 def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
               rebaseline: bool = False) -> dict:
     runs = [pair[side] for pair in e2e + traced for side in SIDES]
-    if rebaseline:
-        if not all(r["correct"] for r in runs):
-            raise SystemExit("a run was not correct; nothing written")
-        for side in SIDES:
-            if len({outputs(pair[side]) for pair in e2e + traced}) != 1:
-                raise SystemExit(f"the {side} runs printed different digests or failed "
-                                 "different shares of pairs; nothing written")
-    elif len({r["digests"] for r in runs}) != 1:
-        raise SystemExit("the runs printed different SHA-256 digests; nothing written")
-    elif len({(r["failed_per_round"], r["attempted_per_round"]) for r in runs}) != 1:
-        raise SystemExit("the runs failed different shares of pairs; nothing written")
+    if rebaseline and not all(r["correct"] for r in runs):
+        raise SystemExit("a run was not correct; nothing written")
+    # the runs that must print the same outputs: all of them, or each side's
+    for same in ([[pair[side] for pair in e2e + traced] for side in SIDES] if rebaseline
+                 else [runs]):
+        if len({r["digests"] for r in same}) != 1:
+            raise SystemExit("the runs printed different SHA-256 digests; nothing written")
+        if len({(r["failed_per_round"], r["attempted_per_round"]) for r in same}) != 1:
+            raise SystemExit("the runs failed different shares of pairs; nothing written")
     entry = {"pairs_run": len(e2e), "end_to_end": {}}
     for metric, unit in e2e[0]["parent"]["units"].items():
-        values = {side: [pair[side]["metrics"][metric] for pair in e2e]
-                  for side in SIDES}
+        values = {side: [pair[side]["metrics"][metric] for pair in e2e] for side in SIDES}
         sign = -1.0 if better[metric] == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: spread(v) for side, v in values.items()}
@@ -164,10 +156,10 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
             for metric, unit in units.items()}
     if rebaseline:
         first = {side: e2e[0][side] for side in SIDES}
-        entry["sha256"] = {**{side: dict(zip(("pairs", "report"), run["digests"]))
-                              for side, run in first.items()},
-                           "same_on_both_sides": first["parent"]["digests"]
-                           == first["change"]["digests"]}
+        entry["sha256"] = {side: dict(zip(("pairs", "report"), run["digests"]))
+                           for side, run in first.items()}
+        entry["sha256"]["same_on_both_sides"] = (first["parent"]["digests"]
+                                                 == first["change"]["digests"])
         for key in ("failed_per_round", "attempted_per_round"):
             entry[key] = {side: run[key] for side, run in first.items()}
     else:
