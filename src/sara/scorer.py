@@ -68,6 +68,8 @@ def lower_median(values) -> float:
 
 # bytes of similarity rows that mutual_nn_matches reduces at a time
 _BLOCK_BYTES = 1 << 20
+# mutual matches a pair needs for the robust search (eight-point minimum)
+_MIN_MATCHES = 8
 
 
 def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
@@ -153,20 +155,21 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
     """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
 
     Each pair is matched on its own, except a pair whose smaller image
-    has fewer than 8 keypoints: it cannot reach 8 mutual matches, so it
-    is not matched and ends ``TOO_FEW_MUTUAL_NN`` as matching would end
-    it. The pairs with at least 8 mutual matches then share one
-    ``ransac_models`` call, which draws, solves, scores, selects, refits
-    and projects for all of them, and each finishes its robust search
-    (inlier recount and pose) in its own ``short_ransac`` call on its
-    share.
+    has fewer than ``_MIN_MATCHES`` keypoints: it cannot reach that many
+    mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
+    as matching would end it. The pairs with at least ``_MIN_MATCHES``
+    mutual matches then share one ``ransac_models`` call, which draws,
+    solves, scores, selects, refits and projects for all of them, and
+    each finishes its robust search (inlier recount and pose) in its own
+    ``short_ransac`` call on its share.
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
-               for k, (fa, fb, _) in enumerate(group) if min(fa.n_keypoints, fb.n_keypoints) >= 8}
+               for k, (fa, fb, _) in enumerate(group)
+               if min(fa.n_keypoints, fb.n_keypoints) >= _MIN_MATCHES}
     calibs = [(fa.intrinsics, fb.intrinsics)
               if fa.intrinsics is not None and fb.intrinsics is not None else None
               for fa, fb, _ in group]
-    searched = [k for k, m in matches.items() if len(m) >= 8]
+    searched = [k for k, m in matches.items() if len(m) >= _MIN_MATCHES]
     shares = dict(zip(searched, ransac_models(
         [(matches[k], calibs[k], _pair_rng(config.seed, group[k][2])) for k in searched],
         config.ransac_iterations, config.inlier_threshold_px)))

@@ -41,6 +41,12 @@ def test_pairs_won_follow_the_better_direction():
     assert entry["end_to_end"]["select_s"]["median_change_pct"] == -12.5
     assert entry["end_to_end"]["select_s"]["parent"]["median"] == 2.0
     assert entry["correct"] and entry["runs_checked"] == 8
+    # the same outputs on both sides, recorded per side as a rebaseline records them
+    assert entry["sha256"] == {"parent": {"pairs": "a" * 64, "report": "b" * 64},
+                               "change": {"pairs": "a" * 64, "report": "b" * 64},
+                               "same_on_both_sides": True}
+    assert entry["failed_per_round"] == {"parent": 31.0, "change": 31.0}
+    assert entry["attempted_per_round"] == {"parent": 86, "change": 86}
 
 
 @pytest.mark.parametrize("change_s,met", [
@@ -104,13 +110,15 @@ def test_rebaseline_records_each_side():
     dict(correct=False),
 ], ids=["digest", "failures", "incorrect"])
 @pytest.mark.parametrize("side", ["parent", "change"])
-def test_rebaseline_refuses_a_side_that_disagrees_or_fails(odd, side):
+@pytest.mark.parametrize("rebaseline", [False, True], ids=["same", "rebaseline"])
+def test_refuses_a_side_that_disagrees_or_fails(odd, side, rebaseline):
     # one run of one side differs from that side's others, or is not correct
-    runs = {"parent": {}, "change": NEW}
+    runs = {"parent": {}, "change": NEW if rebaseline else {}}
     e2e = [{s: fake_run(2.0, 10.0, **kw) for s, kw in runs.items()} for _ in range(3)]
+    abbench.summarize(e2e, [], BETTER, rebaseline=rebaseline)
     e2e[1][side] = fake_run(2.0, 10.0, **{**runs[side], **odd})
     with pytest.raises(SystemExit):
-        abbench.summarize(e2e, [], BETTER, rebaseline=True)
+        abbench.summarize(e2e, [], BETTER, rebaseline=rebaseline)
 
 
 def traced_run(metrics):

@@ -14,7 +14,7 @@ from sara.features import ImageFeatures
 from sara.retrieval import cosine_knn
 from sara.scorer import (PairScore, RejectReason, lower_median,
                          mutual_nn_matches, score_all, score_pair)
-from sara.synth import oracle_pair_truth
+from sara.synth import generate_orbit_scene, oracle_pair_truth, render_features
 
 
 def unit_rows(rng, n, d=64):
@@ -437,6 +437,21 @@ class TestScorePairOnScene:
         assert s.rejected is None
         assert abs(s.parallax - truth.median_parallax) < 1.0 * DEG
         assert rot_geodesic(s.model.rotation, truth.rotation) < 1.0 * DEG
+
+    def test_top_b_cut_among_ties_keeps_true_matches(self):
+        # noise-free 128-d descriptors: about 150 true matches per adjacent
+        # pair share a similarity of 1 up to rounding, so the float32 bits
+        # pick the top b among them, and every pick is a true match
+        scene = generate_orbit_scene(4, 2000, noise_px=0.5, seed=1, descriptor_dim=128)
+        features = render_features(scene)
+        point_ids = [np.flatnonzero(row) for row in scene.visibility]
+        b = SaraConfig().b
+        for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
+            tied = mutual_nn_matches(features[i], features[j], 10**9).similarity > 1 - 1e-6
+            assert tied.sum() > 2 * b
+            m = mutual_nn_matches(features[i], features[j], b)
+            assert len(m) == b and (m.similarity > 1 - 1e-6).all()
+            np.testing.assert_array_equal(point_ids[i][m.idx_a], point_ids[j][m.idx_b])
 
     def test_adjacent_beats_antipodal(self, orbit20_features):
         cfg = SaraConfig()

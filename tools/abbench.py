@@ -22,15 +22,15 @@ three pairs with ``--trace 1`` give the per-layer ones. Every run takes
 ``run.py``'s default seed; ``--seconds`` defaults to the ``run_seconds``
 that ``BENCHMARK.json`` declares.
 
-Every run of both sides must print the same two SHA-256 digests (pair
-list and graph report) and the same failures per round; otherwise nothing
-is written and the exit code is 1. A change that alters the outputs on
-purpose runs with ``--rebaseline``: then every run must report
-``"correct": true``, and each side's runs must agree among themselves on
-the digests and failures per round, which the entry records per side.
-The results of the workloads run replace those workloads' entries in
-``--out``, under ``workloads`` for the ones ``BENCHMARK.json`` gates and
-``ungated`` for the rest; other entries stay.
+Every run must report ``"correct": true``, and each side's runs must
+print one pair of SHA-256 digests (pair list and graph report) and one
+share of failed pairs per round, which the entry records per side;
+otherwise nothing is written and the exit code is 1. The two sides must
+also agree with each other, unless ``--rebaseline`` is given for a change
+that alters the outputs on purpose. The results of the workloads run
+replace those workloads' entries in ``--out``, under ``workloads`` for the
+ones ``BENCHMARK.json`` gates and ``ungated`` for the rest; other entries
+stay.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACED_PAIRS = 3
 # what a benchmark run executes or reads; an edit anywhere else does not change a run
 RUN_PATHS = ("src", "perfbench", "BENCHMARK.json")
-SIDES = ("parent", "change")
 
 
 def git(*args: str) -> bytes:
@@ -116,23 +115,29 @@ def spread(values: list[float]) -> dict[str, float]:
 
 def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
               rebaseline: bool = False) -> dict:
-    runs = [pair[side] for pair in e2e + traced for side in SIDES]
-    if rebaseline and not all(r["correct"] for r in runs):
+    runs = [pair[side] for pair in e2e + traced for side in ("parent", "change")]
+    if not all(r["correct"] for r in runs):
         raise SystemExit("a run was not correct; nothing written")
-    # the runs that must print the same outputs: all of them, or each side's
-    for same in ([[pair[side] for pair in e2e + traced] for side in SIDES] if rebaseline
-                 else [runs]):
-        if len({r["digests"] for r in same}) != 1:
-            raise SystemExit("the runs printed different SHA-256 digests; nothing written")
-        if len({(r["failed_per_round"], r["attempted_per_round"]) for r in same}) != 1:
-            raise SystemExit("the runs failed different shares of pairs; nothing written")
+    # each side's outputs: one digest pair and one share of failed pairs over all its runs
+    outputs = {}
+    for side in ("parent", "change"):
+        seen = {(pair[side]["digests"], pair[side]["failed_per_round"],
+                 pair[side]["attempted_per_round"]) for pair in e2e + traced}
+        if len(seen) != 1:
+            raise SystemExit(f"the {side} runs printed different outputs; nothing written")
+        outputs[side], = seen
+    same = outputs["parent"] == outputs["change"]
+    if not (same or rebaseline):
+        raise SystemExit("the two sides printed different outputs (digests or failures per "
+                         "round); nothing written")
     entry = {"pairs_run": len(e2e), "end_to_end": {}}
     for metric, unit in e2e[0]["parent"]["units"].items():
-        values = {side: [pair[side]["metrics"][metric] for pair in e2e] for side in SIDES}
+        values = {side: [pair[side]["metrics"][metric] for pair in e2e]
+                  for side in ("parent", "change")}
         sign = -1.0 if better[metric] == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: spread(v) for side, v in values.items()}
-        base, med = (float(np.median(values[side])) for side in SIDES)
+        base, med = (float(np.median(values[side])) for side in ("parent", "change"))
         entry["end_to_end"][metric] = {
             "unit": unit, "better": better[metric], **stats,
             "change_better_pairs": int(wins),
@@ -152,22 +157,14 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
             metric: {"unit": unit, **{side: round(float(np.median(
                 [pair[side]["metrics"][metric] for pair in traced])), 6)
                 if metric in traced[0][side]["units"] else None
-                for side in SIDES}}
+                for side in ("parent", "change")}}
             for metric, unit in units.items()}
-    if rebaseline:
-        first = {side: e2e[0][side] for side in SIDES}
-        entry["sha256"] = {side: dict(zip(("pairs", "report"), run["digests"]))
-                           for side, run in first.items()}
-        entry["sha256"]["same_on_both_sides"] = (first["parent"]["digests"]
-                                                 == first["change"]["digests"])
-        for key in ("failed_per_round", "attempted_per_round"):
-            entry[key] = {side: run[key] for side, run in first.items()}
-    else:
-        pairs_sha, report_sha = runs[0]["digests"]
-        entry["sha256"] = {"pairs": pairs_sha, "report": report_sha, "same_on_both_sides": True}
-        entry["failed_per_round"] = runs[0]["failed_per_round"]
-        entry["attempted_per_round"] = runs[0]["attempted_per_round"]
-    entry["correct"] = all(r["correct"] for r in runs)
+    entry["sha256"] = {side: dict(zip(("pairs", "report"), digests))
+                       for side, (digests, _, _) in outputs.items()}
+    entry["sha256"]["same_on_both_sides"] = same
+    entry["failed_per_round"] = {side: failed for side, (_, failed, _) in outputs.items()}
+    entry["attempted_per_round"] = {side: n for side, (_, _, n) in outputs.items()}
+    entry["correct"] = True   # refused above otherwise
     entry["runs_checked"] = len(runs)
     return entry
 
