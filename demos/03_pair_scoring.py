@@ -28,7 +28,7 @@ sims = [m.similarity for m in matches]
 print(f"\nadjacent pair: {len(matches)} mutual nearest neighbors, "
       f"similarity {min(sims):.3f} to {max(sims):.3f}")
 
-# the weight is just overlap^alpha * min(parallax, cap)^beta
+# the weight is just the product overlap * min(parallax, cap)
 s = score_pair(features[0], features[1], config)
-w = s.overlap ** config.alpha * min(s.parallax, config.parallax_cap) ** config.beta
+w = s.overlap * min(s.parallax, config.parallax_cap)
 print(f"stored weight {s.weight:.6f}, recomputed {w:.6f}")

@@ -36,9 +36,9 @@ print("selected edges by role:", roles)
 print(f"components: {len(graph.components)}, "
       f"degrees {min(degrees)} to {max(degrees)}")
 
-# with the augmentations off only the spanning tree remains
-bare = dataclasses.replace(config, use_loops=False, use_anchors=False,
-                           use_weak=False)
+# with every augmentation budget at 0 only the spanning tree remains
+bare = dataclasses.replace(config, budget_loop=0, budget_anchor=0,
+                           budget_weak_total=0)
 tree_only = build_view_graph(scores, scene.n_cameras, bare)
 print(f"augmentations disabled: {len(tree_only.selected_edges)} edges "
       f"(a spanning tree over {scene.n_cameras} views)")

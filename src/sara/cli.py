@@ -33,25 +33,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# the bool fields, each a switch that turns its stage off; select only,
-# as ablate runs every on/off variant
-_DISABLE_FLAGS = {"use_loops": "--disable-msl", "use_anchors": "--disable-lba",
-                  "use_weak": "--disable-wvr"}
-
-
-def _add_config_flags(parser: argparse.ArgumentParser, switches: bool) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     # one flag per config field, named, typed and described by the field
-    fields = dataclasses.fields(SaraConfig)
-    for f in fields:
-        if f.name not in _DISABLE_FLAGS:
-            parser.add_argument(f"--{f.name.replace('_', '-')}", default=None,
-                                type=float if f.type == "float" else int,
-                                help=f.metadata["help"])
-    for f in fields:
-        if switches and f.name in _DISABLE_FLAGS:
-            parser.add_argument(_DISABLE_FLAGS[f.name], dest=f.name, action="store_const",
-                                const=False, default=None,
-                                help=f"skip the {f.metadata['help']}")
+    for f in dataclasses.fields(SaraConfig):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", default=None,
+                            type=float if f.type == "float" else int,
+                            help=f.metadata["help"])
 
 
 def _assemble_config(args: argparse.Namespace) -> SaraConfig:
@@ -73,13 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--out-run-report", default=None,
                           help="also write the run report JSON here")
     p_select.add_argument("--config", default=None, help="JSON config file")
-    _add_config_flags(p_select, switches=True)
+    _add_config_flags(p_select)
 
     p_ablate = sub.add_parser("ablate", help="run all augmentation on/off variants")
     p_ablate.add_argument("--manifest", required=True)
     p_ablate.add_argument("--out-dir", required=True)
     p_ablate.add_argument("--config", default=None, help="JSON config file")
-    _add_config_flags(p_ablate, switches=False)
+    _add_config_flags(p_ablate)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out-dir", required=True)

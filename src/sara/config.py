@@ -3,7 +3,8 @@
 All angles are stored in radians. Each field's help text, which the
 command line shows for its flag, is in the field's metadata. Budgets left
 at ``None`` are resolved against the dataset size N when the view graph
-is built, as ``ceil(share * N)`` with the shares of ``_BUDGET_SHARES``.
+is built, as ``ceil(share * N)`` with the shares of ``_BUDGET_SHARES``;
+a budget of 0 turns its stage off.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
+from .epipolar import MIN_MATCHES
+
 DEG = math.pi / 180.0
 
 # accepted value types by field annotation; bool, an int subclass, is
-# accepted only where the annotation says bool. Integral admits numpy
-# integers, which are stored as int.
+# refused for every field. Integral admits numpy integers, which are stored as int.
 _TYPES = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
-          "float": (int, float), "bool": bool}
+          "float": (int, float)}
 
 
 # default budget as a share of the dataset size N, for a budget field left at None
@@ -42,27 +44,24 @@ class SaraConfig:
     b: int = _knob(50, "mutual-NN correspondences kept per pair")
     ransac_iterations: int = _knob(32, "robust search iterations")
     inlier_threshold_px: float = _knob(2.0, "Sampson inlier threshold, pixels")
-    alpha: float = _knob(1.0, "overlap exponent")
-    beta: float = _knob(1.0, "parallax exponent")
     tau_o: float = _knob(0.01, "overlap rejection threshold")
     tau_p: float = _knob(1.0 * DEG, "parallax rejection threshold, radians")
     parallax_cap: float = _knob(30.0 * DEG, "parallax saturation, radians")
     budget_loop: int | None = _budget("loop budget", "budget_loop")
     budget_anchor: int | None = _budget("anchor budget", "budget_anchor")
     budget_weak_total: int | None = _budget("weak-edge global cap", "budget_weak_total")
-    # the stages the command line's --disable-* switches skip
-    use_loops: bool = _knob(True, "loop-closure stage")
-    use_anchors: bool = _knob(True, "anchor stage")
-    use_weak: bool = _knob(True, "weak-view support stage")
     seed: int = _knob(0, "RNG seed, 0 to 2**64 - 1")
+
+    # not fields: read only by perfbench/checks.py until ROADMAP item 1 drops the reads
+    alpha = beta = 1.0
+    use_loops = use_anchors = use_weak = True
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type not in _TYPES:
                 raise TypeError(f"no type check for {f.name}: {f.type}")
-            if (isinstance(value, bool) != (f.type == "bool")
-                    or not isinstance(value, _TYPES[f.type])):
+            if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
                 raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, not {value!r}")
@@ -70,14 +69,12 @@ class SaraConfig:
                 object.__setattr__(self, f.name, int(value))
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.b < 8:
-            raise ValueError("b must be >= 8 (eight-point minimum)")
+        if self.b < MIN_MATCHES:
+            raise ValueError(f"b must be >= {MIN_MATCHES} (eight-point minimum)")
         if self.ransac_iterations < 1:
             raise ValueError("ransac_iterations must be >= 1")
         if self.inlier_threshold_px <= 0:
             raise ValueError("inlier_threshold_px must be > 0")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be > 0")
         if self.tau_o < 0 or self.tau_p < 0:
             raise ValueError("thresholds must be >= 0")
         if self.parallax_cap <= 0:

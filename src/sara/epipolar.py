@@ -37,6 +37,9 @@ import numpy as np
 
 from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
+# the eight-point sample size, and so the fewest matches a search takes and
+# the fewest inliers a model keeps
+MIN_MATCHES = 8
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
                          ("x_b", np.float64, (2,)), ("similarity", np.float64)])
@@ -204,8 +207,8 @@ def _sampson(M: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
 
 
 def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
-    """(len(rngs) * rows, 8) indices: for each search k in turn, ``rows``
-    rows of 8 draws without replacement from range(sizes[k]).
+    """(len(rngs) * rows, MIN_MATCHES) indices: for each search k in turn,
+    ``rows`` rows of MIN_MATCHES draws without replacement from range(sizes[k]).
 
     Partial Fisher-Yates on every row at once. Each search takes all its
     draws from its own generator in one call, in the order row-after-row
@@ -213,16 +216,16 @@ def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
     equal those of ``rows`` sequential shuffles. Rows of a smaller search
     leave the padding columns past its size untouched.
     """
-    offsets = np.concatenate([rng.integers(np.tile(n - np.arange(8), rows))
-                              for rng, n in zip(rngs, sizes)]).reshape(-1, 8)
+    offsets = np.concatenate([rng.integers(np.tile(n - np.arange(MIN_MATCHES), rows))
+                              for rng, n in zip(rngs, sizes)]).reshape(-1, MIN_MATCHES)
     idx = np.tile(np.arange(max(sizes)), (len(offsets), 1))
     r = np.arange(len(offsets))
-    for i in range(8):
+    for i in range(MIN_MATCHES):
         j = i + offsets[:, i]
         picked = idx[r, j]
         idx[r, j] = idx[:, i]
         idx[:, i] = picked
-    return idx[:, :8]
+    return idx[:, :MIN_MATCHES]
 
 
 class RansacShare(NamedTuple):
@@ -260,7 +263,7 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     rows = []
     for e, mask, c, top in zip(errs, masks, counts, counts.max(axis=1).tolist()):
         tied = np.flatnonzero(c == top)
-        if top < 8:
+        if top < MIN_MATCHES:
             rows.append(None)
         elif len(tied) == 1:
             rows.append(int(tied[0]))
@@ -302,8 +305,8 @@ def ransac_models(searches, iterations: int = 32,
     so it applies only to the overdetermined refit.
     """
     for corrs, _, _ in searches:
-        if len(corrs) < 8:
-            raise InsufficientCorrespondences(f"{len(corrs)} < 8")
+        if len(corrs) < MIN_MATCHES:
+            raise InsufficientCorrespondences(f"{len(corrs)} < {MIN_MATCHES}")
     if not searches:
         return []
     points = [_search_points(corrs, calib) for corrs, calib, _ in searches]
@@ -421,10 +424,10 @@ def short_ransac(share: RansacShare) -> TwoViewModel:
     """
     (ha, hb), threshold_sq, calibrated, M = share
     if M is None:
-        raise NoModelFound("no hypothesis reached 8 inliers")
+        raise NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers")
     inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
-    if inliers.size < 8:
-        raise NoModelFound("refit model keeps fewer than 8 inliers")
+    if inliers.size < MIN_MATCHES:
+        raise NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers")
     if not calibrated:
         return TwoViewModel(matrix=M, inliers=inliers)
     R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])

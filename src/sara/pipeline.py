@@ -23,16 +23,16 @@ from .viewgraph import build_view_graph
 
 logger = logging.getLogger(__name__)
 
-# ablation variants: (use_loops, use_anchors, use_weak)
+# ablation variants: the budgets each sets to 0, which turns their stages off
 ABLATION_VARIANTS = {
-    "full": (True, True, True),
-    "wo_msl": (False, True, True),
-    "wo_lba": (True, False, True),
-    "wo_wvr": (True, True, False),
-    "only_msl": (True, False, False),
-    "only_lba": (False, True, False),
-    "only_wvr": (False, False, True),
-    "base_only": (False, False, False),
+    "full": (),
+    "wo_msl": ("budget_loop",),
+    "wo_lba": ("budget_anchor",),
+    "wo_wvr": ("budget_weak_total",),
+    "only_msl": ("budget_anchor", "budget_weak_total"),
+    "only_lba": ("budget_loop", "budget_weak_total"),
+    "only_wvr": ("budget_loop", "budget_anchor"),
+    "base_only": ("budget_loop", "budget_anchor", "budget_weak_total"),
 }
 
 
@@ -131,9 +131,10 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir) -> dict[str, RunRep
     """All eight augmentation on/off variants over one shared scoring pass.
 
     Writes ``<name>.pairs.txt`` and ``<name>.report.json`` per variant
-    into ``out_dir`` and returns the reports keyed by variant name. Each
-    variant sets ``use_loops``, ``use_anchors`` and ``use_weak`` itself,
-    so ``config``'s values of them are not read. The variants share one
+    into ``out_dir`` and returns the reports keyed by variant name. A
+    variant turns stages off by setting their budgets to 0 and keeps
+    ``config``'s other budgets, so each variant's files equal a
+    ``run_select`` run with those budgets at 0. The variants share one
     spanning forest, so a disconnected candidate graph is logged once per
     call.
     """
@@ -142,9 +143,8 @@ def run_ablation(manifest_path, config: SaraConfig, out_dir) -> dict[str, RunRep
     timings: dict[str, float] = {}
     manifest, scores = _prepare(manifest_path, config, timings)
     reports = {}
-    for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
-        variant = dataclasses.replace(
-            config, use_loops=loops, use_anchors=anchors, use_weak=weak)
+    for name, off in ABLATION_VARIANTS.items():
+        variant = dataclasses.replace(config, **dict.fromkeys(off, 0))
         reports[name] = _finish(
             manifest, scores, variant,
             out_dir / f"{name}.pairs.txt", out_dir / f"{name}.report.json",

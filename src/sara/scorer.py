@@ -3,7 +3,7 @@
 A pair's overlap is its verified inlier count normalized by the geometric
 mean of the two keypoint counts; its parallax is the lower-median
 triangulation angle of the inliers. The selection weight is
-overlap^alpha * min(parallax, cap)^beta, and pairs falling below either
+overlap * min(parallax, cap), and pairs falling below either
 threshold are kept with a rejection reason instead of being dropped, so
 the decision stays re-checkable from the stored numbers.
 """
@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .config import SaraConfig
-from .epipolar import TwoViewModel, correspondences, ransac_models, short_ransac
+from .epipolar import (MIN_MATCHES, TwoViewModel, correspondences, ransac_models,
+                       short_ransac)
 from .errors import EstimationError
 from .features import ImageFeatures
 
@@ -68,8 +69,6 @@ def lower_median(values) -> float:
 
 # bytes of similarity rows that mutual_nn_matches reduces at a time
 _BLOCK_BYTES = 1 << 20
-# mutual matches a pair needs for the robust search (eight-point minimum)
-_MIN_MATCHES = 8
 
 
 def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
@@ -155,9 +154,9 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
     """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
 
     Each pair is matched on its own, except a pair whose smaller image
-    has fewer than ``_MIN_MATCHES`` keypoints: it cannot reach that many
+    has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
     mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
-    as matching would end it. The pairs with at least ``_MIN_MATCHES``
+    as matching would end it. The pairs with at least ``MIN_MATCHES``
     mutual matches then share one ``ransac_models`` call, which draws,
     solves, scores, selects, refits and projects for all of them, and
     each finishes its robust search (inlier recount and pose) in its own
@@ -165,11 +164,11 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
                for k, (fa, fb, _) in enumerate(group)
-               if min(fa.n_keypoints, fb.n_keypoints) >= _MIN_MATCHES}
+               if min(fa.n_keypoints, fb.n_keypoints) >= MIN_MATCHES}
     calibs = [(fa.intrinsics, fb.intrinsics)
               if fa.intrinsics is not None and fb.intrinsics is not None else None
               for fa, fb, _ in group]
-    searched = [k for k, m in matches.items() if len(m) >= _MIN_MATCHES]
+    searched = [k for k, m in matches.items() if len(m) >= MIN_MATCHES]
     shares = dict(zip(searched, ransac_models(
         [(matches[k], calibs[k], _pair_rng(config.seed, group[k][2])) for k in searched],
         config.ransac_iterations, config.inlier_threshold_px)))
@@ -194,8 +193,7 @@ def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[Pai
                 reason = RejectReason.BELOW_OVERLAP
             elif parallax < config.tau_p:
                 reason = RejectReason.BELOW_PARALLAX
-        weight = 0.0 if reason is not None else (
-            overlap ** config.alpha * min(parallax, config.parallax_cap) ** config.beta)
+        weight = 0.0 if reason is not None else overlap * min(parallax, config.parallax_cap)
         scores.append(PairScore(overlap=overlap, parallax=parallax, weight=weight,
                                 model=model, rejected=reason))
     return scores

@@ -265,14 +265,10 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     tree = max_spanning_tree(candidates, n_nodes)
     selected = [(edge, EdgeRole.TREE) for edge in tree]
     paths = TreePaths(tree, n_nodes)
-    if config.use_loops:
-        selected += add_loops(selected, candidates, paths,
-                              config.budget("budget_loop", n_nodes))
-    if config.use_anchors:
-        selected += add_anchors(selected, candidates, scores,
-                                config.budget("budget_anchor", n_nodes))
-    if config.use_weak:
-        selected += add_weak_view_support(selected, candidates, tree, n_nodes,
-                                          config.budget("budget_weak_total", n_nodes))
+    selected += add_loops(selected, candidates, paths, config.budget("budget_loop", n_nodes))
+    selected += add_anchors(selected, candidates, scores,
+                            config.budget("budget_anchor", n_nodes))
+    selected += add_weak_view_support(selected, candidates, tree, n_nodes,
+                                      config.budget("budget_weak_total", n_nodes))
     return ViewGraph(n_nodes=n_nodes, candidate_edges=candidates,
                      selected_edges=selected, components=paths.components)

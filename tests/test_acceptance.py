@@ -159,7 +159,7 @@ def test_4_scorer_fidelity(orbit20, orbit20_features, capsys):
         if abs(o_re - s.overlap) > 1e-12:
             failures.append(f"({i},{j}): overlap {s.overlap!r} != recomputed {o_re!r}")
         if s.rejected is None:
-            w_re = s.overlap ** cfg.alpha * min(s.parallax, cfg.parallax_cap) ** cfg.beta
+            w_re = s.overlap * min(s.parallax, cfg.parallax_cap)
             if not math.isclose(w_re, s.weight, rel_tol=1e-12, abs_tol=1e-15):
                 failures.append(f"({i},{j}): weight {s.weight!r} != recomputed {w_re!r}")
             if s.overlap < cfg.tau_o or s.parallax < cfg.tau_p:

@@ -1,7 +1,8 @@
 """The public surface: the top-level exports, every name the demos import,
 each demo and the README's library examples running to completion, every
 function the benchmark traces, the report, score and config attributes it
-reads and the metric names of the committed benchmark results."""
+reads, the retired config knobs that only it still reads, and the metric
+names of the committed benchmark results."""
 
 import ast
 import dataclasses
@@ -103,14 +104,31 @@ def test_benchmark_reads_run_report_fields():
 
 def test_benchmark_reads_config_fields():
     # the benchmark reads ``config.<name>`` off the SaraConfig it runs with; a
-    # field it reads that the config lost would fail only when it runs
+    # name it reads that the config lost would fail only when it runs
     read = set()
     for name in ("checks.py", "run.py"):
         tree = ast.parse((ROOT / "perfbench" / name).read_text())
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                  and getattr(node.value, "id", None) == "config"}
-    assert {"k", "b", "alpha", "beta", "parallax_cap", "use_weak"} <= read
-    assert read <= {f.name for f in dataclasses.fields(SaraConfig)}
+    assert {"k", "b", "parallax_cap", "budget_loop"} <= read
+    config = SaraConfig()
+    assert all(hasattr(config, attr) for attr in read), read
+
+
+RETIRED = {"alpha", "beta", "use_loops", "use_anchors", "use_weak"}
+
+
+def test_retired_knobs_are_not_fields():
+    assert not RETIRED & {f.name for f in dataclasses.fields(SaraConfig)}
+
+
+def test_program_reads_no_retired_knob():
+    # the retired names remain as class constants for the benchmark alone
+    for path in sorted((ROOT / "src" / "sara").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        read |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+        assert not read & RETIRED, (path.name, read & RETIRED)
 
 
 def score_reads(path: Path):

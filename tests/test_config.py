@@ -14,12 +14,11 @@ def test_defaults_are_valid():
     assert cfg.b == 50
     assert cfg.ransac_iterations == 32
     assert cfg.inlier_threshold_px == 2.0
-    assert cfg.alpha == 1.0 and cfg.beta == 1.0
     assert cfg.tau_o == 0.01
     assert cfg.tau_p == pytest.approx(1.0 * DEG)
     assert cfg.parallax_cap == pytest.approx(30.0 * DEG)
     assert cfg.seed == 0
-    assert cfg.use_loops and cfg.use_anchors and cfg.use_weak
+    assert len(dataclasses.fields(cfg)) == 11
 
 
 @pytest.mark.parametrize("field,value", [
@@ -28,8 +27,6 @@ def test_defaults_are_valid():
     ("ransac_iterations", 0),
     ("inlier_threshold_px", 0.0),
     ("inlier_threshold_px", -1.0),
-    ("alpha", 0.0),
-    ("beta", -1.0),
     ("tau_o", -0.1),
     ("tau_p", -0.001),
     ("parallax_cap", 0.0),
@@ -38,24 +35,19 @@ def test_defaults_are_valid():
     ("budget_weak_total", -3),
     ("seed", -1),
     ("seed", True),
-    ("beta", 0.0),
     # wrong types, as a JSON config file can carry them; bool is no number
     ("k", "5"),
     ("k", 2.5),
     ("k", True),
     ("seed", 1.5),
     ("b", None),
-    ("alpha", "1"),
     ("tau_o", False),
     ("budget_loop", 1.0),
     ("budget_anchor", True),
-    ("use_loops", "no"),
-    ("use_weak", 1),
-    ("use_anchors", np.bool_(True)),
+    ("k", np.bool_(True)),
     # NaN and Infinity, which json.loads reads from a config file
     ("tau_o", float("nan")),
     ("parallax_cap", float("inf")),
-    ("alpha", -float("inf")),
     # the robust search keys on 64 bits of the seed: 2**64 would repeat seed 0
     ("seed", 2**64),
 ])
@@ -65,8 +57,8 @@ def test_bad_values_rejected(field, value):
 
 
 def test_ints_accepted_for_float_fields():
-    cfg = SaraConfig(alpha=2, tau_o=0, inlier_threshold_px=3)
-    assert (cfg.alpha, cfg.tau_o, cfg.inlier_threshold_px) == (2, 0, 3)
+    cfg = SaraConfig(parallax_cap=2, tau_o=0, inlier_threshold_px=3)
+    assert (cfg.parallax_cap, cfg.tau_o, cfg.inlier_threshold_px) == (2, 0, 3)
 
 
 def test_numpy_integers_stored_as_int():
@@ -107,7 +99,7 @@ def test_explicit_budgets_win():
 
 
 def test_dict_round_trip():
-    cfg = SaraConfig(k=5, alpha=2.0, budget_loop=4, use_weak=False)
+    cfg = SaraConfig(k=5, tau_o=0.02, budget_loop=4, budget_weak_total=0)
     clone = SaraConfig.from_dict(cfg.to_dict())
     assert clone == cfg
 
@@ -117,8 +109,23 @@ def test_unknown_key_rejected():
         SaraConfig.from_dict({"k": 5, "bogus": 1})
 
 
+RETIRED = ["alpha", "beta", "use_loops", "use_anchors", "use_weak"]
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_knobs_cannot_be_set(tmp_path, name):
+    # the weight is the plain product and a zero budget turns a stage off;
+    # the names stay readable as class constants only
+    with pytest.raises(TypeError):
+        SaraConfig(**{name: getattr(SaraConfig, name)})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: False}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        load_config(path)
+
+
 def test_json_round_trip(tmp_path):
-    cfg = SaraConfig(k=3, b=20, tau_p=2.5 * DEG, use_anchors=False)
+    cfg = SaraConfig(k=3, b=20, tau_p=2.5 * DEG, budget_anchor=0)
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg

@@ -609,6 +609,23 @@ class TestManifest:
         np.testing.assert_array_equal(manifest.entries[0].intrinsics, K)
         assert manifest.entries[1].intrinsics is None
 
+    def test_write_manifest_outside_entry_is_absolute(self, tmp_path):
+        outside = tmp_path / "elsewhere" / "a.sarf"
+        outside.parent.mkdir()
+        write_features(make_features("a"), outside)
+        root = tmp_path / "ds"
+        root.mkdir()
+        write_features(make_features("b", seed=1), root / "b.sarf")
+        entries = (ManifestEntry("a", outside), ManifestEntry("b", root / "b.sarf"))
+        write_manifest(DatasetManifest(entries, descriptor_dim=128, global_dim=64),
+                       root / "manifest.json")
+        stored = [e["path"] for e in json.loads((root / "manifest.json").read_text())["entries"]]
+        assert stored == [str(outside), "b.sarf"]
+        manifest = load_manifest(root / "manifest.json")
+        assert [e.path for e in manifest.entries] == [outside, root / "b.sarf"]
+        np.testing.assert_array_equal(load_features(manifest, "a").keypoints,
+                                      make_features("a").keypoints)
+
     @pytest.mark.parametrize("K", INVALID_K, ids=INVALID_K_IDS)
     def test_invalid_manifest_intrinsics(self, tmp_path, K):
         mpath = write_dataset(tmp_path)

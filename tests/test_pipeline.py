@@ -134,11 +134,20 @@ class TestRunAblation:
 
     def test_variant_roles_respect_toggles(self, ablation):
         _, reps = ablation
-        for name, (loops, anchors, weak) in ABLATION_VARIANTS.items():
+        stages = {"loop": "budget_loop", "anchor": "budget_anchor", "weak": "budget_weak_total"}
+        for name, off in ABLATION_VARIANTS.items():
             roles = set(reps[name].summary["edges_by_role"])
-            assert ("loop" in roles) <= loops
-            assert ("anchor" in roles) <= anchors
-            assert ("weak" in roles) <= weak
+            for role, budget in stages.items():
+                assert (role in roles) <= (budget not in off)
+
+    def test_variants_equal_select_with_zero_budgets(self, dataset, ablation, tmp_path):
+        out, _ = ablation
+        for name, off in ABLATION_VARIANTS.items():
+            config = dataclasses.replace(SaraConfig(), **dict.fromkeys(off, 0))
+            pairs, report = tmp_path / f"{name}.pairs.txt", tmp_path / f"{name}.report.json"
+            run_select(dataset, config, pairs, report)
+            assert pairs.read_bytes() == (out / pairs.name).read_bytes(), name
+            assert report.read_bytes() == (out / report.name).read_bytes(), name
 
     def test_base_subset_of_augmented(self, ablation):
         out, reps = ablation
@@ -228,14 +237,9 @@ class TestDisconnectedWarning:
 class TestCliSelect:
     @pytest.mark.parametrize("field", dataclasses.fields(SaraConfig), ids=lambda f: f.name)
     def test_every_config_field_is_a_flag(self, field):
-        disable = {"use_loops": "--disable-msl", "use_anchors": "--disable-lba",
-                   "use_weak": "--disable-wvr"}
         default = getattr(SaraConfig(), field.name)
-        if field.type == "bool":
-            flag, want = [disable[field.name]], False
-        else:
-            want = default * 2 if field.type == "float" else (default or 0) + 3
-            flag = [f"--{field.name.replace('_', '-')}", str(want)]
+        want = default * 2 if field.type == "float" else (default or 0) + 3
+        flag = [f"--{field.name.replace('_', '-')}", str(want)]
         args = build_parser().parse_args(["select", "--manifest", "m", "--out-pairs", "p",
                                           "--out-report", "r", *flag])
         assert _assemble_config(args) == dataclasses.replace(SaraConfig(),
@@ -403,6 +407,20 @@ class TestCliSelect:
             assert not (tmp_path / "p.txt").exists()
 
     @pytest.mark.parametrize("command", ["select", "ablate"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--disable-msl", "--disable-lba",
+                                      "--disable-wvr"])
+    def test_retired_flags_are_unknown(self, dataset, tmp_path, command, flag):
+        # the weight is the plain product; --budget-* 0 turns a stage off
+        outputs = {"select": ["--out-pairs", str(tmp_path / "p.txt"),
+                              "--out-report", str(tmp_path / "r.json")],
+                   "ablate": ["--out-dir", str(tmp_path / "ablate")]}[command]
+        value = ["2"] if flag in ("--alpha", "--beta") else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(dataset), flag, *value, *outputs])
+        assert exc.value.code == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["select", "ablate"])
     def test_threads_flag_is_unknown(self, dataset, tmp_path, command):
         outputs = {"select": ["--out-pairs", str(tmp_path / "p.txt"),
                               "--out-report", str(tmp_path / "r.json")],
@@ -437,15 +455,6 @@ class TestCliSelect:
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["k"] == 6
         assert doc["config"]["b"] == 30
-
-    def test_disable_flags(self, dataset, tmp_path, capsys):
-        code = main(["select", "--manifest", str(dataset),
-                     "--disable-msl", "--disable-lba", "--disable-wvr",
-                     "--out-pairs", str(tmp_path / "p.txt"),
-                     "--out-report", str(tmp_path / "r.json")])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["edges_by_role"] == {"tree": 11}
 
     def test_zero_budget_flags(self, dataset, tmp_path, capsys):
         code = main(["select", "--manifest", str(dataset),
@@ -541,12 +550,3 @@ class TestCliAblate:
         assert len(files) == 16
         for name, summary in doc.items():
             assert summary == json.loads((out / f"{name}.report.json").read_text())["summary"]
-
-    @pytest.mark.parametrize("switch", ["--disable-msl", "--disable-lba", "--disable-wvr"])
-    def test_stage_switches_are_select_only(self, dataset, tmp_path, switch):
-        # every variant sets the stages itself, so a switch would do nothing
-        out = tmp_path / "ablate"
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", "--manifest", str(dataset), "--out-dir", str(out), switch])
-        assert exc.value.code == 1
-        assert not out.exists()

@@ -332,21 +332,8 @@ class TestScorePair:
 
     def test_weight_formula(self):
         s = score_pair(self.fa, self.fb, self.cfg)
-        expected = s.overlap ** self.cfg.alpha * min(
-            s.parallax, self.cfg.parallax_cap) ** self.cfg.beta
-        assert s.weight == pytest.approx(expected, rel=1e-15)
-
-    def test_alpha_scaling_relation(self):
-        s1 = score_pair(self.fa, self.fb, SaraConfig(alpha=1.0))
-        s2 = score_pair(self.fa, self.fb, SaraConfig(alpha=2.0))
-        assert s2.inlier_count == s1.inlier_count   # same seed, same model
-        assert s2.weight == pytest.approx(s1.weight * s1.overlap, rel=1e-12)
-
-    def test_beta_scaling_relation(self):
-        s1 = score_pair(self.fa, self.fb, SaraConfig(beta=1.0))
-        s2 = score_pair(self.fa, self.fb, SaraConfig(beta=2.0))
-        capped = min(s1.parallax, SaraConfig().parallax_cap)
-        assert s2.weight == pytest.approx(s1.weight * capped, rel=1e-12)
+        # the paper's plain product, exactly
+        assert s.weight == s.overlap * min(s.parallax, self.cfg.parallax_cap)
 
     def test_parallax_cap_saturates(self):
         wide = gen_frustum_pair(np.random.default_rng(8), n=90,
@@ -417,8 +404,7 @@ class TestScorePair:
         assert s.parallax_floored
         assert s.parallax == self.cfg.tau_p
         assert s.model.rotation is None
-        assert s.weight == pytest.approx(
-            s.overlap * self.cfg.tau_p ** self.cfg.beta, rel=1e-12)
+        assert s.weight == s.overlap * self.cfg.tau_p
 
     def test_record_holds_primary_facts_only(self):
         assert [f.name for f in dataclasses.fields(PairScore)] == [

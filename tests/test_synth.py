@@ -169,6 +169,19 @@ class TestRenderFeatures:
         delta = perturbed[0].keypoints - clean[0].keypoints
         assert 0.0 < np.abs(delta).max() < 6.0
 
+    def test_descriptor_noise_perturbs(self):
+        noisy = dataclasses.replace(generate_orbit_scene(4, 100, seed=2), noise_desc=0.1)
+        clean = render_features(dataclasses.replace(noisy, noise_desc=0.0))
+        perturbed, again = render_features(noisy), render_features(noisy)
+        for c, p, a in zip(clean, perturbed, again):
+            assert p.descriptors.dtype == np.float32
+            np.testing.assert_allclose(np.linalg.norm(p.descriptors, axis=1), 1.0, atol=1e-6)
+            assert not np.array_equal(p.descriptors, c.descriptors)
+            assert p.descriptors.tobytes() == a.descriptors.tobytes()
+            # globals come from the noise-free point descriptors
+            assert p.global_desc.tobytes() == c.global_desc.tobytes()
+            np.testing.assert_array_equal(p.keypoints, c.keypoints)
+
 
 class TestOracleTruth:
     def test_self_pair(self, orbit20):

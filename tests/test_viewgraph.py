@@ -427,7 +427,7 @@ class TestBuildViewGraph:
     def test_stage_toggles(self):
         rng = np.random.default_rng(5)
         weights = random_weights(rng, 15, density=0.8)
-        cfg = SaraConfig(use_loops=False, use_anchors=False, use_weak=True)
+        cfg = SaraConfig(budget_loop=0, budget_anchor=0)
         graph = build_view_graph(fake_scores(weights), 15, cfg)
         roles = {role for _, role in graph.selected_edges}
         assert EdgeRole.LOOP not in roles and EdgeRole.ANCHOR not in roles
