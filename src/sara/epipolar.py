@@ -2,15 +2,15 @@
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
 A robust search has two entry points, one per half. ``ransac_models``
-starts searches, one or several at once: it draws, solves, scores,
-selects, refits and projects. Each search draws from its own generator,
-every search's eight-point sets are solved in one stack, the Sampson
-errors of searches with equal match counts are computed and compared
-together, the winners are refit in one stack per inlier count and the
-calibrated refits projected in one call. It returns one ``RansacShare``
-per search. ``short_ransac`` finishes one search from its share alone:
-it recounts the inliers against the final model and, when calibrated,
-recovers the pose. One pair is the two calls in a row::
+starts searches, one or several at once, in two stages. It selects in
+bounded stacks: each search draws from its own generator, a stack's
+eight-point sets are solved together, and the Sampson errors of its
+searches with equal match counts are computed and compared together.
+Then it refits every winner of the call in one stack per inlier count
+and projects the calibrated refits in one call. It returns one
+``RansacShare`` per search. ``short_ransac`` finishes one search from
+its share alone: it recounts the inliers against the final model and,
+when calibrated, recovers the pose. One pair is the two calls in a row::
 
     model = short_ransac(ransac_models([(corrs, calib, rng)])[0])
 
@@ -40,6 +40,11 @@ from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFou
 # the eight-point sample size, and so the fewest matches a search takes and
 # the fewest inliers a model keeps
 MIN_MATCHES = 8
+
+# hypothesis sets that ransac_models draws, solves and scores in one select
+# stack: 8 searches at 32 iterations. It bounds the stacked arrays; shares do
+# not depend on it.
+_GROUP_HYPOTHESES = 256
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
                          ("x_b", np.float64, (2,)), ("similarity", np.float64)])
@@ -80,13 +85,14 @@ class TwoViewModel:
     triangulation_angles: np.ndarray | None = None
 
 
-def _search_points(corrs, calib) -> np.ndarray:
+def _search_points(corrs, inverses) -> np.ndarray:
     """(2, m, 3) homogeneous points of images a and b, each [x y 1]: pixels,
-    or with ``calib`` the first two coordinates of K^-1 [x y 1]^T."""
+    or with the two inverse intrinsics ``inverses`` the first two
+    coordinates of K^-1 [x y 1]^T."""
     h = np.ones((2, len(corrs), 3))
     h[0, :, :2], h[1, :, :2] = corrs.x_a, corrs.x_b
-    if calib is not None:
-        h = h @ np.swapaxes(np.linalg.inv(np.stack(calib)), 1, 2)
+    if inverses is not None:
+        h = h @ np.swapaxes(np.stack(inverses), 1, 2)
         h[..., 2] = 1.0   # only the first two coordinates count, for any K
     return h
 
@@ -273,6 +279,36 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
+def _select(points, thresholds, rngs, iterations: int) -> list:
+    """Draw, solve, score and pick for the searches of one select stack.
+
+    Returns each search's (winning hypothesis, its inlier mask), or None
+    where no hypothesis keeps 8 inliers. Each search draws ``iterations``
+    8-subsets from its own generator, all are solved in one
+    ``_fundamental_stack``, and searches with equal match counts are scored
+    in one Sampson pass and picked from by ``_winners``. The winner's model
+    and mask are copies, so they keep none of the stack's arrays alive.
+    """
+    sizes = [p.shape[1] for p in points]
+    samples = _draw_samples(rngs, sizes, iterations)
+    # one gather: each search's indices shifted to its rows of the joined points
+    samples += np.repeat(np.cumsum([0] + sizes[:-1]), iterations)[:, None]
+    models, ok = _fundamental_stack(*np.concatenate(points, axis=1)[:, samples, :2])
+    models = models.reshape(len(points), iterations, 3, 3)
+    ok = ok.reshape(len(points), iterations)
+    picks = [None] * len(points)
+    for m in dict.fromkeys(sizes):
+        group = [k for k, size in enumerate(sizes) if size == m]
+        ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
+        errs = _sampson(models[group], ha, hb)
+        masks = errs < np.array(thresholds)[group, None, None]
+        for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
+            if row is not None:
+                picks[k] = models[k, row].copy(), masks[j, row].copy()
+        del errs   # before the next match count's pass allocates its own
+    return picks
+
+
 def ransac_models(searches, iterations: int = 32,
                   inlier_threshold: float = 2.0) -> list[RansacShare]:
     """Start robust searches, one or several at once: draw, solve, score,
@@ -283,22 +319,27 @@ def ransac_models(searches, iterations: int = 32,
     ``calib`` a search fits a fundamental matrix in pixels; with the two
     intrinsics (K_a, K_b) it runs in normalized coordinates, ends in an
     essential matrix, and the square of the pixel ``inlier_threshold`` is
-    scaled by the inverse squared mean focal length of the two K. A search
-    with fewer than 8 matches raises InsufficientCorrespondences before any
-    generator is drawn from.
+    scaled by the inverse squared mean focal length of the two K. Each
+    distinct K object is inverted once per call. A search with fewer than
+    8 matches raises InsufficientCorrespondences before any generator is
+    drawn from.
 
-    Each search draws ``iterations`` uniform 8-subsets from its own ``rng``
-    in one call. All are solved in one ``_fundamental_stack``; searches
-    with equal match counts are scored in one Sampson pass, and each picks
-    the hypothesis with the most inliers under the squared threshold (ties:
-    lower inlier-error total, then the earlier draw; see ``_winners``). The
-    winners are refit on their inliers in one ``_fundamental_stack`` per
-    inlier count, so an 8-inlier refit keeps the exact QR path; a
-    degenerate refit keeps the winning hypothesis. The calibrated refits
-    are projected onto the essential manifold in one ``_project_essential``
-    call. Each share is bit-identical to a stack of one's and to a search
-    that solves and scores its hypotheses one at a time in draw order;
-    memory grows with the total of iterations x correspondences.
+    The call runs in two stages. *Select*: the searches are taken in
+    stacks of at most ``_GROUP_HYPOTHESES`` hypothesis sets (at least one
+    search). In a stack, each search draws ``iterations`` uniform
+    8-subsets from its own ``rng`` in one call, all are solved in one
+    ``_fundamental_stack``, searches with equal match counts are scored in
+    one Sampson pass, and each picks the hypothesis with the most inliers
+    under the squared threshold (ties: lower inlier-error total, then the
+    earlier draw; see ``_winners``). *Refit*: the winners of every stack
+    are refit on their inliers in one ``_fundamental_stack`` per inlier
+    count, so an 8-inlier refit keeps the exact QR path; a degenerate
+    refit keeps the winning hypothesis. The calibrated refits are projected
+    onto the essential manifold in one ``_project_essential`` call. Each
+    share is bit-identical to a stack of one's and to a search that solves
+    and scores its hypotheses one at a time in draw order; the stack bound
+    caps the select stage's memory, and the refit stage's grows with the
+    number of searches.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
@@ -309,36 +350,30 @@ def ransac_models(searches, iterations: int = 32,
             raise InsufficientCorrespondences(f"{len(corrs)} < {MIN_MATCHES}")
     if not searches:
         return []
-    points = [_search_points(corrs, calib) for corrs, calib, _ in searches]
+    # one inversion for every distinct K object: a window's features share their intrinsics
+    distinct = {id(K): K for _, calib, _ in searches if calib is not None for K in calib}
+    inverse = (dict(zip(distinct, np.linalg.inv(np.stack(list(distinct.values())))))
+               if distinct else {})
+    points = [_search_points(corrs, None if calib is None else [inverse[id(K)] for K in calib])
+              for corrs, calib, _ in searches]
     thresholds = [_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches]
-    sizes = [p.shape[1] for p in points]
-    samples = _draw_samples([rng for *_, rng in searches], sizes, iterations)
-    # one gather: each search's indices shifted to its rows of the joined points
-    samples += np.repeat(np.cumsum([0] + sizes[:-1]), iterations)[:, None]
-    models, ok = _fundamental_stack(*np.concatenate(points, axis=1)[:, samples, :2])
-    models = models.reshape(len(points), iterations, 3, 3)
-    ok = ok.reshape(len(points), iterations)
-    winners, inliers = [None] * len(points), [None] * len(points)
-    for m in dict.fromkeys(sizes):
-        group = [k for k, size in enumerate(sizes) if size == m]
-        ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
-        errs = _sampson(models[group], ha, hb)
-        masks = errs < np.array(thresholds)[group, None, None]
-        for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
-            if row is not None:
-                winners[k], inliers[k] = row, masks[j, row]
-        del errs   # before the next match count's pass allocates its own
+    rngs = [rng for *_, rng in searches]
+    per = max(1, _GROUP_HYPOTHESES // iterations)
+    picks = []
+    for start in range(0, len(points), per):
+        stack = slice(start, start + per)
+        picks += _select(points[stack], thresholds[stack], rngs[stack], iterations)
 
     final = [None] * len(points)
-    found = [k for k, row in enumerate(winners) if row is not None]
-    counts = [np.count_nonzero(inliers[k]) for k in found]
+    found = [k for k, pick in enumerate(picks) if pick is not None]
+    counts = [np.count_nonzero(picks[k][1]) for k in found]
     for count in dict.fromkeys(counts):
         same = [k for k, c in zip(found, counts) if c == count]
         refits, refit_ok = _fundamental_stack(
-            *np.stack([points[k][:, inliers[k], :2] for k in same], axis=1))
+            *np.stack([points[k][:, picks[k][1], :2] for k in same], axis=1))
         for k, refit, good in zip(same, refits, refit_ok):
             # a degenerate refit keeps the winning hypothesis as the final model
-            final[k] = refit if good else models[k, winners[k]]
+            final[k] = refit if good else picks[k][0]
     calibrated = [calib is not None for _, calib, _ in searches]
     projected = [k for k in found if calibrated[k]]
     if projected:

@@ -106,13 +106,14 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
     rows = max(1, _BLOCK_BYTES // (sims.itemsize * n_b))
     best_ba = sims[:rows].argmax(axis=0)
-    col_max = sims[best_ba, np.arange(n_b)]
-    for r0 in range(rows, n_a, rows):
-        blk = sims[r0:r0 + rows]
-        blk_max = blk.max(axis=0)
-        up = np.flatnonzero(blk_max > col_max)
-        best_ba[up] = r0 + blk[:, up].argmax(axis=0)
-        col_max[up] = blk_max[up]
+    if rows < n_a:
+        col_max = sims[best_ba, np.arange(n_b)]
+        for r0 in range(rows, n_a, rows):
+            blk = sims[r0:r0 + rows]
+            blk_max = blk.max(axis=0)
+            up = np.flatnonzero(blk_max > col_max)
+            best_ba[up] = r0 + blk[:, up].argmax(axis=0)
+            col_max[up] = blk_max[up]
     p = np.flatnonzero(best_ba[best_ab] == np.arange(n_a))
     q = best_ab[p]
     s = sims[p, q]
@@ -121,9 +122,8 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
 
-# hypothesis sets that score_all draws, solves and scores in one stack: 8
-# pairs at 32 iterations. It bounds the stacked arrays; scores do not depend on it.
-_GROUP_HYPOTHESES = 256
+# pairs per ransac_models call in score_all: it bounds the matches and shares alive at once
+_WINDOW_PAIRS = 64
 
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
@@ -144,37 +144,37 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     overlap to differentiate them. The robust search draws from a
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
-    The pair is scored as a group of one, and the result equals
+    The pair is scored as a window of one, and the result equals
     ``score_all``'s for the same pair and stream.
     """
-    return _score_group([(fa, fb, stream)], config, None)[0]
+    return _score_window([(fa, fb, stream)], config, None)[0]
 
 
-def _score_group(group, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
-    """Scores of (fa, fb, stream) pairs, in order, from one hypothesis stack.
+def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
+    """Scores of (fa, fb, stream) pairs, in order, from one ``ransac_models`` call.
 
     Each pair is matched on its own, except a pair whose smaller image
     has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
     mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
     as matching would end it. The pairs with at least ``MIN_MATCHES``
-    mutual matches then share one ``ransac_models`` call, which draws,
-    solves, scores, selects, refits and projects for all of them, and
-    each finishes its robust search (inlier recount and pose) in its own
-    ``short_ransac`` call on its share.
+    mutual matches then share one ``ransac_models`` call, which selects
+    in bounded stacks and then refits and projects all of their winners
+    together, and each finishes its robust search (inlier recount and
+    pose) in its own ``short_ransac`` call on its share.
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
-               for k, (fa, fb, _) in enumerate(group)
+               for k, (fa, fb, _) in enumerate(window)
                if min(fa.n_keypoints, fb.n_keypoints) >= MIN_MATCHES}
     calibs = [(fa.intrinsics, fb.intrinsics)
               if fa.intrinsics is not None and fb.intrinsics is not None else None
-              for fa, fb, _ in group]
+              for fa, fb, _ in window]
     searched = [k for k, m in matches.items() if len(m) >= MIN_MATCHES]
     shares = dict(zip(searched, ransac_models(
-        [(matches[k], calibs[k], _pair_rng(config.seed, group[k][2])) for k in searched],
+        [(matches[k], calibs[k], _pair_rng(config.seed, window[k][2])) for k in searched],
         config.ransac_iterations, config.inlier_threshold_px)))
 
     scores = []
-    for k, (fa, fb, _) in enumerate(group):
+    for k, (fa, fb, _) in enumerate(window):
         model = reason = None
         if k not in shares:
             reason = RejectReason.TOO_FEW_MUTUAL_NN
@@ -209,12 +209,13 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     depends only on the pair, the features and the config seed: it equals
     ``score_pair``'s.
 
-    The sorted pairs are scored in groups, each of as many pairs as make
-    up ``_GROUP_HYPOTHESES`` hypothesis sets at ``config.ransac_iterations``
-    (at least one pair). A group's searches draw, solve, score, select,
-    refit and project in stacks, which saves numpy's per-call cost on tiny
-    arrays; the bound keeps the stacked arrays from growing with the pair
-    count.
+    The sorted pairs are scored in windows of ``_WINDOW_PAIRS``. A
+    window's searches share one ``ransac_models`` call: they select in
+    stacks bounded by ``sara.epipolar._GROUP_HYPOTHESES``, then every
+    winner of the window is refit in one stack per inlier count and
+    projected in one call. Stacking saves numpy's per-call cost on tiny
+    arrays; the two bounds keep the stacked arrays and the window's
+    matches and shares from growing with the pair count.
 
     One float32 workspace, sized for the largest n_a * n_b among the
     pairs, holds every pair's similarity matrix in turn, so no matrix is
@@ -225,10 +226,9 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     pairs = sorted(candidates)
     work = np.empty(max((features[i].n_keypoints * features[j].n_keypoints
                          for i, j in pairs), default=0), dtype=np.float32)
-    size = max(1, _GROUP_HYPOTHESES // config.ransac_iterations)
     scores = {}
-    for start in range(0, len(pairs), size):
-        group = pairs[start:start + size]
-        scores.update(zip(group, _score_group(
-            [(features[i], features[j], i * n + j) for i, j in group], config, work)))
+    for start in range(0, len(pairs), _WINDOW_PAIRS):
+        window = pairs[start:start + _WINDOW_PAIRS]
+        scores.update(zip(window, _score_window(
+            [(features[i], features[j], i * n + j) for i, j in window], config, work)))
     return scores

@@ -643,14 +643,17 @@ def assert_same_share(got, want):
 def models_and_winners(searches, iterations=32, threshold=2.0):
     """(shares, winners) of one ``ransac_models`` call. Each search's winning
     hypothesis row, None where no hypothesis keeps 8 inliers, is read by a
-    spy on ``_winners``, which the stage calls once per match count, in the
-    order the counts first appear."""
+    spy on ``_winners``, which the select stage calls once per match count
+    of each stack, in the order the counts first appear in the stack."""
     pick, picked = epipolar._winners, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epipolar, "_winners", lambda *args: picked.append(pick(*args)) or picked[-1])
         shares = ransac_models(searches, iterations, threshold)
     sizes = [len(corrs) for corrs, _, _ in searches]
-    order = [k for m in dict.fromkeys(sizes) for k, size in enumerate(sizes) if size == m]
+    per = max(1, epipolar._GROUP_HYPOTHESES // iterations)
+    order = [k for start in range(0, len(sizes), per)
+             for m in dict.fromkeys(sizes[start:start + per])
+             for k in range(start, min(start + per, len(sizes))) if sizes[k] == m]
     rows = dict(zip(order, (row for rows in picked for row in rows)))
     return shares, [rows[k] for k in range(len(searches))]
 
@@ -779,7 +782,7 @@ class TestBatchedSearch:
         # normalized frame the search runs in, is reported degenerate: the
         # stage must keep that search's winning hypothesis
         corrs, K = scenes["degenerate_refit"]
-        marker = epipolar._search_points(corrs, (K, K))[0, 0, :2]
+        marker = epipolar._search_points(corrs, np.linalg.inv([K, K]))[0, 0, :2]
         solve = epipolar._fundamental_stack
 
         def planted(pa, pb):
@@ -830,6 +833,54 @@ class TestBatchedSearch:
         # count ties of four sizes: 2, 12, 14 and all 32 rows
         assert tie_sizes["eight"] == 32
         assert len({size for size in tie_sizes.values() if size > 1}) >= 4
+
+    def test_refit_stage_joins_select_stacks(self, monkeypatch):
+        # select stacks of one search each, so winners with equal inlier
+        # counts come from different stacks and meet in one refit stack: the
+        # first scene finds no model, two 8-match scenes refit on exactly 8
+        # inliers (the QR path), and three clean scenes keep all 30 points.
+        # The refit of the first clean scene is planted degenerate, so it
+        # keeps its winning hypothesis
+        monkeypatch.setattr(epipolar, "_GROUP_HYPOTHESES", 32)
+        eights = [gen_frustum_pair(np.random.default_rng(seed), n=8, noise_px=0.3)
+                  for seed in (71, 72)]
+        scenes = ([with_outliers(105, 0, 20)]
+                  + [(to_corrs(c.kp_a, c.kp_b), c.intrinsics) for c in eights]
+                  + [clean(seed) for seed in (102, 103, 104)])
+        searches = [(corrs, (K, K) if k % 2 else None, 400 + k)
+                    for k, (corrs, K) in enumerate(scenes)]
+        degenerate = 3
+        corrs, (K, _), _ = searches[degenerate]
+        marker = epipolar._search_points(corrs, np.linalg.inv([K, K]))[0, 0, :2]
+        solve, solved = epipolar._fundamental_stack, []
+
+        def planted(pa, pb):
+            solved.append(pa.shape)
+            models, ok = solve(pa, pb)
+            return models, ok & ~((pa.shape[1] > 8) & (pa == marker).all(axis=2).any(axis=1))
+
+        project, projected = epipolar._project_essential, []
+        monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
+        monkeypatch.setattr(epipolar, "_project_essential",
+                            lambda F: projected.append(len(F)) or project(F))
+        stacked, winners = models_and_winners([(corrs, calib, philox(key))
+                                               for corrs, calib, key in searches])
+        # one select solve per search, then one refit solve per inlier count
+        # among the five searches with a winner, and one projection of the
+        # three calibrated ones
+        assert solved[:len(searches)] == [(32, 8, 2)] * len(searches)
+        assert solved[len(searches):] == [(2, 8, 2), (3, 30, 2)]
+        assert projected == [3]
+        assert winners[0] is None and None not in winners[1:]
+
+        for k, ((corrs, calib, key), got, row) in enumerate(zip(searches, stacked, winners)):
+            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
+            assert_same_share(got, alone[0])
+            assert [row] == alone_rows
+            if k == degenerate:
+                pa, pb, _, best, _ = ref_select(corrs, calib, 32, 2.0, philox(key))
+                assert ref_refit(pa, pb, best, calib)[0] is not None   # degenerate only as planted
+                assert got.model.tobytes() == ref_project(best[1]).tobytes()
 
     def test_fewer_than_eight_matches_raise_before_any_draw(self):
         corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import features_from_case, gen_frustum_pair, rot_geodesic, spearman, to_corrs
-from sara import scorer
+from sara import epipolar, scorer
 from sara.config import DEG, SaraConfig
 from sara.epipolar import correspondences
 from sara.features import ImageFeatures
@@ -484,10 +484,11 @@ class TestScoreAll:
         for (i, j), s in scores.items():
             assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j))
 
-    @pytest.mark.parametrize("group_pairs", [1, 3, None], ids=["one", "three", "unbounded"])
-    def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, group_pairs):
+    @pytest.mark.parametrize("window_pairs", [1, 3, None], ids=["one", "three", "unbounded"])
+    def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, window_pairs):
         # image 2 keeps 5 keypoints, so its pairs stop before the search and
-        # sit between searched ones in a group; image 4 has no intrinsics
+        # sit between searched ones in a window; image 4 has no intrinsics.
+        # Each window selects in stacks of one search's hypotheses, or in one stack
         cfg = SaraConfig()
         few, bare = orbit20_features[2], orbit20_features[4]
         features = list(orbit20_features[:7])
@@ -495,15 +496,17 @@ class TestScoreAll:
             few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
             scores=None if few.scores is None else few.scores[:5])
         features[4] = dataclasses.replace(bare, intrinsics=None)
-        monkeypatch.setattr(scorer, "_GROUP_HYPOTHESES", sys.maxsize if group_pairs is None
-                            else group_pairs * cfg.ransac_iterations)
+        monkeypatch.setattr(scorer, "_WINDOW_PAIRS", window_pairs or sys.maxsize)
         n = len(features)
-        scores = score_all(features, {(i, j) for i in range(n) for j in range(i + 1, n)}, cfg)
-        reasons = {s.rejected for s in scores.values()}
-        assert {None, RejectReason.TOO_FEW_MUTUAL_NN, RejectReason.NO_MODEL} <= reasons
-        assert any(s.parallax_floored for s in scores.values())
-        for (i, j), s in scores.items():
-            assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        for hypotheses in (cfg.ransac_iterations, sys.maxsize):
+            monkeypatch.setattr(epipolar, "_GROUP_HYPOTHESES", hypotheses)
+            scores = score_all(features, pairs, cfg)
+            reasons = {s.rejected for s in scores.values()}
+            assert {None, RejectReason.TOO_FEW_MUTUAL_NN, RejectReason.NO_MODEL} <= reasons
+            assert any(s.parallax_floored for s in scores.values())
+            for (i, j), s in scores.items():
+                assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
 
     def test_peak_memory_bounded_by_group(self, orbit20_features):
         # 160 pairs against 40: the 120 more scores the result holds take
