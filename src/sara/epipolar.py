@@ -2,15 +2,11 @@
 Sampson scoring, pose recovery, and triangulation parallax angles.
 
 A robust search has two entry points, one per half. ``ransac_models``
-starts searches, one or several at once, in two stages. It selects in
-bounded stacks: each search draws from its own generator, a stack's
-eight-point sets are solved together, and the Sampson errors of its
-searches with equal match counts are computed and compared together.
-Then it refits every winner of the call in one stack per inlier count
-and projects the calibrated refits in one call. It returns one
-``RansacShare`` per search. ``short_ransac`` finishes one search from
-its share alone: it recounts the inliers against the final model and,
-when calibrated, recovers the pose. One pair is the two calls in a row::
+starts one or several searches and returns one ``RansacShare`` per
+search; its docstring says how it batches them. ``short_ransac``
+finishes one search from its share alone: it recounts the inliers
+against the final model and, when calibrated, recovers the pose. One
+pair is the two calls in a row::
 
     model = short_ransac(ransac_models([(corrs, calib, rng)])[0])
 
@@ -280,14 +276,12 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
 
 
 def _select(points, thresholds, rngs, iterations: int) -> list:
-    """Draw, solve, score and pick for the searches of one select stack.
+    """One select stack of ``ransac_models``: the searches' points, squared
+    thresholds and generators, and the draws per search.
 
     Returns each search's (winning hypothesis, its inlier mask), or None
-    where no hypothesis keeps 8 inliers. Each search draws ``iterations``
-    8-subsets from its own generator, all are solved in one
-    ``_fundamental_stack``, and searches with equal match counts are scored
-    in one Sampson pass and picked from by ``_winners``. The winner's model
-    and mask are copies, so they keep none of the stack's arrays alive.
+    where no hypothesis keeps 8 inliers. The winner's model and mask are
+    copies, so they keep none of the stack's arrays alive.
     """
     sizes = [p.shape[1] for p in points]
     samples = _draw_samples(rngs, sizes, iterations)
@@ -320,9 +314,10 @@ def ransac_models(searches, iterations: int = 32,
     intrinsics (K_a, K_b) it runs in normalized coordinates, ends in an
     essential matrix, and the square of the pixel ``inlier_threshold`` is
     scaled by the inverse squared mean focal length of the two K. Each
-    distinct K object is inverted once per call. A search with fewer than
-    8 matches raises InsufficientCorrespondences before any generator is
-    drawn from.
+    distinct K object is inverted once per call. Before any generator is
+    drawn from, ValueError is raised unless ``iterations`` is an integer
+    >= 1 and ``inlier_threshold`` is finite and > 0, and
+    InsufficientCorrespondences for a search with fewer than 8 matches.
 
     The call runs in two stages. *Select*: the searches are taken in
     stacks of at most ``_GROUP_HYPOTHESES`` hypothesis sets (at least one
@@ -345,6 +340,11 @@ def ransac_models(searches, iterations: int = 32,
     the essential-manifold projection is brutal on noisy minimal samples,
     so it applies only to the overdetermined refit.
     """
+    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) \
+            or iterations < 1:
+        raise ValueError(f"iterations must be an integer >= 1, not {iterations!r}")
+    if not 0.0 < inlier_threshold < math.inf:
+        raise ValueError(f"inlier_threshold must be finite and > 0, not {inlier_threshold!r}")
     for corrs, _, _ in searches:
         if len(corrs) < MIN_MATCHES:
             raise InsufficientCorrespondences(f"{len(corrs)} < {MIN_MATCHES}")

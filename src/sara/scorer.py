@@ -157,21 +157,21 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
     has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
     mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
     as matching would end it. The pairs with at least ``MIN_MATCHES``
-    mutual matches then share one ``ransac_models`` call, which selects
-    in bounded stacks and then refits and projects all of their winners
-    together, and each finishes its robust search (inlier recount and
-    pose) in its own ``short_ransac`` call on its share.
+    mutual matches start their searches in one ``ransac_models`` call,
+    and each finishes in its own ``short_ransac`` call on its share.
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
                for k, (fa, fb, _) in enumerate(window)
                if min(fa.n_keypoints, fb.n_keypoints) >= MIN_MATCHES}
-    calibs = [(fa.intrinsics, fb.intrinsics)
-              if fa.intrinsics is not None and fb.intrinsics is not None else None
-              for fa, fb, _ in window]
     searched = [k for k, m in matches.items() if len(m) >= MIN_MATCHES]
-    shares = dict(zip(searched, ransac_models(
-        [(matches[k], calibs[k], _pair_rng(config.seed, window[k][2])) for k in searched],
-        config.ransac_iterations, config.inlier_threshold_px)))
+    searches = []
+    for k in searched:
+        fa, fb, stream = window[k]
+        calib = (None if fa.intrinsics is None or fb.intrinsics is None
+                 else (fa.intrinsics, fb.intrinsics))
+        searches.append((matches[k], calib, _pair_rng(config.seed, stream)))
+    shares = dict(zip(searched, ransac_models(searches, config.ransac_iterations,
+                                              config.inlier_threshold_px)))
 
     scores = []
     for k, (fa, fb, _) in enumerate(window):
@@ -187,7 +187,7 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
         overlap = parallax = 0.0
         if model is not None:
             overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
-            parallax = (config.tau_p if calibs[k] is None
+            parallax = (config.tau_p if model.rotation is None
                         else lower_median(model.triangulation_angles))
             if overlap < config.tau_o:
                 reason = RejectReason.BELOW_OVERLAP
@@ -209,13 +209,9 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     depends only on the pair, the features and the config seed: it equals
     ``score_pair``'s.
 
-    The sorted pairs are scored in windows of ``_WINDOW_PAIRS``. A
-    window's searches share one ``ransac_models`` call: they select in
-    stacks bounded by ``sara.epipolar._GROUP_HYPOTHESES``, then every
-    winner of the window is refit in one stack per inlier count and
-    projected in one call. Stacking saves numpy's per-call cost on tiny
-    arrays; the two bounds keep the stacked arrays and the window's
-    matches and shares from growing with the pair count.
+    The sorted pairs are scored in windows of ``_WINDOW_PAIRS``, one
+    ``ransac_models`` call per window; the bound keeps a window's matches
+    and shares from growing with the pair count.
 
     One float32 workspace, sized for the largest n_a * n_b among the
     pairs, holds every pair's similarity matrix in turn, so no matrix is

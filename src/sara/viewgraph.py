@@ -9,7 +9,7 @@ parallax-times-weight with an endpoint-diversity rule; weak-view support
 tops up views that the tree leaves poorly connected (tree degree at most
 ``WEAK_DEGREE_MAX``) or poorly supported, with at most ``WEAK_PER_VIEW``
 edges each. Every ranking breaks ties by ascending (i, j), so
-construction is deterministic.
+construction is deterministic whatever the order of the score map.
 """
 
 from __future__ import annotations
@@ -66,42 +66,25 @@ class ViewGraph:
         }
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def max_spanning_tree(candidates: dict, n_nodes: int) -> list:
     """Kruskal on descending weight; ties break by ascending (i, j).
 
     Returns the accepted edges in acceptance order. Disconnected input
     yields a spanning forest.
     """
-    edges = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-    uf = _UnionFind(n_nodes)
+    parent = list(range(n_nodes))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]   # path halving
+            x = parent[x]
+        return x
+
     tree = []
-    for (i, j), _ in edges:
-        if uf.union(i, j):
+    for (i, j), _ in sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0])):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
             tree.append((i, j))
             if len(tree) == n_nodes - 1:
                 break
@@ -261,7 +244,7 @@ def build_view_graph(scores, n_nodes: int, config: SaraConfig) -> ViewGraph:
     """
     if not scores:
         raise EmptyScoreSet("no scored pairs")
-    candidates = {edge: s.weight for edge, s in sorted(scores.items()) if s.rejected is None}
+    candidates = {edge: s.weight for edge, s in scores.items() if s.rejected is None}
     tree = max_spanning_tree(candidates, n_nodes)
     selected = [(edge, EdgeRole.TREE) for edge in tree]
     paths = TreePaths(tree, n_nodes)

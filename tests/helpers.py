@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the library internals where it
 serves as an oracle (spearman, rotation distance, chord angles, the exhaustive
-maximum spanning forest); the scene builders reuse sara.synth because they
-only need *a* scene, not a reference answer.
+maximum spanning forest, a quick-find Kruskal); the scene builders reuse
+sara.synth because they only need *a* scene, not a reference answer.
 """
 
 from __future__ import annotations
@@ -252,16 +252,32 @@ def spearman(x, y) -> float:
     return float((rx * ry).sum() / denom)
 
 
-def _joins(edges, n_nodes: int) -> int:
-    """How many of ``edges``, taken in order, join two different components."""
+def _joining(edges, n_nodes: int):
+    """The ``edges``, taken in order, that join two different components.
+
+    Quick-find: every node carries its component's label, and a join
+    relabels the whole second component.
+    """
     label = list(range(n_nodes))
-    joins = 0
     for a, b in edges:
         la, lb = label[a], label[b]
         if la != lb:
             label = [la if x == lb else x for x in label]
-            joins += 1
-    return joins
+            yield a, b
+
+
+def _joins(edges, n_nodes: int) -> int:
+    """How many of ``edges``, taken in order, join two different components."""
+    return sum(1 for _ in _joining(edges, n_nodes))
+
+
+def reference_kruskal(weights: dict, n_nodes: int) -> list:
+    """Maximum spanning forest edges in acceptance order: Kruskal over quick-find.
+
+    Edges are taken by descending weight, ties by ascending (i, j), and an
+    edge is kept when it joins two components.
+    """
+    return list(_joining(sorted(weights, key=lambda e: (-weights[e], e)), n_nodes))
 
 
 def oracle_mst(weights: dict, n_nodes: int) -> float:

@@ -72,6 +72,15 @@ def test_every_annotation_has_a_type_check():
     assert {f.type for f in dataclasses.fields(SaraConfig)} <= set(_TYPES)
 
 
+def test_field_without_type_check_raises():
+    @dataclasses.dataclass(frozen=True)
+    class Named(SaraConfig):
+        name: str = "x"
+
+    with pytest.raises(TypeError, match="no type check for name"):
+        Named()
+
+
 @pytest.mark.parametrize("document", ["5", '"abc"', "[1, 2]", "null"])
 def test_non_object_document_rejected(tmp_path, document):
     path = tmp_path / "cfg.json"

@@ -890,6 +890,24 @@ class TestBatchedSearch:
         # neither generator was drawn from
         assert [r.integers(1 << 62) for r in rngs] == [philox(k).integers(1 << 62) for k in (1, 2)]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"iterations": 0}, "iterations"), ({"iterations": -1}, "iterations"),
+        ({"iterations": True}, "iterations"), ({"iterations": 32.0}, "iterations"),
+        ({"inlier_threshold": -2.0}, "inlier_threshold"),
+        ({"inlier_threshold": 0.0}, "inlier_threshold"),
+        ({"inlier_threshold": math.nan}, "inlier_threshold"),
+        ({"inlier_threshold": math.inf}, "inlier_threshold"),
+    ], ids=["iterations_0", "iterations_-1", "iterations_bool", "iterations_float",
+            "threshold_-2", "threshold_0", "threshold_nan", "threshold_inf"])
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_bad_arguments_raise_before_any_draw(self, kwargs, message, calibrated):
+        corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
+        rng = philox(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            ransac_models([(corrs, (K, K) if calibrated else None, rng)], **kwargs)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
     def test_no_searches(self):
         assert ransac_models([]) == []
 

@@ -10,7 +10,9 @@ from sara.errors import (CorruptFile, DimensionMismatch, DuplicateImageId,
                          MissingFile, NormalizationFailure, OutOfBoundsKeypoint)
 from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry,
                            load_features, load_manifest, read_features,
-                           write_features, write_manifest, write_pair_list)
+                           write_features, write_graph_report, write_manifest,
+                           write_pair_list)
+from sara.viewgraph import EdgeRole, ViewGraph
 
 
 def make_features(image_id="img", n=12, d=128, d_g=64, size=(640, 480),
@@ -732,3 +734,13 @@ class TestPairList:
         write_pair_list(shuffled, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert len(p1.read_text().splitlines()) == len(edges)
+
+
+class TestGraphReport:
+    def test_selected_edge_without_score_writes_nothing(self, tmp_path):
+        graph = ViewGraph(n_nodes=2, candidate_edges={(0, 1): 1.0},
+                          selected_edges=[((0, 1), EdgeRole.TREE)], components=[[0, 1]])
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match=r"selected edge \(0, 1\) has no score"):
+            write_graph_report(graph, {}, ["a", "b"], path)
+        assert not path.exists()

@@ -265,6 +265,18 @@ class TestCliSelect:
         assert code == 0
         assert run_report.read_text().strip() == capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("name, level", [("debug", "DEBUG"), ("bogus", "WARNING")])
+    def test_sara_log_sets_the_level(self, tmp_path, monkeypatch, name, level):
+        # an unknown level name falls back to WARNING instead of crashing
+        monkeypatch.setenv("SARA_LOG", name)
+        seen = {}
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: seen.update(kwargs))
+        code = main(["select", "--manifest", str(tmp_path / "missing.json"),
+                     "--out-pairs", str(tmp_path / "p.txt"),
+                     "--out-report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert seen["level"] == level
+
     def test_missing_manifest_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "manifest.json"
         code = main(["select", "--manifest", str(missing),

@@ -90,6 +90,11 @@ def test_rejects_unnormalized_input():
         cosine_knn(v, k=2)
 
 
+def test_rejects_1d_input():
+    with pytest.raises(ValueError, match="2-d"):
+        cosine_knn(np.ones(4) / 2.0, k=1)
+
+
 def test_rejects_nan_row():
     # a NaN norm is never "off by more than the tolerance"; let through,
     # this input yields the self-pair (2, 2)

@@ -78,6 +78,10 @@ class TestLowerMedian:
     def test_array_input(self):
         assert lower_median(np.array([9.0, 7.0, 8.0, 6.0])) == 7.0
 
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            lower_median([])
+
 
 class TestMutualNN:
     def test_identical_sets_all_match(self):

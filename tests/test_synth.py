@@ -169,6 +169,15 @@ class TestRenderFeatures:
         delta = perturbed[0].keypoints - clean[0].keypoints
         assert 0.0 < np.abs(delta).max() < 6.0
 
+    def test_zero_global_descriptor_fails(self):
+        # the last camera's visible point descriptors are centred, so they sum to 0
+        scene = generate_orbit_scene(4, 100, seed=2)
+        desc = scene.point_descriptors.copy()
+        vis = scene.visibility[3]
+        desc[vis] -= desc[vis].mean(axis=0)
+        with pytest.raises(GenerationFailure, match="camera 3: degenerate global"):
+            render_features(dataclasses.replace(scene, point_descriptors=desc))
+
     def test_descriptor_noise_perturbs(self):
         noisy = dataclasses.replace(generate_orbit_scene(4, 100, seed=2), noise_desc=0.1)
         clean = render_features(dataclasses.replace(noisy, noise_desc=0.0))

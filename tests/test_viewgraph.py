@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from helpers import oracle_mst
+from helpers import oracle_mst, reference_kruskal
 from sara.config import SaraConfig
 from sara.errors import EmptyScoreSet
 from sara.retrieval import cosine_knn
@@ -62,6 +62,39 @@ class TestMaxSpanningTree:
                 forests += len(tree) < n - 1
                 assert sum(weights[e] for e in tree) == pytest.approx(oracle_mst(weights, n))
         assert forests > 0
+
+    def test_equals_reference_kruskal_on_tied_weights(self):
+        # weights from {1, 2, 3} tie often, so the ascending (i, j) rule
+        # decides most acceptances, whatever order the map holds its edges in;
+        # the whole edge list is compared in order
+        kinds = set()
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 61))
+            density = float(rng.uniform(0.1, 0.7))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.uniform() < density]
+            weights = {edges[k]: float(rng.integers(1, 4)) for k in rng.permutation(len(edges))}
+            tree = max_spanning_tree(weights, n)
+            assert tree == reference_kruskal(weights, n)
+            kinds.add(len(tree) == n - 1)
+        assert kinds == {True, False}   # connected and disconnected draws
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["from_first", "from_last"])
+    def test_equals_reference_kruskal_on_long_chains(self, mirrored):
+        # a 2,000-node path whose weights fall along it is accepted edge by
+        # edge from one end, so unions chain; right after each path edge, a
+        # chord from that end closes a cycle, so its find walks the chain
+        n = 2000
+        node = (lambda k: n - 1 - k) if mirrored else (lambda k: k)
+
+        def edge(a, b):
+            return tuple(sorted((node(a), node(b))))
+
+        weights = {edge(i, i + 1): 2.0 * (n - i) for i in range(n - 1)}
+        weights.update({edge(0, i + 1): 2.0 * (n - i) - 1.0 for i in range(1, n - 1)})
+        tree = max_spanning_tree(weights, n)
+        assert tree == reference_kruskal(weights, n)
+        assert tree == [edge(i, i + 1) for i in range(n - 1)]
 
     def test_tie_break_ascending(self):
         # equal weights on a 12-cycle: Kruskal keeps the lexicographically
