@@ -10,6 +10,14 @@ pair is the two calls in a row::
 
     model = short_ransac(ransac_models([(corrs, calib, rng)])[0])
 
+Every eight-point fit runs in ``_fundamental_stack``, over a stack of
+point sets at once. A fit on exactly 8 points, which is every hypothesis
+and a refit on 8 inliers, is closed-form and calls no SVD: Householder
+reflectors give the null vector and a 3x3 eigensolve the rank-2 step
+(``_minimal_solve``). A fit on more points uses SVDs for both, so the
+models a search stores keep LAPACK's bits unless they were refit on
+exactly 8 inliers.
+
 ``sampson_errors`` scores one model or a stack of them against all
 matches at once. In the calibrated branch ``recover_pose`` triangulates
 all four decompositions of E in one stacked ``triangulate_angles`` call,
@@ -39,7 +47,9 @@ MIN_MATCHES = 8
 
 # hypothesis sets that ransac_models draws, solves and scores in one select
 # stack: 8 searches at 32 iterations. It bounds the stacked arrays; shares do
-# not depend on it.
+# not depend on it. 512 runs orbit_sparse's selection about 5% faster, but
+# the Sampson pass's (searches, iterations, m, 3) products double, and the
+# fresh-process peak RSS rises by about 0.65 MB (1.6%).
 _GROUP_HYPOTHESES = 256
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
@@ -106,13 +116,10 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     layout: the inputs are made C-contiguous first, since numpy's
     reductions may sum in another order over other strides.
 
-    With m > 8 the null vector of the design matrix A comes from an SVD
-    and a set needs sigma_8 > 1e-10 sigma_1. With m == 8 it is exact: Q's
-    last column in the complete QR of A^T, and a set needs min |R_kk| >
-    1e-10 max |R_kk|. That ratio is at least sigma_8 / sigma_1, so the QR
-    test accepts every set the SVD test accepts. A batched LU solve raises
-    for the whole stack when one set is singular, and fixing f33 = 1
-    excludes models where it is 0.
+    With m > 8 the null vector of the design matrix A comes from an SVD,
+    a set needs sigma_8 > 1e-10 sigma_1, and the rank-2 step is a 3x3 SVD
+    with sigma_3 set to 0. With m == 8 the solve is ``_minimal_solve``'s
+    closed form, which needs no SVD at all.
     """
     pa, pb = np.ascontiguousarray(pa), np.ascontiguousarray(pb)
     h, m = pa.shape[:2]
@@ -120,9 +127,13 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     # to sqrt(2); a mean is sum / m and a norm sqrt(sum of squares), the
     # operations np.mean and np.linalg.norm run
     pts = np.stack([pa, pb])
-    c = pts.sum(axis=2) / m
+    # points added one after another, as np.mean adds one set's (m, 2)
+    # points; a copy with the points outermost adds a whole stack per step
+    c = np.moveaxis(pts, 2, 0).copy().sum(axis=0) / m
     centered = pts - c[:, :, None, :]
-    mean_dist = np.sqrt((centered * centered).sum(axis=3)).sum(axis=2) / m
+    # x^2 + y^2 is one addition, so it rounds as the sum over the last axis would
+    sq = centered * centered
+    mean_dist = np.sqrt(sq[..., 0] + sq[..., 1]).sum(axis=2) / m
     coincident = mean_dist < 1e-9
     ok = ~coincident.any(axis=0)
     s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
@@ -130,32 +141,134 @@ def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.n
     T[..., 0, 0] = T[..., 1, 1] = s
     T[..., :2, 2] = -s[..., None] * c
     T[..., 2, 2] = 1.0
-    homog = np.ones((2, h, m, 3))
-    homog[..., :2] = centered * s[..., None, None]
-    # row k of A is the outer product x_b x_a^T of match k, flattened:
-    # (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
-    A = (homog[1, :, :, :, None] * homog[0, :, :, None, :]).reshape(h, m, 9)
+    xa, xb = centered * s[..., None, None]
+    # row k of A is the outer product x_b x_a^T of match k with x = [x y 1],
+    # flattened: (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
+    A = np.empty((h, m, 9))
+    A[..., 0:2], A[..., 2] = xb[..., :1] * xa, xb[..., 0]
+    A[..., 3:5], A[..., 5] = xb[..., 1:] * xa, xb[..., 1]
+    A[..., 6:8], A[..., 8] = xa, 1.0
     # a stacked solve's peak memory is the decomposition's copies of A: drop
     # the arrays A was built from first
-    del pts, centered, homog
-    if A.shape[1] == 8:
-        # minimal sample: A^T = QR, and Q's last column spans A's null space
-        Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
-        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        ok &= (d.max(axis=1) > 0.0) & (d.min(axis=1) > d.max(axis=1) * 1e-10)
-        f = Q[:, :, -1]
+    del pts, centered, sq, xa, xb
+    if m == MIN_MATCHES:
+        F, solvable = _minimal_solve(A)
     else:
         _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        ok &= (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
-        f = Vt[:, -1]
-    U, sf, Vft = np.linalg.svd(f.reshape(-1, 3, 3))
-    sf[:, 2] = 0.0
-    F = (U * sf[:, None, :]) @ Vft
+        solvable = (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
+        U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+        sf[:, 2] = 0.0
+        F = (U * sf[:, None, :]) @ Vft
+    ok &= solvable
     F = np.swapaxes(T[1], 1, 2) @ F @ T[0]
     flat = F.reshape(-1, 1, 9)
     # a per-set dot product, rounded as np.linalg.norm rounds a single matrix
     F /= np.sqrt(flat @ np.swapaxes(flat, 1, 2))
     return _fix_sign(F), ok
+
+
+def _minimal_solve(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-2 models of a stack of (h, 8, 9) design matrices, in their
+    normalized frame, and an (h,) mask that is False where A has rank
+    below 8.
+
+    A^T = QR by eight Householder reflectors (LAPACK's geqrf alone; no Q
+    is formed). A's null space is spanned by Q's last column, which is e9
+    with the reflectors applied, the last first: f[k:] -= tau_k v_k (v_k .
+    f[k:]). A set needs min |R_kk| > 1e-10 max |R_kk|; that ratio is at
+    least sigma_8 / sigma_1, so the test accepts every set an SVD's
+    sigma_8 > 1e-10 sigma_1 accepts. A batched LU solve would raise for the
+    whole stack when one set is singular, and fixing f33 = 1 excludes
+    models where it is 0. The stack runs along the last axis, and each dot
+    product adds its terms in index order, so a set's bits do not depend
+    on the stack.
+    """
+    # row k of H is column k of geqrf's output: R_0k .. R_kk, then the
+    # tail of reflector k, whose implicit leading 1 sits where R_kk is
+    H, tau = np.linalg.qr(np.swapaxes(A, 1, 2), mode="raw")
+    V = np.moveaxis(H, 0, -1).copy()   # stack last, so each step reads contiguous rows
+    del H
+    diag = np.arange(8)
+    d = np.abs(V[diag, diag])
+    largest = d.max(axis=0)
+    solvable = (largest > 0.0) & (d.min(axis=0) > largest * 1e-10)
+    V[diag, diag] = 1.0
+    tau = np.ascontiguousarray(tau.T)
+    f = np.zeros((9, len(A)))
+    f[8] = 1.0
+    for k in range(7, -1, -1):
+        terms = V[k, k:] * f[k:]
+        w = terms[0].copy()
+        for term in terms[1:]:
+            w += term
+        f[k:] -= w * tau[k] * V[k, k:]
+    del V   # before the rank-2 step allocates its temporaries
+    return _rank2(f.T.reshape(-1, 3, 3)), solvable
+
+
+def _rank2(G: np.ndarray) -> np.ndarray:
+    """The nearest rank-2 matrices to an (h, 3, 3) stack in Frobenius norm:
+    G - (G v) v^T, with v the unit eigenvector of B = G^T G for its
+    smallest eigenvalue, which is the SVD's sigma_3 set to 0.
+
+    B's eigenvalues are the roots of its characteristic cubic in the
+    trigonometric form (Smith, CACM 1961). A root is only as accurate as
+    its distance from the next, so the solve starts from whichever end of
+    the spectrum is the better separated. Either way, the unit eigenvector
+    of that root lambda is the largest cross product of two rows of B -
+    lambda I, or e3 where B = lambda I. From the smallest root that is v;
+    from the largest, v is the smaller eigenvector of B on the plane
+    normal to it, one 2x2 rotation. v then carries the error of a stable
+    eigensolver, eps sigma_1^2 / (sigma_2 - sigma_3) up to a small factor.
+    G (I - v v^T) has rank 2 for any unit v, so every result is finite and
+    rank-2. The stack runs along the last axis of every array, and every
+    step is elementwise, in a fixed order.
+    """
+    g = G.transpose(1, 2, 0)                    # g[i, j] is the (h,) G_ij
+    cols = g.transpose(1, 0, 2)
+    B = _dot(g[:, :, None], g[:, None, :])       # B_ij = sum over k of G_ki G_kj
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = B
+    q = (b00 + b11 + b22) / 3.0
+    c00, c11, c22 = b00 - q, b11 - q, b22 - q
+    p = np.sqrt((c00 * c00 + c11 * c11 + c22 * c22
+                 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    # r = det((B - q I) / p) / 2 = cos(3 phi), and the roots are q + 2p
+    # cos(phi + 2 pi k / 3): k = 0 the largest, k = 1 the smallest. r >= 0
+    # puts the middle root nearer the smallest. p = 0 only where B = q I.
+    s = np.where(p > 0.0, p, 1.0)
+    d00, d01, d02, d11, d12, d22 = c00 / s, b01 / s, b02 / s, c11 / s, b12 / s, c22 / s
+    r = np.clip((d00 * (d11 * d22 - d12 * d12) - d01 * (d01 * d22 - d12 * d02)
+                 + d02 * (d01 * d12 - d11 * d02)) / 2.0, -1.0, 1.0)
+    top = r >= 0.0
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + np.where(top, 0.0, 2.0 * math.pi / 3.0))
+    M = B.copy()
+    M[(0, 1, 2), (0, 1, 2)] -= lam
+    # rows (0, 1), (0, 2) and (1, 2) of the symmetric M crossed, candidates on axis 1
+    cross = np.array(_cross(M[:, (0, 0, 1)], M[:, (1, 2, 2)]))
+    w = np.take_along_axis(cross, np.argmax(_dot(cross, cross), axis=0)[None, None], axis=1)[:, 0]
+    w[2, ~w.any(axis=0)] = 1.0
+    w /= np.sqrt(_dot(w, w))
+    # a, b: an orthonormal basis of the plane normal to w
+    a = np.array(_cross(w, np.eye(3)[:, np.argmin(np.abs(w), axis=0)]))
+    a /= np.sqrt(_dot(a, a))
+    b = np.array(_cross(w, a))
+    # (cos t, sin t) in (a, b) is the larger eigenvector of B's 2x2 block
+    # there, whose entries are the dot products of G a and G b
+    Ga, Gb = _dot(cols, a[:, None]), _dot(cols, b[:, None])
+    t = np.arctan2(2.0 * _dot(Ga, Gb), _dot(Ga, Ga) - _dot(Gb, Gb)) / 2.0
+    v = np.where(top, np.cos(t) * b - np.sin(t) * a, w)
+    F = g - _dot(cols, v[:, None])[:, None] * v
+    return np.ascontiguousarray(F.transpose(2, 0, 1))
+
+
+def _cross(a, b):
+    # a x b of two 3-vectors along the first axis: x = a_y b_z - a_z b_y, and cyclically
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    # a . b of two 3-vectors along the first axis, added in index order
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _fix_sign(M: np.ndarray) -> np.ndarray:
@@ -323,13 +436,14 @@ def ransac_models(searches, iterations: int = 32,
     stacks of at most ``_GROUP_HYPOTHESES`` hypothesis sets (at least one
     search). In a stack, each search draws ``iterations`` uniform
     8-subsets from its own ``rng`` in one call, all are solved in one
-    ``_fundamental_stack``, searches with equal match counts are scored in
-    one Sampson pass, and each picks the hypothesis with the most inliers
-    under the squared threshold (ties: lower inlier-error total, then the
-    earlier draw; see ``_winners``). *Refit*: the winners of every stack
-    are refit on their inliers in one ``_fundamental_stack`` per inlier
-    count, so an 8-inlier refit keeps the exact QR path; a degenerate
-    refit keeps the winning hypothesis. The calibrated refits are projected
+    ``_fundamental_stack`` (closed-form, no SVD), searches with equal
+    match counts are scored in one Sampson pass, and each picks the
+    hypothesis with the most inliers under the squared threshold (ties:
+    lower inlier-error total, then the earlier draw; see ``_winners``).
+    *Refit*: the winners of every stack are refit on their inliers in one
+    ``_fundamental_stack`` per inlier count, so an 8-inlier refit takes
+    the closed-form minimal solve and the others SVDs; a degenerate refit
+    keeps the winning hypothesis. The calibrated refits are projected
     onto the essential manifold in one ``_project_essential`` call. Each
     share is bit-identical to a stack of one's and to a search that solves
     and scores its hypotheses one at a time in draw order; the stack bound

@@ -102,6 +102,20 @@ def robust_search(corrs, calib=None, iterations: int = 32, inlier_threshold: flo
     return short_ransac(ransac_models([(corrs, calib, rng)], iterations, inlier_threshold)[0])
 
 
+def lapack_minimal_solve(A: np.ndarray):
+    """The minimal eight-point solve as LAPACK forms it, a drop-in for
+    ``sara.epipolar._minimal_solve``: the null vector of each (8, 9) design
+    matrix is Q's last column in the complete QR of A^T, the rank-2 step a
+    3x3 SVD with sigma_3 set to 0, and a set is solvable where min |R_kk| >
+    1e-10 max |R_kk|."""
+    Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
+    d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    solvable = (d.max(axis=1) > 0.0) & (d.min(axis=1) > d.max(axis=1) * 1e-10)
+    U, s, Vt = np.linalg.svd(Q[:, :, -1].reshape(-1, 3, 3))
+    s[:, 2] = 0.0
+    return (U * s[:, None, :]) @ Vt, solvable
+
+
 @dataclasses.dataclass
 class TwoViewCase:
     """A synthetic calibrated pair with ground truth."""

@@ -10,7 +10,7 @@ from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      to_corrs)
 import sara.epipolar as epipolar
 from sara.epipolar import (_MATCH_DTYPE, _draw_samples, _fix_sign, _fundamental_stack,
-                           _winners, correspondences, ransac_models, recover_pose,
+                           _rank2, _winners, correspondences, ransac_models, recover_pose,
                            sampson_errors, short_ransac, triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
@@ -116,18 +116,21 @@ class TestFundamental:
         for (pa, pb), model in zip(sets, models):
             (Ta, na, _), (Tb, nb, _) = hartley(pa), hartley(pb)
             A = design(na, nb)
-            (fq, qr_ok), (fs, svd_ok) = qr_null(A), svd_null(A)
-            assert qr_ok and svd_ok
+            (fr, reflector_ok), (fq, qr_ok) = reflector_null(A), qr_null(A)
+            fs, svd_ok = svd_null(A)
+            assert reflector_ok and qr_ok and svd_ok
+            # the reflectors applied to e9 are LAPACK's Q e9 up to rounding
+            assert np.abs(fr - fq).max() < 1e-14
             assert min(np.abs(fq - fs).max(), np.abs(fq + fs).max()) < 1e-12
-            Fq, Fs = ref_fundamental(pa, pb, qr_null), ref_fundamental(pa, pb, svd_null)
-            assert model.tobytes() == Fq.tobytes()
+            Fc, Fs = ref_fundamental(pa, pb), ref_fundamental(pa, pb, svd_null, svd_rank2)
+            assert model.tobytes() == Fc.tobytes()
             # de-normalization scales a difference in the normalized frame by up
             # to ||Ta|| ||Tb|| ||G||, G the normalized-frame model whose
             # de-normalization is the unit F; most sets keep that gain below
             # 100, and one here reaches 8190
-            G = np.linalg.inv(Tb).T @ Fq @ np.linalg.inv(Ta)
+            G = np.linalg.inv(Tb).T @ Fc @ np.linalg.inv(Ta)
             gain = np.linalg.norm(Ta, 2) * np.linalg.norm(Tb, 2) * np.linalg.norm(G)
-            assert np.abs(Fq - Fs).max() <= 1e-14 * gain
+            assert np.abs(Fc - Fs).max() <= 1e-14 * gain
 
     @pytest.mark.parametrize("family", ["repeated_point", "coincident", "pure_rotation"])
     def test_minimal_degenerate_rejected_by_both_criteria(self, family):
@@ -142,10 +145,47 @@ class TestFundamental:
             pa, pb = pure_rotation_pair(8)
         (_, na, _), (_, nb, _) = hartley(pa), hartley(pb)
         A = design(na, nb)
+        assert not reflector_null(A)[1]
         assert not qr_null(A)[1]
         assert not svd_null(A)[1]
         _, ok = _fundamental_stack(pa[None], pb[None])
         assert not ok[0]
+
+    def test_rank2_step_on_hard_inputs(self):
+        # spectra that vanish, meet or nearly meet, 64 random orientations
+        # each, a zero row and exact diagonal matrices, in one stack. Every
+        # result is finite and rank-2 and equals the scalar reference bit for
+        # bit. Where sigma_2 - sigma_3 >= 1e-6 sigma_1 it lies within 100 eps
+        # sigma_1^2 / (sigma_2 - sigma_3) of the SVD projection: the size of
+        # LAPACK's own error in sigma_3's singular vector, times 100
+        r = np.random.default_rng(63)
+
+        def orientations():
+            return np.linalg.qr(r.normal(size=(64, 3, 3)))[0]
+
+        spectra = [(1.0, 0.5, 0.0), (1.0, 0.3, 1e-14), (1.0, 0.2, 0.2), (0.7, 0.7, 0.7),
+                   (1.0, 0.5 + 1e-6, 0.5 - 1e-6), (1.0, 2e-6, 5e-7), (1.0, 1.0, 0.5)]
+        zero_row = r.normal(size=(64, 3, 3))
+        zero_row[:, 1] = 0.0
+        exact = [np.eye(3), np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 1.0, 2.0]),
+                 np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3))]
+        G = np.concatenate([orientations() * np.array(s) @ orientations() for s in spectra]
+                           + [zero_row, exact])
+        F = _rank2(G)
+        assert np.isfinite(F).all()
+        U, sg, Vt = np.linalg.svd(G)
+        assert (np.linalg.svd(F, compute_uv=False)[:, 2] <= 1e-12 * sg[:, 0]).all()
+        gap = sg[:, 1] - sg[:, 2]
+        checked = (gap > 0.0) & (gap >= 1e-6 * sg[:, 0])
+        sg[:, 2] = 0.0
+        err = np.abs(F - (U * sg[:, None, :]) @ Vt).max(axis=(1, 2))
+        bound = 100 * np.finfo(float).eps * sg[:, 0] ** 2 / np.where(checked, gap, 1.0)
+        assert (err <= bound)[checked].all()
+        # the bound holds on every spectrum but the two that meet, and on the
+        # zero rows and the distinct diagonal
+        assert checked.sum() == 64 * 6 + 1
+        for g, f in zip(G, F):
+            assert closed_form_rank2(g).tobytes() == f.tobytes()
 
     def test_strided_stack_equals_one_set_solves(self):
         # refit-sized sets (m > 8) cut from one (2, n, 3) array by fancy
@@ -510,10 +550,29 @@ def ref_fix_sign(M):
 
 def qr_null(A):
     """Null vector of an (8, 9) design matrix from the complete QR of A^T,
-    and whether the diagonal-ratio test accepts the set."""
+    LAPACK's Q, and whether the diagonal-ratio test accepts the set."""
     Q, R = np.linalg.qr(A.T, mode="complete")
     d = np.abs(np.diag(R))
     return Q[:, -1], bool(d.max() > 0.0 and d.min() > d.max() * 1e-10)
+
+
+def reflector_null(A):
+    """Null vector of an (8, 9) design matrix as the minimal solve forms it,
+    in scalar arithmetic: geqrf's eight reflectors applied to e9, the last
+    first, each dot product added in index order; and whether the
+    diagonal-ratio test accepts the set."""
+    H, tau = np.linalg.qr(A.T, mode="raw")
+    d = np.abs(np.diag(H))
+    f = [0.0] * 8 + [1.0]
+    for k in range(7, -1, -1):
+        v = [1.0] + H[k, k + 1:].tolist()
+        w = f[k]
+        for j in range(1, 9 - k):
+            w += v[j] * f[k + j]
+        w *= float(tau[k])
+        for j in range(9 - k):
+            f[k + j] -= w * v[j]
+    return np.array(f), bool(d.max() > 0.0 and d.min() > d.max() * 1e-10)
 
 
 def svd_null(A):
@@ -521,6 +580,63 @@ def svd_null(A):
     whether the singular-value-ratio test accepts the set."""
     _, s, Vt = np.linalg.svd(A)
     return Vt[-1], bool(s[0] > 0.0 and s[7] > s[0] * 1e-10)
+
+
+def svd_rank2(G):
+    """Nearest rank-2 matrix to a 3x3 G: its SVD with sigma_3 set to 0."""
+    U, s, Vt = np.linalg.svd(G)
+    return (U * np.array([s[0], s[1], 0.0])) @ Vt
+
+
+def scalar_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def scalar_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def scalar_unit(a):
+    n = math.sqrt(scalar_dot(a, a))
+    return [x / n for x in a]
+
+
+def closed_form_rank2(G):
+    """Nearest rank-2 matrix to one 3x3 G as the minimal solve forms it, in
+    scalar arithmetic: the root of G^T G's cubic at the better separated
+    end of its spectrum, the largest cross product of two rows of G^T G -
+    lambda I, and from the largest root a 2x2 rotation on the plane normal
+    to its eigenvector."""
+    g = G.tolist()
+    B = [[g[0][i] * g[0][j] + g[1][i] * g[1][j] + g[2][i] * g[2][j] for j in range(3)]
+         for i in range(3)]
+    q = (B[0][0] + B[1][1] + B[2][2]) / 3.0
+    c00, c11, c22 = B[0][0] - q, B[1][1] - q, B[2][2] - q
+    b01, b02, b12 = B[0][1], B[0][2], B[1][2]
+    p = math.sqrt((c00 * c00 + c11 * c11 + c22 * c22
+                   + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    s = p if p > 0.0 else 1.0
+    d00, d01, d02, d11, d12, d22 = c00 / s, b01 / s, b02 / s, c11 / s, b12 / s, c22 / s
+    r = min(max((d00 * (d11 * d22 - d12 * d12) - d01 * (d01 * d22 - d12 * d02)
+                 + d02 * (d01 * d12 - d11 * d02)) / 2.0, -1.0), 1.0)
+    top = r >= 0.0
+    lam = q + 2.0 * p * float(np.cos(np.arccos(r) / 3.0 + (0.0 if top else 2.0 * math.pi / 3.0)))
+    M = [[B[i][j] - lam if i == j else B[i][j] for j in range(3)] for i in range(3)]
+    candidates = [scalar_cross(M[0], M[1]), scalar_cross(M[0], M[2]), scalar_cross(M[1], M[2])]
+    norms = [scalar_dot(c, c) for c in candidates]
+    w = candidates[norms.index(max(norms))]
+    if not any(w):
+        w = [w[0], w[1], 1.0]
+    w = scalar_unit(w)
+    magnitudes = [abs(x) for x in w]
+    axis = [0.0, 0.0, 0.0]
+    axis[magnitudes.index(min(magnitudes))] = 1.0
+    a = scalar_unit(scalar_cross(w, axis))
+    b = scalar_cross(w, a)
+    Ga, Gb = [scalar_dot(row, a) for row in g], [scalar_dot(row, b) for row in g]
+    t = np.arctan2(2.0 * scalar_dot(Ga, Gb), scalar_dot(Ga, Ga) - scalar_dot(Gb, Gb)) / 2.0
+    v = [float(np.cos(t)) * y - float(np.sin(t)) * x for x, y in zip(a, b)] if top else w
+    return np.array([[x - scalar_dot(row, v) * y for x, y in zip(row, v)] for row in g])
 
 
 def design(na, nb):
@@ -540,22 +656,23 @@ def hartley(pts):
     return T, (pts - c) * s, coincident
 
 
-def ref_fundamental(pa, pb, null=None):
+def ref_fundamental(pa, pb, null=None, rank2=None):
     """Normalized eight-point solve of one point set; None when degenerate.
 
-    ``null`` is the null-vector routine; by default QR for exactly 8 points
-    and SVD above, the rule the batched solve follows.
+    ``null`` is the null-vector routine and ``rank2`` the rank-2 step; by
+    default the minimal solve's reflectors and closed form for exactly 8
+    points and SVDs above, the rule the batched solve follows.
     """
-    if null is None:
-        null = qr_null if len(pa) == 8 else svd_null
+    minimal = len(pa) == 8
+    null = null or (reflector_null if minimal else svd_null)
+    rank2 = rank2 or (closed_form_rank2 if minimal else svd_rank2)
     (Ta, na, coincident_a), (Tb, nb, coincident_b) = hartley(pa), hartley(pb)
     if coincident_a or coincident_b:
         return None
     f, accepted = null(design(na, nb))
     if not accepted:
         return None
-    U, sf, Vft = np.linalg.svd(f.reshape(3, 3))
-    F = Tb.T @ ((U * np.array([sf[0], sf[1], 0.0])) @ Vft) @ Ta
+    F = Tb.T @ rank2(f.reshape(3, 3)) @ Ta
     F /= np.linalg.norm(F)
     return ref_fix_sign(F)
 
@@ -984,22 +1101,41 @@ class TestBatchedSearch:
             assert _fix_sign(M[k]).tobytes() == ref_fix_sign(M[k]).tobytes()
 
     def test_minimal_samples_skip_svd(self, monkeypatch):
-        # structure, not timing: no (8, 9) design matrix reaches an SVD, while
-        # the overdetermined refit and the pose decomposition still use one
-        svd, calls = np.linalg.svd, []
+        # structure, not timing: a select stack's minimal solve forms no Q
+        # (QR mode "raw", geqrf alone) and runs no SVD, neither on its (8, 9)
+        # design matrices nor on its (h, 3, 3) models, while the
+        # overdetermined refit, the essential projection and the pose
+        # decomposition still use one
+        svd, qr, solve, calls = np.linalg.svd, np.linalg.qr, epipolar._fundamental_stack, []
 
-        def recording(a, *args, **kwargs):
-            calls.append((sys._getframe(1).f_code.co_name, np.shape(a)))
+        def svd_recording(a, *args, **kwargs):
+            calls.append(("svd", sys._getframe(1).f_code.co_name, np.shape(a)))
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr("sara.epipolar.np.linalg.svd", recording)
+        def qr_recording(a, mode="reduced"):
+            calls.append(("qr " + mode, sys._getframe(1).f_code.co_name, np.shape(a)))
+            return qr(a, mode=mode)
+
+        def solving(pa, pb):
+            calls.append(("solve", "ransac_models", pa.shape))
+            return solve(pa, pb)
+
+        monkeypatch.setattr("sara.epipolar.np.linalg.svd", svd_recording)
+        monkeypatch.setattr("sara.epipolar.np.linalg.qr", qr_recording)
+        monkeypatch.setattr(epipolar, "_fundamental_stack", solving)
         corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
         model = robust_search(corrs, calib=(K, K), rng=philox(100))
         assert model.rotation is not None
-        assert not [shape for _, shape in calls if shape[-2:] == (8, 9)]
-        assert any(name == "_fundamental_stack" and len(shape) == 3 and shape[1] > 8
-                   and shape[2] == 9 for name, shape in calls)
-        assert ("recover_pose", (3, 3)) in calls
+        select, refit = calls[0][2], calls[2][2]
+        assert select == (32, 8, 2) and refit[1] > 8
+        assert calls == [
+            ("solve", "ransac_models", select),
+            ("qr raw", "_minimal_solve", (32, 9, 8)),
+            ("solve", "ransac_models", refit),
+            ("svd", "_fundamental_stack", (1, refit[1], 9)),
+            ("svd", "_fundamental_stack", (1, 3, 3)),
+            ("svd", "_project_essential", (1, 3, 3)),
+            ("svd", "recover_pose", (3, 3))]
 
     def test_winner_rule_on_near_tied_totals(self):
         # every row holds the same inlier errors in its own order and at its

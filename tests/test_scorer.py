@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import features_from_case, gen_frustum_pair, rot_geodesic, spearman, to_corrs
+from helpers import (features_from_case, gen_frustum_pair, lapack_minimal_solve, rot_geodesic,
+                     spearman, to_corrs)
 from sara import epipolar, scorer
 from sara.config import DEG, SaraConfig
 from sara.epipolar import correspondences
@@ -511,6 +512,38 @@ class TestScoreAll:
             assert any(s.parallax_floored for s in scores.values())
             for (i, j), s in scores.items():
                 assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+
+    @pytest.mark.parametrize("calibrated", [True, False], ids=["calibrated", "uncalibrated"])
+    def test_outputs_do_not_see_the_hypothesis_solver(self, monkeypatch, calibrated):
+        # every pair of a 16-view orbit at 0.5 px, scored once with the
+        # shipped minimal solve and once with LAPACK's complete QR and 3x3
+        # SVD. The hypotheses differ in their last bits, yet every search
+        # picks the same winner, so the scores keep their bits. The one
+        # exception is a winner with exactly 8 inliers: its refit is itself a
+        # minimal solve, so the stored matrix moves in its last bits. That
+        # happens on two uncalibrated pairs of views far apart, whose winners
+        # keep only their own 8 sample points
+        features = render_features(generate_orbit_scene(16, 400, noise_px=0.5, seed=3))
+        if not calibrated:
+            features = [dataclasses.replace(f, intrinsics=None) for f in features]
+        pairs = {(i, j) for i in range(16) for j in range(i + 1, 16)}
+        cfg = SaraConfig()
+        shipped = score_all(features, pairs, cfg)
+        monkeypatch.setattr(epipolar, "_minimal_solve", lapack_minimal_solve)
+        reference = score_all(features, pairs, cfg)
+        assert shipped.keys() == reference.keys() == pairs
+        assert sum(s.rejected is None for s in shipped.values()) >= 20
+        moved = set()
+        for pair, score in shipped.items():
+            want = reference[pair]
+            if score.model is not None and score.model.matrix.tobytes() != want.model.matrix.tobytes():
+                moved.add(pair)
+                assert score.inlier_count == epipolar.MIN_MATCHES
+                assert np.abs(score.model.matrix - want.model.matrix).max() < 1e-15
+                score = dataclasses.replace(score, model=dataclasses.replace(
+                    score.model, matrix=want.model.matrix))
+            assert_same_score(score, want)
+        assert moved == (set() if calibrated else {(2, 8), (2, 11)})
 
     def test_peak_memory_bounded_by_group(self, orbit20_features):
         # 160 pairs against 40: the 120 more scores the result holds take
