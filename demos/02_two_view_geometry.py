@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from sara.epipolar import correspondences, ransac_models, sampson_errors, short_ransac
+from sara.epipolar import TwoViewModel, correspondences, sampson_errors, short_ransac
 from sara.synth import generate_orbit_scene, oracle_pair_truth, project
 
 scene = generate_orbit_scene(12, 800, seed=4)
@@ -24,11 +24,12 @@ uv_b = uv_b + rng.normal(0.0, 0.5, uv_b.shape)
 ids = np.arange(len(both))
 corrs = correspondences(ids, ids, uv_a, uv_b, np.ones(len(both)))
 
-# a robust search in two steps: ransac_models starts it (one search here,
-# or many at once) and short_ransac finishes it from its share
-share, = ransac_models([(corrs, (cam_a.intrinsics, cam_b.intrinsics),
-                         np.random.default_rng(1))])
-model = short_ransac(share)
+# one robust search here, or many at once: each ends in its model, or in
+# the NoModelFound / CheiralityAmbiguity that stopped it
+model, = short_ransac([(corrs, (cam_a.intrinsics, cam_b.intrinsics),
+                        np.random.default_rng(1))])
+if not isinstance(model, TwoViewModel):
+    raise SystemExit(f"no model: {model!r}")
 truth = oracle_pair_truth(scene, 0, 1)
 
 cos_r = (np.trace(truth.rotation @ model.rotation.T) - 1.0) / 2.0

@@ -1,14 +1,7 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
-
-A robust search has two entry points, one per half. ``ransac_models``
-starts one or several searches and returns one ``RansacShare`` per
-search; its docstring says how it batches them. ``short_ransac``
-finishes one search from its share alone: it recounts the inliers
-against the final model and, when calibrated, recovers the pose. One
-pair is the two calls in a row::
-
-    model = short_ransac(ransac_models([(corrs, calib, rng)])[0])
+``short_ransac`` runs one or several searches in one call; one pair is
+``result, = short_ransac([(corrs, calib, rng)])``.
 
 Every eight-point fit runs in ``_fundamental_stack``, over a stack of
 point sets at once. A fit on exactly 8 points, which is every hypothesis
@@ -35,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +37,8 @@ from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFou
 # the fewest inliers a model keeps
 MIN_MATCHES = 8
 
-# hypothesis sets that ransac_models draws, solves and scores in one select
-# stack: 8 searches at 32 iterations. It bounds the stacked arrays; shares do
+# hypothesis sets that short_ransac draws, solves and scores in one select
+# stack: 8 searches at 32 iterations. It bounds the stacked arrays; results do
 # not depend on it. 512 runs orbit_sparse's selection about 5% faster, but
 # the Sampson pass's (searches, iterations, m, 3) products double, and the
 # fresh-process peak RSS rises by about 0.65 MB (1.6%).
@@ -343,16 +335,6 @@ def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
     return idx[:, :MIN_MATCHES]
 
 
-class RansacShare(NamedTuple):
-    """One robust search's share of ``ransac_models``: what ``short_ransac`` finishes."""
-
-    points: np.ndarray         # (2, m, 3) homogeneous points of images a and b
-    threshold_sq: float        # squared inlier threshold in the frame of ``points``
-    calibrated: bool           # ``points`` are normalized and ``model`` is essential
-    model: np.ndarray | None   # the winner's refit, projected to an essential matrix
-                               # when calibrated; None if no hypothesis keeps 8 inliers
-
-
 def _threshold_sq(calib, inlier_threshold: float) -> float:
     # a pixel distance squared; in normalized coordinates it is scaled by the
     # inverse squared mean focal length of the two K
@@ -389,7 +371,7 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
 
 
 def _select(points, thresholds, rngs, iterations: int) -> list:
-    """One select stack of ``ransac_models``: the searches' points, squared
+    """One select stack of ``short_ransac``: the searches' points, squared
     thresholds and generators, and the draws per search.
 
     Returns each search's (winning hypothesis, its inlier mask), or None
@@ -416,23 +398,25 @@ def _select(points, thresholds, rngs, iterations: int) -> list:
     return picks
 
 
-def ransac_models(searches, iterations: int = 32,
-                  inlier_threshold: float = 2.0) -> list[RansacShare]:
-    """Start robust searches, one or several at once: draw, solve, score,
-    select, refit and project. Returns one share per search, in order, for
-    ``short_ransac`` to finish; ``[]`` for no searches.
+def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
+                 ) -> list[TwoViewModel | NoModelFound | CheiralityAmbiguity]:
+    """Robust searches, one or several at once: draw, solve, score, select,
+    refit, project and finish. Returns one result per search, in order: its
+    ``TwoViewModel``, or the NoModelFound or CheiralityAmbiguity that ended
+    it, returned, not raised; ``[]`` for no searches.
 
     ``searches`` holds one (corrs, calib, rng) triple per search. Without
     ``calib`` a search fits a fundamental matrix in pixels; with the two
     intrinsics (K_a, K_b) it runs in normalized coordinates, ends in an
-    essential matrix, and the square of the pixel ``inlier_threshold`` is
-    scaled by the inverse squared mean focal length of the two K. Each
-    distinct K object is inverted once per call. Before any generator is
-    drawn from, ValueError is raised unless ``iterations`` is an integer
-    >= 1 and ``inlier_threshold`` is finite and > 0, and
-    InsufficientCorrespondences for a search with fewer than 8 matches.
+    essential matrix with a pose, and the square of the pixel
+    ``inlier_threshold`` is scaled by the inverse squared mean focal
+    length of the two K. Each distinct K object is inverted once per call.
+    Before any generator is drawn from, ValueError is raised unless
+    ``iterations`` is an integer >= 1 and ``inlier_threshold`` is finite
+    and > 0, and InsufficientCorrespondences for a search with fewer than
+    8 matches.
 
-    The call runs in two stages. *Select*: the searches are taken in
+    The call runs in three stages. *Select*: the searches are taken in
     stacks of at most ``_GROUP_HYPOTHESES`` hypothesis sets (at least one
     search). In a stack, each search draws ``iterations`` uniform
     8-subsets from its own ``rng`` in one call, all are solved in one
@@ -444,11 +428,19 @@ def ransac_models(searches, iterations: int = 32,
     ``_fundamental_stack`` per inlier count, so an 8-inlier refit takes
     the closed-form minimal solve and the others SVDs; a degenerate refit
     keeps the winning hypothesis. The calibrated refits are projected
-    onto the essential manifold in one ``_project_essential`` call. Each
-    share is bit-identical to a stack of one's and to a search that solves
-    and scores its hypotheses one at a time in draw order; the stack bound
-    caps the select stage's memory, and the refit stage's grows with the
-    number of searches.
+    onto the essential manifold in one ``_project_essential`` call.
+    *Finish*: each search in turn recounts its inliers against its final
+    model, so stored inliers satisfy the threshold by construction, needs
+    8 of them and, when calibrated, recovers the pose from the normalized
+    inlier coordinates with ``recover_pose``. A search without a winner
+    ends in NoModelFound("no hypothesis reached 8 inliers"), one whose
+    final model keeps fewer than 8 inliers in NoModelFound("refit model
+    keeps fewer than 8 inliers"), and one without a majority pose in
+    ``recover_pose``'s CheiralityAmbiguity. Each result is bit-identical
+    to a stack of one's and to a search that solves and scores its
+    hypotheses one at a time in draw order; the stack bound caps the
+    select stage's memory, and the later stages' grows with the number
+    of searches.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
@@ -488,12 +480,31 @@ def ransac_models(searches, iterations: int = 32,
         for k, refit, good in zip(same, refits, refit_ok):
             # a degenerate refit keeps the winning hypothesis as the final model
             final[k] = refit if good else picks[k][0]
-    calibrated = [calib is not None for _, calib, _ in searches]
-    projected = [k for k in found if calibrated[k]]
+    projected = [k for k in found if searches[k][1] is not None]
     if projected:
         for k, E in zip(projected, _project_essential(np.stack([final[k] for k in projected]))):
             final[k] = E
-    return [RansacShare(*share) for share in zip(points, thresholds, calibrated, final)]
+
+    results = []
+    for (ha, hb), threshold_sq, (_, calib, _), M in zip(points, thresholds, searches, final):
+        if M is None:
+            results.append(NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers"))
+            continue
+        inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
+        if inliers.size < MIN_MATCHES:
+            results.append(NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers"))
+        elif calib is None:
+            results.append(TwoViewModel(matrix=M, inliers=inliers))
+        else:
+            try:
+                R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])
+            except CheiralityAmbiguity as ambiguity:
+                # without its traceback, which would keep this frame's arrays alive
+                results.append(ambiguity.with_traceback(None))
+                continue
+            results.append(TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
+                                        triangulation_angles=angles))
+    return results
 
 
 def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
@@ -559,26 +570,3 @@ def recover_pose(E: np.ndarray, na: np.ndarray,
         raise CheiralityAmbiguity(
             f"best decomposition sees {counts[best]}/{len(na)} points in front")
     return R[best], t[best], angles[best]
-
-
-def short_ransac(share: RansacShare) -> TwoViewModel:
-    """Finish one robust search from its ``ransac_models`` share.
-
-    Recounts the inliers against the search's final model, so stored
-    inliers satisfy the threshold by construction, needs 8 of them and,
-    for a calibrated search, recovers the pose from the normalized inlier
-    coordinates. Raises NoModelFound when the search found no model or
-    its final model keeps fewer than 8 inliers, and CheiralityAmbiguity
-    from ``recover_pose``.
-    """
-    (ha, hb), threshold_sq, calibrated, M = share
-    if M is None:
-        raise NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers")
-    inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
-    if inliers.size < MIN_MATCHES:
-        raise NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers")
-    if not calibrated:
-        return TwoViewModel(matrix=M, inliers=inliers)
-    R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])
-    return TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
-                        triangulation_angles=angles)

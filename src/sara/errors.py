@@ -41,7 +41,8 @@ class InvalidK(SaraError):
     """Neighbor count outside [1, N-1]."""
 
 
-# two-view estimation; the scorer catches EstimationError collectively
+# two-view estimation: the robust search raises InsufficientCorrespondences,
+# and returns NoModelFound or CheiralityAmbiguity as a search's result
 
 class EstimationError(SaraError):
     """Base for two-view geometry failures."""

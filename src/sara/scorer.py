@@ -17,9 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .config import SaraConfig
-from .epipolar import (MIN_MATCHES, TwoViewModel, correspondences, ransac_models,
-                       short_ransac)
-from .errors import EstimationError
+from .epipolar import MIN_MATCHES, TwoViewModel, correspondences, short_ransac
 from .features import ImageFeatures
 
 
@@ -122,7 +120,7 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
 
-# pairs per ransac_models call in score_all: it bounds the matches and shares alive at once
+# pairs per short_ransac call in score_all: it bounds the matches and searches alive at once
 _WINDOW_PAIRS = 64
 
 
@@ -144,21 +142,22 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     overlap to differentiate them. The robust search draws from a
     counter-based generator keyed by ``(config.seed, stream)``, built only
     when the search runs; pairs with too few mutual matches build none.
-    The pair is scored as a window of one, and the result equals
+    A pair whose search returns no model ends ``NO_MODEL``. The pair is
+    scored as a window of one, and the result equals
     ``score_all``'s for the same pair and stream.
     """
     return _score_window([(fa, fb, stream)], config, None)[0]
 
 
 def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
-    """Scores of (fa, fb, stream) pairs, in order, from one ``ransac_models`` call.
+    """Scores of (fa, fb, stream) pairs, in order, from one ``short_ransac`` call.
 
     Each pair is matched on its own, except a pair whose smaller image
     has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
     mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
     as matching would end it. The pairs with at least ``MIN_MATCHES``
-    mutual matches start their searches in one ``ransac_models`` call,
-    and each finishes in its own ``short_ransac`` call on its share.
+    mutual matches run their searches in one ``short_ransac`` call, and
+    a pair ends ``NO_MODEL`` exactly when its result is not a model.
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
                for k, (fa, fb, _) in enumerate(window)
@@ -170,19 +169,18 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
         calib = (None if fa.intrinsics is None or fb.intrinsics is None
                  else (fa.intrinsics, fb.intrinsics))
         searches.append((matches[k], calib, _pair_rng(config.seed, stream)))
-    shares = dict(zip(searched, ransac_models(searches, config.ransac_iterations,
+    results = dict(zip(searched, short_ransac(searches, config.ransac_iterations,
                                               config.inlier_threshold_px)))
 
     scores = []
     for k, (fa, fb, _) in enumerate(window):
         model = reason = None
-        if k not in shares:
+        if k not in results:
             reason = RejectReason.TOO_FEW_MUTUAL_NN
+        elif isinstance(results[k], TwoViewModel):
+            model = results[k]
         else:
-            try:
-                model = short_ransac(shares[k])
-            except EstimationError:
-                reason = RejectReason.NO_MODEL
+            reason = RejectReason.NO_MODEL
 
         overlap = parallax = 0.0
         if model is not None:
@@ -210,8 +208,8 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     ``score_pair``'s.
 
     The sorted pairs are scored in windows of ``_WINDOW_PAIRS``, one
-    ``ransac_models`` call per window; the bound keeps a window's matches
-    and shares from growing with the pair count.
+    ``short_ransac`` call per window; the bound keeps a window's matches
+    and searches from growing with the pair count.
 
     One float32 workspace, sized for the largest n_a * n_b among the
     pairs, holds every pair's similarity matrix in turn, so no matrix is

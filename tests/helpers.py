@@ -94,12 +94,16 @@ def to_corrs(kp_a: np.ndarray, kp_b: np.ndarray, similarity: float = 1.0):
 
 def robust_search(corrs, calib=None, iterations: int = 32, inlier_threshold: float = 2.0,
                   rng: np.random.Generator | None = None):
-    """One pair's robust search: ``ransac_models`` starts it and
-    ``short_ransac`` finishes it, with the generator ``default_rng(0)``
-    unless ``rng`` is given."""
-    from sara.epipolar import ransac_models, short_ransac
+    """One pair's robust search, a ``short_ransac`` call on one search, with
+    the generator ``default_rng(0)`` unless ``rng`` is given. Returns the
+    model, and raises the NoModelFound or CheiralityAmbiguity the search
+    returns instead."""
+    from sara.epipolar import TwoViewModel, short_ransac
     rng = np.random.default_rng(0) if rng is None else rng
-    return short_ransac(ransac_models([(corrs, calib, rng)], iterations, inlier_threshold)[0])
+    result, = short_ransac([(corrs, calib, rng)], iterations, inlier_threshold)
+    if not isinstance(result, TwoViewModel):
+        raise result
+    return result
 
 
 def lapack_minimal_solve(A: np.ndarray):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -9,8 +10,8 @@ from helpers import (K_DEFAULT, WIDTH, HEIGHT, essential_distance,
                      project_pixels, random_rotation, robust_search, rot_geodesic,
                      to_corrs)
 import sara.epipolar as epipolar
-from sara.epipolar import (_MATCH_DTYPE, _draw_samples, _fix_sign, _fundamental_stack,
-                           _rank2, _winners, correspondences, ransac_models, recover_pose,
+from sara.epipolar import (_MATCH_DTYPE, TwoViewModel, _draw_samples, _fix_sign,
+                           _fundamental_stack, _rank2, _winners, correspondences, recover_pose,
                            sampson_errors, short_ransac, triangulate_angles)
 from sara.errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFound
 
@@ -189,7 +190,7 @@ class TestFundamental:
 
     def test_strided_stack_equals_one_set_solves(self):
         # refit-sized sets (m > 8) cut from one (2, n, 3) array by fancy
-        # indexing, as ransac_models cuts its refits, and stacked: the stack is
+        # indexing, as short_ransac cuts its refits, and stacked: the stack is
         # not C-contiguous, yet each set's model keeps its one-set bits
         rng = np.random.default_rng(21)
         case = gen_frustum_pair(rng, n=60, noise_px=0.5)
@@ -748,31 +749,57 @@ def ref_short_ransac(corrs, calib, iterations, threshold, rng):
     return M, inliers, stats
 
 
-def assert_same_share(got, want):
-    """Two ``ransac_models`` shares hold the same bits."""
-    assert got.points.tobytes() == want.points.tobytes()
-    assert (got.threshold_sq, got.calibrated) == (want.threshold_sq, want.calibrated)
-    assert (got.model is None) == (want.model is None)
-    if got.model is not None:
-        assert got.model.tobytes() == want.model.tobytes()
+def assert_same_result(got, want):
+    """Two ``short_ransac`` results hold the same bits: models with the same
+    matrix, inliers, rotation, translation and angles, or failures of the
+    same type with the same message."""
+    assert type(got) is type(want)
+    if not isinstance(want, TwoViewModel):
+        assert str(got) == str(want)
+        return
+    for field in dataclasses.fields(TwoViewModel):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        assert (x is None) == (y is None), field.name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
 
 
-def models_and_winners(searches, iterations=32, threshold=2.0):
-    """(shares, winners) of one ``ransac_models`` call. Each search's winning
-    hypothesis row, None where no hypothesis keeps 8 inliers, is read by a
-    spy on ``_winners``, which the select stage calls once per match count
-    of each stack, in the order the counts first appear in the stack."""
+def assert_same_final(got, want):
+    """Two final models, or two searches without a winner, hold the same bits."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def results_and_winners(searches, iterations=32, threshold=2.0):
+    """(results, winners, finals) of one ``short_ransac`` call. Each search's
+    winning hypothesis row, None where no hypothesis keeps 8 inliers, is read
+    by a spy on ``_winners``, which the select stage calls once per match
+    count of each stack, in the order the counts first appear in the stack.
+    Each search's final model, the one its inliers are recounted against, or
+    None without a winner, is read by a spy on ``_sampson``: the finish
+    calls it with one (3, 3) model per search with a winner, in order."""
     pick, picked = epipolar._winners, []
+    score, recounted = epipolar._sampson, []
+
+    def recount(M, ha, hb):
+        if M.ndim == 2:
+            recounted.append(M)
+        return score(M, ha, hb)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epipolar, "_winners", lambda *args: picked.append(pick(*args)) or picked[-1])
-        shares = ransac_models(searches, iterations, threshold)
+        patch.setattr(epipolar, "_sampson", recount)
+        results = short_ransac(searches, iterations, threshold)
     sizes = [len(corrs) for corrs, _, _ in searches]
     per = max(1, epipolar._GROUP_HYPOTHESES // iterations)
     order = [k for start in range(0, len(sizes), per)
              for m in dict.fromkeys(sizes[start:start + per])
              for k in range(start, min(start + per, len(sizes))) if sizes[k] == m]
     rows = dict(zip(order, (row for rows in picked for row in rows)))
-    return shares, [rows[k] for k in range(len(searches))]
+    winners = [rows[k] for k in range(len(searches))]
+    finals = iter(recounted)
+    return results, winners, [None if row is None else next(finals) for row in winners]
 
 
 def philox(seed):
@@ -833,7 +860,7 @@ class TestBatchedSearch:
     def test_stacked_searches_equal_one_search_stacks(self, monkeypatch):
         # match counts 50, 51, 30, 50 and 20, each calibrated and not, one
         # scene with a repeated point and one without a model: every search's
-        # share and its finished model keep their bits whatever they are
+        # final model and its result keep their bits whatever they are
         # stacked with
         searches = []
         for seed, scene in enumerate([lambda s: with_outliers(s, 30, 20, separation_deg=35.0),
@@ -848,24 +875,23 @@ class TestBatchedSearch:
         solve, solved = epipolar._fundamental_stack, []
         monkeypatch.setattr(epipolar, "_fundamental_stack",
                             lambda pa, pb: solved.append(solve(pa, pb)) or solved[-1])
-        stacked, winners = models_and_winners([(corrs, calib, philox(key))
-                                               for corrs, calib, key in searches])
+        stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
+                                                        for corrs, calib, key in searches])
         assert not solved[0][1].all()   # the repeated point
         outcomes = set()
-        for (corrs, calib, key), got, row in zip(searches, stacked, winners):
-            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
-            assert_same_share(got, alone[0])
+        for (corrs, calib, key), got, row, final in zip(searches, stacked, winners, finals):
+            alone, alone_rows, alone_finals = results_and_winners([(corrs, calib, philox(key))])
+            assert_same_result(got, alone[0])
+            assert_same_final(final, alone_finals[0])
             assert [row] == alone_rows
             try:
                 want = robust_search(corrs, calib=calib, rng=philox(key))
             except NoModelFound:
-                with pytest.raises(NoModelFound):
-                    short_ransac(got)
+                assert isinstance(got, NoModelFound)
                 outcomes.add("no_model")
                 continue
-            model = short_ransac(got)
-            assert model.matrix.tobytes() == want.matrix.tobytes()
-            np.testing.assert_array_equal(model.inliers, want.inliers)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            np.testing.assert_array_equal(got.inliers, want.inliers)
             outcomes.add("model")
         assert outcomes == {"model", "no_model"}
 
@@ -914,16 +940,18 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
         monkeypatch.setattr(epipolar, "_project_essential", recording)
-        stacked, winners = models_and_winners([(corrs, calib, philox(key))
-                                               for _, corrs, calib, key in searches])
+        stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
+                                                        for _, corrs, calib, key in searches])
         # one projection for the group, over its calibrated searches that found a winner
         assert len(projected) == 1 and len(projected[0][0]) == len(calibrated) - 1
         group_in, group_out = (iter(x) for x in projected.pop())
 
-        tie_sizes = {}
-        for (name, corrs, calib, key), got, row in zip(searches, stacked, winners):
-            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
-            assert_same_share(got, alone[0])
+        tie_sizes, failures = {}, set()
+        for (name, corrs, calib, key), got, row, got_final in zip(searches, stacked, winners,
+                                                                  finals):
+            alone, alone_rows, alone_finals = results_and_winners([(corrs, calib, philox(key))])
+            assert_same_result(got, alone[0])
+            assert_same_final(got_final, alone_finals[0])
             assert [row] == alone_rows
             if calib is not None and row is not None:
                 # the refit a stack of one projects, and its projection
@@ -931,22 +959,39 @@ class TestBatchedSearch:
                 assert next(group_in).tobytes() == refit_in[0].tobytes()
                 assert next(group_out).tobytes() == refit_out[0].tobytes()
             pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, 32, 2.0, philox(key))
-            assert got.threshold_sq == threshold_sq
+            assert epipolar._threshold_sq(calib, 2.0) == threshold_sq
             if best is None:
-                assert name == "no_model" and row is None and got.model is None
+                assert name == "no_model" and row is None and got_final is None
+                assert isinstance(got, NoModelFound)
+                assert str(got) == "no hypothesis reached 8 inliers"
+                failures.add(str(got))
                 continue
             assert row == best[0]
             refit, final = ref_refit(pa, pb, best, calib)
             if name == "degenerate_refit":
                 assert refit is not None    # degenerate only as planted
                 final = best[1] if calib is None else ref_project(best[1])
-            assert got.model.tobytes() == final.tobytes()
+            assert got_final.tobytes() == final.tobytes()
+            # the finish: the recount against the final model, then the 8-inlier floor
+            kept = np.flatnonzero(ref_sampson(final, pa, pb) < threshold_sq)
+            if kept.size < 8:
+                assert isinstance(got, NoModelFound)
+                assert str(got) == "refit model keeps fewer than 8 inliers"
+                failures.add(str(got))
+            else:
+                assert isinstance(got, TwoViewModel)
+                assert got.matrix.tobytes() == final.tobytes()
+                np.testing.assert_array_equal(got.inliers, kept)
+                assert (got.rotation is None) == (calib is None)
             tie_sizes[name] = stats["counts"].count(max(stats["counts"]))
             if name == "eight":
                 assert int(best[2].sum()) == 8
             else:
                 assert int(best[2].sum()) > 8
         assert not projected
+        # a search without a winner, and one whose final model fails the recount
+        assert failures == {"no hypothesis reached 8 inliers",
+                            "refit model keeps fewer than 8 inliers"}
         # count ties of four sizes: 2, 12, 14 and all 32 rows
         assert tie_sizes["eight"] == 32
         assert len({size for size in tie_sizes.values() if size > 1}) >= 4
@@ -980,8 +1025,8 @@ class TestBatchedSearch:
         monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
         monkeypatch.setattr(epipolar, "_project_essential",
                             lambda F: projected.append(len(F)) or project(F))
-        stacked, winners = models_and_winners([(corrs, calib, philox(key))
-                                               for corrs, calib, key in searches])
+        stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
+                                                        for corrs, calib, key in searches])
         # one select solve per search, then one refit solve per inlier count
         # among the five searches with a winner, and one projection of the
         # three calibrated ones
@@ -990,20 +1035,22 @@ class TestBatchedSearch:
         assert projected == [3]
         assert winners[0] is None and None not in winners[1:]
 
-        for k, ((corrs, calib, key), got, row) in enumerate(zip(searches, stacked, winners)):
-            alone, alone_rows = models_and_winners([(corrs, calib, philox(key))])
-            assert_same_share(got, alone[0])
+        for k, ((corrs, calib, key), got, row, final) in enumerate(zip(searches, stacked, winners,
+                                                                       finals)):
+            alone, alone_rows, alone_finals = results_and_winners([(corrs, calib, philox(key))])
+            assert_same_result(got, alone[0])
+            assert_same_final(final, alone_finals[0])
             assert [row] == alone_rows
             if k == degenerate:
                 pa, pb, _, best, _ = ref_select(corrs, calib, 32, 2.0, philox(key))
                 assert ref_refit(pa, pb, best, calib)[0] is not None   # degenerate only as planted
-                assert got.model.tobytes() == ref_project(best[1]).tobytes()
+                assert final.tobytes() == ref_project(best[1]).tobytes()
 
     def test_fewer_than_eight_matches_raise_before_any_draw(self):
         corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
         rngs = [philox(1), philox(2)]
         with pytest.raises(InsufficientCorrespondences, match="7 < 8"):
-            ransac_models([(corrs, (K, K), rngs[0]), (corrs[:7], None, rngs[1])])
+            short_ransac([(corrs, (K, K), rngs[0]), (corrs[:7], None, rngs[1])])
         # neither generator was drawn from
         assert [r.integers(1 << 62) for r in rngs] == [philox(k).integers(1 << 62) for k in (1, 2)]
 
@@ -1022,11 +1069,11 @@ class TestBatchedSearch:
         rng = philox(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            ransac_models([(corrs, (K, K) if calibrated else None, rng)], **kwargs)
+            short_ransac([(corrs, (K, K) if calibrated else None, rng)], **kwargs)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
     def test_no_searches(self):
-        assert ransac_models([]) == []
+        assert short_ransac([]) == []
 
     def test_finishing_a_mixed_group(self):
         # calibrated and uncalibrated searches of unequal match counts in one
@@ -1035,11 +1082,38 @@ class TestBatchedSearch:
         for seed, (n_in, n_out) in enumerate([(30, 5), (40, 10), (45, 0)]):
             corrs, K = with_outliers(110 + seed, n_in, n_out, separation_deg=35.0)
             searches += [(corrs, None, philox(2 * seed)), (corrs, (K, K), philox(2 * seed + 1))]
-        for (corrs, calib, _), share in zip(searches, ransac_models(searches)):
-            assert share.calibrated == (calib is not None)
-            model = short_ransac(share)
+        for (corrs, calib, _), model in zip(searches, short_ransac(searches)):
+            assert isinstance(model, TwoViewModel)
             posed = [model.rotation, model.translation, model.triangulation_angles]
             assert [x is None for x in posed] == [calib is None] * 3
+
+    def test_cheirality_failure_stays_in_its_search(self, monkeypatch):
+        # four calibrated searches; the pose recovery of the third raises.
+        # That search returns the raised instance, and the others keep the
+        # bits of the same window without the failure
+        scenes = [with_outliers(110 + seed, n_in, n_out, separation_deg=35.0)
+                  for seed, (n_in, n_out) in enumerate([(30, 5), (40, 10), (45, 0), (35, 15)])]
+
+        def window():
+            return [(corrs, (K, K), philox(500 + k)) for k, (corrs, K) in enumerate(scenes)]
+
+        clean_results = short_ransac(window())
+        assert all(isinstance(r, TwoViewModel) for r in clean_results)
+        recover, calls = epipolar.recover_pose, []
+        failure = CheiralityAmbiguity("planted")
+
+        def failing(E, na, nb):
+            calls.append(len(na))
+            if len(calls) == 3:
+                raise failure
+            return recover(E, na, nb)
+
+        monkeypatch.setattr(epipolar, "recover_pose", failing)
+        results = short_ransac(window())
+        assert len(calls) == len(scenes)
+        assert results[2] is failure and failure.__traceback__ is None
+        for k in (0, 1, 3):
+            assert_same_result(results[k], clean_results[k])
 
     @pytest.mark.parametrize("calibrated", [False, True])
     @pytest.mark.parametrize("scene, want", [
@@ -1117,7 +1191,7 @@ class TestBatchedSearch:
             return qr(a, mode=mode)
 
         def solving(pa, pb):
-            calls.append(("solve", "ransac_models", pa.shape))
+            calls.append(("solve", "short_ransac", pa.shape))
             return solve(pa, pb)
 
         monkeypatch.setattr("sara.epipolar.np.linalg.svd", svd_recording)
@@ -1129,9 +1203,9 @@ class TestBatchedSearch:
         select, refit = calls[0][2], calls[2][2]
         assert select == (32, 8, 2) and refit[1] > 8
         assert calls == [
-            ("solve", "ransac_models", select),
+            ("solve", "short_ransac", select),
             ("qr raw", "_minimal_solve", (32, 9, 8)),
-            ("solve", "ransac_models", refit),
+            ("solve", "short_ransac", refit),
             ("svd", "_fundamental_stack", (1, refit[1], 9)),
             ("svd", "_fundamental_stack", (1, 3, 3)),
             ("svd", "_project_essential", (1, 3, 3)),

@@ -11,6 +11,7 @@ from helpers import (features_from_case, gen_frustum_pair, lapack_minimal_solve,
 from sara import epipolar, scorer
 from sara.config import DEG, SaraConfig
 from sara.epipolar import correspondences
+from sara.errors import CheiralityAmbiguity
 from sara.features import ImageFeatures
 from sara.retrieval import cosine_knn
 from sara.scorer import (PairScore, RejectReason, lower_median,
@@ -462,6 +463,12 @@ class TestScorePairOnScene:
         assert spearman(est, oracle) > 0.8
 
 
+@pytest.fixture(scope="module")
+def orbit16_features():
+    """Features of a 16-view orbit at 0.5 px: 120 pairs, two scoring windows."""
+    return render_features(generate_orbit_scene(16, 400, noise_px=0.5, seed=3))
+
+
 class TestScoreAll:
     def test_empty_candidates(self, orbit20_features):
         assert score_all(orbit20_features, set(), SaraConfig()) == {}
@@ -514,7 +521,8 @@ class TestScoreAll:
                 assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
 
     @pytest.mark.parametrize("calibrated", [True, False], ids=["calibrated", "uncalibrated"])
-    def test_outputs_do_not_see_the_hypothesis_solver(self, monkeypatch, calibrated):
+    def test_outputs_do_not_see_the_hypothesis_solver(self, orbit16_features, monkeypatch,
+                                                      calibrated):
         # every pair of a 16-view orbit at 0.5 px, scored once with the
         # shipped minimal solve and once with LAPACK's complete QR and 3x3
         # SVD. The hypotheses differ in their last bits, yet every search
@@ -523,7 +531,7 @@ class TestScoreAll:
         # minimal solve, so the stored matrix moves in its last bits. That
         # happens on two uncalibrated pairs of views far apart, whose winners
         # keep only their own 8 sample points
-        features = render_features(generate_orbit_scene(16, 400, noise_px=0.5, seed=3))
+        features = orbit16_features
         if not calibrated:
             features = [dataclasses.replace(f, intrinsics=None) for f in features]
         pairs = {(i, j) for i in range(16) for j in range(i + 1, 16)}
@@ -544,6 +552,79 @@ class TestScoreAll:
                     score.model, matrix=want.model.matrix))
             assert_same_score(score, want)
         assert moved == (set() if calibrated else {(2, 8), (2, 11)})
+
+    def test_one_robust_search_per_window(self, orbit16_features, monkeypatch):
+        # the benchmark times the robust search as the span of
+        # scorer.short_ransac: one call per window of _WINDOW_PAIRS sorted
+        # pairs, holding each of the window's pairs with at least 8 matches,
+        # with every pose recovery inside a call
+        features = orbit16_features
+        n = len(features)
+        pairs = sorted((i, j) for i in range(n) for j in range(i + 1, n))
+        index = {f.image_id: k for k, f in enumerate(features)}
+        match, search, recover = scorer.mutual_nn_matches, scorer.short_ransac, epipolar.recover_pose
+        matched, calls, open_calls, poses = [], [], [], []
+
+        def matching(fa, fb, b, work=None):
+            matched.append(((index[fa.image_id], index[fb.image_id]), match(fa, fb, b, work)))
+            return matched[-1][1]
+
+        def searching(searches, *args):
+            # matched holds every match array, so no id is reused
+            pair_of = {id(m): pair for pair, m in matched}
+            calls.append([pair_of[id(corrs)] for corrs, _, _ in searches])
+            open_calls.append(len(calls))
+            try:
+                return search(searches, *args)
+            finally:
+                open_calls.pop()
+
+        def recovering(E, na, nb):
+            poses.append(list(open_calls))
+            return recover(E, na, nb)
+
+        monkeypatch.setattr(scorer, "mutual_nn_matches", matching)
+        monkeypatch.setattr(scorer, "short_ransac", searching)
+        monkeypatch.setattr(epipolar, "recover_pose", recovering)
+        scores = score_all(features, set(pairs), SaraConfig())
+        windows = [pairs[start:start + scorer._WINDOW_PAIRS]
+                   for start in range(0, len(pairs), scorer._WINDOW_PAIRS)]
+        assert len(windows) == 2 and len(calls) == len(windows)
+        searched = {pair for pair, m in matched if len(m) >= epipolar.MIN_MATCHES}
+        assert len(searched) > 100
+        for window, call in zip(windows, calls):
+            assert call == [pair for pair in window if pair in searched]
+        posed = sum(s.model is not None and s.model.rotation is not None for s in scores.values())
+        assert len(poses) >= posed > 0
+        assert all(len(stack) == 1 for stack in poses)
+
+    def test_cheirality_failure_ends_its_pair_no_model(self, orbit16_features, monkeypatch):
+        # the third pose recovery of the first window raises: that pair, the
+        # third posed pair in sorted order, ends no_model, and every other
+        # pair keeps its score
+        features = orbit16_features
+        n = len(features)
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        cfg = SaraConfig()
+        clean_scores = score_all(features, pairs, cfg)
+        recover, calls = epipolar.recover_pose, []
+
+        def failing(E, na, nb):
+            calls.append(len(na))
+            if len(calls) == 3:
+                raise CheiralityAmbiguity("planted")
+            return recover(E, na, nb)
+
+        monkeypatch.setattr(epipolar, "recover_pose", failing)
+        scores = score_all(features, pairs, cfg)
+        posed = sorted(pair for pair, s in clean_scores.items()
+                       if s.model is not None and s.model.rotation is not None)
+        failed = posed[2]
+        assert scores[failed] == PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                                           rejected=RejectReason.NO_MODEL)
+        assert clean_scores[failed].rejected is None
+        for pair in pairs - {failed}:
+            assert_same_score(scores[pair], clean_scores[pair])
 
     def test_peak_memory_bounded_by_group(self, orbit20_features):
         # 160 pairs against 40: the 120 more scores the result holds take
