@@ -12,10 +12,11 @@ models a search stores keep LAPACK's bits unless they were refit on
 exactly 8 inliers.
 
 ``sampson_errors`` scores one model or a stack of them against all
-matches at once. In the calibrated branch ``recover_pose`` triangulates
-all four decompositions of E in one stacked ``triangulate_angles`` call,
-on the normalized inlier coordinates the search already holds, and
-returns the winner's angles with its pose.
+matches at once. ``recover_pose`` takes a stack of essential matrices
+with their searches' normalized matches and inlier masks: it
+triangulates all four decompositions of every E in one stacked
+``triangulate_angles`` call over all the matches, then counts and
+returns only the inliers, each row's winning pose with its angles.
 
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
 satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
@@ -43,6 +44,15 @@ MIN_MATCHES = 8
 # the Sampson pass's (searches, iterations, m, 3) products double, and the
 # fresh-process peak RSS rises by about 0.65 MB (1.6%).
 _GROUP_HYPOTHESES = 256
+
+# searches that short_ransac finishes in one stack, with one recount and one
+# pose recovery per match count in a stack. It bounds the finish's (s, 4, m, 3)
+# triangulation arrays; results do not depend on it. Against a finish per
+# search, orbit_sparse's selection runs about 4% faster at 8, 7% at 16 and 8%
+# at 32, where score_all's traced peak stays the select stack's. A whole
+# 64-pair window gains under 1% more, and raises that peak by about 0.6 MB on
+# a 160-pair, 20-view orbit.
+_FINISH_SEARCHES = 32
 
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
                          ("x_b", np.float64, (2,)), ("similarity", np.float64)])
@@ -429,18 +439,21 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     the closed-form minimal solve and the others SVDs; a degenerate refit
     keeps the winning hypothesis. The calibrated refits are projected
     onto the essential manifold in one ``_project_essential`` call.
-    *Finish*: each search in turn recounts its inliers against its final
-    model, so stored inliers satisfy the threshold by construction, needs
-    8 of them and, when calibrated, recovers the pose from the normalized
-    inlier coordinates with ``recover_pose``. A search without a winner
-    ends in NoModelFound("no hypothesis reached 8 inliers"), one whose
-    final model keeps fewer than 8 inliers in NoModelFound("refit model
-    keeps fewer than 8 inliers"), and one without a majority pose in
-    ``recover_pose``'s CheiralityAmbiguity. Each result is bit-identical
-    to a stack of one's and to a search that solves and scores its
-    hypotheses one at a time in draw order; the stack bound caps the
-    select stage's memory, and the later stages' grows with the number
-    of searches.
+    *Finish*: the searches are taken in stacks of ``_FINISH_SEARCHES``.
+    In a stack, the final models of the searches with equal match counts
+    recount their inliers in one Sampson pass, so stored inliers satisfy
+    the threshold by construction; a search needs 8 of them, and the
+    calibrated searches that keep 8 recover their poses in one
+    ``recover_pose`` call on their normalized matches and inlier masks
+    (``_finish``). A search without a winner ends in NoModelFound("no
+    hypothesis reached 8 inliers"), one whose final model keeps fewer
+    than 8 inliers in NoModelFound("refit model keeps fewer than 8
+    inliers"), and one without a majority pose in the CheiralityAmbiguity
+    that ``recover_pose`` returns for its row. Each result is
+    bit-identical to a stack of one's and to a search that solves and
+    scores its hypotheses one at a time in draw order. The two stack
+    bounds cap the select and finish stages' memory; the refit stage's
+    grows with the number of searches.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
@@ -485,25 +498,52 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
         for k, E in zip(projected, _project_essential(np.stack([final[k] for k in projected]))):
             final[k] = E
 
+    results = [NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers") if M is None
+               else None for M in final]
+    thresholds = np.array(thresholds)
+    calibrated = np.array([calib is not None for _, calib, _ in searches])
+    for start in range(0, len(points), _FINISH_SEARCHES):
+        stack = [k for k in range(start, min(start + _FINISH_SEARCHES, len(points)))
+                 if final[k] is not None]
+        for m in dict.fromkeys(points[k].shape[1] for k in stack):
+            group = [k for k in stack if points[k].shape[1] == m]
+            finished = _finish([final[k] for k in group],
+                               np.stack([points[k] for k in group], axis=1),
+                               thresholds[group], calibrated[group])
+            for k, result in zip(group, finished):
+                results[k] = result
+    return results
+
+
+def _finish(models, points, thresholds, calibrated) -> list:
+    """One finish group of ``short_ransac``: s final (3, 3) models, the
+    searches' (2, s, m, 3) points, squared thresholds and calibrated flags,
+    all of one match count m.
+
+    Recounts every search's inliers against its final model in one
+    ``_sampson`` call and recovers every calibrated pose that keeps 8
+    inliers in one ``recover_pose`` call. Returns each search's
+    TwoViewModel, or the NoModelFound or CheiralityAmbiguity that ended it.
+    """
+    ha, hb = points
+    stacked = np.stack(models)
+    masks = _sampson(stacked, ha, hb) < thresholds[:, None]
+    kept = masks.sum(axis=1) >= MIN_MATCHES
+    posed = np.flatnonzero(kept & calibrated)
+    poses = iter(recover_pose(stacked[posed], ha[posed, :, :2], hb[posed, :, :2], masks[posed])
+                 if posed.size else ())
     results = []
-    for (ha, hb), threshold_sq, (_, calib, _), M in zip(points, thresholds, searches, final):
-        if M is None:
-            results.append(NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers"))
-            continue
-        inliers = np.flatnonzero(_sampson(M, ha, hb) < threshold_sq)
-        if inliers.size < MIN_MATCHES:
+    for M, mask, keep, calib in zip(models, masks, kept, calibrated):
+        if not keep:
             results.append(NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers"))
-        elif calib is None:
-            results.append(TwoViewModel(matrix=M, inliers=inliers))
-        else:
-            try:
-                R, t, angles = recover_pose(M, ha[inliers, :2], hb[inliers, :2])
-            except CheiralityAmbiguity as ambiguity:
-                # without its traceback, which would keep this frame's arrays alive
-                results.append(ambiguity.with_traceback(None))
-                continue
-            results.append(TwoViewModel(matrix=M, inliers=inliers, rotation=R, translation=t,
-                                        triangulation_angles=angles))
+            continue
+        pose = next(poses) if calib else (None, None, None)
+        if isinstance(pose, CheiralityAmbiguity):
+            results.append(pose)
+            continue
+        R, t, angles = pose
+        results.append(TwoViewModel(matrix=M, inliers=np.flatnonzero(mask), rotation=R,
+                                    translation=t, triangulation_angles=angles))
     return results
 
 
@@ -516,11 +556,13 @@ def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
     or the midpoint sits on a camera center), and a mask of the matches
     triangulated at positive depth in both cameras. ``R`` (3, 3) and ``t``
     (3,) give one pose, with (m,) outputs; stacks (..., 3, 3) and (..., 3)
-    give one (..., m) row per pose, each equal to a one-pose call.
+    give one (..., m) row per pose, each equal to a one-pose call. Points
+    (..., m, 2) broadcast against the poses' leading axes, so (s, 1, m, 2)
+    points give s searches their own matches under (s, 4) poses.
     """
-    rays = np.ones((2, len(na), 3))
-    rays[0, :, :2], rays[1, :, :2] = na, nb
-    rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+    rays = np.ones((2,) + na.shape[:-1] + (3,))
+    rays[0, ..., :2], rays[1, ..., :2] = na, nb
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     da = rays[0]        # rays from camera a's center, the origin
     db = rays[1] @ R    # camera b's rays in camera a's frame (R^T per row)
     Rt = np.swapaxes(R, -1, -2)
@@ -544,29 +586,38 @@ def triangulate_angles(R: np.ndarray, t: np.ndarray, na: np.ndarray,
     return theta, in_front
 
 
-def recover_pose(E: np.ndarray, na: np.ndarray,
-                 nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pick the (R, t) decomposition of E that places points in front.
+def recover_pose(E: np.ndarray, na: np.ndarray, nb: np.ndarray,
+                 inliers: np.ndarray) -> list[tuple | CheiralityAmbiguity]:
+    """For each of s essential matrices, the (R, t) decomposition that
+    places its inliers in front of both cameras.
 
-    The four candidate decompositions are triangulated together, in one
-    ``triangulate_angles`` call on the normalized correspondences (na, nb);
-    the first with the most points in front of both cameras wins. Returns
-    (R, t, triangulation angles). Raises CheiralityAmbiguity unless the
-    winner covers a strict majority.
+    ``E`` is (s, 3, 3), ``na`` and ``nb`` are (s, m, 2) normalized
+    correspondences and ``inliers`` an (s, m) mask. One batched SVD and one
+    batched determinant sign fix decompose every E, and one
+    ``triangulate_angles`` call triangulates the four decompositions of
+    every row on all m of its matches; the inlier mask applies afterwards,
+    to the counts in front and to the returned angles. Per row, the first
+    decomposition with the most inliers in front wins. Returns one (R, t,
+    inlier triangulation angles) per row, or a CheiralityAmbiguity,
+    returned and not raised, where the winner does not cover a strict
+    majority of the row's inliers. A row's result equals a stack of one's
+    on its inlier matches alone, bit for bit.
     """
     U, _, Vt = np.linalg.svd(E)
-    if np.linalg.det(U) < 0:
-        U = -U
-    if np.linalg.det(Vt) < 0:
-        Vt = -Vt
+    UV = np.stack([U, Vt])
+    U, Vt = np.where(np.linalg.det(UV)[..., None, None] < 0.0, -UV, UV)
     W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     # (R1, t), (R1, -t), (R2, t), (R2, -t) with R1 = U W Vt, R2 = U W^T Vt
-    R = (U @ np.stack([W, W.T]) @ Vt)[[0, 0, 1, 1]]
-    t = U[:, 2] * np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    angles, in_front = triangulate_angles(R, t, na, nb)
-    counts = in_front.sum(axis=1)
-    best = int(np.argmax(counts))
-    if counts[best] * 2 <= len(na):
-        raise CheiralityAmbiguity(
-            f"best decomposition sees {counts[best]}/{len(na)} points in front")
-    return R[best], t[best], angles[best]
+    R = (U[:, None] @ np.stack([W, W.T]) @ Vt[:, None])[:, [0, 0, 1, 1]]
+    t = U[:, None, :, 2] * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    angles, in_front = triangulate_angles(R, t, na[:, None], nb[:, None])
+    counts = (in_front & inliers[:, None]).sum(axis=2)
+    results = []
+    for k, (best, n) in enumerate(zip(np.argmax(counts, axis=1).tolist(),
+                                      inliers.sum(axis=1).tolist())):
+        if counts[k, best] * 2 <= n:
+            results.append(CheiralityAmbiguity(
+                f"best decomposition sees {counts[k, best]}/{n} points in front"))
+        else:
+            results.append((R[k, best].copy(), t[k, best].copy(), angles[k, best][inliers[k]]))
+    return results

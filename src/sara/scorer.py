@@ -146,11 +146,12 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     scored as a window of one, and the result equals
     ``score_all``'s for the same pair and stream.
     """
-    return _score_window([(fa, fb, stream)], config, None)[0]
+    return _score_window([(fa, fb, fa.n_keypoints, fb.n_keypoints, stream)], config, None)[0]
 
 
 def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
-    """Scores of (fa, fb, stream) pairs, in order, from one ``short_ransac`` call.
+    """Scores of (fa, fb, n_a, n_b, stream) pairs, in order, from one
+    ``short_ransac`` call; n_a and n_b are the two images' keypoint counts.
 
     Each pair is matched on its own, except a pair whose smaller image
     has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
@@ -160,12 +161,11 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
     a pair ends ``NO_MODEL`` exactly when its result is not a model.
     """
     matches = {k: mutual_nn_matches(fa, fb, config.b, work)
-               for k, (fa, fb, _) in enumerate(window)
-               if min(fa.n_keypoints, fb.n_keypoints) >= MIN_MATCHES}
+               for k, (fa, fb, n_a, n_b, _) in enumerate(window) if min(n_a, n_b) >= MIN_MATCHES}
     searched = [k for k, m in matches.items() if len(m) >= MIN_MATCHES]
     searches = []
     for k in searched:
-        fa, fb, stream = window[k]
+        fa, fb, _, _, stream = window[k]
         calib = (None if fa.intrinsics is None or fb.intrinsics is None
                  else (fa.intrinsics, fb.intrinsics))
         searches.append((matches[k], calib, _pair_rng(config.seed, stream)))
@@ -173,7 +173,7 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
                                               config.inlier_threshold_px)))
 
     scores = []
-    for k, (fa, fb, _) in enumerate(window):
+    for k, (_, _, n_a, n_b, _) in enumerate(window):
         model = reason = None
         if k not in results:
             reason = RejectReason.TOO_FEW_MUTUAL_NN
@@ -184,7 +184,7 @@ def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[P
 
         overlap = parallax = 0.0
         if model is not None:
-            overlap = float(model.inliers.size) / math.sqrt(fa.n_keypoints * fb.n_keypoints)
+            overlap = float(model.inliers.size) / math.sqrt(n_a * n_b)
             parallax = (config.tau_p if model.rotation is None
                         else lower_median(model.triangulation_angles))
             if overlap < config.tau_o:
@@ -211,18 +211,20 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     ``short_ransac`` call per window; the bound keeps a window's matches
     and searches from growing with the pair count.
 
-    One float32 workspace, sized for the largest n_a * n_b among the
-    pairs, holds every pair's similarity matrix in turn, so no matrix is
-    freed per pair: after a large free glibc raises its mmap threshold,
-    and the next matrices come from a heap it keeps resident.
+    Each image's keypoint count is read once. One float32 workspace,
+    sized for the largest n_a * n_b among the pairs, holds every pair's
+    similarity matrix in turn, so no matrix is freed per pair: after a
+    large free glibc raises its mmap threshold, and the next matrices
+    come from a heap it keeps resident.
     """
     n = len(features)
     pairs = sorted(candidates)
-    work = np.empty(max((features[i].n_keypoints * features[j].n_keypoints
-                         for i, j in pairs), default=0), dtype=np.float32)
+    sizes = [f.n_keypoints for f in features]
+    work = np.empty(max((sizes[i] * sizes[j] for i, j in pairs), default=0), dtype=np.float32)
     scores = {}
     for start in range(0, len(pairs), _WINDOW_PAIRS):
         window = pairs[start:start + _WINDOW_PAIRS]
         scores.update(zip(window, _score_window(
-            [(features[i], features[j], i * n + j) for i, j in window], config, work)))
+            [(features[i], features[j], sizes[i], sizes[j], i * n + j) for i, j in window],
+            config, work)))
     return scores

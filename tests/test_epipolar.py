@@ -61,6 +61,15 @@ def random_pose_case(seed, n=20):
     return na, nb, rel_r, rel_t
 
 
+def one_pose(E, na, nb):
+    """(R, t, angles) of ``recover_pose`` on a stack of one, every match an
+    inlier; the CheiralityAmbiguity it returns is raised."""
+    result, = recover_pose(E[None], na[None], nb[None], np.ones((1, len(na)), dtype=bool))
+    if isinstance(result, CheiralityAmbiguity):
+        raise result
+    return result
+
+
 def pure_rotation_pair(n):
     """Pixels of n points seen from one center under two rotations. With zero
     baseline all correspondences satisfy a homography, and the epipolar
@@ -406,7 +415,7 @@ class TestRecoverPose:
             if len(na) < 10:
                 continue
             E = essential_from_pose(R, t)
-            rr, tr, _ = recover_pose(E, na, nb)
+            rr, tr, _ = one_pose(E, na, nb)
             assert np.linalg.norm(rr - R) < 1e-9
             assert np.linalg.norm(tr - t) < 1e-9
 
@@ -418,17 +427,20 @@ class TestRecoverPose:
         na = pts[:, :2] / pts[:, 2:3]
         nb = cam_b[:, :2] / cam_b[:, 2:3]
         E = essential_from_pose(np.eye(3), t)
-        R, tr, _ = recover_pose(E, na, nb)
+        R, tr, _ = one_pose(E, na, nb)
         assert np.linalg.norm(R - np.eye(3)) < 1e-9
         assert np.linalg.norm(tr - t) < 1e-9
 
     def test_parallel_rays_ambiguous(self):
-        # identical pixels in both views cannot vote for any decomposition
+        # identical pixels in both views cannot vote for any decomposition:
+        # the ambiguity is returned, never raised, so it holds no traceback
         rng = np.random.default_rng(41)
         na = rng.uniform(-0.5, 0.5, size=(20, 2))
         E = essential_from_pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(CheiralityAmbiguity):
-            recover_pose(E, na, na)
+        result, = recover_pose(E[None], na[None], na[None], np.ones((1, 20), dtype=bool))
+        assert isinstance(result, CheiralityAmbiguity)
+        assert str(result) == "best decomposition sees 0/20 points in front"
+        assert result.__traceback__ is None
 
     def test_minority_behind_left_out(self):
         # 4 of 20 points sit behind both cameras: they fall out of the
@@ -442,7 +454,7 @@ class TestRecoverPose:
         cam_b = pts @ R.T + t
         na = pts[:, :2] / pts[:, 2:3]
         nb = cam_b[:, :2] / cam_b[:, 2:3]
-        rr, tr, angles = recover_pose(essential_from_pose(R, t), na, nb)
+        rr, tr, angles = one_pose(essential_from_pose(R, t), na, nb)
         assert np.linalg.norm(rr - R) < 1e-9
         assert np.linalg.norm(tr - t) < 1e-9
         theta, in_front = triangulate_angles(rr, tr, na, nb)
@@ -451,19 +463,77 @@ class TestRecoverPose:
 
 
     def test_one_stacked_triangulation(self, monkeypatch):
-        # structure, not timing: the four decompositions go to
-        # triangulate_angles together, as one (4, 3, 3) / (4, 3) stack
+        # structure, not timing: the four decompositions of every row go to
+        # triangulate_angles together, as one (s, 4, 3, 3) / (s, 4, 3) stack
+        # over all m matches of each row, (s, 1, m, 2)
         triangulate, calls = triangulate_angles, []
 
         def recording(R, t, na, nb):
-            calls.append((np.shape(R), np.shape(t)))
+            calls.append((np.shape(R), np.shape(t), np.shape(na), np.shape(nb)))
             return triangulate(R, t, na, nb)
 
         monkeypatch.setattr("sara.epipolar.triangulate_angles", recording)
-        na, nb, R, t = random_pose_case(3)
-        rr, tr, _ = recover_pose(essential_from_pose(R, t), na, nb)
-        assert calls == [((4, 3, 3), (4, 3))]
-        assert np.linalg.norm(rr - R) < 1e-9 and np.linalg.norm(tr - t) < 1e-9
+        cases = [random_pose_case(seed) for seed in (3, 5, 6)]
+        assert {len(na) for na, *_ in cases} == {20}
+        E = np.stack([essential_from_pose(R, t) for _, _, R, t in cases])
+        na, nb = (np.stack([case[k] for case in cases]) for k in (0, 1))
+        inliers = np.ones((3, 20), dtype=bool)
+        inliers[1, :6] = False
+        poses = recover_pose(E, na, nb, inliers)
+        assert calls == [((3, 4, 3, 3), (3, 4, 3), (3, 1, 20, 2), (3, 1, 20, 2))]
+        for (rr, tr, angles), (_, _, R, t), mask in zip(poses, cases, inliers):
+            assert np.linalg.norm(rr - R) < 1e-9 and np.linalg.norm(tr - t) < 1e-9
+            assert angles.shape == (mask.sum(),)
+
+    def test_stack_equals_inlier_rows_alone(self):
+        # each row of a stacked call, with its inlier mask, holds the bits of
+        # a stack of one on that row's inlier matches alone: the search's
+        # own inliers, and random subsets that move every kept match to
+        # another position in its array
+        r = np.random.default_rng(43)
+        E, na, nb, masks = [], [], [], []
+        for seed in range(600, 640):
+            corrs, K = with_outliers(seed, 35, 15, noise_px=0.5, separation_deg=30.0)
+            try:
+                model = robust_search(corrs, calib=(K, K), rng=philox(seed))
+            except NoModelFound:
+                continue
+            subset = r.random(50) < r.uniform(0.2, 0.9)
+            for mask in (np.isin(np.arange(50), model.inliers), subset):
+                if mask.sum() >= 8:
+                    E.append(model.matrix)
+                    na.append(normalize(corrs.x_a, K))
+                    nb.append(normalize(corrs.x_b, K))
+                    masks.append(mask)
+        assert len(E) >= 40
+        E, na, nb, masks = map(np.stack, (E, na, nb, masks))
+        stacked = recover_pose(E, na, nb, masks)
+        assert not any(isinstance(x, CheiralityAmbiguity) for x in stacked)
+        for k, (R, t, angles) in enumerate(stacked):
+            keep = masks[k]
+            alone, = recover_pose(E[k:k + 1], na[k:k + 1, keep], nb[k:k + 1, keep],
+                                  np.ones((1, keep.sum()), dtype=bool))
+            for got, want in zip((R, t, angles), alone):
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_ambiguous_row_keeps_the_others(self):
+        # a row of parallel rays in the middle of a stack returns its
+        # ambiguity, and the rows around it keep a stack of one's bits
+        rows = [random_pose_case(seed) for seed in (3, 5, 6)]
+        parallel = np.random.default_rng(41).uniform(-0.5, 0.5, size=(20, 2))
+        E = np.stack([essential_from_pose(rows[0][2], rows[0][3]),
+                      essential_from_pose(np.eye(3), np.array([1.0, 0.0, 0.0])),
+                      essential_from_pose(rows[2][2], rows[2][3])])
+        na = np.stack([rows[0][0], parallel, rows[2][0]])
+        nb = np.stack([rows[0][1], parallel, rows[2][1]])
+        inliers = np.ones((3, 20), dtype=bool)
+        results = recover_pose(E, na, nb, inliers)
+        assert isinstance(results[1], CheiralityAmbiguity)
+        assert results[1].__traceback__ is None
+        for k in (0, 2):
+            alone, = recover_pose(E[k:k + 1], na[k:k + 1], nb[k:k + 1], inliers[k:k + 1])
+            for got, want in zip(results[k], alone):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestTriangulateAngles:
@@ -523,6 +593,26 @@ class TestTriangulateAngles:
         # the stack covers the cases it is built for
         assert (theta[0, :5] == 0.0).all() and not in_front[0, :5].any()
         assert in_front[0, 5:].all() and not in_front[1].any()
+
+    def test_search_stack_equals_one_pose_calls(self):
+        # s searches' (s, 1, m, 2) points under their own (s, 4) poses: every
+        # row holds the bits of that search's one-pose call
+        cases = [gen_frustum_pair(np.random.default_rng(seed), n=30, noise_px=0.5)
+                 for seed in range(56, 61)]
+        na = np.stack([normalize(c.kp_a, c.intrinsics) for c in cases])
+        nb = np.stack([normalize(c.kp_b, c.intrinsics) for c in cases])
+        wrong = [random_rotation(np.random.default_rng(seed)) for seed in range(61, 66)]
+        Rs = np.stack([[c.rel_rotation, c.rel_rotation, w @ c.rel_rotation, w @ c.rel_rotation]
+                       for c, w in zip(cases, wrong)])
+        ts = np.stack([[c.rel_translation, -c.rel_translation] * 2 for c in cases])
+        theta, in_front = triangulate_angles(Rs, ts, na[:, None], nb[:, None])
+        assert theta.shape == in_front.shape == (5, 4, 30)
+        for k in range(5):
+            for pose in range(4):
+                one_theta, one_front = triangulate_angles(Rs[k, pose], ts[k, pose], na[k], nb[k])
+                assert theta[k, pose].tobytes() == one_theta.tobytes()
+                np.testing.assert_array_equal(in_front[k, pose], one_front)
+        assert in_front[:, 0].all() and not in_front[:, 1].any()
 
     def test_range(self):
         case = gen_frustum_pair(np.random.default_rng(53), n=60, noise_px=2.0)
@@ -778,13 +868,15 @@ def results_and_winners(searches, iterations=32, threshold=2.0):
     count of each stack, in the order the counts first appear in the stack.
     Each search's final model, the one its inliers are recounted against, or
     None without a winner, is read by a spy on ``_sampson``: the finish
-    calls it with one (3, 3) model per search with a winner, in order."""
+    takes the searches in stacks of ``_FINISH_SEARCHES`` and recounts the
+    ones with a winner in one call per match count of a stack, in the order
+    the counts first appear among them, on an (s, 3, 3) stack of models."""
     pick, picked = epipolar._winners, []
     score, recounted = epipolar._sampson, []
 
     def recount(M, ha, hb):
-        if M.ndim == 2:
-            recounted.append(M)
+        if M.ndim == 3:
+            recounted.extend(M)
         return score(M, ha, hb)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -798,8 +890,14 @@ def results_and_winners(searches, iterations=32, threshold=2.0):
              for k in range(start, min(start + per, len(sizes))) if sizes[k] == m]
     rows = dict(zip(order, (row for rows in picked for row in rows)))
     winners = [rows[k] for k in range(len(searches))]
-    finals = iter(recounted)
-    return results, winners, [None if row is None else next(finals) for row in winners]
+    per = epipolar._FINISH_SEARCHES
+    stacks = [[k for k in range(start, min(start + per, len(sizes))) if winners[k] is not None]
+              for start in range(0, len(sizes), per)]
+    order = [k for stack in stacks for m in dict.fromkeys(sizes[k] for k in stack)
+             for k in stack if sizes[k] == m]
+    assert len(order) == len(recounted)
+    finals = dict(zip(order, recounted))
+    return results, winners, [finals.get(k) for k in range(len(searches))]
 
 
 def philox(seed):
@@ -1002,8 +1100,10 @@ class TestBatchedSearch:
         # first scene finds no model, two 8-match scenes refit on exactly 8
         # inliers (the QR path), and three clean scenes keep all 30 points.
         # The refit of the first clean scene is planted degenerate, so it
-        # keeps its winning hypothesis
+        # keeps its winning hypothesis. Finish stacks of four searches split
+        # the six searches' recounts and pose recoveries into two stacks
         monkeypatch.setattr(epipolar, "_GROUP_HYPOTHESES", 32)
+        monkeypatch.setattr(epipolar, "_FINISH_SEARCHES", 4)
         eights = [gen_frustum_pair(np.random.default_rng(seed), n=8, noise_px=0.3)
                   for seed in (71, 72)]
         scenes = ([with_outliers(105, 0, 20)]
@@ -1022,9 +1122,12 @@ class TestBatchedSearch:
             return models, ok & ~((pa.shape[1] > 8) & (pa == marker).all(axis=2).any(axis=1))
 
         project, projected = epipolar._project_essential, []
+        recover, recovered = epipolar.recover_pose, []
         monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
         monkeypatch.setattr(epipolar, "_project_essential",
                             lambda F: projected.append(len(F)) or project(F))
+        monkeypatch.setattr(epipolar, "recover_pose", lambda E, na, nb, inliers: recovered.append(
+            na.shape[:2]) or recover(E, na, nb, inliers))
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for corrs, calib, key in searches])
         # one select solve per search, then one refit solve per inlier count
@@ -1034,6 +1137,10 @@ class TestBatchedSearch:
         assert solved[len(searches):] == [(2, 8, 2), (3, 30, 2)]
         assert projected == [3]
         assert winners[0] is None and None not in winners[1:]
+        # of the calibrated searches, 1 keeps fewer than 8 inliers after its
+        # projection; 3 is posed in the first finish stack and 5 in the second
+        assert isinstance(stacked[1], NoModelFound)
+        assert recovered[:2] == [(1, 30), (1, 30)]
 
         for k, ((corrs, calib, key), got, row, final) in enumerate(zip(searches, stacked, winners,
                                                                        finals)):
@@ -1088,31 +1195,37 @@ class TestBatchedSearch:
             assert [x is None for x in posed] == [calib is None] * 3
 
     def test_cheirality_failure_stays_in_its_search(self, monkeypatch):
-        # four calibrated searches; the pose recovery of the third raises.
-        # That search returns the raised instance, and the others keep the
-        # bits of the same window without the failure
+        # one finish stack of six searches, one uncalibrated, with 50 and 35
+        # matches: the 50-match group recovers four poses in one call, and a
+        # spy plants an ambiguity on that call's second row, the third
+        # search. That search returns the planted instance, and every other
+        # search keeps the bits of the same window without the failure
         scenes = [with_outliers(110 + seed, n_in, n_out, separation_deg=35.0)
-                  for seed, (n_in, n_out) in enumerate([(30, 5), (40, 10), (45, 0), (35, 15)])]
+                  for seed, (n_in, n_out) in enumerate([(40, 10), (40, 10), (45, 5), (35, 15),
+                                                        (30, 5), (45, 5)])]
 
         def window():
-            return [(corrs, (K, K), philox(500 + k)) for k, (corrs, K) in enumerate(scenes)]
+            return [(corrs, None if k == 1 else (K, K), philox(500 + k))
+                    for k, (corrs, K) in enumerate(scenes)]
 
         clean_results = short_ransac(window())
         assert all(isinstance(r, TwoViewModel) for r in clean_results)
         recover, calls = epipolar.recover_pose, []
         failure = CheiralityAmbiguity("planted")
 
-        def failing(E, na, nb):
-            calls.append(len(na))
-            if len(calls) == 3:
-                raise failure
-            return recover(E, na, nb)
+        def planting(E, na, nb, inliers):
+            calls.append(na.shape[:2])
+            poses = recover(E, na, nb, inliers)
+            if len(calls) == 1:
+                assert E[1].tobytes() == clean_results[2].matrix.tobytes()
+                poses[1] = failure
+            return poses
 
-        monkeypatch.setattr(epipolar, "recover_pose", failing)
+        monkeypatch.setattr(epipolar, "recover_pose", planting)
         results = short_ransac(window())
-        assert len(calls) == len(scenes)
+        assert calls == [(4, 50), (1, 35)]
         assert results[2] is failure and failure.__traceback__ is None
-        for k in (0, 1, 3):
+        for k in (0, 1, 3, 4, 5):
             assert_same_result(results[k], clean_results[k])
 
     @pytest.mark.parametrize("calibrated", [False, True])
@@ -1209,7 +1322,7 @@ class TestBatchedSearch:
             ("svd", "_fundamental_stack", (1, refit[1], 9)),
             ("svd", "_fundamental_stack", (1, 3, 3)),
             ("svd", "_project_essential", (1, 3, 3)),
-            ("svd", "recover_pose", (3, 3))]
+            ("svd", "recover_pose", (1, 3, 3))]
 
     def test_winner_rule_on_near_tied_totals(self):
         # every row holds the same inlier errors in its own order and at its

@@ -556,8 +556,10 @@ class TestScoreAll:
     def test_one_robust_search_per_window(self, orbit16_features, monkeypatch):
         # the benchmark times the robust search as the span of
         # scorer.short_ransac: one call per window of _WINDOW_PAIRS sorted
-        # pairs, holding each of the window's pairs with at least 8 matches,
-        # with every pose recovery inside a call
+        # pairs, holding each of the window's pairs with at least 8 matches.
+        # Inside it, one recover_pose call per finish stack of
+        # _FINISH_SEARCHES searches and match count with posed rows, holding
+        # those rows' models in search order
         features = orbit16_features
         n = len(features)
         pairs = sorted((i, j) for i in range(n) for j in range(i + 1, n))
@@ -579,9 +581,11 @@ class TestScoreAll:
             finally:
                 open_calls.pop()
 
-        def recovering(E, na, nb):
-            poses.append(list(open_calls))
-            return recover(E, na, nb)
+        def recovering(E, na, nb, inliers):
+            results = recover(E, na, nb, inliers)
+            assert not any(isinstance(r, CheiralityAmbiguity) for r in results)
+            poses.append((list(open_calls), na.shape[1], [M.tobytes() for M in E]))
+            return results
 
         monkeypatch.setattr(scorer, "mutual_nn_matches", matching)
         monkeypatch.setattr(scorer, "short_ransac", searching)
@@ -594,32 +598,47 @@ class TestScoreAll:
         assert len(searched) > 100
         for window, call in zip(windows, calls):
             assert call == [pair for pair in window if pair in searched]
-        posed = sum(s.model is not None and s.model.rotation is not None for s in scores.values())
-        assert len(poses) >= posed > 0
-        assert all(len(stack) == 1 for stack in poses)
+        sizes = dict(matched)
+        per = epipolar._FINISH_SEARCHES
+        expected = []
+        for w, call in enumerate(calls, start=1):
+            for start in range(0, len(call), per):
+                groups = {}
+                for pair in call[start:start + per]:
+                    model = scores[pair].model
+                    if model is not None and model.rotation is not None:
+                        groups.setdefault(len(sizes[pair]), []).append(model.matrix.tobytes())
+                expected.append(([w], groups))
+        assert sum(len(groups) for _, groups in expected) > len(windows)
+        recorded = iter(poses)
+        for open_span, groups in expected:
+            got = [next(recorded) for _ in groups]
+            assert all(span == open_span for span, _, _ in got)
+            assert {m: rows for _, m, rows in got} == groups
+        assert next(recorded, None) is None
 
     def test_cheirality_failure_ends_its_pair_no_model(self, orbit16_features, monkeypatch):
-        # the third pose recovery of the first window raises: that pair, the
-        # third posed pair in sorted order, ends no_model, and every other
-        # pair keeps its score
+        # an ambiguity is planted on the middle row of the first pose
+        # recovery of three rows or more: that row's pair ends no_model, and
+        # every other pair keeps its score
         features = orbit16_features
         n = len(features)
         pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
         cfg = SaraConfig()
         clean_scores = score_all(features, pairs, cfg)
-        recover, calls = epipolar.recover_pose, []
+        recover, planted = epipolar.recover_pose, []
 
-        def failing(E, na, nb):
-            calls.append(len(na))
-            if len(calls) == 3:
-                raise CheiralityAmbiguity("planted")
-            return recover(E, na, nb)
+        def planting(E, na, nb, inliers):
+            poses = recover(E, na, nb, inliers)
+            if len(E) >= 3 and not planted:
+                planted.append(E[len(E) // 2].tobytes())
+                poses[len(E) // 2] = CheiralityAmbiguity("planted")
+            return poses
 
-        monkeypatch.setattr(epipolar, "recover_pose", failing)
+        monkeypatch.setattr(epipolar, "recover_pose", planting)
         scores = score_all(features, pairs, cfg)
-        posed = sorted(pair for pair, s in clean_scores.items()
-                       if s.model is not None and s.model.rotation is not None)
-        failed = posed[2]
+        failed, = (pair for pair, s in clean_scores.items()
+                   if s.model is not None and s.model.matrix.tobytes() in planted)
         assert scores[failed] == PairScore(overlap=0.0, parallax=0.0, weight=0.0,
                                            rejected=RejectReason.NO_MODEL)
         assert clean_scores[failed].rejected is None
