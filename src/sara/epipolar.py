@@ -38,22 +38,6 @@ from .errors import CheiralityAmbiguity, InsufficientCorrespondences, NoModelFou
 # the fewest inliers a model keeps
 MIN_MATCHES = 8
 
-# hypothesis sets that short_ransac draws, solves and scores in one select
-# stack: 8 searches at 32 iterations. It bounds the stacked arrays; results do
-# not depend on it. 512 runs orbit_sparse's selection about 5% faster, but
-# the Sampson pass's (searches, iterations, m, 3) products double, and the
-# fresh-process peak RSS rises by about 0.65 MB (1.6%).
-_GROUP_HYPOTHESES = 256
-
-# searches that short_ransac finishes in one stack, with one recount and one
-# pose recovery per match count in a stack. It bounds the finish's (s, 4, m, 3)
-# triangulation arrays; results do not depend on it. Against a finish per
-# search, orbit_sparse's selection runs about 4% faster at 8, 7% at 16 and 8%
-# at 32, where score_all's traced peak stays the select stack's. A whole
-# 64-pair window gains under 1% more, and raises that peak by about 0.6 MB on
-# a 160-pair, 20-view orbit.
-_FINISH_SEARCHES = 32
-
 _MATCH_DTYPE = np.dtype([("idx_a", np.intp), ("idx_b", np.intp), ("x_a", np.float64, (2,)),
                          ("x_b", np.float64, (2,)), ("similarity", np.float64)])
 _MATCH_RECORD = np.dtype((np.record, _MATCH_DTYPE))
@@ -380,13 +364,14 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
-def _select(points, thresholds, rngs, iterations: int) -> list:
-    """One select stack of ``short_ransac``: the searches' points, squared
-    thresholds and generators, and the draws per search.
+def _select(points, groups, thresholds, rngs, iterations: int) -> list:
+    """The select stage of ``short_ransac``: the searches' points, their
+    indices grouped by match count, squared thresholds and generators, and
+    the draws per search.
 
     Returns each search's (winning hypothesis, its inlier mask), or None
     where no hypothesis keeps 8 inliers. The winner's model and mask are
-    copies, so they keep none of the stack's arrays alive.
+    copies, so they keep none of the stage's arrays alive.
     """
     sizes = [p.shape[1] for p in points]
     samples = _draw_samples(rngs, sizes, iterations)
@@ -396,11 +381,10 @@ def _select(points, thresholds, rngs, iterations: int) -> list:
     models = models.reshape(len(points), iterations, 3, 3)
     ok = ok.reshape(len(points), iterations)
     picks = [None] * len(points)
-    for m in dict.fromkeys(sizes):
-        group = [k for k, size in enumerate(sizes) if size == m]
+    for group in groups:
         ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
         errs = _sampson(models[group], ha, hb)
-        masks = errs < np.array(thresholds)[group, None, None]
+        masks = errs < thresholds[group, None, None]
         for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
             if row is not None:
                 picks[k] = models[k, row].copy(), masks[j, row].copy()
@@ -426,34 +410,32 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     and > 0, and InsufficientCorrespondences for a search with fewer than
     8 matches.
 
-    The call runs in three stages. *Select*: the searches are taken in
-    stacks of at most ``_GROUP_HYPOTHESES`` hypothesis sets (at least one
-    search). In a stack, each search draws ``iterations`` uniform
-    8-subsets from its own ``rng`` in one call, all are solved in one
-    ``_fundamental_stack`` (closed-form, no SVD), searches with equal
-    match counts are scored in one Sampson pass, and each picks the
-    hypothesis with the most inliers under the squared threshold (ties:
-    lower inlier-error total, then the earlier draw; see ``_winners``).
-    *Refit*: the winners of every stack are refit on their inliers in one
-    ``_fundamental_stack`` per inlier count, so an 8-inlier refit takes
-    the closed-form minimal solve and the others SVDs; a degenerate refit
-    keeps the winning hypothesis. The calibrated refits are projected
-    onto the essential manifold in one ``_project_essential`` call.
-    *Finish*: the searches are taken in stacks of ``_FINISH_SEARCHES``.
-    In a stack, the final models of the searches with equal match counts
-    recount their inliers in one Sampson pass, so stored inliers satisfy
-    the threshold by construction; a search needs 8 of them, and the
-    calibrated searches that keep 8 recover their poses in one
-    ``recover_pose`` call on their normalized matches and inlier masks
-    (``_finish``). A search without a winner ends in NoModelFound("no
-    hypothesis reached 8 inliers"), one whose final model keeps fewer
-    than 8 inliers in NoModelFound("refit model keeps fewer than 8
-    inliers"), and one without a majority pose in the CheiralityAmbiguity
-    that ``recover_pose`` returns for its row. Each result is
-    bit-identical to a stack of one's and to a search that solves and
-    scores its hypotheses one at a time in draw order. The two stack
-    bounds cap the select and finish stages' memory; the refit stage's
-    grows with the number of searches.
+    The call runs each of its three stages once over all its searches.
+    *Select*: each search draws ``iterations`` uniform 8-subsets from its
+    own ``rng`` in one call, all are solved in one ``_fundamental_stack``
+    (closed-form, no SVD), searches with equal match counts are scored in
+    one Sampson pass, and each picks the hypothesis with the most inliers
+    under the squared threshold (ties: lower inlier-error total, then the
+    earlier draw; see ``_winners``). *Refit*: the winners are refit on
+    their inliers in one ``_fundamental_stack`` per inlier count, so an
+    8-inlier refit takes the closed-form minimal solve and the others
+    SVDs; a degenerate refit keeps the winning hypothesis. The calibrated
+    refits are projected onto the essential manifold in one
+    ``_project_essential`` call. *Finish*: per match count, as in the
+    select stage, the final models recount their inliers in one Sampson
+    pass, so stored inliers satisfy the threshold by construction; a
+    search needs 8 of them, and the calibrated searches that keep 8
+    recover their poses in one ``recover_pose`` call on their normalized
+    matches and inlier masks (``_finish``). A search without a winner ends
+    in NoModelFound("no hypothesis reached 8 inliers"), one whose final
+    model keeps fewer than 8 inliers in NoModelFound("refit model keeps
+    fewer than 8 inliers"), and one without a majority pose in the
+    CheiralityAmbiguity that ``recover_pose`` returns for its row. Each
+    result is bit-identical to a call on that search alone and to a
+    search that solves and scores its hypotheses one at a time in draw
+    order. Memory grows with the searches passed: the select stage holds
+    iterations x matches floats per search. ``score_all`` bounds it by
+    the hypothesis sets of its window.
 
     Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
     the essential-manifold projection is brutal on noisy minimal samples,
@@ -464,6 +446,7 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
         raise ValueError(f"iterations must be an integer >= 1, not {iterations!r}")
     if not 0.0 < inlier_threshold < math.inf:
         raise ValueError(f"inlier_threshold must be finite and > 0, not {inlier_threshold!r}")
+    searches = list(searches)   # read once: any iterable of searches
     for corrs, _, _ in searches:
         if len(corrs) < MIN_MATCHES:
             raise InsufficientCorrespondences(f"{len(corrs)} < {MIN_MATCHES}")
@@ -475,13 +458,12 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
                if distinct else {})
     points = [_search_points(corrs, None if calib is None else [inverse[id(K)] for K in calib])
               for corrs, calib, _ in searches]
-    thresholds = [_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches]
-    rngs = [rng for *_, rng in searches]
-    per = max(1, _GROUP_HYPOTHESES // iterations)
-    picks = []
-    for start in range(0, len(points), per):
-        stack = slice(start, start + per)
-        picks += _select(points[stack], thresholds[stack], rngs[stack], iterations)
+    thresholds = np.array([_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches])
+    # the searches by match count, in the order the counts first appear: the
+    # select and finish stages' Sampson passes
+    sizes = [p.shape[1] for p in points]
+    groups = [[k for k, size in enumerate(sizes) if size == m] for m in dict.fromkeys(sizes)]
+    picks = _select(points, groups, thresholds, [rng for *_, rng in searches], iterations)
 
     final = [None] * len(points)
     found = [k for k, pick in enumerate(picks) if pick is not None]
@@ -500,13 +482,10 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
 
     results = [NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers") if M is None
                else None for M in final]
-    thresholds = np.array(thresholds)
     calibrated = np.array([calib is not None for _, calib, _ in searches])
-    for start in range(0, len(points), _FINISH_SEARCHES):
-        stack = [k for k in range(start, min(start + _FINISH_SEARCHES, len(points)))
-                 if final[k] is not None]
-        for m in dict.fromkeys(points[k].shape[1] for k in stack):
-            group = [k for k in stack if points[k].shape[1] == m]
+    for group in groups:
+        group = [k for k in group if final[k] is not None]
+        if group:
             finished = _finish([final[k] for k in group],
                                np.stack([points[k] for k in group], axis=1),
                                thresholds[group], calibrated[group])

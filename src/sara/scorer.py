@@ -120,8 +120,14 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
 
 
-# pairs per short_ransac call in score_all: it bounds the matches and searches alive at once
-_WINDOW_PAIRS = 64
+# hypothesis sets per short_ransac call in score_all, which takes its pairs
+# this many // ransac_iterations at a time: 24 pairs at 32 iterations. The
+# search's stacked arrays grow with its hypothesis sets, so this one bound
+# caps them and the matches alive at once; scores do not depend on it. On
+# orbit_sparse, against 768, the selection runs 5.6% slower at 512 and 3.3%
+# faster at 1024, and the fresh-process peak RSS is 0.53 MB lower and 0.87 MB
+# higher.
+_WINDOW_HYPOTHESES = 768
 
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
@@ -207,9 +213,11 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     depends only on the pair, the features and the config seed: it equals
     ``score_pair``'s.
 
-    The sorted pairs are scored in windows of ``_WINDOW_PAIRS``, one
-    ``short_ransac`` call per window; the bound keeps a window's matches
-    and searches from growing with the pair count.
+    The sorted pairs are scored in windows of ``_WINDOW_HYPOTHESES //
+    config.ransac_iterations`` pairs (at least one), one ``short_ransac``
+    call per window. A search's memory grows with its hypothesis sets, so
+    the bound keeps a window's stacked arrays, matches and searches from
+    growing with the pair count or the iterations.
 
     Each image's keypoint count is read once. One float32 workspace,
     sized for the largest n_a * n_b among the pairs, holds every pair's
@@ -222,8 +230,9 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     sizes = [f.n_keypoints for f in features]
     work = np.empty(max((sizes[i] * sizes[j] for i, j in pairs), default=0), dtype=np.float32)
     scores = {}
-    for start in range(0, len(pairs), _WINDOW_PAIRS):
-        window = pairs[start:start + _WINDOW_PAIRS]
+    per = max(1, _WINDOW_HYPOTHESES // config.ransac_iterations)
+    for start in range(0, len(pairs), per):
+        window = pairs[start:start + per]
         scores.update(zip(window, _score_window(
             [(features[i], features[j], sizes[i], sizes[j], i * n + j) for i, j in window],
             config, work)))

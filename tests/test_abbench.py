@@ -1,4 +1,4 @@
-"""tools/abbench.py: run order, pairs won, the refusal on differing outputs
+"""tools/abbench.py: run order, pairs won, the regression bound, the refusal on differing outputs
 and the rebaseline that records them, per-layer metrics that one side alone
 prints, and which uncommitted edits it names."""
 
@@ -13,7 +13,8 @@ _SPEC = importlib.util.spec_from_file_location("abbench", _PATH)
 abbench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(abbench)
 
-BETTER = {"select_s": "lower", "pairs_per_s": "higher"}
+DECLARED = {"select_s": {"better": "lower", "bound": 0.25},
+            "pairs_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def fake_run(select_s, pairs_per_s, digests=("a" * 64, "b" * 64), failed=31.0, correct=True):
@@ -34,7 +35,7 @@ def test_pairs_won_follow_the_better_direction():
     e2e = [{"parent": fake_run(p, q), "change": fake_run(c, d)}
            for p, q, c, d in [(2.0, 10.0, 1.0, 12.0), (2.0, 10.0, 3.0, 8.0),
                               (2.0, 10.0, 2.0, 10.0), (2.0, 10.0, 1.5, 11.0)]]
-    entry = abbench.summarize(e2e, [], BETTER)
+    entry = abbench.summarize(e2e, [], DECLARED)
     # a tie counts for neither side
     assert entry["end_to_end"]["select_s"]["change_better_pairs"] == 2
     assert entry["end_to_end"]["pairs_per_s"]["change_better_pairs"] == 2
@@ -63,7 +64,7 @@ def test_claim_rule(change_s, met):
     parent_s = [1.95, 2.05] * 5
     e2e = [{"parent": fake_run(p, 10.0), "change": fake_run(c, 10.0)}
            for p, c in zip(parent_s, change_s)]
-    entry = abbench.summarize(e2e, [], BETTER)
+    entry = abbench.summarize(e2e, [], DECLARED)
     assert entry["end_to_end"]["select_s"]["meets_claim_rule"] is met
     # ties in every pair
     assert entry["end_to_end"]["pairs_per_s"]["meets_claim_rule"] is False
@@ -72,8 +73,26 @@ def test_claim_rule(change_s, met):
 def test_claim_rule_follows_the_better_direction():
     e2e = [{"parent": fake_run(2.0, 10.0 + 0.1 * (k % 2)), "change": fake_run(2.0, 12.0)}
            for k in range(10)]
-    entry = abbench.summarize(e2e, [], BETTER)
+    entry = abbench.summarize(e2e, [], DECLARED)
     assert entry["end_to_end"]["pairs_per_s"]["meets_claim_rule"] is True
+
+
+@pytest.mark.parametrize("better, change_s, within", [
+    ("lower", 1.0, True), ("lower", 2.5, True), ("lower", 2.6, False),
+    ("higher", 3.0, True), ("higher", 1.5, True), ("higher", 1.4, False),
+], ids=["lower_better", "lower_at_bound", "lower_past_bound",
+        "higher_better", "higher_at_bound", "higher_past_bound"])
+def test_within_bound_follows_the_better_direction(better, change_s, within):
+    # parent median 2.0 and a bound of 25%: a lower-better metric may rise to
+    # 2.5 and a higher-better one fall to 1.5
+    declared = {**DECLARED, "select_s": {"better": better, "bound": 0.25}}
+    e2e = [{"parent": fake_run(p, 10.0), "change": fake_run(change_s, 10.0)}
+           for p in (1.9, 2.1, 1.9, 2.1, 2.0)]
+    entry = abbench.summarize(e2e, [], declared)["end_to_end"]
+    assert entry["select_s"]["within_bound"] is within
+    assert entry["select_s"]["bound"] == 0.25
+    # equal medians on both sides
+    assert entry["pairs_per_s"]["within_bound"] is True
 
 
 @pytest.mark.parametrize("change", [
@@ -83,7 +102,7 @@ def test_claim_rule_follows_the_better_direction():
 def test_refuses_differing_outputs(change):
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **change)}]
     with pytest.raises(SystemExit):
-        abbench.summarize(e2e, [], BETTER)
+        abbench.summarize(e2e, [], DECLARED)
 
 
 NEW = dict(digests=("c" * 64, "d" * 64), failed=29.0)
@@ -93,8 +112,8 @@ def test_rebaseline_records_each_side():
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **NEW)}] * 10
     traced = [{"parent": fake_run(2.0, 10.0), "change": fake_run(1.0, 12.0, **NEW)}] * 3
     with pytest.raises(SystemExit):
-        abbench.summarize(e2e, traced, BETTER)
-    entry = abbench.summarize(e2e, traced, BETTER, rebaseline=True)
+        abbench.summarize(e2e, traced, DECLARED)
+    entry = abbench.summarize(e2e, traced, DECLARED, rebaseline=True)
     assert entry["sha256"] == {"parent": {"pairs": "a" * 64, "report": "b" * 64},
                                "change": {"pairs": "c" * 64, "report": "d" * 64},
                                "same_on_both_sides": False}
@@ -115,10 +134,10 @@ def test_refuses_a_side_that_disagrees_or_fails(odd, side, rebaseline):
     # one run of one side differs from that side's others, or is not correct
     runs = {"parent": {}, "change": NEW if rebaseline else {}}
     e2e = [{s: fake_run(2.0, 10.0, **kw) for s, kw in runs.items()} for _ in range(3)]
-    abbench.summarize(e2e, [], BETTER, rebaseline=rebaseline)
+    abbench.summarize(e2e, [], DECLARED, rebaseline=rebaseline)
     e2e[1][side] = fake_run(2.0, 10.0, **{**runs[side], **odd})
     with pytest.raises(SystemExit):
-        abbench.summarize(e2e, [], BETTER, rebaseline=rebaseline)
+        abbench.summarize(e2e, [], DECLARED, rebaseline=rebaseline)
 
 
 def traced_run(metrics):
@@ -135,7 +154,7 @@ def test_per_layer_metric_of_one_side(only):
     sides = {"parent": both, "change": both, only: {**both, **extra}}
     traced = [{side: traced_run(metrics) for side, metrics in sides.items()}] * 3
     e2e = [{"parent": fake_run(2.0, 10.0), "change": fake_run(2.0, 10.0)}]
-    per_layer = abbench.summarize(e2e, traced, BETTER)["per_layer"]
+    per_layer = abbench.summarize(e2e, traced, DECLARED)["per_layer"]
     other = "change" if only == "parent" else "parent"
     assert per_layer["scorer.score_s"] == {"unit": "s", "parent": 0.09, "change": 0.09}
     assert per_layer["scorer.stage_s"] == {"unit": "s", only: 0.02, other: None}

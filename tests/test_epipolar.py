@@ -862,15 +862,14 @@ def assert_same_final(got, want):
 
 
 def results_and_winners(searches, iterations=32, threshold=2.0):
-    """(results, winners, finals) of one ``short_ransac`` call. Each search's
-    winning hypothesis row, None where no hypothesis keeps 8 inliers, is read
-    by a spy on ``_winners``, which the select stage calls once per match
-    count of each stack, in the order the counts first appear in the stack.
-    Each search's final model, the one its inliers are recounted against, or
-    None without a winner, is read by a spy on ``_sampson``: the finish
-    takes the searches in stacks of ``_FINISH_SEARCHES`` and recounts the
-    ones with a winner in one call per match count of a stack, in the order
-    the counts first appear among them, on an (s, 3, 3) stack of models."""
+    """(results, winners, finals) of one ``short_ransac`` call, which groups
+    its searches by match count in the order the counts first appear. Each
+    search's winning hypothesis row, None where no hypothesis keeps 8
+    inliers, is read by a spy on ``_winners``, which the select stage calls
+    once per match count. Each search's final model, the one its inliers
+    are recounted against, or None without a winner, is read by a spy on
+    ``_sampson``: the finish recounts the searches with a winner in one
+    call per match count, on an (s, 3, 3) stack of models."""
     pick, picked = epipolar._winners, []
     score, recounted = epipolar._sampson, []
 
@@ -884,17 +883,10 @@ def results_and_winners(searches, iterations=32, threshold=2.0):
         patch.setattr(epipolar, "_sampson", recount)
         results = short_ransac(searches, iterations, threshold)
     sizes = [len(corrs) for corrs, _, _ in searches]
-    per = max(1, epipolar._GROUP_HYPOTHESES // iterations)
-    order = [k for start in range(0, len(sizes), per)
-             for m in dict.fromkeys(sizes[start:start + per])
-             for k in range(start, min(start + per, len(sizes))) if sizes[k] == m]
+    order = [k for m in dict.fromkeys(sizes) for k in range(len(sizes)) if sizes[k] == m]
     rows = dict(zip(order, (row for rows in picked for row in rows)))
     winners = [rows[k] for k in range(len(searches))]
-    per = epipolar._FINISH_SEARCHES
-    stacks = [[k for k in range(start, min(start + per, len(sizes))) if winners[k] is not None]
-              for start in range(0, len(sizes), per)]
-    order = [k for stack in stacks for m in dict.fromkeys(sizes[k] for k in stack)
-             for k in stack if sizes[k] == m]
+    order = [k for k in order if winners[k] is not None]
     assert len(order) == len(recounted)
     finals = dict(zip(order, recounted))
     return results, winners, [finals.get(k) for k in range(len(searches))]
@@ -1094,16 +1086,12 @@ class TestBatchedSearch:
         assert tie_sizes["eight"] == 32
         assert len({size for size in tie_sizes.values() if size > 1}) >= 4
 
-    def test_refit_stage_joins_select_stacks(self, monkeypatch):
-        # select stacks of one search each, so winners with equal inlier
-        # counts come from different stacks and meet in one refit stack: the
-        # first scene finds no model, two 8-match scenes refit on exactly 8
-        # inliers (the QR path), and three clean scenes keep all 30 points.
-        # The refit of the first clean scene is planted degenerate, so it
-        # keeps its winning hypothesis. Finish stacks of four searches split
-        # the six searches' recounts and pose recoveries into two stacks
-        monkeypatch.setattr(epipolar, "_GROUP_HYPOTHESES", 32)
-        monkeypatch.setattr(epipolar, "_FINISH_SEARCHES", 4)
+    def test_refit_stage_groups_by_inlier_count(self, monkeypatch):
+        # one call runs each stage once over six searches: the first scene
+        # finds no model, two 8-match scenes refit on exactly 8 inliers (the
+        # QR path), and three clean scenes keep all 30 points. The refit of
+        # the first clean scene is planted degenerate, so it keeps its
+        # winning hypothesis
         eights = [gen_frustum_pair(np.random.default_rng(seed), n=8, noise_px=0.3)
                   for seed in (71, 72)]
         scenes = ([with_outliers(105, 0, 20)]
@@ -1130,17 +1118,16 @@ class TestBatchedSearch:
             na.shape[:2]) or recover(E, na, nb, inliers))
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for corrs, calib, key in searches])
-        # one select solve per search, then one refit solve per inlier count
-        # among the five searches with a winner, and one projection of the
-        # three calibrated ones
-        assert solved[:len(searches)] == [(32, 8, 2)] * len(searches)
-        assert solved[len(searches):] == [(2, 8, 2), (3, 30, 2)]
+        # one select solve of every search's hypotheses, then one refit solve
+        # per inlier count among the five searches with a winner, and one
+        # projection of the three calibrated ones
+        assert solved == [(len(searches) * 32, 8, 2), (2, 8, 2), (3, 30, 2)]
         assert projected == [3]
         assert winners[0] is None and None not in winners[1:]
         # of the calibrated searches, 1 keeps fewer than 8 inliers after its
-        # projection; 3 is posed in the first finish stack and 5 in the second
+        # projection, and 3 and 5 share a match count and one pose recovery
         assert isinstance(stacked[1], NoModelFound)
-        assert recovered[:2] == [(1, 30), (1, 30)]
+        assert recovered == [(2, 30)]
 
         for k, ((corrs, calib, key), got, row, final) in enumerate(zip(searches, stacked, winners,
                                                                        finals)):
@@ -1152,6 +1139,20 @@ class TestBatchedSearch:
                 pa, pb, _, best, _ = ref_select(corrs, calib, 32, 2.0, philox(key))
                 assert ref_refit(pa, pb, best, calib)[0] is not None   # degenerate only as planted
                 assert final.tobytes() == ref_project(best[1]).tobytes()
+
+    def test_one_shot_iterable_equals_list(self):
+        # a generator of searches is read once, and gives the list's results
+        scenes = [with_outliers(100, 30, 20, separation_deg=35.0), clean(102)]
+
+        def searches():
+            return ((corrs, (K, K) if k else None, philox(k)) for k, (corrs, K) in enumerate(scenes))
+
+        listed = short_ransac(list(searches()))
+        generated = short_ransac(searches())
+        assert len(generated) == len(listed) == 2
+        assert all(isinstance(result, TwoViewModel) for result in listed)
+        for got, want in zip(generated, listed):
+            assert_same_result(got, want)
 
     def test_fewer_than_eight_matches_raise_before_any_draw(self):
         corrs, K = with_outliers(100, 30, 20, separation_deg=35.0)
@@ -1195,7 +1196,7 @@ class TestBatchedSearch:
             assert [x is None for x in posed] == [calib is None] * 3
 
     def test_cheirality_failure_stays_in_its_search(self, monkeypatch):
-        # one finish stack of six searches, one uncalibrated, with 50 and 35
+        # one call of six searches, one uncalibrated, with 50 and 35
         # matches: the 50-match group recovers four poses in one call, and a
         # spy plants an ambiguity on that call's second row, the third
         # search. That search returns the planted instance, and every other
@@ -1288,7 +1289,7 @@ class TestBatchedSearch:
             assert _fix_sign(M[k]).tobytes() == ref_fix_sign(M[k]).tobytes()
 
     def test_minimal_samples_skip_svd(self, monkeypatch):
-        # structure, not timing: a select stack's minimal solve forms no Q
+        # structure, not timing: the select stage's minimal solve forms no Q
         # (QR mode "raw", geqrf alone) and runs no SVD, neither on its (8, 9)
         # design matrices nor on its (h, 3, 3) models, while the
         # overdetermined refit, the essential projection and the pose

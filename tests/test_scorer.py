@@ -465,7 +465,7 @@ class TestScorePairOnScene:
 
 @pytest.fixture(scope="module")
 def orbit16_features():
-    """Features of a 16-view orbit at 0.5 px: 120 pairs, two scoring windows."""
+    """Features of a 16-view orbit at 0.5 px: 120 pairs, five scoring windows."""
     return render_features(generate_orbit_scene(16, 400, noise_px=0.5, seed=3))
 
 
@@ -500,7 +500,7 @@ class TestScoreAll:
     def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, window_pairs):
         # image 2 keeps 5 keypoints, so its pairs stop before the search and
         # sit between searched ones in a window; image 4 has no intrinsics.
-        # Each window selects in stacks of one search's hypotheses, or in one stack
+        # Windows of one pair, three pairs, or every pair in one window
         cfg = SaraConfig()
         few, bare = orbit20_features[2], orbit20_features[4]
         features = list(orbit20_features[:7])
@@ -508,17 +508,36 @@ class TestScoreAll:
             few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
             scores=None if few.scores is None else few.scores[:5])
         features[4] = dataclasses.replace(bare, intrinsics=None)
-        monkeypatch.setattr(scorer, "_WINDOW_PAIRS", window_pairs or sys.maxsize)
+        monkeypatch.setattr(scorer, "_WINDOW_HYPOTHESES",
+                            window_pairs * cfg.ransac_iterations if window_pairs else sys.maxsize)
         n = len(features)
         pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        for hypotheses in (cfg.ransac_iterations, sys.maxsize):
-            monkeypatch.setattr(epipolar, "_GROUP_HYPOTHESES", hypotheses)
-            scores = score_all(features, pairs, cfg)
-            reasons = {s.rejected for s in scores.values()}
-            assert {None, RejectReason.TOO_FEW_MUTUAL_NN, RejectReason.NO_MODEL} <= reasons
-            assert any(s.parallax_floored for s in scores.values())
-            for (i, j), s in scores.items():
-                assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+        scores = score_all(features, pairs, cfg)
+        reasons = {s.rejected for s in scores.values()}
+        assert {None, RejectReason.TOO_FEW_MUTUAL_NN, RejectReason.NO_MODEL} <= reasons
+        assert any(s.parallax_floored for s in scores.values())
+        for (i, j), s in scores.items():
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["equal", "more"])
+    def test_window_counts_hypothesis_sets(self, orbit20_features, monkeypatch, extra):
+        # ransac_iterations at the window's hypothesis sets, or above them:
+        # one search per short_ransac call, each scored as score_pair scores it
+        cfg = dataclasses.replace(SaraConfig(),
+                                  ransac_iterations=scorer._WINDOW_HYPOTHESES + extra)
+        search, calls = scorer.short_ransac, []
+
+        def searching(searches, *args):
+            calls.append(len(searches))
+            return search(searches, *args)
+
+        monkeypatch.setattr(scorer, "short_ransac", searching)
+        features = orbit20_features[:3]
+        scores = score_all(features, {(0, 1), (0, 2), (1, 2)}, cfg)
+        assert calls == [1, 1, 1]
+        assert sum(s.model is not None for s in scores.values()) >= 2
+        for (i, j), s in scores.items():
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j))
 
     @pytest.mark.parametrize("calibrated", [True, False], ids=["calibrated", "uncalibrated"])
     def test_outputs_do_not_see_the_hypothesis_solver(self, orbit16_features, monkeypatch,
@@ -555,12 +574,16 @@ class TestScoreAll:
 
     def test_one_robust_search_per_window(self, orbit16_features, monkeypatch):
         # the benchmark times the robust search as the span of
-        # scorer.short_ransac: one call per window of _WINDOW_PAIRS sorted
-        # pairs, holding each of the window's pairs with at least 8 matches.
-        # Inside it, one recover_pose call per finish stack of
-        # _FINISH_SEARCHES searches and match count with posed rows, holding
-        # those rows' models in search order
-        features = orbit16_features
+        # scorer.short_ransac: one call per window of _WINDOW_HYPOTHESES //
+        # ransac_iterations sorted pairs, holding each of the window's pairs
+        # with at least 8 matches. Inside it, one recover_pose call per match
+        # count with posed rows, holding those rows' models in search order.
+        # Image 1 keeps 60 keypoints, so a window poses two match counts
+        few = orbit16_features[1]
+        features = list(orbit16_features)
+        features[1] = dataclasses.replace(few, keypoints=few.keypoints[:60],
+                                          descriptors=few.descriptors[:60],
+                                          scores=None if few.scores is None else few.scores[:60])
         n = len(features)
         pairs = sorted((i, j) for i in range(n) for j in range(i + 1, n))
         index = {f.image_id: k for k, f in enumerate(features)}
@@ -591,24 +614,22 @@ class TestScoreAll:
         monkeypatch.setattr(scorer, "short_ransac", searching)
         monkeypatch.setattr(epipolar, "recover_pose", recovering)
         scores = score_all(features, set(pairs), SaraConfig())
-        windows = [pairs[start:start + scorer._WINDOW_PAIRS]
-                   for start in range(0, len(pairs), scorer._WINDOW_PAIRS)]
-        assert len(windows) == 2 and len(calls) == len(windows)
+        per = scorer._WINDOW_HYPOTHESES // SaraConfig().ransac_iterations
+        windows = [pairs[start:start + per] for start in range(0, len(pairs), per)]
+        assert len(windows) == 5 and len(calls) == len(windows)
         searched = {pair for pair, m in matched if len(m) >= epipolar.MIN_MATCHES}
         assert len(searched) > 100
         for window, call in zip(windows, calls):
             assert call == [pair for pair in window if pair in searched]
         sizes = dict(matched)
-        per = epipolar._FINISH_SEARCHES
         expected = []
         for w, call in enumerate(calls, start=1):
-            for start in range(0, len(call), per):
-                groups = {}
-                for pair in call[start:start + per]:
-                    model = scores[pair].model
-                    if model is not None and model.rotation is not None:
-                        groups.setdefault(len(sizes[pair]), []).append(model.matrix.tobytes())
-                expected.append(([w], groups))
+            groups = {}
+            for pair in call:
+                model = scores[pair].model
+                if model is not None and model.rotation is not None:
+                    groups.setdefault(len(sizes[pair]), []).append(model.matrix.tobytes())
+            expected.append(([w], groups))
         assert sum(len(groups) for _, groups in expected) > len(windows)
         recorded = iter(poses)
         for open_span, groups in expected:
@@ -647,7 +668,7 @@ class TestScoreAll:
 
     def test_peak_memory_bounded_by_group(self, orbit20_features):
         # 160 pairs against 40: the 120 more scores the result holds take
-        # about 0.25 MB, while one stack over every pair would add about 13 MB
+        # about 0.25 MB, while one window over every pair would add about 12 MB
         pairs = sorted((i, j) for i in range(20) for j in range(i + 1, 20))
         peaks = []
         for count in (40, 160):

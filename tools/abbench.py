@@ -113,8 +113,10 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": round(float(med), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
 
 
-def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
+def summarize(e2e: list[dict], traced: list[dict], declared: dict[str, dict],
               rebaseline: bool = False) -> dict:
+    """One workload's entry. ``declared`` maps each end-to-end metric to its
+    ``BENCHMARK.json`` entry, of which ``better`` and ``bound`` are read."""
     runs = [pair[side] for pair in e2e + traced for side in ("parent", "change")]
     if not all(r["correct"] for r in runs):
         raise SystemExit("a run was not correct; nothing written")
@@ -134,17 +136,21 @@ def summarize(e2e: list[dict], traced: list[dict], better: dict[str, str],
     for metric, unit in e2e[0]["parent"]["units"].items():
         values = {side: [pair[side]["metrics"][metric] for pair in e2e]
                   for side in ("parent", "change")}
-        sign = -1.0 if better[metric] == "lower" else 1.0
+        better, bound = declared[metric]["better"], declared[metric]["bound"]
+        sign = -1.0 if better == "lower" else 1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         stats = {side: spread(v) for side, v in values.items()}
         base, med = (float(np.median(values[side])) for side in ("parent", "change"))
         entry["end_to_end"][metric] = {
-            "unit": unit, "better": better[metric], **stats,
+            "unit": unit, "better": better, "bound": bound, **stats,
             "change_better_pairs": int(wins),
             # a gain may be claimed: the change won at least 9 in 10 pairs and its
             # median beats the parent's by more than the parent's quartile spread
             "meets_claim_rule": bool(10 * wins >= 9 * len(e2e) and sign * (med - base)
                                      > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            # the regression check: the change's median is worse than the
+            # parent's by no more than ``bound``, a share of the parent's median
+            "within_bound": bool(-sign * (med - base) <= bound * abs(base)),
             "median_change_pct": round(100.0 * (med - base) / base, 1),
             "runs": {side: [round(x, 6) for x in v] for side, v in values.items()},
         }
@@ -183,7 +189,7 @@ def main(argv=None) -> int:
                              "side's digests and failures instead of refusing")
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     base = git("rev-parse", "--short", args.base).decode().strip()
     head = git("rev-parse", "--short", "HEAD").decode().strip()
     dirty = dirty_paths()
@@ -195,7 +201,7 @@ def main(argv=None) -> int:
         for workload in args.workload or gated:
             e2e = alternate(sides, args.pairs, workload, args.seconds, 0)
             traced = alternate(sides, TRACED_PAIRS, workload, args.seconds, 1)
-            entry = summarize(e2e, traced, better, args.rebaseline)
+            entry = summarize(e2e, traced, metrics, args.rebaseline)
             entry["command"] = (f"python3 perfbench/run.py --workload {workload} "
                                 f"--seconds {args.seconds:g} --trace 0|1")
             doc.setdefault("workloads" if workload in gated else "ungated", {})[workload] = entry
@@ -208,7 +214,9 @@ def main(argv=None) -> int:
                   "per-run values the benchmark prints; change_better_pairs counts pairs the "
                   "change won, ties counting for neither; meets_claim_rule is true when the "
                   "change won at least nine tenths of the pairs and its median is better "
-                  "than the parent's by more than the parent's q3 - q1; per_layer holds "
+                  "than the parent's by more than the parent's q3 - q1; within_bound is true "
+                  "when the change's median is worse than the parent's by no more than the "
+                  "metric's BENCHMARK.json bound, a share of the parent's median; per_layer holds "
                   "medians of the --trace 1 runs, null on a side that does not print "
                   "the metric",
         "hardware": f"{platform.machine()} {platform.system()}, {len(os.sched_getaffinity(0))} "
