@@ -4,12 +4,14 @@ Sampson scoring, pose recovery, and triangulation parallax angles.
 ``result, = short_ransac([(corrs, calib, rng)])``.
 
 Every eight-point fit runs in ``_fundamental_stack``, over a stack of
-point sets at once. A fit on exactly 8 points, which is every hypothesis
-and a refit on 8 inliers, is closed-form and calls no SVD: Householder
-reflectors give the null vector and a 3x3 eigensolve the rank-2 step
-(``_minimal_solve``). A fit on more points uses SVDs for both, so the
-models a search stores keep LAPACK's bits unless they were refit on
-exactly 8 inliers.
+point sets at once with the stack on the last axis: one call solves every
+hypothesis of a ``short_ransac`` call and one refits every winner, on
+zero-padded inlier sets. A fit on exactly 8 points, which is every
+hypothesis and a refit on 8 inliers, is closed-form and calls neither
+LAPACK's QR nor an SVD: Householder reflectors written in numpy give the
+null vector and a 3x3 eigensolve the rank-2 step (``_minimal_solve``). A
+fit on more points uses SVDs for both, so the models a search stores keep
+LAPACK's bits unless they were refit on exactly 8 inliers.
 
 ``sampson_errors`` scores one model or a stack of them against all
 matches at once. ``recover_pose`` takes a stack of essential matrices
@@ -89,107 +91,150 @@ def _search_points(corrs, inverses) -> np.ndarray:
     return h
 
 
-def _fundamental_stack(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized eight-point estimates for a stack of point sets.
+def _fundamental_stack(P: np.ndarray, sizes: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized eight-point estimates for a stack of point sets, the stack
+    on the last axis.
 
-    ``pa`` and ``pb`` are (h, m, 2) with m >= 8. Returns (h, 3, 3) rank-2,
-    unit-Frobenius models and an (h,) mask that is False where a set is
-    degenerate (coincident points, or a design matrix of rank below 8);
-    the model of a masked-out set is finite but meaningless. Every
-    operation runs on the whole stack, with the same floating-point
-    operations per set as a one-set solve, so a set's model does not
-    depend on the stack it was solved in. That holds for any input
-    layout: the inputs are made C-contiguous first, since numpy's
-    reductions may sum in another order over other strides.
+    ``P`` is (2, 2, m, h): image, coordinate, point and set, so P[0, :, i,
+    k] is point i of set k in image a. Set k holds its first ``sizes[k]``
+    points, at least 8, or all m without ``sizes``; zeros pad the rest.
+    Returns (h, 3, 3) rank-2, unit-Frobenius models and an (h,) mask that is
+    False where a set is degenerate (coincident points, or a design matrix
+    of rank below 8); the model of a masked-out set is finite but
+    meaningless.
 
-    With m > 8 the null vector of the design matrix A comes from an SVD,
-    a set needs sigma_8 > 1e-10 sigma_1, and the rank-2 step is a 3x3 SVD
-    with sigma_3 set to 0. With m == 8 the solve is ``_minimal_solve``'s
-    closed form, which needs no SVD at all.
+    The Hartley normalization and the transposed design matrix, (9, m, h),
+    are built once for the stack. Each step is elementwise or a sum added
+    in index order, to which padding adds exact zeros, so a set's bits do
+    not depend on its stack, its padding or the strides of ``P``. Per
+    distinct size run only the mean distance to the centroid, numpy's
+    pairwise sum over a contiguous copy of those sets' distances as np.mean
+    sums one set's, and the null vector of A: at size 8 ``_minimal_solve``'s
+    closed form, which calls no SVD, and above it an SVD, where a set needs
+    sigma_8 > 1e-10 sigma_1. Once for the stack, a 3x3 SVD with sigma_3 set
+    to 0 makes the SVD null vectors rank-2, and every model is
+    de-normalized, scaled to unit norm and signed.
     """
-    pa, pb = np.ascontiguousarray(pa), np.ascontiguousarray(pb)
-    h, m = pa.shape[:2]
+    _, _, m, h = P.shape
+    if sizes is None:
+        sizes, by_size = np.full(h, m), [(m, slice(None))]
+    else:
+        by_size = [(n, np.flatnonzero(sizes == n)) for n in dict.fromkeys(sizes.tolist())]
     # Hartley, both images in one pass: centroid to the origin, mean radius
     # to sqrt(2); a mean is sum / m and a norm sqrt(sum of squares), the
     # operations np.mean and np.linalg.norm run
-    pts = np.stack([pa, pb])
-    # points added one after another, as np.mean adds one set's (m, 2)
-    # points; a copy with the points outermost adds a whole stack per step
-    c = np.moveaxis(pts, 2, 0).copy().sum(axis=0) / m
-    centered = pts - c[:, :, None, :]
+    c = _ordered_sum(np.moveaxis(P, 2, 0)) / sizes    # (2, 2, h)
+    centered = P - c[:, :, None]
     # x^2 + y^2 is one addition, so it rounds as the sum over the last axis would
     sq = centered * centered
-    mean_dist = np.sqrt(sq[..., 0] + sq[..., 1]).sum(axis=2) / m
+    dist = np.sqrt(sq[:, 0] + sq[:, 1])
+    mean_dist = np.empty((2, h))
+    for n, sets in by_size:
+        mean_dist[:, sets] = np.ascontiguousarray(
+            dist[:, :n, sets].transpose(0, 2, 1)).sum(axis=2) / n
+    del sq, dist
     coincident = mean_dist < 1e-9
     ok = ~coincident.any(axis=0)
     s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
     T = np.zeros((2, h, 3, 3))
     T[..., 0, 0] = T[..., 1, 1] = s
-    T[..., :2, 2] = -s[..., None] * c
+    T[..., :2, 2] = -s[..., None] * c.transpose(0, 2, 1)
     T[..., 2, 2] = 1.0
-    xa, xb = centered * s[..., None, None]
-    # row k of A is the outer product x_b x_a^T of match k with x = [x y 1],
-    # flattened: (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
-    A = np.empty((h, m, 9))
-    A[..., 0:2], A[..., 2] = xb[..., :1] * xa, xb[..., 0]
-    A[..., 3:5], A[..., 5] = xb[..., 1:] * xa, xb[..., 1]
-    A[..., 6:8], A[..., 8] = xa, 1.0
-    # a stacked solve's peak memory is the decomposition's copies of A: drop
-    # the arrays A was built from first
-    del pts, centered, sq, xa, xb
-    if m == MIN_MATCHES:
-        F, solvable = _minimal_solve(A)
-    else:
-        _, sv, Vt = np.linalg.svd(A, full_matrices=False)
-        solvable = (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
-        U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+    centered *= s[:, None, None]
+    (x1, y1), (x2, y2) = centered
+    # column k of A^T is row k of A, the outer product x_b x_a^T of match k
+    # with x = [x y 1], flattened: (x2 x1, x2 y1, x2, y2 x1, y2 y1, y2, x1, y1, 1)
+    At = np.empty((9, m, h))
+    At[0], At[1], At[2] = x2 * x1, x2 * y1, x2
+    At[3], At[4], At[5] = y2 * x1, y2 * y1, y2
+    At[6], At[7], At[8] = x1, y1, 1.0
+    # drop the arrays A was built from before the solves allocate theirs
+    del centered, x1, y1, x2, y2
+    G = np.empty((h, 3, 3))
+    solvable = np.empty(h, dtype=bool)
+    for n, sets in by_size:
+        if n == MIN_MATCHES:
+            G[sets], solvable[sets] = _minimal_solve(At[:, :n, sets])
+        else:
+            _, sv, Vt = np.linalg.svd(At[:, :n, sets].transpose(2, 1, 0), full_matrices=False)
+            solvable[sets] = (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
+            G[sets] = Vt[:, -1].reshape(-1, 3, 3)
+    del At
+    least_squares = np.flatnonzero(sizes > MIN_MATCHES)
+    if least_squares.size:
+        U, sf, Vft = np.linalg.svd(G[least_squares])
         sf[:, 2] = 0.0
-        F = (U * sf[:, None, :]) @ Vft
+        G[least_squares] = (U * sf[:, None, :]) @ Vft
     ok &= solvable
-    F = np.swapaxes(T[1], 1, 2) @ F @ T[0]
+    F = np.swapaxes(T[1], 1, 2) @ G @ T[0]
     flat = F.reshape(-1, 1, 9)
     # a per-set dot product, rounded as np.linalg.norm rounds a single matrix
     F /= np.sqrt(flat @ np.swapaxes(flat, 1, 2))
     return _fix_sign(F), ok
 
 
-def _minimal_solve(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-2 models of a stack of (h, 8, 9) design matrices, in their
-    normalized frame, and an (h,) mask that is False where A has rank
-    below 8.
+def _minimal_solve(At: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-2 models of a stack of 8x9 design matrices A, given as A^T,
+    (9, 8, h) with the stack last, in their normalized frame, and an (h,)
+    mask that is False where A has rank below 8. Overwrites ``At``.
 
-    A^T = QR by eight Householder reflectors (LAPACK's geqrf alone; no Q
-    is formed). A's null space is spanned by Q's last column, which is e9
-    with the reflectors applied, the last first: f[k:] -= tau_k v_k (v_k .
-    f[k:]). A set needs min |R_kk| > 1e-10 max |R_kk|; that ratio is at
-    least sigma_8 / sigma_1, so the test accepts every set an SVD's
-    sigma_8 > 1e-10 sigma_1 accepts. A batched LU solve would raise for the
-    whole stack when one set is singular, and fixing f33 = 1 excludes
-    models where it is 0. The stack runs along the last axis, and each dot
-    product adds its terms in index order, so a set's bits do not depend
-    on the stack.
+    A^T = QR by eight Householder reflectors H_k = I - tau_k v_k v_k^T
+    (Golub & Van Loan, Matrix Computations, 5.2.1), formed in place as
+    LAPACK's geqrf stores them: H_k maps rows k.. of column k to R_kk e1,
+    R_kk = -sign(a_kk) times their norm, and v_k has a leading 1. No Q is
+    formed. A's null space is spanned by Q's last column, which is e9 with
+    the reflectors applied, the last first: f[k:] -= tau_k v_k (v_k .
+    f[k:]). Every norm and dot product adds its terms in index order and
+    every other step is elementwise, so a set's bits do not depend on its
+    stack, a stack of one included. A set needs min |R_kk| > 1e-10 max
+    |R_kk|; that ratio is at least sigma_8 / sigma_1, so the test accepts
+    every set an SVD's sigma_8 > 1e-10 sigma_1 accepts. A zero column
+    (rank below 8) takes H_k = I - e1 e1^T, which keeps the masked set
+    finite. A batched LU solve would raise for the whole stack when one set
+    is singular, and fixing f33 = 1 excludes models where it is 0.
     """
-    # row k of H is column k of geqrf's output: R_0k .. R_kk, then the
-    # tail of reflector k, whose implicit leading 1 sits where R_kk is
-    H, tau = np.linalg.qr(np.swapaxes(A, 1, 2), mode="raw")
-    V = np.moveaxis(H, 0, -1).copy()   # stack last, so each step reads contiguous rows
-    del H
-    diag = np.arange(8)
-    d = np.abs(V[diag, diag])
+    h = At.shape[2]
+    d = np.empty((8, h))
+    tau = np.empty((8, h))
+    for k in range(8):
+        x = At[k:, k]    # column k from the diagonal down: a_kk, then the tail
+        norm = np.sqrt(_ordered_sum(x * x), out=d[k])
+        # -R_kk: the norm with a_kk's sign, or 1 for a zero column, so that
+        # a_kk - R_kk = a_kk + neg adds two terms of one sign
+        neg = np.copysign(np.where(norm > 0.0, norm, 1.0), x[0])
+        scale = x[0] + neg
+        np.divide(scale, neg, out=tau[k])
+        x[1:] /= scale
+        x[0] = 1.0
+        # the reflector on the columns right of k, one row at a time: a
+        # (rows, columns, h) temporary would not stay in cache
+        rest = At[k:, k + 1:]
+        w = rest[0].copy()
+        for i in range(1, 9 - k):
+            w += x[i] * rest[i]
+        w *= tau[k]
+        rest[0] -= w
+        for i in range(1, 9 - k):
+            rest[i] -= w * x[i]
     largest = d.max(axis=0)
     solvable = (largest > 0.0) & (d.min(axis=0) > largest * 1e-10)
-    V[diag, diag] = 1.0
-    tau = np.ascontiguousarray(tau.T)
-    f = np.zeros((9, len(A)))
+    f = np.zeros((9, h))
     f[8] = 1.0
     for k in range(7, -1, -1):
-        terms = V[k, k:] * f[k:]
-        w = terms[0].copy()
-        for term in terms[1:]:
-            w += term
-        f[k:] -= w * tau[k] * V[k, k:]
-    del V   # before the rank-2 step allocates its temporaries
+        v = At[k:, k]
+        f[k:] -= _ordered_sum(v * f[k:]) * tau[k] * v
     return _rank2(f.T.reshape(-1, 3, 3)), solvable
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    # the rows of terms added in index order, as a loop of scalar additions
+    # adds them; numpy's reductions may add pairwise, in an order that
+    # depends on the shape and strides
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _rank2(G: np.ndarray) -> np.ndarray:
@@ -364,8 +409,9 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
-def _select(points, groups, thresholds, rngs, iterations: int) -> list:
-    """The select stage of ``short_ransac``: the searches' points, their
+def _select(points, joined, offsets, groups, thresholds, rngs, iterations: int) -> list:
+    """The select stage of ``short_ransac``: the searches' points, all of
+    them joined stack-last with each search's offset into them, their
     indices grouped by match count, squared thresholds and generators, and
     the draws per search.
 
@@ -373,11 +419,10 @@ def _select(points, groups, thresholds, rngs, iterations: int) -> list:
     where no hypothesis keeps 8 inliers. The winner's model and mask are
     copies, so they keep none of the stage's arrays alive.
     """
-    sizes = [p.shape[1] for p in points]
-    samples = _draw_samples(rngs, sizes, iterations)
-    # one gather: each search's indices shifted to its rows of the joined points
-    samples += np.repeat(np.cumsum([0] + sizes[:-1]), iterations)[:, None]
-    models, ok = _fundamental_stack(*np.concatenate(points, axis=1)[:, samples, :2])
+    samples = _draw_samples(rngs, [p.shape[1] for p in points], iterations)
+    # one gather, stack last: each search's indices shifted to its columns of the joined points
+    samples += np.repeat(offsets, iterations)[:, None]
+    models, ok = _fundamental_stack(joined[:, :, samples.T])
     models = models.reshape(len(points), iterations, 3, 3)
     ok = ok.reshape(len(points), iterations)
     picks = [None] * len(points)
@@ -412,14 +457,16 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
 
     The call runs each of its three stages once over all its searches.
     *Select*: each search draws ``iterations`` uniform 8-subsets from its
-    own ``rng`` in one call, all are solved in one ``_fundamental_stack``
-    (closed-form, no SVD), searches with equal match counts are scored in
-    one Sampson pass, and each picks the hypothesis with the most inliers
-    under the squared threshold (ties: lower inlier-error total, then the
-    earlier draw; see ``_winners``). *Refit*: the winners are refit on
-    their inliers in one ``_fundamental_stack`` per inlier count, so an
-    8-inlier refit takes the closed-form minimal solve and the others
-    SVDs; a degenerate refit keeps the winning hypothesis. The calibrated
+    own ``rng`` in one call, all are gathered stack-last and solved in one
+    ``_fundamental_stack`` (closed-form: no LAPACK QR and no SVD),
+    searches with equal match counts are scored in one Sampson pass, and
+    each picks the hypothesis with the most inliers under the squared
+    threshold (ties: lower inlier-error total, then the earlier draw; see
+    ``_winners``). *Refit*: every winner is refit on its inliers in one
+    more ``_fundamental_stack`` call, on inlier sets zero-padded to the
+    largest count, so an 8-inlier refit takes the closed-form minimal
+    solve and the others SVDs, one per distinct inlier count; a
+    degenerate refit keeps the winning hypothesis. The calibrated
     refits are projected onto the essential manifold in one
     ``_project_essential`` call. *Finish*: per match count, as in the
     select stage, the final models recount their inliers in one Sampson
@@ -463,16 +510,24 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     # select and finish stages' Sampson passes
     sizes = [p.shape[1] for p in points]
     groups = [[k for k, size in enumerate(sizes) if size == m] for m in dict.fromkeys(sizes)]
-    picks = _select(points, groups, thresholds, [rng for *_, rng in searches], iterations)
+    # every search's points, (image, coordinate, point) with the points of
+    # one search after another, and a last zero point that pads the refit
+    offsets = np.cumsum([0] + sizes[:-1])
+    joined = np.zeros((2, 2, sum(sizes) + 1))
+    joined[:, :, :-1] = np.concatenate(points, axis=1)[:, :, :2].transpose(0, 2, 1)
+    picks = _select(points, joined, offsets, groups, thresholds,
+                    [rng for *_, rng in searches], iterations)
 
     final = [None] * len(points)
     found = [k for k, pick in enumerate(picks) if pick is not None]
-    counts = [np.count_nonzero(picks[k][1]) for k in found]
-    for count in dict.fromkeys(counts):
-        same = [k for k, c in zip(found, counts) if c == count]
-        refits, refit_ok = _fundamental_stack(
-            *np.stack([points[k][:, picks[k][1], :2] for k in same], axis=1))
-        for k, refit, good in zip(same, refits, refit_ok):
+    if found:
+        inliers = [np.flatnonzero(picks[k][1]) + offsets[k] for k in found]
+        counts = np.array([len(rows) for rows in inliers])
+        padded = np.full((counts.max(), len(found)), sum(sizes))
+        for j, rows in enumerate(inliers):
+            padded[:len(rows), j] = rows
+        refits, refit_ok = _fundamental_stack(joined[:, :, padded], counts)
+        for k, refit, good in zip(found, refits, refit_ok):
             # a degenerate refit keeps the winning hypothesis as the final model
             final[k] = refit if good else picks[k][0]
     projected = [k for k in found if searches[k][1] is not None]

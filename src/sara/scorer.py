@@ -124,9 +124,9 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
 # this many // ransac_iterations at a time: 24 pairs at 32 iterations. The
 # search's stacked arrays grow with its hypothesis sets, so this one bound
 # caps them and the matches alive at once; scores do not depend on it. On
-# orbit_sparse, against 768, the selection runs 5.6% slower at 512 and 3.3%
-# faster at 1024, and the fresh-process peak RSS is 0.53 MB lower and 0.87 MB
-# higher.
+# orbit_sparse, against 768, the selection runs 7.3% slower at 512 and 3.9%
+# faster at 1024, and the fresh-process peak RSS is 0.77 MB lower and 0.89 MB
+# higher (medians of six round-robin 8 s runs, one refit call per window).
 _WINDOW_HYPOTHESES = 768
 
 

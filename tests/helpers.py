@@ -106,18 +106,76 @@ def robust_search(corrs, calib=None, iterations: int = 32, inlier_threshold: flo
     return result
 
 
-def lapack_minimal_solve(A: np.ndarray):
+def lapack_minimal_solve(At: np.ndarray):
     """The minimal eight-point solve as LAPACK forms it, a drop-in for
-    ``sara.epipolar._minimal_solve``: the null vector of each (8, 9) design
-    matrix is Q's last column in the complete QR of A^T, the rank-2 step a
-    3x3 SVD with sigma_3 set to 0, and a set is solvable where min |R_kk| >
-    1e-10 max |R_kk|."""
-    Q, R = np.linalg.qr(np.swapaxes(A, 1, 2), mode="complete")
+    ``sara.epipolar._minimal_solve``, which takes each (8, 9) design matrix
+    transposed, stack last, as (9, 8, h): the null vector of A is Q's last
+    column in the complete QR of A^T, the rank-2 step a 3x3 SVD with
+    sigma_3 set to 0, and a set is solvable where min |R_kk| > 1e-10 max
+    |R_kk|."""
+    Q, R = np.linalg.qr(np.moveaxis(At, 2, 0), mode="complete")
     d = np.abs(np.diagonal(R, axis1=1, axis2=2))
     solvable = (d.max(axis=1) > 0.0) & (d.min(axis=1) > d.max(axis=1) * 1e-10)
     U, s, Vt = np.linalg.svd(Q[:, :, -1].reshape(-1, 3, 3))
     s[:, 2] = 0.0
     return (U * s[:, None, :]) @ Vt, solvable
+
+
+def stack_last(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """(h, m, 2) point sets of images a and b as the (2, 2, m, h) stack that
+    ``sara.epipolar._fundamental_stack`` takes (image, coordinate, point,
+    set): a strided view of one copy."""
+    return np.stack([pa, pb]).transpose(0, 3, 2, 1)
+
+
+def per_count_refits(sets):
+    """Eight-point fits of ``sets``, (pa, pb) pairs of (n, 2) points, as the
+    robust search refit its winners before its refit became one call: one
+    stacked solve per distinct n, in the (h, n, 2) layout. Hartley takes a
+    sequential centroid sum and numpy's pairwise sum of the distances; the
+    null vector is the SVD's, made rank-2 by a 3x3 SVD with sigma_3 set to
+    0, and a set is degenerate where sigma_8 <= 1e-10 sigma_1 or its points
+    coincide. At n == 8 the solve is ``lapack_minimal_solve``, which equals
+    the closed form only up to rounding. Returns (models, ok) in input
+    order."""
+    models, ok = [None] * len(sets), [None] * len(sets)
+    sizes = [len(pa) for pa, _ in sets]
+    for n in dict.fromkeys(sizes):
+        same = [k for k, size in enumerate(sizes) if size == n]
+        pts = np.stack([np.stack([sets[k][i] for k in same]) for i in (0, 1)])
+        h = len(same)
+        c = np.moveaxis(pts, 2, 0).copy().sum(axis=0) / n
+        centered = pts - c[:, :, None, :]
+        sq = centered * centered
+        mean_dist = np.sqrt(sq[..., 0] + sq[..., 1]).sum(axis=2) / n
+        coincident = mean_dist < 1e-9
+        s = math.sqrt(2.0) / np.where(coincident, 1.0, mean_dist)
+        T = np.zeros((2, h, 3, 3))
+        T[..., 0, 0] = T[..., 1, 1] = s
+        T[..., :2, 2] = -s[..., None] * c
+        T[..., 2, 2] = 1.0
+        xa, xb = centered * s[..., None, None]
+        A = np.empty((h, n, 9))
+        A[..., 0:2], A[..., 2] = xb[..., :1] * xa, xb[..., 0]
+        A[..., 3:5], A[..., 5] = xb[..., 1:] * xa, xb[..., 1]
+        A[..., 6:8], A[..., 8] = xa, 1.0
+        if n == 8:
+            F, solvable = lapack_minimal_solve(A.transpose(2, 1, 0))
+        else:
+            _, sv, Vt = np.linalg.svd(A, full_matrices=False)
+            solvable = (sv[:, 0] > 0.0) & (sv[:, 7] > sv[:, 0] * 1e-10)
+            U, sf, Vft = np.linalg.svd(Vt[:, -1].reshape(-1, 3, 3))
+            sf[:, 2] = 0.0
+            F = (U * sf[:, None, :]) @ Vft
+        F = np.swapaxes(T[1], 1, 2) @ F @ T[0]
+        flat = F.reshape(-1, 1, 9)
+        F /= np.sqrt(flat @ np.swapaxes(flat, 1, 2))
+        flat = F.reshape(-1, 9)
+        lead = flat[np.arange(h), np.argmax(np.abs(flat), axis=1)]
+        F = np.where(lead[:, None, None] < 0.0, -F, F)
+        for k, model, good in zip(same, F, ~coincident.any(axis=0) & solvable):
+            models[k], ok[k] = model, bool(good)
+    return models, ok
 
 
 @dataclasses.dataclass

@@ -576,9 +576,11 @@ class TestScoreAll:
         # the benchmark times the robust search as the span of
         # scorer.short_ransac: one call per window of _WINDOW_HYPOTHESES //
         # ransac_iterations sorted pairs, holding each of the window's pairs
-        # with at least 8 matches. Inside it, one recover_pose call per match
-        # count with posed rows, holding those rows' models in search order.
-        # Image 1 keeps 60 keypoints, so a window poses two match counts
+        # with at least 8 matches. Inside it, two fit calls, the select
+        # stage's and one refit of every winner, and one recover_pose call
+        # per match count with posed rows, holding those rows' models in
+        # search order. Image 1 keeps 60 keypoints, so a window poses two
+        # match counts
         few = orbit16_features[1]
         features = list(orbit16_features)
         features[1] = dataclasses.replace(few, keypoints=few.keypoints[:60],
@@ -588,7 +590,8 @@ class TestScoreAll:
         pairs = sorted((i, j) for i in range(n) for j in range(i + 1, n))
         index = {f.image_id: k for k, f in enumerate(features)}
         match, search, recover = scorer.mutual_nn_matches, scorer.short_ransac, epipolar.recover_pose
-        matched, calls, open_calls, poses = [], [], [], []
+        solve = epipolar._fundamental_stack
+        matched, calls, open_calls, poses, fits = [], [], [], [], []
 
         def matching(fa, fb, b, work=None):
             matched.append(((index[fa.image_id], index[fb.image_id]), match(fa, fb, b, work)))
@@ -610,9 +613,14 @@ class TestScoreAll:
             poses.append((list(open_calls), na.shape[1], [M.tobytes() for M in E]))
             return results
 
+        def fitting(P, sizes=None):
+            fits.append((list(open_calls), "select" if sizes is None else "refit"))
+            return solve(P, sizes)
+
         monkeypatch.setattr(scorer, "mutual_nn_matches", matching)
         monkeypatch.setattr(scorer, "short_ransac", searching)
         monkeypatch.setattr(epipolar, "recover_pose", recovering)
+        monkeypatch.setattr(epipolar, "_fundamental_stack", fitting)
         scores = score_all(features, set(pairs), SaraConfig())
         per = scorer._WINDOW_HYPOTHESES // SaraConfig().ransac_iterations
         windows = [pairs[start:start + per] for start in range(0, len(pairs), per)]
@@ -621,6 +629,8 @@ class TestScoreAll:
         assert len(searched) > 100
         for window, call in zip(windows, calls):
             assert call == [pair for pair in window if pair in searched]
+        assert fits == [([w], stage) for w in range(1, len(windows) + 1)
+                        for stage in ("select", "refit")]
         sizes = dict(matched)
         expected = []
         for w, call in enumerate(calls, start=1):
