@@ -52,7 +52,7 @@ class SaraConfig:
     budget_weak_total: int | None = _budget("weak-edge global cap", "budget_weak_total")
     seed: int = _knob(0, "RNG seed, 0 to 2**64 - 1")
 
-    # not fields: read only by perfbench/checks.py until ROADMAP item 1 drops the reads
+    # not fields: read only by perfbench/checks.py until ROADMAP item 3 drops the reads
     alpha = beta = 1.0
     use_loops = use_anchors = use_weak = True
 

@@ -21,8 +21,9 @@ triangulates all four decompositions of every E in one stacked
 returns only the inliers, each row's winning pose with its angles.
 
 Conventions. Pixel points are (x, y); homogeneous scale is 1. Models
-satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). The calibrated
-branch works in normalized camera coordinates K^-1 [x y 1]^T; the world
+satisfy x_b^T M x_a = 0 for a correspondence (x_a, x_b). Every search
+runs in pixels; K enters only at a calibrated search's finish, as E =
+K_b^T F K_a on normalized camera coordinates K^-1 [x y 1]^T. The world
 frame is camera a's frame, camera b is X_b = R X + t, so camera b's
 center is -R^T t. Translation scale is not observable; t is unit norm.
 """
@@ -77,18 +78,6 @@ class TwoViewModel:
     rotation: np.ndarray | None = None
     translation: np.ndarray | None = None
     triangulation_angles: np.ndarray | None = None
-
-
-def _search_points(corrs, inverses) -> np.ndarray:
-    """(2, m, 3) homogeneous points of images a and b, each [x y 1]: pixels,
-    or with the two inverse intrinsics ``inverses`` the first two
-    coordinates of K^-1 [x y 1]^T."""
-    h = np.ones((2, len(corrs), 3))
-    h[0, :, :2], h[1, :, :2] = corrs.x_a, corrs.x_b
-    if inverses is not None:
-        h = h @ np.swapaxes(np.stack(inverses), 1, 2)
-        h[..., 2] = 1.0   # only the first two coordinates count, for any K
-    return h
 
 
 def _fundamental_stack(P: np.ndarray, sizes: np.ndarray | None = None
@@ -374,16 +363,6 @@ def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
     return idx[:, :MIN_MATCHES]
 
 
-def _threshold_sq(calib, inlier_threshold: float) -> float:
-    # a pixel distance squared; in normalized coordinates it is scaled by the
-    # inverse squared mean focal length of the two K
-    if calib is None:
-        return inlier_threshold ** 2
-    K_a, K_b = calib
-    fbar = float(np.mean([K_a[0, 0], K_a[1, 1], K_b[0, 0], K_b[1, 1]]))
-    return (inlier_threshold / fbar) ** 2
-
-
 def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | None]:
     """Each search's winning hypothesis row, or None where none keeps 8 inliers.
 
@@ -409,11 +388,11 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
-def _select(points, joined, offsets, groups, thresholds, rngs, iterations: int) -> list:
-    """The select stage of ``short_ransac``: the searches' points, all of
-    them joined stack-last with each search's offset into them, their
-    indices grouped by match count, squared thresholds and generators, and
-    the draws per search.
+def _select(points, joined, offsets, groups, threshold_sq: float, rngs, iterations: int) -> list:
+    """The select stage of ``short_ransac``: the searches' pixel points, all
+    of them joined stack-last with each search's offset into them, their
+    indices grouped by match count, the squared pixel threshold, the
+    generators and the draws per search.
 
     Returns each search's (winning hypothesis, its inlier mask), or None
     where no hypothesis keeps 8 inliers. The winner's model and mask are
@@ -429,7 +408,7 @@ def _select(points, joined, offsets, groups, thresholds, rngs, iterations: int) 
     for group in groups:
         ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
         errs = _sampson(models[group], ha, hb)
-        masks = errs < thresholds[group, None, None]
+        masks = errs < threshold_sq
         for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
             if row is not None:
                 picks[k] = models[k, row].copy(), masks[j, row].copy()
@@ -444,16 +423,15 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     ``TwoViewModel``, or the NoModelFound or CheiralityAmbiguity that ended
     it, returned, not raised; ``[]`` for no searches.
 
-    ``searches`` holds one (corrs, calib, rng) triple per search. Without
-    ``calib`` a search fits a fundamental matrix in pixels; with the two
-    intrinsics (K_a, K_b) it runs in normalized coordinates, ends in an
-    essential matrix with a pose, and the square of the pixel
-    ``inlier_threshold`` is scaled by the inverse squared mean focal
-    length of the two K. Each distinct K object is inverted once per call.
-    Before any generator is drawn from, ValueError is raised unless
-    ``iterations`` is an integer >= 1 and ``inlier_threshold`` is finite
-    and > 0, and InsufficientCorrespondences for a search with fewer than
-    8 matches.
+    ``searches`` holds one (corrs, calib, rng) triple per search. Every
+    search selects, refits and recounts its inliers in pixels, against the
+    square of the pixel ``inlier_threshold``. Without ``calib`` a search
+    ends in a fundamental matrix; with the two intrinsics (K_a, K_b) it
+    ends in an essential matrix with a pose. Each distinct K object is
+    inverted once per call. Before any generator is drawn from, ValueError
+    is raised unless ``iterations`` is an integer >= 1 and
+    ``inlier_threshold`` is finite and > 0, and InsufficientCorrespondences
+    for a search with fewer than 8 matches.
 
     The call runs each of its three stages once over all its searches.
     *Select*: each search draws ``iterations`` uniform 8-subsets from its
@@ -467,24 +445,25 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     largest count, so an 8-inlier refit takes the closed-form minimal
     solve and the others SVDs, one per distinct inlier count; a
     degenerate refit keeps the winning hypothesis. The calibrated
-    refits are projected onto the essential manifold in one
-    ``_project_essential`` call. *Finish*: per match count, as in the
-    select stage, the final models recount their inliers in one Sampson
-    pass, so stored inliers satisfy the threshold by construction; a
-    search needs 8 of them, and the calibrated searches that keep 8
-    recover their poses in one ``recover_pose`` call on their normalized
-    matches and inlier masks (``_finish``). A search without a winner ends
-    in NoModelFound("no hypothesis reached 8 inliers"), one whose final
-    model keeps fewer than 8 inliers in NoModelFound("refit model keeps
-    fewer than 8 inliers"), and one without a majority pose in the
-    CheiralityAmbiguity that ``recover_pose`` returns for its row. Each
-    result is bit-identical to a call on that search alone and to a
+    searches' models F are mapped to K_b^T F K_a and projected onto the
+    essential manifold in one ``_project_essential`` call. *Finish*: per
+    match count, as in the select stage, the final models recount their
+    inliers in pixels in one Sampson pass, an essential matrix E as
+    K_b^-T E K_a^-1, so stored inliers satisfy the threshold by
+    construction; a search needs 8 of them, and the calibrated searches
+    that keep 8 recover their poses in one ``recover_pose`` call on their
+    normalized points and inlier masks (``_finish``). A search without a
+    winner ends in NoModelFound("no hypothesis reached 8 inliers"), one
+    whose final model keeps fewer than 8 inliers in NoModelFound("refit
+    model keeps fewer than 8 inliers"), and one without a majority pose in
+    the CheiralityAmbiguity that ``recover_pose`` returns for its row.
+    Each result is bit-identical to a call on that search alone and to a
     search that solves and scores its hypotheses one at a time in draw
     order. Memory grows with the searches passed: the select stage holds
     iterations x matches floats per search. ``score_all`` bounds it by
     the hypothesis sets of its window.
 
-    Hypotheses stay rank-2 fundamental fits even in the calibrated branch:
+    Hypotheses stay rank-2 fundamental fits even for a calibrated search:
     the essential-manifold projection is brutal on noisy minimal samples,
     so it applies only to the overdetermined refit.
     """
@@ -503,9 +482,13 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     distinct = {id(K): K for _, calib, _ in searches if calib is not None for K in calib}
     inverse = (dict(zip(distinct, np.linalg.inv(np.stack(list(distinct.values())))))
                if distinct else {})
-    points = [_search_points(corrs, None if calib is None else [inverse[id(K)] for K in calib])
-              for corrs, calib, _ in searches]
-    thresholds = np.array([_threshold_sq(calib, inlier_threshold) for _, calib, _ in searches])
+    inverses = [None if calib is None else [inverse[id(K)] for K in calib]
+                for _, calib, _ in searches]
+    # each search's (2, m, 3) homogeneous pixel points [x y 1] of images a and b
+    points = [np.ones((2, len(corrs), 3)) for corrs, _, _ in searches]
+    for h, (corrs, _, _) in zip(points, searches):
+        h[0, :, :2], h[1, :, :2] = corrs.x_a, corrs.x_b
+    threshold_sq = inlier_threshold ** 2
     # the searches by match count, in the order the counts first appear: the
     # select and finish stages' Sampson passes
     sizes = [p.shape[1] for p in points]
@@ -515,7 +498,7 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     offsets = np.cumsum([0] + sizes[:-1])
     joined = np.zeros((2, 2, sum(sizes) + 1))
     joined[:, :, :-1] = np.concatenate(points, axis=1)[:, :, :2].transpose(0, 2, 1)
-    picks = _select(points, joined, offsets, groups, thresholds,
+    picks = _select(points, joined, offsets, groups, threshold_sq,
                     [rng for *_, rng in searches], iterations)
 
     final = [None] * len(points)
@@ -530,48 +513,60 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
         for k, refit, good in zip(found, refits, refit_ok):
             # a degenerate refit keeps the winning hypothesis as the final model
             final[k] = refit if good else picks[k][0]
-    projected = [k for k in found if searches[k][1] is not None]
-    if projected:
-        for k, E in zip(projected, _project_essential(np.stack([final[k] for k in projected]))):
+    calibrated = [k for k in found if inverses[k] is not None]
+    if calibrated:
+        K_a, K_b = np.stack([searches[k][1] for k in calibrated], axis=1)
+        F = np.stack([final[k] for k in calibrated])
+        for k, E in zip(calibrated, _project_essential(np.swapaxes(K_b, 1, 2) @ F @ K_a)):
             final[k] = E
 
     results = [NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers") if M is None
                else None for M in final]
-    calibrated = np.array([calib is not None for _, calib, _ in searches])
     for group in groups:
         group = [k for k in group if final[k] is not None]
         if group:
             finished = _finish([final[k] for k in group],
                                np.stack([points[k] for k in group], axis=1),
-                               thresholds[group], calibrated[group])
+                               [inverses[k] for k in group], threshold_sq)
             for k, result in zip(group, finished):
                 results[k] = result
     return results
 
 
-def _finish(models, points, thresholds, calibrated) -> list:
+def _finish(models, points, inverses, threshold_sq: float) -> list:
     """One finish group of ``short_ransac``: s final (3, 3) models, the
-    searches' (2, s, m, 3) points, squared thresholds and calibrated flags,
-    all of one match count m.
+    searches' (2, s, m, 3) pixel points, all of one match count m, each
+    search's inverse intrinsics (K_a^-1, K_b^-1) or None where it has no
+    intrinsics, and the squared pixel threshold.
 
-    Recounts every search's inliers against its final model in one
-    ``_sampson`` call and recovers every calibrated pose that keeps 8
-    inliers in one ``recover_pose`` call. Returns each search's
-    TwoViewModel, or the NoModelFound or CheiralityAmbiguity that ended it.
+    Recounts every search's inliers in pixels in one ``_sampson`` call, a
+    fundamental matrix as it is and an essential matrix E as K_b^-T E
+    K_a^-1, and recovers the pose of every calibrated search that keeps 8
+    inliers from their normalized points K^-1 [x y 1]^T in one
+    ``recover_pose`` call. Returns each search's TwoViewModel, or the
+    NoModelFound or CheiralityAmbiguity that ended it.
     """
     ha, hb = points
     stacked = np.stack(models)
-    masks = _sampson(stacked, ha, hb) < thresholds[:, None]
+    pixel = stacked.copy()
+    calibrated = [j for j, inv in enumerate(inverses) if inv is not None]
+    if calibrated:
+        inv_a, inv_b = np.stack([inverses[j] for j in calibrated], axis=1)
+        pixel[calibrated] = np.swapaxes(inv_b, 1, 2) @ stacked[calibrated] @ inv_a
+    masks = _sampson(pixel, ha, hb) < threshold_sq
     kept = masks.sum(axis=1) >= MIN_MATCHES
-    posed = np.flatnonzero(kept & calibrated)
-    poses = iter(recover_pose(stacked[posed], ha[posed, :, :2], hb[posed, :, :2], masks[posed])
-                 if posed.size else ())
+    posed = [j for j in calibrated if kept[j]]
+    poses = iter(())
+    if posed:
+        inv = np.stack([inverses[j] for j in posed], axis=1)   # (2, p, 3, 3)
+        na, nb = (points[:, posed] @ np.swapaxes(inv, 2, 3))[..., :2]
+        poses = iter(recover_pose(stacked[posed], na, nb, masks[posed]))
     results = []
-    for M, mask, keep, calib in zip(models, masks, kept, calibrated):
+    for M, mask, keep, inv in zip(models, masks, kept, inverses):
         if not keep:
             results.append(NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers"))
             continue
-        pose = next(poses) if calib else (None, None, None)
+        pose = (None, None, None) if inv is None else next(poses)
         if isinstance(pose, CheiralityAmbiguity):
             results.append(pose)
             continue

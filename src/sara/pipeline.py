@@ -118,7 +118,7 @@ def run_select(manifest_path, config: SaraConfig, out_pairs, out_report,
     """Full selection pass: load, retrieve, score, build graph, write outputs.
 
     ``threads`` accepts only 1 and raises ValueError otherwise; it goes
-    once the benchmark stops passing ``threads=1`` (ROADMAP item 1).
+    once the benchmark stops passing ``threads=1`` (ROADMAP item 3).
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, not {threads}")

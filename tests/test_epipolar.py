@@ -22,7 +22,7 @@ EVERY_MATCH_PX = 1e9
 
 
 def normalize(pts, K):
-    """Pixels to normalized camera coordinates, as the calibrated search maps them."""
+    """Pixels to normalized camera coordinates, as a calibrated search maps them for its pose."""
     return (np.column_stack([pts, np.ones(len(pts))]) @ np.linalg.inv(K).T)[:, :2]
 
 
@@ -440,16 +440,24 @@ class TestShortRansac:
         errs = sampson_errors(model.matrix, corrs.x_a, corrs.x_b)
         assert (errs[model.inliers] < threshold ** 2).all()
 
-    def test_inliers_satisfy_scaled_threshold_calibrated(self):
-        case = gen_frustum_pair(np.random.default_rng(35), n=80, noise_px=1.0)
-        corrs = to_corrs(case.kp_a, case.kp_b)
-        threshold = 4.0
-        model = robust_search(corrs, calib=(case.intrinsics, case.intrinsics),
-                              inlier_threshold=threshold, rng=np.random.default_rng(0))
-        fbar = 900.0
-        errs = sampson_errors(model.matrix, normalize(corrs.x_a, case.intrinsics),
-                              normalize(corrs.x_b, case.intrinsics))
-        assert (errs[model.inliers] < (threshold / fbar) ** 2).all()
+    @pytest.mark.parametrize("unequal_focal", [False, True], ids=["equal_focal", "doubled_focal"])
+    def test_calibrated_inliers_are_the_pixel_threshold_matches(self, unequal_focal):
+        # the stored inliers are exactly the matches within the pixel
+        # threshold of K_b^-T E K_a^-1, also where image b's focal length is
+        # twice image a's
+        if unequal_focal:
+            case = gen_frustum_pair(np.random.default_rng(0), n=80, noise_px=1.5)
+            corrs, K_a, K_b = doubled_focal(case)
+            threshold = 2.0
+        else:
+            case = gen_frustum_pair(np.random.default_rng(35), n=80, noise_px=1.0)
+            corrs, K_a, K_b = to_corrs(case.kp_a, case.kp_b), case.intrinsics, case.intrinsics
+            threshold = 4.0
+        model = robust_search(corrs, calib=(K_a, K_b), inlier_threshold=threshold,
+                              rng=np.random.default_rng(0))
+        pixel = np.linalg.inv(K_b).T @ model.matrix @ np.linalg.inv(K_a)
+        errs = sampson_errors(pixel, corrs.x_a, corrs.x_b)
+        np.testing.assert_array_equal(model.inliers, np.flatnonzero(errs < threshold ** 2))
 
     def test_deterministic_given_seed(self):
         case = gen_frustum_pair(np.random.default_rng(36), n=60, noise_px=1.0)
@@ -869,18 +877,12 @@ def ref_sampson(M, pa, pb):
     return out
 
 
-def ref_select(corrs, calib, iterations, threshold, rng):
-    """(pa, pb, threshold_sq, best, stats) of a one-hypothesis-at-a-time
-    search: ``best`` is (row, model, inlier mask) of the winning hypothesis,
-    or None where no hypothesis keeps 8 inliers."""
+def ref_select(corrs, iterations, threshold, rng):
+    """(pa, pb, best, stats) of a one-hypothesis-at-a-time search in
+    pixels: ``best`` is (row, model, inlier mask) of the winning
+    hypothesis, or None where no hypothesis keeps 8 inliers."""
     pa = np.array([c.x_a for c in corrs], dtype=np.float64)
     pb = np.array([c.x_b for c in corrs], dtype=np.float64)
-    if calib is not None:
-        pa, pb = normalize(pa, calib[0]), normalize(pb, calib[1])
-        fbar = float(np.mean([calib[0][0, 0], calib[0][1, 1], calib[1][0, 0], calib[1][1, 1]]))
-        threshold_sq = (threshold / fbar) ** 2
-    else:
-        threshold_sq = threshold ** 2
     stats = {"degenerate": 0, "counts": []}
     best = None
     for row in range(iterations):
@@ -890,7 +892,7 @@ def ref_select(corrs, calib, iterations, threshold, rng):
             stats["degenerate"] += 1
             continue
         errs = ref_sampson(M, pa, pb)
-        mask = errs < threshold_sq
+        mask = errs < threshold ** 2
         count = int(mask.sum())
         stats["counts"].append(count)
         if count < 8:
@@ -898,7 +900,7 @@ def ref_select(corrs, calib, iterations, threshold, rng):
         total = float(errs[mask].sum())
         if best is None or count > best[0] or (count == best[0] and total < best[1]):
             best = (count, total, row, M, mask)
-    return pa, pb, threshold_sq, None if best is None else best[2:], stats
+    return pa, pb, None if best is None else best[2:], stats
 
 
 def ref_project(M):
@@ -906,23 +908,34 @@ def ref_project(M):
     return ref_fix_sign((U * np.array([1.0, 1.0, 0.0])) @ Vt)
 
 
+def ref_final(F, calib):
+    """The model a search stores for its fundamental matrix F: F itself, or
+    with intrinsics the essential matrix K_b^T F K_a, projected."""
+    return F if calib is None else ref_project(calib[1].T @ F @ calib[0])
+
+
+def ref_pixel(M, calib):
+    """The pixel-frame model a stored model recounts its inliers on: M
+    itself, or with intrinsics K_b^-T M K_a^-1."""
+    return M if calib is None else np.linalg.inv(calib[1]).T @ M @ np.linalg.inv(calib[0])
+
+
 def ref_refit(pa, pb, best, calib):
     """(refit, final model) of a winner: the refit is None where degenerate,
-    and the final model is then the winning hypothesis, projected when calibrated."""
+    and the final model is then the winning hypothesis, mapped to E when calibrated."""
     _, M, mask = best
     refit = ref_fundamental(pa[mask], pb[mask])
-    final = M if refit is None else refit
-    return refit, final if calib is None else ref_project(final)
+    return refit, ref_final(M if refit is None else refit, calib)
 
 
 def ref_short_ransac(corrs, calib, iterations, threshold, rng):
     """(matrix, inliers, stats) of a one-hypothesis-at-a-time search, or
     (None, None, stats) where the search finds no model."""
-    pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, iterations, threshold, rng)
+    pa, pb, best, stats = ref_select(corrs, iterations, threshold, rng)
     if best is None:
         return None, None, stats
     _, M = ref_refit(pa, pb, best, calib)
-    inliers = np.flatnonzero(ref_sampson(M, pa, pb) < threshold_sq)
+    inliers = np.flatnonzero(ref_sampson(ref_pixel(M, calib), pa, pb) < threshold ** 2)
     if inliers.size < 8:
         return None, None, stats
     return M, inliers, stats
@@ -955,10 +968,11 @@ def results_and_winners(searches, iterations=32, threshold=2.0):
     its searches by match count in the order the counts first appear. Each
     search's winning hypothesis row, None where no hypothesis keeps 8
     inliers, is read by a spy on ``_winners``, which the select stage calls
-    once per match count. Each search's final model, the one its inliers
-    are recounted against, or None without a winner, is read by a spy on
-    ``_sampson``: the finish recounts the searches with a winner in one
-    call per match count, on an (s, 3, 3) stack of models."""
+    once per match count. Each search's final model in pixels, the one its
+    inliers are recounted against (K_b^-T E K_a^-1 for an essential matrix
+    E), or None without a winner, is read by a spy on ``_sampson``: the
+    finish recounts the searches with a winner in one call per match
+    count, on an (s, 3, 3) stack of models."""
     pick, picked = epipolar._winners, []
     score, recounted = epipolar._sampson, []
 
@@ -1009,6 +1023,17 @@ def clean(seed):
     # every hypothesis keeps all 30 points: the inlier counts all tie
     case = gen_frustum_pair(np.random.default_rng(seed), n=30, noise_px=0.2)
     return to_corrs(case.kp_a, case.kp_b), case.intrinsics
+
+
+def doubled_focal(case):
+    """(corrs, K_a, K_b) of a frustum pair with image b seen at twice image
+    a's focal length: K_b, a new array, doubles the case's focal length,
+    and b's keypoints are scaled by 2 about the principal point."""
+    K_b = case.intrinsics.copy()
+    K_b[0, 0] *= 2.0
+    K_b[1, 1] *= 2.0
+    center = case.intrinsics[:2, 2]
+    return to_corrs(case.kp_a, center + 2.0 * (case.kp_b - center)), case.intrinsics, K_b
 
 
 class TestBatchedSearch:
@@ -1076,9 +1101,10 @@ class TestBatchedSearch:
 
     def test_group_stage_equals_stacks_of_one(self, monkeypatch):
         # one group holding every branch of the stage: calibrated and
-        # uncalibrated searches with unequal match counts, count ties of
-        # several sizes, an 8-inlier refit beside larger ones, a degenerate
-        # refit and a search where no hypothesis keeps 8 inliers
+        # uncalibrated searches with unequal match counts, a calibrated
+        # search whose two K differ, count ties of several sizes, an
+        # 8-inlier refit beside larger ones, a degenerate refit and a search
+        # where no hypothesis keeps 8 inliers
         exact = gen_frustum_pair(np.random.default_rng(70), n=40)
         eight = gen_frustum_pair(np.random.default_rng(71), n=8, noise_px=0.3)
         kept = gen_frustum_pair(np.random.default_rng(72), n=25, noise_px=0.5)
@@ -1099,12 +1125,15 @@ class TestBatchedSearch:
         calibrated = {"outliers", "clean", "eight", "degenerate_refit", "no_model"}
         searches = [(name, corrs, (K, K) if name in calibrated else None, 300 + k)
                     for k, (name, (corrs, K)) in enumerate(scenes.items())]
+        # two distinct K objects, finished in one group with "clean"'s 30 matches
+        corrs, K_a, K_b = doubled_focal(gen_frustum_pair(np.random.default_rng(74), n=30,
+                                                         noise_px=0.5))
+        searches.append(("unequal_focal", corrs, (K_a, K_b), 300 + len(searches)))
 
-        # a refit that holds the first point of "degenerate_refit", in the
-        # normalized frame the search runs in, is reported degenerate: the
-        # stage must keep that search's winning hypothesis
-        corrs, K = scenes["degenerate_refit"]
-        marker = epipolar._search_points(corrs, np.linalg.inv([K, K]))[0, 0, :2]
+        # a refit that holds the first pixel of "degenerate_refit" is
+        # reported degenerate: the stage must keep that search's winning
+        # hypothesis
+        marker = scenes["degenerate_refit"][0].x_a[0]
         solve = epipolar._fundamental_stack
 
         def planted(P, sizes=None):
@@ -1124,8 +1153,9 @@ class TestBatchedSearch:
         monkeypatch.setattr(epipolar, "_project_essential", recording)
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for _, corrs, calib, key in searches])
-        # one projection for the group, over its calibrated searches that found a winner
-        assert len(projected) == 1 and len(projected[0][0]) == len(calibrated) - 1
+        # one projection for the group, over its calibrated searches that
+        # found a winner: all but "no_model", and "unequal_focal"
+        assert len(projected) == 1 and len(projected[0][0]) == len(calibrated)
         group_in, group_out = (iter(x) for x in projected.pop())
 
         tie_sizes, failures = {}, set()
@@ -1140,8 +1170,7 @@ class TestBatchedSearch:
                 refit_in, refit_out = projected.pop()
                 assert next(group_in).tobytes() == refit_in[0].tobytes()
                 assert next(group_out).tobytes() == refit_out[0].tobytes()
-            pa, pb, threshold_sq, best, stats = ref_select(corrs, calib, 32, 2.0, philox(key))
-            assert epipolar._threshold_sq(calib, 2.0) == threshold_sq
+            pa, pb, best, stats = ref_select(corrs, 32, 2.0, philox(key))
             if best is None:
                 assert name == "no_model" and row is None and got_final is None
                 assert isinstance(got, NoModelFound)
@@ -1152,10 +1181,12 @@ class TestBatchedSearch:
             refit, final = ref_refit(pa, pb, best, calib)
             if name == "degenerate_refit":
                 assert refit is not None    # degenerate only as planted
-                final = best[1] if calib is None else ref_project(best[1])
-            assert got_final.tobytes() == final.tobytes()
-            # the finish: the recount against the final model, then the 8-inlier floor
-            kept = np.flatnonzero(ref_sampson(final, pa, pb) < threshold_sq)
+                final = ref_final(best[1], calib)
+            # the finish: the recount in pixels against the final model,
+            # then the 8-inlier floor
+            pixel = ref_pixel(final, calib)
+            assert got_final.tobytes() == pixel.tobytes()
+            kept = np.flatnonzero(ref_sampson(pixel, pa, pb) < 2.0 ** 2)
             if kept.size < 8:
                 assert isinstance(got, NoModelFound)
                 assert str(got) == "refit model keeps fewer than 8 inliers"
@@ -1192,8 +1223,7 @@ class TestBatchedSearch:
         searches = [(corrs, (K, K) if k % 2 else None, 400 + k)
                     for k, (corrs, K) in enumerate(scenes)]
         degenerate = 3
-        corrs, (K, _), _ = searches[degenerate]
-        marker = epipolar._search_points(corrs, np.linalg.inv([K, K]))[0, 0, :2]
+        marker = searches[degenerate][0].x_a[0]
         solve, solved = epipolar._fundamental_stack, []
 
         def planted(P, sizes=None):
@@ -1232,9 +1262,9 @@ class TestBatchedSearch:
             assert_same_final(final, alone_finals[0])
             assert [row] == alone_rows
             if k == degenerate:
-                pa, pb, _, best, _ = ref_select(corrs, calib, 32, 2.0, philox(key))
+                pa, pb, best, _ = ref_select(corrs, 32, 2.0, philox(key))
                 assert ref_refit(pa, pb, best, calib)[0] is not None   # degenerate only as planted
-                assert final.tobytes() == ref_project(best[1]).tobytes()
+                assert final.tobytes() == ref_pixel(ref_final(best[1], calib), calib).tobytes()
 
     def test_one_refit_call_equals_per_count_refits(self, monkeypatch):
         # a window whose winners keep 8, 9, 13 and 50 inliers, calibrated and
