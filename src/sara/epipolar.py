@@ -1,7 +1,12 @@
 """Two-view geometry: a short robust model search over eight-point fits,
 Sampson scoring, pose recovery, and triangulation parallax angles.
 ``short_ransac`` runs one or several searches in one call; one pair is
-``result, = short_ransac([(corrs, calib, rng)])``.
+``result, = short_ransac([(corrs, calib, rng)])``. A call holds its
+searches' pixel points once, in one array padded with zero rows to its
+largest match count plus one row. A zero row's Sampson error is +inf
+against any model, so padding is never an inlier: every stage gathers
+from that array in one fancy index, and the select stage and the finish
+each score all their searches in one Sampson pass.
 
 Every eight-point fit runs in ``_fundamental_stack``, over a stack of
 point sets at once with the stack on the last axis: one call solves every
@@ -388,34 +393,6 @@ def _winners(errs: np.ndarray, masks: np.ndarray, ok: np.ndarray) -> list[int | 
     return rows
 
 
-def _select(points, joined, offsets, groups, threshold_sq: float, rngs, iterations: int) -> list:
-    """The select stage of ``short_ransac``: the searches' pixel points, all
-    of them joined stack-last with each search's offset into them, their
-    indices grouped by match count, the squared pixel threshold, the
-    generators and the draws per search.
-
-    Returns each search's (winning hypothesis, its inlier mask), or None
-    where no hypothesis keeps 8 inliers. The winner's model and mask are
-    copies, so they keep none of the stage's arrays alive.
-    """
-    samples = _draw_samples(rngs, [p.shape[1] for p in points], iterations)
-    # one gather, stack last: each search's indices shifted to its columns of the joined points
-    samples += np.repeat(offsets, iterations)[:, None]
-    models, ok = _fundamental_stack(joined[:, :, samples.T])
-    models = models.reshape(len(points), iterations, 3, 3)
-    ok = ok.reshape(len(points), iterations)
-    picks = [None] * len(points)
-    for group in groups:
-        ha, hb = np.stack([points[k] for k in group], axis=1)[:, :, None]
-        errs = _sampson(models[group], ha, hb)
-        masks = errs < threshold_sq
-        for j, (k, row) in enumerate(zip(group, _winners(errs, masks, ok[group]))):
-            if row is not None:
-                picks[k] = models[k, row].copy(), masks[j, row].copy()
-        del errs   # before the next match count's pass allocates its own
-    return picks
-
-
 def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
                  ) -> list[TwoViewModel | NoModelFound | CheiralityAmbiguity]:
     """Robust searches, one or several at once: draw, solve, score, select,
@@ -433,35 +410,35 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     ``inlier_threshold`` is finite and > 0, and InsufficientCorrespondences
     for a search with fewer than 8 matches.
 
-    The call runs each of its three stages once over all its searches.
-    *Select*: each search draws ``iterations`` uniform 8-subsets from its
-    own ``rng`` in one call, all are gathered stack-last and solved in one
-    ``_fundamental_stack`` (closed-form: no LAPACK QR and no SVD),
-    searches with equal match counts are scored in one Sampson pass, and
-    each picks the hypothesis with the most inliers under the squared
-    threshold (ties: lower inlier-error total, then the earlier draw; see
-    ``_winners``). *Refit*: every winner is refit on its inliers in one
-    more ``_fundamental_stack`` call, on inlier sets zero-padded to the
-    largest count, so an 8-inlier refit takes the closed-form minimal
-    solve and the others SVDs, one per distinct inlier count; a
-    degenerate refit keeps the winning hypothesis. The calibrated
+    The call holds every search's points once, in one array padded with
+    zero rows to its largest match count m plus one, and runs each of its
+    three stages once over all its searches. *Select*: each search draws
+    ``iterations`` uniform 8-subsets from its own ``rng`` in one call, all
+    are gathered stack-last and solved in one ``_fundamental_stack``
+    (closed-form: no LAPACK QR and no SVD), every hypothesis is scored in
+    one Sampson pass, and each search picks the hypothesis with the most
+    inliers under the squared threshold (ties: lower inlier-error total,
+    then the earlier draw; see ``_winners``). *Refit*: every winner is
+    refit on its inliers in one more ``_fundamental_stack`` call, on inlier
+    sets zero-padded to the largest count, so an 8-inlier refit takes the
+    closed-form minimal solve and the others SVDs, one per distinct inlier
+    count; a degenerate refit keeps the winning hypothesis. The calibrated
     searches' models F are mapped to K_b^T F K_a and projected onto the
-    essential manifold in one ``_project_essential`` call. *Finish*: per
-    match count, as in the select stage, the final models recount their
-    inliers in pixels in one Sampson pass, an essential matrix E as
-    K_b^-T E K_a^-1, so stored inliers satisfy the threshold by
-    construction; a search needs 8 of them, and the calibrated searches
-    that keep 8 recover their poses in one ``recover_pose`` call on their
-    normalized points and inlier masks (``_finish``). A search without a
-    winner ends in NoModelFound("no hypothesis reached 8 inliers"), one
-    whose final model keeps fewer than 8 inliers in NoModelFound("refit
-    model keeps fewer than 8 inliers"), and one without a majority pose in
-    the CheiralityAmbiguity that ``recover_pose`` returns for its row.
-    Each result is bit-identical to a call on that search alone and to a
-    search that solves and scores its hypotheses one at a time in draw
-    order. Memory grows with the searches passed: the select stage holds
-    iterations x matches floats per search. ``score_all`` bounds it by
-    the hypothesis sets of its window.
+    essential manifold in one ``_project_essential`` call. *Finish*: the
+    final models recount their inliers in pixels in one Sampson pass, an
+    essential matrix E as K_b^-T E K_a^-1, so stored inliers satisfy the
+    threshold by construction; a search needs 8 of them, and the
+    calibrated searches that keep 8 recover their poses in one
+    ``recover_pose`` call on their normalized points and inlier masks. A
+    search without a winner ends in NoModelFound("no hypothesis reached 8
+    inliers"), one whose final model keeps fewer than 8 inliers in
+    NoModelFound("refit model keeps fewer than 8 inliers"), and one without
+    a majority pose in the CheiralityAmbiguity that ``recover_pose``
+    returns for its row. Each result is bit-identical to a call on that
+    search alone and to a search that solves and scores its hypotheses one
+    at a time in draw order. Memory grows with the searches passed: the
+    select stage holds iterations x (m + 1) floats per search. ``score_all``
+    bounds it by the hypothesis sets of its window, and m by ``b``.
 
     Hypotheses stay rank-2 fundamental fits even for a calibrated search:
     the essential-manifold projection is brutal on noisy minimal samples,
@@ -484,95 +461,71 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
                if distinct else {})
     inverses = [None if calib is None else [inverse[id(K)] for K in calib]
                 for _, calib, _ in searches]
-    # each search's (2, m, 3) homogeneous pixel points [x y 1] of images a and b
-    points = [np.ones((2, len(corrs), 3)) for corrs, _, _ in searches]
-    for h, (corrs, _, _) in zip(points, searches):
-        h[0, :, :2], h[1, :, :2] = corrs.x_a, corrs.x_b
+    sizes = [len(corrs) for corrs, _, _ in searches]
+    s, m = len(searches), max(sizes)
+    # every search's homogeneous pixel points [x y 1] of images a and b,
+    # (2, s, m + 1, 3), then zero rows: at least one per search, the refit's
+    # padding point. A zero row's Sampson error is +inf against any model,
+    # so no padding row is ever an inlier
+    H = np.zeros((2, s, m + 1, 3))
+    for k, (corrs, _, _) in enumerate(searches):
+        H[:, k, :sizes[k]] = 1.0
+        H[0, k, :sizes[k], :2], H[1, k, :sizes[k], :2] = corrs.x_a, corrs.x_b
+    # (image, coordinate, search, point): a fit gathers its sets stack-last in one fancy index
+    xy = H[..., :2].transpose(0, 3, 1, 2)
     threshold_sq = inlier_threshold ** 2
-    # the searches by match count, in the order the counts first appear: the
-    # select and finish stages' Sampson passes
-    sizes = [p.shape[1] for p in points]
-    groups = [[k for k, size in enumerate(sizes) if size == m] for m in dict.fromkeys(sizes)]
-    # every search's points, (image, coordinate, point) with the points of
-    # one search after another, and a last zero point that pads the refit
-    offsets = np.cumsum([0] + sizes[:-1])
-    joined = np.zeros((2, 2, sum(sizes) + 1))
-    joined[:, :, :-1] = np.concatenate(points, axis=1)[:, :, :2].transpose(0, 2, 1)
-    picks = _select(points, joined, offsets, groups, threshold_sq,
-                    [rng for *_, rng in searches], iterations)
 
-    final = [None] * len(points)
-    found = [k for k, pick in enumerate(picks) if pick is not None]
-    if found:
-        inliers = [np.flatnonzero(picks[k][1]) + offsets[k] for k in found]
-        counts = np.array([len(rows) for rows in inliers])
-        padded = np.full((counts.max(), len(found)), sum(sizes))
-        for j, rows in enumerate(inliers):
-            padded[:len(rows), j] = rows
-        refits, refit_ok = _fundamental_stack(joined[:, :, padded], counts)
-        for k, refit, good in zip(found, refits, refit_ok):
-            # a degenerate refit keeps the winning hypothesis as the final model
-            final[k] = refit if good else picks[k][0]
-    calibrated = [k for k in found if inverses[k] is not None]
+    samples = _draw_samples([rng for *_, rng in searches], sizes, iterations)
+    hypotheses, ok = _fundamental_stack(xy[:, :, np.repeat(np.arange(s), iterations), samples.T])
+    hypotheses = hypotheses.reshape(s, iterations, 3, 3)
+    errs = _sampson(hypotheses, H[0, :, None], H[1, :, None])
+    masks = errs < threshold_sq
+    winners = _winners(errs, masks, ok.reshape(s, iterations))
+    del errs
+    results = [NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers") if row is None
+               else None for row in winners]
+    found = [k for k, row in enumerate(winners) if row is not None]
+    if not found:
+        return results
+    rows = [winners[k] for k in found]
+    inliers = masks[found, rows]
+    del masks
+    counts = inliers.sum(axis=1)
+    top = counts.max()
+    # each winner's inlier rows in index order, then the padding point m
+    padded = np.where(np.arange(top) < counts[:, None],
+                      np.argsort(~inliers, axis=1, kind="stable")[:, :top], m)
+    refits, refit_ok = _fundamental_stack(xy[:, :, found, padded.T], counts)
+    # a degenerate refit keeps the winning hypothesis as the final model
+    final = np.where(refit_ok[:, None, None], refits, hypotheses[found, rows])
+    calibrated = [j for j, k in enumerate(found) if inverses[k] is not None]
+    pixel = final
     if calibrated:
-        K_a, K_b = np.stack([searches[k][1] for k in calibrated], axis=1)
-        F = np.stack([final[k] for k in calibrated])
-        for k, E in zip(calibrated, _project_essential(np.swapaxes(K_b, 1, 2) @ F @ K_a)):
-            final[k] = E
+        K_a, K_b = np.stack([searches[found[j]][1] for j in calibrated], axis=1)
+        final[calibrated] = _project_essential(np.swapaxes(K_b, 1, 2) @ final[calibrated] @ K_a)
+        inv_a, inv_b = np.stack([inverses[found[j]] for j in calibrated], axis=1)
+        pixel = final.copy()
+        pixel[calibrated] = np.swapaxes(inv_b, 1, 2) @ final[calibrated] @ inv_a
 
-    results = [NoModelFound(f"no hypothesis reached {MIN_MATCHES} inliers") if M is None
-               else None for M in final]
-    for group in groups:
-        group = [k for k in group if final[k] is not None]
-        if group:
-            finished = _finish([final[k] for k in group],
-                               np.stack([points[k] for k in group], axis=1),
-                               [inverses[k] for k in group], threshold_sq)
-            for k, result in zip(group, finished):
-                results[k] = result
-    return results
-
-
-def _finish(models, points, inverses, threshold_sq: float) -> list:
-    """One finish group of ``short_ransac``: s final (3, 3) models, the
-    searches' (2, s, m, 3) pixel points, all of one match count m, each
-    search's inverse intrinsics (K_a^-1, K_b^-1) or None where it has no
-    intrinsics, and the squared pixel threshold.
-
-    Recounts every search's inliers in pixels in one ``_sampson`` call, a
-    fundamental matrix as it is and an essential matrix E as K_b^-T E
-    K_a^-1, and recovers the pose of every calibrated search that keeps 8
-    inliers from their normalized points K^-1 [x y 1]^T in one
-    ``recover_pose`` call. Returns each search's TwoViewModel, or the
-    NoModelFound or CheiralityAmbiguity that ended it.
-    """
-    ha, hb = points
-    stacked = np.stack(models)
-    pixel = stacked.copy()
-    calibrated = [j for j, inv in enumerate(inverses) if inv is not None]
-    if calibrated:
-        inv_a, inv_b = np.stack([inverses[j] for j in calibrated], axis=1)
-        pixel[calibrated] = np.swapaxes(inv_b, 1, 2) @ stacked[calibrated] @ inv_a
-    masks = _sampson(pixel, ha, hb) < threshold_sq
-    kept = masks.sum(axis=1) >= MIN_MATCHES
-    posed = [j for j in calibrated if kept[j]]
-    poses = iter(())
+    points = H[:, found]
+    kept = _sampson(pixel, *points) < threshold_sq
+    enough = kept.sum(axis=1) >= MIN_MATCHES
+    posed = [j for j in calibrated if enough[j]]
+    poses = {}
     if posed:
-        inv = np.stack([inverses[j] for j in posed], axis=1)   # (2, p, 3, 3)
+        inv = np.stack([inverses[found[j]] for j in posed], axis=1)   # (2, p, 3, 3)
         na, nb = (points[:, posed] @ np.swapaxes(inv, 2, 3))[..., :2]
-        poses = iter(recover_pose(stacked[posed], na, nb, masks[posed]))
-    results = []
-    for M, mask, keep, inv in zip(models, masks, kept, inverses):
-        if not keep:
-            results.append(NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers"))
-            continue
-        pose = (None, None, None) if inv is None else next(poses)
-        if isinstance(pose, CheiralityAmbiguity):
-            results.append(pose)
-            continue
-        R, t, angles = pose
-        results.append(TwoViewModel(matrix=M, inliers=np.flatnonzero(mask), rotation=R,
-                                    translation=t, triangulation_angles=angles))
+        poses = dict(zip(posed, recover_pose(final[posed], na, nb, kept[posed])))
+    for j, k in enumerate(found):
+        pose = poses.get(j, (None, None, None))
+        if not enough[j]:
+            results[k] = NoModelFound(f"refit model keeps fewer than {MIN_MATCHES} inliers")
+        elif isinstance(pose, CheiralityAmbiguity):
+            results[k] = pose
+        else:
+            R, t, angles = pose
+            results[k] = TwoViewModel(matrix=final[j], inliers=np.flatnonzero(kept[j]),
+                                      rotation=R, translation=t, triangulation_angles=angles)
     return results
 
 

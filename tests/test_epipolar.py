@@ -201,7 +201,7 @@ class TestFundamental:
             assert closed_form_rank2(g).tobytes() == f.tobytes()
 
     def test_strided_stack_equals_one_set_solves(self):
-        # sets of 23, 8, 9, 40, 23 and 8 points cut from one joined array by
+        # sets of 23, 8, 9, 40, 23 and 8 points cut from one point array by
         # fancy indexing and zero-padded, as short_ransac cuts its refits,
         # and the same sets unpadded in a strided view when their sizes are
         # equal: each set's model keeps the bits of a contiguous one-set solve
@@ -369,6 +369,24 @@ class TestSampson:
         # forward motion puts both epipoles at the principal point
         E = essential_from_pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
         assert sampson_errors(E, np.zeros((1, 2)), np.zeros((1, 2)))[0] == math.inf
+
+    def test_zero_row_is_inf_and_keeps_the_other_rows(self):
+        # short_ransac pads each search's points with all-zero homogeneous
+        # rows: against any (s, h, 3, 3) model stack their error is +inf, so
+        # no padding row is an inlier, and the real rows keep the bits of
+        # an unpadded pass
+        r = np.random.default_rng(23)
+        for s, h, m, pad in ((1, 1, 8, 1), (3, 32, 50, 1), (4, 7, 20, 31)):
+            M = r.normal(size=(s, h, 3, 3)) * 10.0 ** r.uniform(-6, 6, size=(s, h, 1, 1))
+            ha, hb = np.zeros((2, s, 1, m + pad, 3))
+            ha[..., :m, :2], hb[..., :m, :2] = r.uniform(0, WIDTH, size=(2, s, 1, m, 2))
+            ha[..., :m, 2] = hb[..., :m, 2] = 1.0
+            with np.errstate(all="raise"):
+                padded = epipolar._sampson(M, ha, hb)
+            assert padded.shape == (s, h, m + pad)
+            assert (padded[..., m:] == math.inf).all()
+            unpadded = epipolar._sampson(M, ha[..., :m, :].copy(), hb[..., :m, :].copy())
+            assert padded[..., :m].tobytes() == unpadded.tobytes()
 
     def test_one_model_or_a_stack(self):
         # a (3, 3) model gives (m,) errors, an (h, 3, 3) stack (h, m); each
@@ -964,34 +982,30 @@ def assert_same_final(got, want):
 
 
 def results_and_winners(searches, iterations=32, threshold=2.0):
-    """(results, winners, finals) of one ``short_ransac`` call, which groups
-    its searches by match count in the order the counts first appear. Each
+    """(results, winners, finals) of one ``short_ransac`` call. Each
     search's winning hypothesis row, None where no hypothesis keeps 8
     inliers, is read by a spy on ``_winners``, which the select stage calls
-    once per match count. Each search's final model in pixels, the one its
-    inliers are recounted against (K_b^-T E K_a^-1 for an essential matrix
-    E), or None without a winner, is read by a spy on ``_sampson``: the
-    finish recounts the searches with a winner in one call per match
-    count, on an (s, 3, 3) stack of models."""
+    once. Each search's final model in pixels, the one its inliers are
+    recounted against (K_b^-T E K_a^-1 for an essential matrix E), or None
+    without a winner, is read by a spy on ``_sampson``: the finish recounts
+    the searches with a winner in one call, on an (s, 3, 3) stack of
+    models in search order."""
     pick, picked = epipolar._winners, []
     score, recounted = epipolar._sampson, []
 
     def recount(M, ha, hb):
         if M.ndim == 3:
-            recounted.extend(M)
+            recounted.append(M)
         return score(M, ha, hb)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(epipolar, "_winners", lambda *args: picked.append(pick(*args)) or picked[-1])
         patch.setattr(epipolar, "_sampson", recount)
         results = short_ransac(searches, iterations, threshold)
-    sizes = [len(corrs) for corrs, _, _ in searches]
-    order = [k for m in dict.fromkeys(sizes) for k in range(len(sizes)) if sizes[k] == m]
-    rows = dict(zip(order, (row for rows in picked for row in rows)))
-    winners = [rows[k] for k in range(len(searches))]
-    order = [k for k in order if winners[k] is not None]
-    assert len(order) == len(recounted)
-    finals = dict(zip(order, recounted))
+    winners, = picked
+    found = [k for k, row in enumerate(winners) if row is not None]
+    assert len(recounted) == (1 if found else 0)
+    finals = dict(zip(found, recounted[0] if found else []))
     return results, winners, [finals.get(k) for k in range(len(searches))]
 
 
@@ -1062,26 +1076,37 @@ class TestBatchedSearch:
                 assert stacked[k].integers(1 << 62) == alone[k].integers(1 << 62)
 
     def test_stacked_searches_equal_one_search_stacks(self, monkeypatch):
-        # match counts 50, 51, 30, 50 and 20, each calibrated and not, one
+        # match counts 50, 51, 30, 50, 20 and 8, each calibrated and not, one
         # scene with a repeated point and one without a model: every search's
         # final model and its result keep their bits whatever they are
-        # stacked with
+        # stacked with. The 8-match searches carry the most padding, and
+        # their refits on 8 inliers take the closed-form minimal solve
+        def eight(seed):
+            case = gen_frustum_pair(np.random.default_rng(seed), n=8, noise_px=0.3)
+            return to_corrs(case.kp_a, case.kp_b), case.intrinsics
+
         searches = []
         for seed, scene in enumerate([lambda s: with_outliers(s, 30, 20, separation_deg=35.0),
                                       duplicated_points, clean,
                                       lambda s: with_outliers(s, 35, 15, separation_deg=20.0),
-                                      lambda s: with_outliers(s, 0, 20)]):
+                                      lambda s: with_outliers(s, 0, 20), eight]):
             for calibrated in (False, True):
                 corrs, K = scene(200 + seed)
                 searches.append((corrs, (K, K) if calibrated else None, 10 * seed + calibrated))
         counts = sorted(len(corrs) for corrs, _, _ in searches)
-        assert counts == [20] * 2 + [30] * 2 + [50] * 4 + [51] * 2
+        assert counts == [8] * 2 + [20] * 2 + [30] * 2 + [50] * 4 + [51] * 2
         solve, solved = epipolar._fundamental_stack, []
-        monkeypatch.setattr(epipolar, "_fundamental_stack",
-                            lambda P, sizes=None: solved.append(solve(P, sizes)) or solved[-1])
+
+        def solving(P, sizes=None):
+            models, ok = solve(P, sizes)
+            solved.append((None if sizes is None else sizes.tolist(), ok))
+            return models, ok
+
+        monkeypatch.setattr(epipolar, "_fundamental_stack", solving)
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for corrs, calib, key in searches])
         assert not solved[0][1].all()   # the repeated point
+        assert solved[1][0][-2:] == [8, 8]   # both 8-match searches refit on 8 inliers
         outcomes = set()
         for (corrs, calib, key), got, row, final in zip(searches, stacked, winners, finals):
             alone, alone_rows, alone_finals = results_and_winners([(corrs, calib, philox(key))])
@@ -1100,7 +1125,7 @@ class TestBatchedSearch:
         assert outcomes == {"model", "no_model"}
 
     def test_group_stage_equals_stacks_of_one(self, monkeypatch):
-        # one group holding every branch of the stage: calibrated and
+        # one call holding every branch of the stages: calibrated and
         # uncalibrated searches with unequal match counts, a calibrated
         # search whose two K differ, count ties of several sizes, an
         # 8-inlier refit beside larger ones, a degenerate refit and a search
@@ -1125,7 +1150,7 @@ class TestBatchedSearch:
         calibrated = {"outliers", "clean", "eight", "degenerate_refit", "no_model"}
         searches = [(name, corrs, (K, K) if name in calibrated else None, 300 + k)
                     for k, (name, (corrs, K)) in enumerate(scenes.items())]
-        # two distinct K objects, finished in one group with "clean"'s 30 matches
+        # two distinct K objects, with as many matches as "clean"
         corrs, K_a, K_b = doubled_focal(gen_frustum_pair(np.random.default_rng(74), n=30,
                                                          noise_px=0.5))
         searches.append(("unequal_focal", corrs, (K_a, K_b), 300 + len(searches)))
@@ -1153,7 +1178,7 @@ class TestBatchedSearch:
         monkeypatch.setattr(epipolar, "_project_essential", recording)
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for _, corrs, calib, key in searches])
-        # one projection for the group, over its calibrated searches that
+        # one projection for the call, over its calibrated searches that
         # found a winner: all but "no_model", and "unequal_focal"
         assert len(projected) == 1 and len(projected[0][0]) == len(calibrated)
         group_in, group_out = (iter(x) for x in projected.pop())
@@ -1236,24 +1261,30 @@ class TestBatchedSearch:
 
         project, projected = epipolar._project_essential, []
         recover, recovered = epipolar.recover_pose, []
+        score, scored = epipolar._sampson, []
         monkeypatch.setattr(epipolar, "_fundamental_stack", planted)
+        monkeypatch.setattr(epipolar, "_sampson",
+                            lambda M, ha, hb: scored.append(M.shape) or score(M, ha, hb))
         monkeypatch.setattr(epipolar, "_project_essential",
                             lambda F: projected.append(len(F)) or project(F))
         monkeypatch.setattr(epipolar, "recover_pose", lambda E, na, nb, inliers: recovered.append(
             na.shape[:2]) or recover(E, na, nb, inliers))
         stacked, winners, finals = results_and_winners([(corrs, calib, philox(key))
                                                         for corrs, calib, key in searches])
-        # one select solve of every search's hypotheses, then one refit solve
-        # of the five searches with a winner, zero-padded to 30 points with
-        # each set's size, and one projection of the three calibrated ones
+        # one select solve of every search's hypotheses and one Sampson pass
+        # over them all, then one refit solve of the five searches with a
+        # winner, zero-padded to 30 points with each set's size, one
+        # projection of the three calibrated ones and one recount pass
         assert solved == [((2, 2, 8, len(searches) * 32), None),
                           ((2, 2, 30, 5), [8, 8, 30, 30, 30])]
         assert projected == [3]
+        assert scored == [(len(searches), 32, 3, 3), (5, 3, 3)]
         assert winners[0] is None and None not in winners[1:]
         # of the calibrated searches, 1 keeps fewer than 8 inliers after its
-        # projection, and 3 and 5 share a match count and one pose recovery
+        # projection, and 3 and 5 share one pose recovery, on points padded
+        # to the call's 30 matches and the refit's padding row
         assert isinstance(stacked[1], NoModelFound)
-        assert recovered == [(2, 30)]
+        assert recovered == [(2, 31)]
 
         for k, ((corrs, calib, key), got, row, final) in enumerate(zip(searches, stacked, winners,
                                                                        finals)):
@@ -1371,10 +1402,11 @@ class TestBatchedSearch:
 
     def test_cheirality_failure_stays_in_its_search(self, monkeypatch):
         # one call of six searches, one uncalibrated, with 50 and 35
-        # matches: the 50-match group recovers four poses in one call, and a
-        # spy plants an ambiguity on that call's second row, the third
-        # search. That search returns the planted instance, and every other
-        # search keeps the bits of the same window without the failure
+        # matches: the five calibrated searches recover their poses in one
+        # call, on points padded to 51 rows, and a spy plants an ambiguity on
+        # that call's second row, the third search. That search returns the
+        # planted instance, and every other search keeps the bits of the
+        # same window without the failure
         scenes = [with_outliers(110 + seed, n_in, n_out, separation_deg=35.0)
                   for seed, (n_in, n_out) in enumerate([(40, 10), (40, 10), (45, 5), (35, 15),
                                                         (30, 5), (45, 5)])]
@@ -1396,9 +1428,14 @@ class TestBatchedSearch:
                 poses[1] = failure
             return poses
 
+        score, scored = epipolar._sampson, []
         monkeypatch.setattr(epipolar, "recover_pose", planting)
+        monkeypatch.setattr(epipolar, "_sampson",
+                            lambda M, ha, hb: scored.append(M.shape) or score(M, ha, hb))
         results = short_ransac(window())
-        assert calls == [(4, 50), (1, 35)]
+        # one select pass, one recount pass and one pose recovery
+        assert scored == [(6, 32, 3, 3), (6, 3, 3)]
+        assert calls == [(5, 51)]
         assert results[2] is failure and failure.__traceback__ is None
         for k in (0, 1, 3, 4, 5):
             assert_same_result(results[k], clean_results[k])

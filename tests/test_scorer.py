@@ -577,10 +577,11 @@ class TestScoreAll:
         # scorer.short_ransac: one call per window of _WINDOW_HYPOTHESES //
         # ransac_iterations sorted pairs, holding each of the window's pairs
         # with at least 8 matches. Inside it, two fit calls, the select
-        # stage's and one refit of every winner, and one recover_pose call
-        # per match count with posed rows, holding those rows' models in
-        # search order. Image 1 keeps 60 keypoints, so a window poses two
-        # match counts
+        # stage's and one refit of every winner, two Sampson passes, the
+        # select stage's and the finish's recount, and one recover_pose
+        # call, holding the posed rows' models in search order on points
+        # padded to the window's largest match count plus one row. Image 1
+        # keeps 60 keypoints, so a window mixes match counts
         few = orbit16_features[1]
         features = list(orbit16_features)
         features[1] = dataclasses.replace(few, keypoints=few.keypoints[:60],
@@ -591,7 +592,8 @@ class TestScoreAll:
         index = {f.image_id: k for k, f in enumerate(features)}
         match, search, recover = scorer.mutual_nn_matches, scorer.short_ransac, epipolar.recover_pose
         solve = epipolar._fundamental_stack
-        matched, calls, open_calls, poses, fits = [], [], [], [], []
+        score = epipolar._sampson
+        matched, calls, open_calls, poses, fits, passes = [], [], [], [], [], []
 
         def matching(fa, fb, b, work=None):
             matched.append(((index[fa.image_id], index[fb.image_id]), match(fa, fb, b, work)))
@@ -617,10 +619,15 @@ class TestScoreAll:
             fits.append((list(open_calls), "select" if sizes is None else "refit"))
             return solve(P, sizes)
 
+        def scoring(M, ha, hb):
+            passes.append((list(open_calls), "select" if M.ndim == 4 else "recount"))
+            return score(M, ha, hb)
+
         monkeypatch.setattr(scorer, "mutual_nn_matches", matching)
         monkeypatch.setattr(scorer, "short_ransac", searching)
         monkeypatch.setattr(epipolar, "recover_pose", recovering)
         monkeypatch.setattr(epipolar, "_fundamental_stack", fitting)
+        monkeypatch.setattr(epipolar, "_sampson", scoring)
         scores = score_all(features, set(pairs), SaraConfig())
         per = scorer._WINDOW_HYPOTHESES // SaraConfig().ransac_iterations
         windows = [pairs[start:start + per] for start in range(0, len(pairs), per)]
@@ -631,22 +638,18 @@ class TestScoreAll:
             assert call == [pair for pair in window if pair in searched]
         assert fits == [([w], stage) for w in range(1, len(windows) + 1)
                         for stage in ("select", "refit")]
+        assert passes == [([w], stage) for w in range(1, len(windows) + 1)
+                          for stage in ("select", "recount")]
         sizes = dict(matched)
-        expected = []
+        expected, mixed = [], 0
         for w, call in enumerate(calls, start=1):
-            groups = {}
-            for pair in call:
-                model = scores[pair].model
-                if model is not None and model.rotation is not None:
-                    groups.setdefault(len(sizes[pair]), []).append(model.matrix.tobytes())
-            expected.append(([w], groups))
-        assert sum(len(groups) for _, groups in expected) > len(windows)
-        recorded = iter(poses)
-        for open_span, groups in expected:
-            got = [next(recorded) for _ in groups]
-            assert all(span == open_span for span, _, _ in got)
-            assert {m: rows for _, m, rows in got} == groups
-        assert next(recorded, None) is None
+            posed = [pair for pair in call
+                     if scores[pair].model is not None and scores[pair].model.rotation is not None]
+            mixed += len({len(sizes[pair]) for pair in posed}) > 1
+            expected.append(([w], max(len(sizes[pair]) for pair in call) + 1,
+                             [scores[pair].model.matrix.tobytes() for pair in posed]))
+        assert mixed > 0
+        assert poses == expected
 
     def test_cheirality_failure_ends_its_pair_no_model(self, orbit16_features, monkeypatch):
         # an ambiguity is planted on the middle row of the first pose
