@@ -200,9 +200,10 @@ def write_features(features: ImageFeatures, path: str | Path) -> None:
 def read_features(path: str | Path, image_id: str | None = None) -> ImageFeatures:
     """Parse a feature file; validates finiteness, bounds and descriptor norms."""
     path = Path(path)
-    if not path.exists():
-        raise MissingFile(str(path))
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise MissingFile(str(path)) from exc
     if len(raw) < 30 or raw[:4] != MAGIC:
         raise CorruptFile(f"{path}: bad magic or truncated header")
     version, n, d, d_g, w, h = struct.unpack_from("<IIIIII", raw, 4)
@@ -291,6 +292,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise CorruptFile(f"{path}: 'entries' must be a list")
     entries = []
     seen: set[str] = set()
+    root = path.parent
     for pos, item in enumerate(data["entries"]):
         if not (isinstance(item, dict) and isinstance(item.get("image_id"), str)
                 and isinstance(item.get("path"), str)):
@@ -303,7 +305,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         seen.add(image_id)
         fpath = Path(item["path"])
         if not fpath.is_absolute():
-            fpath = path.parent / fpath
+            fpath = root / fpath
         K = item.get("intrinsics")
         try:
             if K is not None:

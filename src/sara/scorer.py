@@ -65,7 +65,9 @@ def lower_median(values) -> float:
     return float(arr[(arr.size - 1) // 2])
 
 
-# bytes of similarity rows that mutual_nn_matches reduces at a time
+# bytes of similarities in one step of mutual_nn_matches' best-first walk;
+# the gather's int64 flat indices take twice that. Steps shrink as the walked
+# prefix grows, so the bound holds for any b.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -75,20 +77,27 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
 
     A pair (p, q) matches when q is p's best neighbor and p is q's best
     neighbor under cosine similarity, the float32 product of the two
-    float32 descriptor arrays; the argmaxes, the column winners and the
-    final order all read those float32 values. Ties in the argmax break
-    toward lower indices. Column winners come from one pass over row
-    blocks of the similarity matrix, each block at most ``_BLOCK_BYTES``:
-    a column's winner moves to a later block only where that block's
-    column maximum is strictly greater, so a tied column keeps its lowest
-    row. For finite similarities, which ``read_features`` and
-    ``write_features`` enforce, that equals ``argmax(sims, axis=0)``,
-    without the transposed copy of the whole matrix an argmax along axis
-    0 makes. The mutual matches come in ascending p, one per p, so a
-    stable sort on similarity breaks ties in the final ordering toward
-    lower p. Returns a ``correspondences`` record array, of length 0 when
-    either image has no keypoints; its ``similarity`` field holds the
-    float32 values widened to float64.
+    float32 descriptor arrays; every decision and the final order read
+    those float32 values. Ties break toward lower indices, as argmax
+    breaks them along either axis, and the matches come ordered by
+    (-similarity, p), cut at ``b``. Returns a ``correspondences`` record
+    array, of length 0 when either image has no keypoints; its
+    ``similarity`` field holds the float32 values widened to float64.
+
+    No column winner is computed for the whole matrix. The rows are
+    walked best-first, in the (-v[p], p) order of a stable sort on each
+    row's maximum v[p]. A row r can beat p for p's best column q only if
+    it comes before p in that order, since sims[r, q] <= v[r]. So each
+    step gathers its rows' best columns over every row up to the step's
+    end, in ascending row order, and a row is mutual when it is the
+    first maximum of its column there. A row whose best column an
+    earlier step's row already has is never mutual and is dropped before
+    the gather. Steps start at b rows and double, capped so that one
+    gather holds at most ``_BLOCK_BYTES`` of similarities, and the walk
+    stops at b mutual rows. For finite similarities, which
+    ``read_features`` and ``write_features`` enforce, the result equals
+    the one from full argmaxes along both axes, without the transposed
+    copy of the matrix an argmax along axis 0 makes.
 
     ``work``, a 1-d float32 array of at least n_a * n_b elements, holds
     the similarity matrix when given; without it the matrix is
@@ -101,23 +110,28 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
         return correspondences([], [], np.empty((0, 2)), np.empty((0, 2)), [])
     out = None if work is None else work[:n_a * n_b].reshape(n_a, n_b)
     sims = np.matmul(fa.descriptors, fb.descriptors.T, out=out)
-    best_ab = np.argmax(sims, axis=1)   # first occurrence wins ties
-    rows = max(1, _BLOCK_BYTES // (sims.itemsize * n_b))
-    best_ba = sims[:rows].argmax(axis=0)
-    if rows < n_a:
-        col_max = sims[best_ba, np.arange(n_b)]
-        for r0 in range(rows, n_a, rows):
-            blk = sims[r0:r0 + rows]
-            blk_max = blk.max(axis=0)
-            up = np.flatnonzero(blk_max > col_max)
-            best_ba[up] = r0 + blk[:, up].argmax(axis=0)
-            col_max[up] = blk_max[up]
-    p = np.flatnonzero(best_ba[best_ab] == np.arange(n_a))
-    q = best_ab[p]
-    s = sims[p, q]
-    keep = np.argsort(-s, kind="stable")[:b]
-    p, q = p[keep], q[keep]
-    return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], s[keep])
+    best = np.argmax(sims, axis=1)   # first occurrence wins ties
+    v = sims[np.arange(n_a), best]
+    order = np.argsort(-v, kind="stable")
+    taken = np.zeros(n_b, dtype=bool)
+    flat = sims.reshape(-1)
+    found, count, start, step = [order[:0]], 0, 0, max(1, b)
+    while count < b and start < n_a:
+        stop = min(n_a, start + step)
+        stop = min(stop, start + max(1, _BLOCK_BYTES // (sims.itemsize * stop)))
+        rows = order[start:stop]
+        cols = best[rows]
+        fresh = ~taken[cols]
+        taken[cols] = True
+        rows, cols = rows[fresh], cols[fresh]
+        prior = np.sort(order[:stop])
+        winner = prior[flat.take(cols[:, None] + prior * n_b).argmax(axis=1)]
+        found.append(rows[winner == rows])
+        count += found[-1].size
+        start, step = stop, 2 * step
+    p = np.concatenate(found)[:b]
+    q = best[p]
+    return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], v[p])
 
 
 # hypothesis sets per short_ransac call in score_all, which takes its pairs

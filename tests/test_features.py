@@ -188,6 +188,12 @@ class TestCorruption:
         with pytest.raises(MissingFile):
             read_features(tmp_path / "nope.sarf")
 
+    def test_broken_symlink_is_a_missing_file(self, tmp_path):
+        link = tmp_path / "f.sarf"
+        link.symlink_to(tmp_path / "gone.sarf")
+        with pytest.raises(MissingFile, match="f.sarf"):
+            read_features(link)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.sarf"
         write_features(make_features(), path)

@@ -192,7 +192,8 @@ class TestMutualNN:
         sims = fa.descriptors @ fb.descriptors.T
         assert ((sims == sims.max(axis=0)).sum(axis=0) > 1).any()   # column ties present
         assert len(argmax_mutual_nn(fa, fb, 1000)) > 0
-        assert_matches_reference(fa, fb)
+        for b in (1, 2, 50, 1000):
+            assert_matches_reference(fa, fb, b)
 
     def test_earlier_non_candidate_row_ties_column_maximum(self):
         # both rows attain column 0's maximum 0.6, but row 0's best column
@@ -243,25 +244,92 @@ class TestMutualNN:
 
     @pytest.mark.parametrize("rows", [1, 2, 5])
     def test_column_ties_across_row_blocks(self, monkeypatch, rows):
-        # blocks of a few rows, so a column's tied maxima lie in several
-        # blocks; the earliest tied row must keep the column
+        # the walk takes rows in (-row maximum, row) order, a few at a time,
+        # so tied row maxima and a column's tied maxima lie in several of
+        # its steps; the earliest tied row must keep the column
         rng = np.random.default_rng(rows)
         distinct = unit_rows(rng, 3, 16)
         da = np.concatenate([distinct[np.arange(21) % 3], unit_rows(rng, 6, 16)])
         da = da[rng.permutation(27)]
         db = np.concatenate([distinct, unit_rows(rng, 8, 16)])[rng.permutation(11)]
-        monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 4 * len(db))
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 4 * len(da))
         fa = image_from(rng.uniform(0, 700, (27, 2)), da, "a")
         fb = image_from(rng.uniform(0, 700, (11, 2)), db, "b")
         sims = fa.descriptors @ fb.descriptors.T
+        row_max = sims.max(axis=1)
+        step = np.empty(27, dtype=int)   # each row's walk step at b = 1000
+        step[np.argsort(-row_max, kind="stable")] = np.arange(27) // rows
         tied = sims == sims.max(axis=0)
-        blocks = [np.unique(np.flatnonzero(col) // rows) for col in tied.T]
+        blocks = [np.unique(step[col]) for col in tied.T]
         assert sum(len(b) > 1 for b in blocks) >= 3
+        assert any(len(np.unique(step[row_max == m])) > 1 for m in np.unique(row_max))
         got = mutual_nn_matches(fa, fb, 1000)
         assert len(got) >= 3
         best_ba = np.argmax(sims, axis=0)
         assert all(best_ba[int(c.idx_b)] == int(c.idx_a) for c in got)
         assert_matches_reference(fa, fb)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_hub_column_gives_one_match(self, monkeypatch, block_rows):
+        # every row of a is nearest to column 5 of b; only the row that
+        # column prefers matches, and every later step drops its rows as
+        # taken before the gather
+        rng = np.random.default_rng(4)
+        hub = unit_rows(rng, 1, 16)[0]
+        da = hub + 0.3 * unit_rows(rng, 40, 16)
+        da = (da / np.linalg.norm(da, axis=1, keepdims=True)).astype(np.float32)
+        db = unit_rows(rng, 12, 16)
+        db[5] = hub
+        if block_rows is not None:
+            monkeypatch.setattr(scorer, "_BLOCK_BYTES", block_rows * 4 * 40)
+        fa = image_from(rng.uniform(0, 700, (40, 2)), da, "a")
+        fb = image_from(rng.uniform(0, 700, (12, 2)), db, "b")
+        sims = fa.descriptors @ fb.descriptors.T
+        assert (np.argmax(sims, axis=1) == 5).all()
+        for b in (1, 2, 1000):
+            got = mutual_nn_matches(fa, fb, b)
+            assert [(int(c.idx_a), int(c.idx_b)) for c in got] == [(int(np.argmax(sims[:, 5])), 5)]
+            assert_matches_reference(fa, fb, b)
+
+    @pytest.mark.parametrize("b", [1, 2, 10])
+    def test_best_column_taken_by_an_earlier_step(self, monkeypatch, b):
+        # one row per step: row 2's best column 0 is row 0's, taken two
+        # steps earlier, so row 2 is not mutual, though it is the best row
+        # of its second column 2; row 1 keeps column 1
+        da = np.array([[0.9, 0.0, 0.0, math.sqrt(0.19)],
+                       [0.0, 0.85, 0.0, math.sqrt(1 - 0.85 ** 2)],
+                       [0.8, 0.0, 0.6, 0.0]], dtype=np.float32)
+        db = np.eye(4, dtype=np.float32)[:3]
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", 4 * 3)
+        fa = image_from(np.zeros((3, 2)), da, "a")
+        fb = image_from(np.zeros((3, 2)), db, "b")
+        got = mutual_nn_matches(fa, fb, b)
+        assert [(int(c.idx_a), int(c.idx_b)) for c in got] == [(0, 0), (1, 1)][:b]
+        assert_matches_reference(fa, fb, b)
+
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_equal_row_maxima_lower_row_wins(self, monkeypatch, rows):
+        # rows 0-3 share the row maximum 0.6 and row 4's is 0.8, so the
+        # walk takes rows 4, 0, 1, 2, 3. Row 2's best column 1 ties row 0's
+        # maximum, and the lower row 0 keeps column 1 although its own best
+        # is column 0. Row 1's best column 2 ties row 4's value there, but
+        # row 4 is the higher row, so row 1 keeps it; row 3 loses it to row 1
+        x = math.sqrt(0.32)
+        da = np.array([[0.6, 0.6, 0.0, 0.0, 0.0, math.sqrt(0.28)],
+                       [0.0, 0.0, 0.6, 0.0, x, x],
+                       [0.0, 0.6, 0.0, 0.0, x, x],
+                       [0.0, 0.0, 0.6, 0.0, x, x],
+                       [0.0, 0.0, 0.6, 0.8, 0.0, 0.0]], dtype=np.float32)
+        db = np.eye(6, dtype=np.float32)[:4]
+        if rows is not None:
+            monkeypatch.setattr(scorer, "_BLOCK_BYTES", rows * 4 * 5)
+        fa = image_from(np.zeros((5, 2)), da, "a")
+        fb = image_from(np.zeros((4, 2)), db, "b")
+        sims = fa.descriptors @ fb.descriptors.T
+        assert (sims.max(axis=1)[:4] == sims[0, 0]).all()
+        got = mutual_nn_matches(fa, fb, 10)
+        assert [(int(c.idx_a), int(c.idx_b)) for c in got] == [(4, 3), (0, 0), (1, 2)]
+        assert_matches_reference(fa, fb, 10)
 
     @pytest.mark.parametrize("n_a,n_b", [(1, 9), (9, 1), (1, 1), (0, 9), (9, 0), (0, 0)])
     def test_equals_argmax_on_degenerate_shapes(self, n_a, n_b):
@@ -283,9 +351,10 @@ class TestMutualNN:
         assert got.similarity.tobytes() == want.tobytes()
 
     def test_peak_memory_one_similarity_matrix(self):
-        # one float32 matrix plus row-block temporaries; a bool mask of the
-        # matrix, transposed as an argmax along axis 0 copies it, reaches
-        # 1.25x, a transposed float32 copy 2x and a float64 product 2x
+        # one float32 matrix plus the walk's vectors and small gathers; a
+        # 1 MiB row block's temporaries reach 1.13x, a bool mask of the
+        # matrix, transposed as an argmax along axis 0 copies it, 1.25x, a
+        # transposed float32 copy 2x and a float64 product 2x
         n_a, n_b = 1500, 1400
         rng = np.random.default_rng(3)
         fa = image_from(np.zeros((n_a, 2)), unit_rows(rng, n_a, 32), "a")
@@ -297,7 +366,26 @@ class TestMutualNN:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * n_a * n_b * 4
+        assert peak < 1.1 * n_a * n_b * 4
+
+    def test_peak_memory_bounded_for_any_b(self, monkeypatch):
+        # with every mutual match asked for, the walk reaches the matrix's
+        # last rows; its gathers stay within _BLOCK_BYTES of similarities,
+        # where walking without that cap reaches 4.2x the matrix
+        n_a, n_b = 1500, 1400
+        rng = np.random.default_rng(3)
+        fa = image_from(np.zeros((n_a, 2)), unit_rows(rng, n_a, 32), "a")
+        fb = image_from(np.zeros((n_b, 2)), unit_rows(rng, n_b, 32), "b")
+        monkeypatch.setattr(scorer, "_BLOCK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            got = mutual_nn_matches(fa, fb, b=10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) > 50
+        assert peak < 1.1 * n_a * n_b * 4
 
     def test_workspace_gives_the_same_bits(self):
         rng = np.random.default_rng(11)
