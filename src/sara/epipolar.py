@@ -6,7 +6,8 @@ searches' pixel points once, in one array padded with zero rows to its
 largest match count plus one row. A zero row's Sampson error is +inf
 against any model, so padding is never an inlier: every stage gathers
 from that array in one fancy index, and the select stage and the finish
-each score all their searches in one Sampson pass.
+each score all their searches in one Sampson pass, which runs in blocks
+of searches sized to stay in cache and moves no bit.
 
 Every eight-point fit runs in ``_fundamental_stack``, over a stack of
 point sets at once with the stack on the last axis: one call solves every
@@ -325,25 +326,49 @@ def sampson_errors(M: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarra
                     np.column_stack([x_b, np.ones(len(x_b))]))
 
 
+# bytes of one (..., m, 3) product in a block of _sampson's pass: a block
+# fits in L2 (2 MiB per core on the VM below), and a window's products no
+# longer grow with its searches. On orbit_sparse at the 1536-set window,
+# against one unblocked pass, the fresh-process peak RSS is 1.99 MB lower at
+# this cap (128 KiB: 2.03, 1 MiB: 1.66, one search per block: 2.06) and the
+# selection runs 1.4% faster (128 KiB: 1.2% faster, 1 MiB: 1.8% faster, one
+# search per block: 3.0% slower); medians of six round-robin 8 s runs on a
+# 2-core Xeon VM.
+_SAMPSON_BYTES = 1 << 18
+
+
 def _sampson(M: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     # sampson_errors on homogeneous (..., m, 3) points [x y 1], broadcast
-    # against the models' leading axes. The two (..., m, 3) products are the
-    # largest arrays of a stacked search, so only one is alive at a time; the
-    # denominator adds its four squares in the order a + b + c + d rounds them.
-    Ma = ha @ np.swapaxes(M, -1, -2)   # rows are (M x_a)^T
-    num = np.einsum("...ij,...ij->...i", hb, Ma)
-    num *= num
-    den = Ma[..., 0] ** 2
-    den += Ma[..., 1] ** 2
-    del Ma
-    Mtb = hb @ M                       # rows are (M^T x_b)^T
-    den += Mtb[..., 0] ** 2
-    den += Mtb[..., 1] ** 2
-    del Mtb
-    positive = den > 0.0
-    np.divide(num, den, out=num, where=positive)
-    num[~positive] = np.inf
-    return num
+    # against the models' leading axes. The pass runs in blocks along the
+    # first leading axis, each at most _SAMPSON_BYTES per product, into one
+    # preallocated error array; an element comes from the same matmul and
+    # einsum on the same operands in any block, so blocking moves no bit.
+    # Within a block only one of the two products is alive at a time, and
+    # the denominator adds its four squares in the order a + b + c + d
+    # rounds them.
+    shape = np.broadcast_shapes(M.shape[:-2], ha.shape[:-2], hb.shape[:-2]) + ha.shape[-2:-1]
+    errs = np.empty(shape)
+    lead = len(shape) - 1
+    step = max(1, _SAMPSON_BYTES // max(1, 24 * math.prod(shape[1:])))
+    for start in range(0, shape[0] if lead else 1, step):
+        part = slice(start, start + step) if lead else ...
+        # an operand without the first leading axis, or with length 1 there, broadcasts whole
+        Mp, ap, bp = (a[part] if a.ndim - 2 == lead and a.shape[0] > 1 else a
+                      for a in (M, ha, hb))
+        Ma = ap @ np.swapaxes(Mp, -1, -2)   # rows are (M x_a)^T
+        num = np.einsum("...ij,...ij->...i", bp, Ma, out=errs[part])
+        num *= num
+        den = Ma[..., 0] ** 2
+        den += Ma[..., 1] ** 2
+        del Ma
+        Mtb = bp @ Mp                       # rows are (M^T x_b)^T
+        den += Mtb[..., 0] ** 2
+        den += Mtb[..., 1] ** 2
+        del Mtb
+        positive = den > 0.0
+        np.divide(num, den, out=num, where=positive)
+        num[~positive] = np.inf
+    return errs
 
 
 def _draw_samples(rngs, sizes, rows: int) -> np.ndarray:
@@ -437,8 +462,11 @@ def short_ransac(searches, iterations: int = 32, inlier_threshold: float = 2.0
     returns for its row. Each result is bit-identical to a call on that
     search alone and to a search that solves and scores its hypotheses one
     at a time in draw order. Memory grows with the searches passed: the
-    select stage holds iterations x (m + 1) floats per search. ``score_all``
-    bounds it by the hypothesis sets of its window, and m by ``b``.
+    select stage holds iterations x (m + 1) Sampson errors per search, and
+    its Sampson pass computes them in blocks of searches whose products
+    hold at most ``_SAMPSON_BYTES`` each, so those products do not grow
+    with the call. ``score_all`` bounds the searches by the hypothesis sets
+    of its window, and m by ``b``.
 
     Hypotheses stay rank-2 fundamental fits even for a calibrated search:
     the essential-manifold projection is brutal on noisy minimal samples,

@@ -199,7 +199,8 @@ def write_features(features: ImageFeatures, path: str | Path) -> None:
 
 def read_features(path: str | Path, image_id: str | None = None) -> ImageFeatures:
     """Parse a feature file; validates finiteness, bounds and descriptor norms."""
-    path = Path(path)
+    if isinstance(path, str):   # a Path, as a manifest entry holds, is taken as given
+        path = Path(path)
     try:
         raw = path.read_bytes()
     except FileNotFoundError as exc:

@@ -134,14 +134,16 @@ def mutual_nn_matches(fa: ImageFeatures, fb: ImageFeatures, b: int,
     return correspondences(p, q, fa.keypoints[p], fb.keypoints[q], v[p])
 
 
-# hypothesis sets per short_ransac call in score_all, which takes its pairs
-# this many // ransac_iterations at a time: 24 pairs at 32 iterations. The
+# hypothesis sets per short_ransac call in score_all, which queues this many
+# // ransac_iterations searches per call: 48 searches at 32 iterations. The
 # search's stacked arrays grow with its hypothesis sets, so this one bound
-# caps them and the matches alive at once; scores do not depend on it. On
-# orbit_sparse, against 768, the selection runs 7.3% slower at 512 and 3.9%
-# faster at 1024, and the fresh-process peak RSS is 0.77 MB lower and 0.89 MB
-# higher (medians of six round-robin 8 s runs, one refit call per window).
-_WINDOW_HYPOTHESES = 768
+# caps them and the matches alive at once; scores do not depend on it.
+# On orbit_sparse, with the blocked Sampson pass, against 1536 the selection
+# runs 10.6% slower at 768 and 1.6% faster at 2048, and the fresh-process
+# peak RSS is 1.04 MB lower and 0.91 MB higher (medians of six round-robin
+# 8 s runs, 2-core Xeon VM). At 1536 the select stage's hypothesis solve
+# already sets a call's traced peak, so a larger window raises it.
+_WINDOW_HYPOTHESES = 1536
 
 
 def _pair_rng(seed: int, stream: int) -> np.random.Generator:
@@ -166,55 +168,66 @@ def score_pair(fa: ImageFeatures, fb: ImageFeatures, config: SaraConfig,
     scored as a window of one, and the result equals
     ``score_all``'s for the same pair and stream.
     """
-    return _score_window([(fa, fb, fa.n_keypoints, fb.n_keypoints, stream)], config, None)[0]
+    return _score_pairs([(fa, fb, fa.n_keypoints, fb.n_keypoints, stream)], config, None)[0]
 
 
-def _score_window(window, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
-    """Scores of (fa, fb, n_a, n_b, stream) pairs, in order, from one
-    ``short_ransac`` call; n_a and n_b are the two images' keypoint counts.
+def _score_pairs(pairs, config: SaraConfig, work: np.ndarray | None) -> list[PairScore]:
+    """Scores of (fa, fb, n_a, n_b, stream) pairs, in order; n_a and n_b
+    are the two images' keypoint counts.
 
-    Each pair is matched on its own, except a pair whose smaller image
-    has fewer than ``MIN_MATCHES`` keypoints: it cannot reach that many
-    mutual matches, so it is not matched and ends ``TOO_FEW_MUTUAL_NN``
-    as matching would end it. The pairs with at least ``MIN_MATCHES``
-    mutual matches run their searches in one ``short_ransac`` call, and
-    a pair ends ``NO_MODEL`` exactly when its result is not a model.
+    The pairs are matched one at a time, in order. A pair whose smaller
+    image has fewer than ``MIN_MATCHES`` keypoints cannot reach that many
+    mutual matches, so it is not matched. A pair with fewer than
+    ``MIN_MATCHES`` mutual matches is settled at once: it ends
+    ``TOO_FEW_MUTUAL_NN`` with the call's one shared, frozen score and
+    builds no generator. Every other pair queues its search, and each
+    ``_WINDOW_HYPOTHESES // config.ransac_iterations`` queued searches (at
+    least one) run in one ``short_ransac`` call, the rest in one more.
     """
-    matches = {k: mutual_nn_matches(fa, fb, config.b, work)
-               for k, (fa, fb, n_a, n_b, _) in enumerate(window) if min(n_a, n_b) >= MIN_MATCHES}
-    searched = [k for k, m in matches.items() if len(m) >= MIN_MATCHES]
-    searches = []
-    for k in searched:
-        fa, fb, _, _, stream = window[k]
+    per = max(1, _WINDOW_HYPOTHESES // config.ransac_iterations)
+    too_few = PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                        rejected=RejectReason.TOO_FEW_MUTUAL_NN)
+    scores, queued = [], []
+    for fa, fb, n_a, n_b, stream in pairs:
+        corrs = mutual_nn_matches(fa, fb, config.b, work) if min(n_a, n_b) >= MIN_MATCHES else ()
+        if len(corrs) < MIN_MATCHES:
+            scores.append(too_few)
+            continue
         calib = (None if fa.intrinsics is None or fb.intrinsics is None
                  else (fa.intrinsics, fb.intrinsics))
-        searches.append((matches[k], calib, _pair_rng(config.seed, stream)))
-    results = dict(zip(searched, short_ransac(searches, config.ransac_iterations,
-                                              config.inlier_threshold_px)))
-
-    scores = []
-    for k, (_, _, n_a, n_b, _) in enumerate(window):
-        model = reason = None
-        if k not in results:
-            reason = RejectReason.TOO_FEW_MUTUAL_NN
-        elif isinstance(results[k], TwoViewModel):
-            model = results[k]
-        else:
-            reason = RejectReason.NO_MODEL
-
-        overlap = parallax = 0.0
-        if model is not None:
-            overlap = float(model.inliers.size) / math.sqrt(n_a * n_b)
-            parallax = (config.tau_p if model.rotation is None
-                        else lower_median(model.triangulation_angles))
-            if overlap < config.tau_o:
-                reason = RejectReason.BELOW_OVERLAP
-            elif parallax < config.tau_p:
-                reason = RejectReason.BELOW_PARALLAX
-        weight = 0.0 if reason is not None else overlap * min(parallax, config.parallax_cap)
-        scores.append(PairScore(overlap=overlap, parallax=parallax, weight=weight,
-                                model=model, rejected=reason))
+        queued.append((len(scores), n_a, n_b, (corrs, calib, _pair_rng(config.seed, stream))))
+        scores.append(None)
+        if len(queued) == per:
+            _search(queued, config, scores)
+            queued = []
+    if queued:
+        _search(queued, config, scores)
     return scores
+
+
+def _search(queued, config: SaraConfig, scores: list) -> None:
+    """Runs the queued (position, n_a, n_b, search) searches in one
+    ``short_ransac`` call and writes each pair's score at its position in
+    ``scores``; a pair ends ``NO_MODEL`` exactly when its result is not a
+    model."""
+    results = short_ransac([search for *_, search in queued], config.ransac_iterations,
+                           config.inlier_threshold_px)
+    for (k, n_a, n_b, _), model in zip(queued, results):
+        if not isinstance(model, TwoViewModel):
+            scores[k] = PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                                  rejected=RejectReason.NO_MODEL)
+            continue
+        reason = None
+        overlap = float(model.inliers.size) / math.sqrt(n_a * n_b)
+        parallax = (config.tau_p if model.rotation is None
+                    else lower_median(model.triangulation_angles))
+        if overlap < config.tau_o:
+            reason = RejectReason.BELOW_OVERLAP
+        elif parallax < config.tau_p:
+            reason = RejectReason.BELOW_PARALLAX
+        weight = 0.0 if reason is not None else overlap * min(parallax, config.parallax_cap)
+        scores[k] = PairScore(overlap=overlap, parallax=parallax, weight=weight,
+                              model=model, rejected=reason)
 
 
 def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int], PairScore]:
@@ -227,11 +240,15 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     depends only on the pair, the features and the config seed: it equals
     ``score_pair``'s.
 
-    The sorted pairs are scored in windows of ``_WINDOW_HYPOTHESES //
-    config.ransac_iterations`` pairs (at least one), one ``short_ransac``
-    call per window. A search's memory grows with its hypothesis sets, so
-    the bound keeps a window's stacked arrays, matches and searches from
-    growing with the pair count or the iterations.
+    The sorted pairs are matched in order. A pair with fewer than 8 mutual
+    matches is settled at once, with one shared frozen score and no
+    generator; the others queue their searches, and every
+    ``_WINDOW_HYPOTHESES // config.ransac_iterations`` queued searches (at
+    least one) run in one ``short_ransac`` call, the rest in one more. A
+    window is counted in searches, not pairs, so most pairs, which settle
+    without a search on a large collection, add no call, and a search's
+    memory, which grows with its hypothesis sets, stays bounded as the
+    pair count or the iterations grow.
 
     Each image's keypoint count is read once. One float32 workspace,
     sized for the largest n_a * n_b among the pairs, holds every pair's
@@ -243,11 +260,6 @@ def score_all(features, candidates, config: SaraConfig) -> dict[tuple[int, int],
     pairs = sorted(candidates)
     sizes = [f.n_keypoints for f in features]
     work = np.empty(max((sizes[i] * sizes[j] for i, j in pairs), default=0), dtype=np.float32)
-    scores = {}
-    per = max(1, _WINDOW_HYPOTHESES // config.ransac_iterations)
-    for start in range(0, len(pairs), per):
-        window = pairs[start:start + per]
-        scores.update(zip(window, _score_window(
-            [(features[i], features[j], sizes[i], sizes[j], i * n + j) for i, j in window],
-            config, work)))
-    return scores
+    return dict(zip(pairs, _score_pairs(
+        ((features[i], features[j], sizes[i], sizes[j], i * n + j) for i, j in pairs),
+        config, work)))

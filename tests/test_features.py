@@ -2,10 +2,12 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sara import features
 from sara.errors import (CorruptFile, DimensionMismatch, DuplicateImageId,
                          MissingFile, NormalizationFailure, OutOfBoundsKeypoint)
 from sara.features import (DatasetManifest, ImageFeatures, ManifestEntry,
@@ -560,6 +562,24 @@ class TestManifest:
         (tmp_path / "img_1.sarf").unlink()
         with pytest.raises(MissingFile, match="img_1"):
             load_features(load_manifest(mpath), "img_1")
+
+    def test_load_builds_no_path(self, tmp_path, monkeypatch):
+        # the manifest's entries hold their Paths, so loading a file parses
+        # none; a missing file still raises MissingFile
+        mpath = write_dataset(tmp_path)
+        (tmp_path / "img_2.sarf").unlink()
+        manifest = load_manifest(mpath)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Path(*args)
+
+        monkeypatch.setattr(features, "Path", counting)
+        assert [load_features(manifest, i).n_keypoints for i in ("img_0", "img_1")] == [12, 12]
+        with pytest.raises(MissingFile, match="img_2"):
+            load_features(manifest, "img_2")
+        assert built == []
 
     def test_dimension_mismatch(self, tmp_path):
         mpath = write_dataset(tmp_path)

@@ -551,9 +551,25 @@ class TestScorePairOnScene:
         assert spearman(est, oracle) > 0.8
 
 
+def settling_features(orbit20_features):
+    """Eight orbit views; image 2 keeps 5 keypoints and image 5 keeps 12
+    whose descriptors repeat 3 rows, so both images' pairs settle
+    too_few_mutual_nn: image 2's unmatched, image 5's matched."""
+    features = list(orbit20_features[:8])
+    few, repeated = features[2], features[5]
+    features[2] = dataclasses.replace(
+        few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
+        scores=None if few.scores is None else few.scores[:5])
+    features[5] = dataclasses.replace(
+        repeated, keypoints=repeated.keypoints[:12],
+        descriptors=repeated.descriptors[np.arange(12) % 3],
+        scores=None if repeated.scores is None else repeated.scores[:12])
+    return features
+
+
 @pytest.fixture(scope="module")
 def orbit16_features():
-    """Features of a 16-view orbit at 0.5 px: 120 pairs, five scoring windows."""
+    """Features of a 16-view orbit at 0.5 px: 120 pairs, three robust-search windows."""
     return render_features(generate_orbit_scene(16, 400, noise_px=0.5, seed=3))
 
 
@@ -584,11 +600,11 @@ class TestScoreAll:
         for (i, j), s in scores.items():
             assert_same_score(s, score_pair(features[i], features[j], cfg, i * 3 + j))
 
-    @pytest.mark.parametrize("window_pairs", [1, 3, None], ids=["one", "three", "unbounded"])
-    def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, window_pairs):
-        # image 2 keeps 5 keypoints, so its pairs stop before the search and
-        # sit between searched ones in a window; image 4 has no intrinsics.
-        # Windows of one pair, three pairs, or every pair in one window
+    @pytest.mark.parametrize("window_searches", [1, 3, None], ids=["one", "three", "unbounded"])
+    def test_group_bound_keeps_every_score(self, orbit20_features, monkeypatch, window_searches):
+        # image 2 keeps 5 keypoints, so its pairs settle before the search,
+        # between searched ones; image 4 has no intrinsics. Windows of one
+        # search, three searches, or every search in one window
         cfg = SaraConfig()
         few, bare = orbit20_features[2], orbit20_features[4]
         features = list(orbit20_features[:7])
@@ -596,8 +612,8 @@ class TestScoreAll:
             few, keypoints=few.keypoints[:5], descriptors=few.descriptors[:5],
             scores=None if few.scores is None else few.scores[:5])
         features[4] = dataclasses.replace(bare, intrinsics=None)
-        monkeypatch.setattr(scorer, "_WINDOW_HYPOTHESES",
-                            window_pairs * cfg.ransac_iterations if window_pairs else sys.maxsize)
+        monkeypatch.setattr(scorer, "_WINDOW_HYPOTHESES", window_searches * cfg.ransac_iterations
+                            if window_searches else sys.maxsize)
         n = len(features)
         pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
         scores = score_all(features, pairs, cfg)
@@ -606,6 +622,78 @@ class TestScoreAll:
         assert any(s.parallax_floored for s in scores.values())
         for (i, j), s in scores.items():
             assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+
+    def test_settled_pairs_straddle_a_window_boundary(self, orbit20_features, monkeypatch):
+        # windows of three searches: pairs settled too_few_mutual_nn, unmatched
+        # (image 2 keeps 5 keypoints) and matched (image 5's 12 keypoints
+        # repeat 3 descriptors, so at most 3 mutual matches), fall between
+        # the last search of one short_ransac call and the first of the next,
+        # and every score equals score_pair's
+        cfg = SaraConfig()
+        features = settling_features(orbit20_features)
+        search, calls = scorer.short_ransac, []
+
+        def searching(searches, *args):
+            calls.append([pair_of[id(corrs)] for corrs, _, _ in searches])
+            return search(searches, *args)
+
+        match, pair_of = scorer.mutual_nn_matches, {}
+        index = {f.image_id: k for k, f in enumerate(features)}
+
+        def matching(fa, fb, b, work=None):
+            corrs = match(fa, fb, b, work)
+            pair_of[id(corrs)] = (index[fa.image_id], index[fb.image_id])
+            return corrs
+
+        monkeypatch.setattr(scorer, "short_ransac", searching)
+        monkeypatch.setattr(scorer, "mutual_nn_matches", matching)
+        monkeypatch.setattr(scorer, "_WINDOW_HYPOTHESES", 3 * cfg.ransac_iterations)
+        n = len(features)
+        pairs = sorted((i, j) for i in range(n) for j in range(i + 1, n))
+        scores = score_all(features, set(pairs), cfg)
+        assert [len(call) for call in calls[:-1]] == [3] * (len(calls) - 1)
+        straddling = set()
+        for before, after in zip(calls, calls[1:]):
+            between = pairs[pairs.index(before[-1]) + 1:pairs.index(after[0])]
+            assert all(scores[pair].rejected is RejectReason.TOO_FEW_MUTUAL_NN for pair in between)
+            straddling |= {image for pair in between for image in pair if image in (2, 5)}
+        assert straddling == {2, 5}
+        for (i, j), s in scores.items():
+            assert_same_score(s, score_pair(features[i], features[j], cfg, i * n + j))
+
+    def test_settled_pairs_share_one_score(self, orbit20_features, monkeypatch):
+        # a pair with fewer than 8 mutual matches, matched or not, ends with
+        # the call's one shared frozen score, builds no generator and reaches
+        # no short_ransac call
+        features = settling_features(orbit20_features)
+        streams, searched = [], []
+        build, search = scorer._pair_rng, scorer.short_ransac
+
+        def counted(seed, stream):
+            streams.append(stream)
+            return build(seed, stream)
+
+        def searching(searches, *args):
+            searched.extend(len(corrs) for corrs, _, _ in searches)
+            return search(searches, *args)
+
+        monkeypatch.setattr(scorer, "_pair_rng", counted)
+        monkeypatch.setattr(scorer, "short_ransac", searching)
+        cfg = SaraConfig()
+        n = len(features)
+        scores = score_all(features, {(i, j) for i in range(n) for j in range(i + 1, n)}, cfg)
+        settled = [pair for pair, s in scores.items()
+                   if s.rejected is RejectReason.TOO_FEW_MUTUAL_NN]
+        assert len(settled) == 2 * (n - 1) - 1
+        shared = scores[settled[0]]
+        assert all(scores[pair] is shared for pair in settled)
+        assert score_pair(features[2], features[5], cfg) == shared
+        assert shared == PairScore(overlap=0.0, parallax=0.0, weight=0.0,
+                                   rejected=RejectReason.TOO_FEW_MUTUAL_NN)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.weight = 1.0
+        assert sorted(streams) == sorted(i * n + j for (i, j) in scores.keys() - set(settled))
+        assert len(searched) == len(streams) and min(searched) >= epipolar.MIN_MATCHES
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["equal", "more"])
     def test_window_counts_hypothesis_sets(self, orbit20_features, monkeypatch, extra):
@@ -662,14 +750,15 @@ class TestScoreAll:
 
     def test_one_robust_search_per_window(self, orbit16_features, monkeypatch):
         # the benchmark times the robust search as the span of
-        # scorer.short_ransac: one call per window of _WINDOW_HYPOTHESES //
-        # ransac_iterations sorted pairs, holding each of the window's pairs
-        # with at least 8 matches. Inside it, two fit calls, the select
-        # stage's and one refit of every winner, two Sampson passes, the
-        # select stage's and the finish's recount, and one recover_pose
-        # call, holding the posed rows' models in search order on points
-        # padded to the window's largest match count plus one row. Image 1
-        # keeps 60 keypoints, so a window mixes match counts
+        # scorer.short_ransac: the sorted pairs are matched in order, and
+        # one call runs each window of _WINDOW_HYPOTHESES // ransac_iterations
+        # pairs with at least 8 matches, the last window the rest. Inside
+        # it, two fit calls, the select stage's and one refit of every
+        # winner, two Sampson passes, the select stage's and the finish's
+        # recount, and one recover_pose call, holding the posed rows' models
+        # in search order on points padded to the window's largest match
+        # count plus one row. Image 1 keeps 60 keypoints, so a window mixes
+        # match counts
         few = orbit16_features[1]
         features = list(orbit16_features)
         features[1] = dataclasses.replace(few, keypoints=few.keypoints[:60],
@@ -717,13 +806,12 @@ class TestScoreAll:
         monkeypatch.setattr(epipolar, "_fundamental_stack", fitting)
         monkeypatch.setattr(epipolar, "_sampson", scoring)
         scores = score_all(features, set(pairs), SaraConfig())
+        assert [pair for pair, _ in matched] == pairs
         per = scorer._WINDOW_HYPOTHESES // SaraConfig().ransac_iterations
-        windows = [pairs[start:start + per] for start in range(0, len(pairs), per)]
-        assert len(windows) == 5 and len(calls) == len(windows)
-        searched = {pair for pair, m in matched if len(m) >= epipolar.MIN_MATCHES}
+        searched = [pair for pair, m in matched if len(m) >= epipolar.MIN_MATCHES]
         assert len(searched) > 100
-        for window, call in zip(windows, calls):
-            assert call == [pair for pair in window if pair in searched]
+        windows = [searched[start:start + per] for start in range(0, len(searched), per)]
+        assert len(windows) == 3 and calls == windows
         assert fits == [([w], stage) for w in range(1, len(windows) + 1)
                         for stage in ("select", "refit")]
         assert passes == [([w], stage) for w in range(1, len(windows) + 1)
@@ -768,11 +856,13 @@ class TestScoreAll:
             assert_same_score(scores[pair], clean_scores[pair])
 
     def test_peak_memory_bounded_by_group(self, orbit20_features):
-        # 160 pairs against 40: the 120 more scores the result holds take
-        # about 0.25 MB, while one window over every pair would add about 12 MB
+        # 160 pairs against 60, each pair a search, so both fill at least one
+        # window: the 100 more scores the result holds take about 0.2 MB,
+        # while one window over every pair would add about 12 MB
         pairs = sorted((i, j) for i in range(20) for j in range(i + 1, 20))
+        assert 60 >= scorer._WINDOW_HYPOTHESES // SaraConfig().ransac_iterations
         peaks = []
-        for count in (40, 160):
+        for count in (60, 160):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
